@@ -8,9 +8,7 @@ keys, or flat TSV via --format tsv.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import wraps
 
 import click
@@ -34,13 +32,20 @@ def _emit(ctx, payload):
 
 
 def _flatten(payload, prefix=""):
+    """(key, value) lines: dict keys and the positions of nested list items
+    join with dots; a list of scalars is one comma-joined value."""
     if isinstance(payload, dict):
-        for key in sorted(payload):
-            yield from _flatten(payload[key], f"{prefix}{key}." if prefix else f"{key}.")
+        items = sorted(payload.items())
+    elif isinstance(payload, (list, tuple)) and any(isinstance(x, (dict, list, tuple)) for x in payload):
+        items = enumerate(payload)
     elif isinstance(payload, (list, tuple)):
-        yield (prefix.rstrip("."), ",".join(str(x) for x in payload))
+        yield (prefix, ",".join(str(x) for x in payload))
+        return
     else:
-        yield (prefix.rstrip("."), payload)
+        yield (prefix, payload)
+        return
+    for key, value in items:
+        yield from _flatten(value, f"{prefix}.{key}" if prefix else str(key))
 
 
 def guarded(fn):
@@ -92,22 +97,29 @@ def _paths(n, text):
     return [cyclic.Path.deserialize(n, p) for p in text.split(",")]
 
 
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _spec(text):
+    """A labelled cycle spec given as JSON text or @file."""
+    data = _read_json(text[1:]) if text.startswith("@") else json.loads(text)
+    return operad.LabelledCycleSpec.from_json(data)
+
+
 def _witt_vector(ring, support, text):
     if text.startswith("@"):
-        return witt.WittVector.from_json(json.load(open(text[1:])))
+        return witt.WittVector.from_json(_read_json(text[1:]))
     values = {}
     if text.strip():
         for item in text.split(","):
             t, v = item.split(":")
             values[int(t)] = ring.parse(v)
     return witt.WittVector.from_dict(ring, support, values)
-
-
-def max_threads():
-    try:
-        return max(1, int(os.environ.get("POLYGONIC_MAX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @click.group()
@@ -278,9 +290,7 @@ def mulset(ctx, n, seq, target):
 @click.pass_context
 @guarded
 def rotate(ctx, spec, k):
-    data = json.load(open(spec[1:])) if spec.startswith("@") else json.loads(spec)
-    s = operad.LabelledCycleSpec.from_json(data)
-    _emit(ctx, {"spec": s.rotate(k).to_json()})
+    _emit(ctx, {"spec": _spec(spec).rotate(k).to_json()})
 
 
 @operad_group.command()
@@ -289,9 +299,7 @@ def rotate(ctx, spec, k):
 @click.pass_context
 @guarded
 def contract(ctx, spec, edge):
-    data = json.load(open(spec[1:])) if spec.startswith("@") else json.loads(spec)
-    s = operad.LabelledCycleSpec.from_json(data)
-    _emit(ctx, {"spec": s.contract(edge).to_json()})
+    _emit(ctx, {"spec": _spec(spec).contract(edge).to_json()})
 
 
 # ---------------------------------------------------------------------- qfin
@@ -441,16 +449,11 @@ def axioms(ctx, window, burnside_m, witt_ring, witt_n, trials, seed):
 @guarded
 def gfp(ctx, window, burnside_m, witt_ring, witt_n, level):
     M = _window_module(window, burnside_m, witt_ring, witt_n)
-    levels = [level] if level is not None else list(M.window)
-
-    def one(n):
-        g = mackey.geometric_fixed_points(M, n)
-        torsion, free = g.group.invariants()
-        return str(n), {"torsion": torsion, "free_rank": free}
-
-    with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-        results = list(pool.map(one, levels))
-    _emit(ctx, {"levels": dict(results)})
+    levels = {}
+    for n in [level] if level is not None else M.window:
+        torsion, free = mackey.geometric_fixed_points(M, n).group.invariants()
+        levels[str(n)] = {"torsion": torsion, "free_rank": free}
+    _emit(ctx, {"levels": levels})
 
 
 @mackey_group.command()
@@ -701,7 +704,7 @@ def hh_group():
 
 
 def _cycle_from(path):
-    return hochschild.LabelledCycle.from_json(json.load(open(path)))
+    return hochschild.LabelledCycle.from_json(_read_json(path))
 
 
 @hh_group.command()
@@ -750,7 +753,10 @@ def contract_compare(ctx, cycle_path, edge, degree):
 @guarded
 def rotate_cmd(ctx, cycle_path, degree):
     cyc = _cycle_from(cycle_path)
-    report = hochschild.rotation_action(cyc.algebras[0], cyc.bimodules[0], cyc.n, degree)
+    R, M = cyc.algebras[0], cyc.bimodules[0]
+    if cyc.algebras != (R,) * cyc.n or cyc.bimodules != (M,) * cyc.n:
+        raise ValueError("rotate needs a uniform cycle: every vertex and every edge labelled alike")
+    report = hochschild.rotation_action(R, M, cyc.n, degree)
     _emit(ctx, {
         "commutes_with_boundary": report["commutes_with_boundary"],
         "order_exact": report["order_exact"],

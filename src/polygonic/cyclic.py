@@ -357,22 +357,6 @@ def dual_fibers(g):
     return underlying, tuple(fibers)
 
 
-def delta_morphisms(q_lo, q_hi):
-    """All monotone maps [q_lo] -> [q_hi] as value tuples."""
-    out = []
-
-    def extend(vals):
-        if len(vals) == q_lo + 1:
-            out.append(tuple(vals))
-            return
-        lo = vals[-1] if vals else 0
-        for v in range(lo, q_hi + 1):
-            extend(vals + [v])
-
-    extend([])
-    return out
-
-
 def delta_face(q, i):
     """delta_i : [q-1] -> [q], skipping i."""
     return tuple(j if j < i else j + 1 for j in range(q))

@@ -10,6 +10,7 @@ maps, so every boundary identity reduces to cut-set combinatorics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -21,10 +22,12 @@ from .operad import (
     cut_face,
 )
 from .rings import (
+    ZZ,
     IntMatrix,
     NonFieldRing,
     _echelon_insert,
     column_space_basis,
+    invariant_factors,
     rank_and_kernel,
     rank_of,
     ring_from_json,
@@ -870,55 +873,26 @@ def integral_homology_one_cycle(R: FiniteAlgebra, M: FiniteBimodule, degree_boun
     The labels must have integral structure constants (rational entries with
     denominator 1); homology groups are returned as (torsion, free rank)
     pairs through degree_bound - 1.
+
+    Every chain group is free, so ker d_q is a direct summand and H_q is read
+    off the boundaries alone: its torsion is the invariant factors > 1 of
+    d_{q+1}, and its free rank is dims[q] - rank d_q - rank d_{q+1}.
     """
-    from fractions import Fraction
-
-    from .rings import ZZ as _ZZ
-    from .rings import int_kernel, invariant_factors, solve_int
-
-    cycle = LabelledCycle.one_cycle(R, M)
-    complex_ = bar_complex(cycle, degree_bound)
-
-    def integral(matrix):
+    complex_ = bar_complex(LabelledCycle.one_cycle(R, M), degree_bound)
+    out = []
+    rank_d = 0  # rank of d_q; d_0 = 0
+    for q in range(degree_bound):
         entries = {}
-        for (i, j), v in matrix.items():
+        for (i, j), v in complex_.boundary(q + 1).items():
             f = Fraction(v)
             if f.denominator != 1:
                 raise ValueError("structure constants are not integral")
-            entries[(i, j)] = int(f)
-        return IntMatrix(_ZZ, matrix.rows, matrix.cols, entries)
-
-    boundaries = {q: integral(complex_.boundary(q)) for q in range(1, degree_bound + 1)}
-    out = []
-    for q in range(degree_bound):
-        if q == 0:
-            kernel = [
-                [1 if i == j else 0 for i in range(complex_.dims[0])]
-                for j in range(complex_.dims[0])
-            ]
-        else:
-            kernel = int_kernel(boundaries[q])
-        image = [boundaries[q + 1].col(j) for j in range(complex_.dims[q + 1])]
-        # express the image in kernel coordinates and take the quotient
-        if not kernel:
-            out.append(([], 0))
-            continue
-        K = IntMatrix(_ZZ, complex_.dims[q], len(kernel), {
-            (i, j): kernel[j][i]
-            for j in range(len(kernel))
-            for i in range(complex_.dims[q])
-            if kernel[j][i]
-        })
-        rows = []
-        for v in image:
-            coords = solve_int(K, v)
-            if coords is None:
-                raise AssertionError("boundary image leaves the kernel lattice")
-            rows.append(coords)
-        presentation = (
-            IntMatrix.from_rows(_ZZ, rows) if rows else IntMatrix.zeros(_ZZ, 0, len(kernel))
-        )
-        out.append(invariant_factors(presentation))
+            # transposed: the rows present Z^dims[q] modulo the image of d_{q+1}
+            entries[(j, i)] = int(f)
+        image = IntMatrix(ZZ, complex_.dims[q + 1], complex_.dims[q], entries)
+        torsion, free = invariant_factors(image)  # free = dims[q] - rank d_{q+1}
+        out.append((torsion, free - rank_d))
+        rank_d = complex_.dims[q] - free
     return out
 
 

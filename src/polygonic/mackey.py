@@ -20,7 +20,6 @@ from .rings import (
     invariant_factors,
     lattices_equal,
     presented_group_quotient,
-    smith_normal_form,
     solve_int,
 )
 from .truncation import TruncationSet
@@ -178,8 +177,6 @@ class MackeyWindow:
 
     res[(n, m)] : A(n) -> A(m) and tr[(n, m)] : A(m) -> A(n) for each divisor
     pair n | m in the window; weyl[n] generates the order-n action on A(n).
-    Families of transfers declared summable beyond the window are recorded in
-    sum_policy as a tail of size generators.
     """
 
     window: TruncationSet
@@ -187,7 +184,6 @@ class MackeyWindow:
     weyl: dict
     res: dict
     tr: dict
-    sum_policy: tuple | None = None
 
     def __post_init__(self):
         for n in self.window:
@@ -440,7 +436,7 @@ def scale_restrict(M: MackeyWindow, n):
             if l % k == 0 and l != k:
                 res[(k, l)] = M.res[(n * k, n * l)]
                 tr[(k, l)] = M.tr[(n * k, n * l)]
-    return MackeyWindow(window, groups, weyl, res, tr, M.sum_policy)
+    return MackeyWindow(window, groups, weyl, res, tr)
 
 
 def check_conservativity(M: MackeyWindow, max_chain=8):
@@ -568,23 +564,12 @@ def proper_transfer_core(M: MackeyWindow):
 def _lattice_rank(M, n, cols):
     """Rank of the core at level n: generators of L modulo the relations."""
     ngens = M.group(n).ngens
-    if ngens == 0:
-        return 0
     rel = M.group(n).relation_columns()
 
-    def matrix_rank(columns):
-        if not columns:
-            return 0
-        A = IntMatrix(ZZ, ngens, len(columns), {
-            (i, j): columns[j][i]
-            for j in range(len(columns))
-            for i in range(ngens)
-            if columns[j][i]
-        })
-        D, _, _ = smith_normal_form(A)
-        return sum(1 for i in range(min(A.rows, A.cols)) if D.get(i, i) != 0)
+    def free_rank(vectors):
+        return invariant_factors(IntMatrix(ZZ, len(vectors), ngens, vectors))[1]
 
-    return matrix_rank(list(cols) + rel) - matrix_rank(rel)
+    return free_rank(rel) - free_rank(list(cols) + rel)
 
 
 # ---------------------------------------------------------------------------

@@ -297,11 +297,3 @@ class LabelledCycleSpec:
             tuple(dec(v) for v in data["vertices"]),
             tuple(dec(e) for e in data["edges"]),
         )
-
-
-def rotate_spec(spec, k):
-    return spec.rotate(k)
-
-
-def contract_spec(spec, a):
-    return spec.contract(a)

@@ -574,49 +574,51 @@ class IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over the integers, with unimodular transforms.
+# Smith normal form over the integers.
 
 
-def smith_normal_form(A):
-    """Return (D, U, V) with U*A*V = D diagonal, d_1 | d_2 | ..., d_i >= 0.
+def _smith_eliminate(D, U=None, V=None):
+    """Bring the m x n row lists D to Smith form in place; return the diagonal.
 
-    A must be an IntMatrix over the integers; U and V are unimodular.
+    The diagonal is d_1 | d_2 | ..., d_i >= 0, of length min(m, n).  When U
+    and V are given (row lists of identity matrices) each row operation is
+    applied to U and each column operation to V, so that U*A*V = D after.
     """
-    if A.ring.kind != "integers":
-        raise NonFieldRing("Smith normal form requires integer entries")
-    m, n = A.rows, A.cols
-    D = [[A.get(i, j) for j in range(n)] for i in range(m)]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = len(D)
+    n = len(D[0]) if D else 0
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in D:
             r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
+        if V is not None:
+            for r in V:
+                r[i], r[j] = r[j], r[i]
 
     def add_row(src, dst, c):
         # row dst += c * row src
         D[dst] = [a + c * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
+        if U is not None:
+            U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
 
     def add_col(src, dst, c):
         for r in D:
             r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
+        if V is not None:
+            for r in V:
+                r[dst] += c * r[src]
 
     def negate_row(i):
         D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
+        if U is not None:
+            U[i] = [-a for a in U[i]]
 
     def diagonalize():
-        t = 0
-        while t < min(m, n):
+        for t in range(min(m, n)):
             # Pivot of minimal absolute value in the remaining block.
             pivot = None
             best = None
@@ -630,27 +632,28 @@ def smith_normal_form(A):
                 break
             swap_rows(t, pivot[0])
             swap_cols(t, pivot[1])
+            # Euclid on column t, then on row t, until both are clear.  The
+            # column is cleared first, so that column operations only touch
+            # row t and the rest of the block does not grow with them.
             while True:
-                dirty = False
-                for i in range(t + 1, m):
-                    if D[i][t]:
-                        q = D[i][t] // D[t][t]
-                        add_row(t, i, -q)
-                        if D[i][t]:
-                            swap_rows(t, i)
-                            dirty = True
-                for j in range(t + 1, n):
-                    if D[t][j]:
-                        q = D[t][j] // D[t][t]
-                        add_col(t, j, -q)
-                        if D[t][j]:
-                            swap_cols(t, j)
-                            dirty = True
-                if not dirty:
+                below = [i for i in range(t + 1, m) if D[i][t]]
+                if below:
+                    smallest = min(below, key=lambda i: abs(D[i][t]))
+                    if abs(D[smallest][t]) < abs(D[t][t]):
+                        swap_rows(t, smallest)
+                    for i in below:
+                        add_row(t, i, -(D[i][t] // D[t][t]))
+                    continue
+                right = [j for j in range(t + 1, n) if D[t][j]]
+                if not right:
                     break
+                smallest = min(right, key=lambda j: abs(D[t][j]))
+                if abs(D[t][smallest]) < abs(D[t][t]):
+                    swap_cols(t, smallest)
+                for j in right:
+                    add_col(t, j, -(D[t][j] // D[t][t]))
             if D[t][t] < 0:
                 negate_row(t)
-            t += 1
 
     # Diagonalize, then fold adjacent entries until the chain d_1 | d_2 | ...
     # holds; each fold strictly shrinks the earlier entry, so this stops.
@@ -666,11 +669,26 @@ def smith_normal_form(A):
             break
         add_col(bad + 1, bad, 1)
         diagonalize()
+    return [D[i][i] for i in range(min(m, n))]
 
-    Dm = IntMatrix(ZZ, m, n, {(i, i): D[i][i] for i in range(min(m, n)) if D[i][i]})
-    Um = IntMatrix.from_rows(ZZ, U)
-    Vm = IntMatrix.from_rows(ZZ, V)
-    return Dm, Um, Vm
+
+def _int_rows(A):
+    if A.ring.kind != "integers":
+        raise NonFieldRing("Smith normal form requires integer entries")
+    return [[A.get(i, j) for j in range(A.cols)] for i in range(A.rows)]
+
+
+def smith_normal_form(A):
+    """Return (D, U, V) with U*A*V = D diagonal, d_1 | d_2 | ..., d_i >= 0.
+
+    A must be an IntMatrix over the integers; U and V are unimodular.
+    """
+    m, n = A.rows, A.cols
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    diag = _smith_eliminate(_int_rows(A), U, V)
+    Dm = IntMatrix(ZZ, m, n, {(i, i): d for i, d in enumerate(diag) if d})
+    return Dm, IntMatrix.from_rows(ZZ, U), IntMatrix.from_rows(ZZ, V)
 
 
 def det_int(A):
@@ -818,20 +836,10 @@ def presented_group_quotient(G, S):
 
 def invariant_factors(P):
     """Invariant factors (d_1 | d_2 | ...) > 1 and free rank of Z^cols / rows(P)."""
-    D, _, _ = smith_normal_form(P)
-    diag = [D.get(i, i) for i in range(min(P.rows, P.cols))]
+    diag = _smith_eliminate(_int_rows(P))
     torsion = [d for d in diag if d > 1]
-    rank_used = sum(1 for d in diag if d != 0)
-    free = P.cols - rank_used
+    free = P.cols - sum(1 for d in diag if d != 0)
     return torsion, free
-
-
-def int_kernel(A):
-    """Basis (list of columns) of the integer kernel {x : A x = 0}."""
-    D, _, V = smith_normal_form(A)
-    n = A.cols
-    rank = sum(1 for i in range(min(A.rows, n)) if D.get(i, i) != 0)
-    return [V.col(j) for j in range(rank, n)]
 
 
 def solve_int(A, b):

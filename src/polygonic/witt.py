@@ -646,23 +646,6 @@ def _lifts_additive(flow, samples=12):
     return True
 
 
-def equalizer_model(flow: GhostFlow, box=None):
-    """Description of {(w_t) : phi_p(w_t) = w_{pt} mod p for pt in support}.
-
-    Always contains the lift validation and the subgroup/subset verdict;
-    membership testing is equalizer_membership.  With a box and enumerable
-    coefficients the members are listed.
-    """
-    description = {
-        "support": flow.support.to_json(),
-        "lift_validation": flow.validate(),
-        "is_subgroup": _lifts_additive(flow),
-    }
-    if box is not None:
-        description["members"] = [list(w) for w in equalizer_enumerate(flow, box)]
-    return description
-
-
 def equalizer_report(flow: GhostFlow, box):
     """Enumerate the equalizer in a box and compare with the ghost image.
 

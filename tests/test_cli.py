@@ -194,3 +194,47 @@ def test_bar_guard_exit(runner, tmp_path):
     path.write_text(json.dumps(X.to_json()))
     result = run(runner, ["hh", "compute", "--cycle", str(path), "--degree", "3"])
     assert result.exit_code == 3
+
+
+def test_rotate_rejects_non_uniform_cycle(runner, tmp_path):
+    # (A, A; A, A twisted by e -> -e) over F3[e]/(e^2): rotation does not
+    # preserve this cycle, so there is no rotation action to report.
+    F3 = PrimeField(3)
+    A = FiniteAlgebra.poly_quotient(F3, (F3.zero(), F3.zero(), F3.one()), name="F3[e]")
+    twisted = FiniteBimodule.through_hom(A, A, [(F3.one(), F3.zero()), (F3.zero(), F3.from_int(-1))])
+    cycle = LabelledCycle((A, A), (FiniteBimodule.regular(A), twisted))
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(cycle.to_json()))
+    result = run(runner, ["hh", "rotate", "--cycle", str(path), "--degree", "2"])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["kind"] == "validation"
+
+
+def test_missing_input_files_are_validation_errors(runner, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for argv in (
+        ["hh", "compute", "--cycle", missing, "--degree", "2"],
+        ["witt", "ghost", "--support", "1,2", "--vec", "@" + missing],
+        ["operad", "rotate", "--spec", "@" + missing, "--k", "1"],
+    ):
+        result = run(runner, argv)
+        assert result.exit_code == 2
+        error = json.loads(result.output)
+        assert error["kind"] == "validation" and missing in error["error"]
+
+
+def test_tsv_flattens_nested_values(runner, tmp_path):
+    uniform = LabelledCycle.uniform(FiniteAlgebra.ground(QQ), None, 2)
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps(uniform.to_json()))
+    argv = ["hh", "rotate", "--cycle", str(path), "--degree", "2"]
+    data = json.loads(run(runner, argv).output)
+    result = run(runner, ["--format", "tsv"] + argv)
+    assert result.exit_code == 0
+    assert "[" not in result.output and "{" not in result.output
+    lines = dict(tuple(line.split("\t")) for line in result.output.strip().splitlines())
+    # one line per matrix row of the action on H_q
+    for q, matrix in enumerate(data["homology_action"]):
+        for i, row in enumerate(matrix):
+            assert lines[f"homology_action.{q}.{i}"] == ",".join(str(x) for x in row)
+    assert lines["homology_dims"] == ",".join(str(d) for d in data["homology_dims"])

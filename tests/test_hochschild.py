@@ -365,6 +365,35 @@ def test_integral_homology_one_cycle():
     assert result[2] == ([], 0)
 
 
+def _integral_closed_form(n, group, degree_bound):
+    """HH_q over Z of Z[x]/(x^n) (group=False) or Z[C_n] (group=True)."""
+    out = [([], n)]
+    for q in range(1, degree_bound):
+        if q % 2:
+            out.append(([n] * n, 0) if group else ([n], n - 1))
+        else:
+            out.append(([], 0) if group else ([], n - 1))
+    return out
+
+
+@pytest.mark.parametrize("n, group, degree_bound", [
+    (2, False, 7), (3, False, 4), (2, True, 6), (3, True, 4),
+])
+def test_integral_homology_closed_forms(n, group, degree_bound):
+    from polygonic.hochschild import integral_homology_one_cycle
+
+    modulus = [QQ.zero()] * n + [QQ.one()]
+    if group:
+        modulus[0] = QQ.from_int(-1)
+    R = FiniteAlgebra.poly_quotient(QQ, tuple(modulus))
+    M = FiniteBimodule.regular(R)
+    result = integral_homology_one_cycle(R, M, degree_bound)
+    assert result == _integral_closed_form(n, group, degree_bound)
+    # free ranks are the rational Betti numbers of the same bar complex
+    rational = homology(bar_complex(LabelledCycle.one_cycle(R, M), degree_bound))
+    assert [free for _, free in result] == rational
+
+
 # ----------------------------------------------------------------- rotation
 
 

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -14,7 +16,6 @@ from polygonic.rings import (
     column_space_basis,
     det_int,
     in_column_span,
-    int_kernel,
     invariant_factors,
     presented_group_quotient,
     rank_and_kernel,
@@ -76,6 +77,36 @@ def test_smith_determinant_equals_invariant_product():
         D, _, _ = smith_normal_form(A)
         diag = [D.get(i, i) for i in range(n)]
         assert abs(det_int(A)) == _prod(diag)
+
+
+def _determinantal_invariants(rows):
+    """(factors > 1, free rank) of Z^n / rows from the gcds d_k of the k x k
+    minors: the k-th invariant factor is d_k / d_(k-1)."""
+    m, n = len(rows), len(rows[0])
+    divisors = [1]
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for I in combinations(range(m), k):
+            for J in combinations(range(n), k):
+                d = gcd(d, det_int(mat([[rows[i][j] for j in J] for i in I])))
+        if d == 0:
+            break
+        divisors.append(d)
+    factors = [b // a for a, b in zip(divisors, divisors[1:])]
+    return [f for f in factors if f > 1], n - (len(divisors) - 1)
+
+
+def test_invariant_factors_match_determinantal_divisors():
+    rng = random.Random(11)
+    for n in (4, 5, 6):
+        for k in range(8):
+            rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+            if k % 4 == 0:
+                rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+            assert invariant_factors(mat(rows)) == _determinantal_invariants(rows)
+    for m, n in ((4, 6), (6, 4)):
+        rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
+        assert invariant_factors(mat(rows)) == _determinantal_invariants(rows)
 
 
 def test_rank_and_kernel_examples():
@@ -143,8 +174,6 @@ def test_solve_and_membership():
     assert solve_int(A, [1, 0]) is None
     assert in_column_span([[2, 0], [0, 3]], [4, 3])
     assert not in_column_span([[2, 0], [0, 3]], [1, 0])
-    ker = int_kernel(mat([[2, -4]]))
-    assert len(ker) == 1 and ker[0][0] * 2 == 4 * ker[0][1]
 
 
 def test_sparse_dense_agree():
