@@ -9,9 +9,9 @@ maps, so every boundary identity reduces to cut-set combinatorics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .cyclic import CutSet, CyclicMap, Path, SizeGuard
@@ -23,13 +23,11 @@ from .operad import (
 )
 from .rings import (
     ZZ,
+    Echelon,
     IntMatrix,
     NonFieldRing,
-    _echelon_insert,
-    column_space_basis,
+    image_and_kernel,
     invariant_factors,
-    rank_and_kernel,
-    rank_of,
     ring_from_json,
 )
 
@@ -77,53 +75,6 @@ def _combo_mul(field, terms_a, terms_b, mult_table):
                 else:
                     out[k] = val
     return out
-
-
-class Subquotient:
-    """Quotient of k^dim by a spanned subspace, with projection and lift."""
-
-    def __init__(self, field, dim, relation_vectors):
-        self.field = field
-        self.ambient_dim = dim
-        rows = [list(v) for v in relation_vectors]
-        pivots = []
-        reduced = []
-        for row in rows:
-            row = list(row)
-            for (p, r) in zip(pivots, reduced):
-                c = row[p]
-                if not field.is_zero(c):
-                    row = [field.sub(x, field.mul(c, y)) for x, y in zip(row, r)]
-            lead = next((j for j, x in enumerate(row) if not field.is_zero(x)), None)
-            if lead is None:
-                continue
-            inv = field.inv(row[lead])
-            row = [field.mul(inv, x) for x in row]
-            for k, (p, r) in enumerate(zip(pivots, reduced)):
-                c = r[lead]
-                if not field.is_zero(c):
-                    reduced[k] = [field.sub(x, field.mul(c, y)) for x, y in zip(r, row)]
-            pivots.append(lead)
-            reduced.append(row)
-        self.pivots = pivots
-        self.reduced = reduced
-        self.free = [j for j in range(dim) if j not in pivots]
-        self.dim = len(self.free)
-
-    def project(self, vec):
-        """Coordinates of the class of vec on the free columns."""
-        vec = list(vec)
-        for p, r in zip(self.pivots, self.reduced):
-            c = vec[p]
-            if not self.field.is_zero(c):
-                vec = [self.field.sub(x, self.field.mul(c, y)) for x, y in zip(vec, r)]
-        return [vec[j] for j in self.free]
-
-    def lift(self, coords):
-        vec = _zero_vec(self.field, self.ambient_dim)
-        for j, c in zip(self.free, coords):
-            vec[j] = c
-        return vec
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +382,21 @@ class ResolvedTensor:
 
     factors: tuple
     module: FiniteBimodule
-    quotient: Subquotient
+    quotient: Callable | None  # projection on sparse vectors; None for one factor
 
 
 def relative_tensor(M: FiniteBimodule, N: FiniteBimodule):
-    """Coequalizer of the two middle actions on M (x) N, as a bimodule."""
+    """Coequalizer of the two middle actions on M (x) N, as a bimodule.
+
+    Returns the bimodule and the projection from M (x) N (basis index
+    m * N.dim + n), which maps a sparse vector to the sparse coordinates of
+    its class.  The quotient basis is the classes of the basis vectors at the
+    free columns of the echelon of the relations.
+    """
     if M.right_algebra != N.left_algebra:
         raise AlgebraMismatch("middle algebras differ")
     field = M.field
     B = M.right_algebra
-    dim = M.dim * N.dim
 
     def tensor_index(m, n):
         return m * N.dim + n
@@ -449,61 +405,44 @@ def relative_tensor(M: FiniteBimodule, N: FiniteBimodule):
     for m in range(M.dim):
         for b in range(B.dim):
             for n in range(N.dim):
-                vec = _zero_vec(field, dim)
+                rel = {}
                 mb = M.right_act(M._basis(m), B._basis(b))
                 for mm, c in enumerate(mb):
-                    if not field.is_zero(c):
-                        vec[tensor_index(mm, n)] = field.add(vec[tensor_index(mm, n)], c)
+                    rel[tensor_index(mm, n)] = field.add(rel.get(tensor_index(mm, n), field.zero()), c)
                 bn = N.left_act(B._basis(b), N._basis(n))
                 for nn, c in enumerate(bn):
-                    if not field.is_zero(c):
-                        vec[tensor_index(m, nn)] = field.sub(vec[tensor_index(m, nn)], c)
-                relations.append(vec)
-    quot = Subquotient(field, dim, relations)
+                    rel[tensor_index(m, nn)] = field.sub(rel.get(tensor_index(m, nn), field.zero()), c)
+                relations.append(rel)
+    quot = Echelon(field, M.dim * N.dim, relations)
+    free = quot.free()
+    coords = {j: t for t, j in enumerate(free)}
     A, C = M.left_algebra, N.right_algebra
+
+    def project(terms):
+        return {coords[j]: c for j, c in quot.reduce(terms).items()}
+
+    def coordinates(terms):
+        out = _zero_vec(field, len(free))
+        for t, c in project(terms).items():
+            out[t] = c
+        return tuple(out)
 
     def act_left(avec, idx):
         m, n = divmod(idx, N.dim)
-        out = _zero_vec(field, dim)
-        am = M.left_act(avec, M._basis(m))
-        for mm, c in enumerate(am):
-            if not field.is_zero(c):
-                out[tensor_index(mm, n)] = c
-        return out
+        return {tensor_index(mm, n): c for mm, c in enumerate(M.left_act(avec, M._basis(m)))}
 
     def act_right(idx, bvec):
         m, n = divmod(idx, N.dim)
-        out = _zero_vec(field, dim)
-        nb = N.right_act(N._basis(n), bvec)
-        for nn, c in enumerate(nb):
-            if not field.is_zero(c):
-                out[tensor_index(m, nn)] = c
-        return out
+        return {tensor_index(m, nn): c for nn, c in enumerate(N.right_act(N._basis(n), bvec))}
 
-    left = []
-    for i in range(A.dim):
-        row = []
-        for q in range(quot.dim):
-            amb = quot.lift([field.one() if t == q else field.zero() for t in range(quot.dim)])
-            acc = _zero_vec(field, dim)
-            for idx, c in enumerate(amb):
-                if not field.is_zero(c):
-                    acc = _vec_add(field, acc, _vec_scale(field, c, act_left(A._basis(i), idx)))
-            row.append(tuple(quot.project(acc)))
-        left.append(tuple(row))
-    right = []
-    for q in range(quot.dim):
-        amb = quot.lift([field.one() if t == q else field.zero() for t in range(quot.dim)])
-        row = []
-        for j in range(C.dim):
-            acc = _zero_vec(field, dim)
-            for idx, c in enumerate(amb):
-                if not field.is_zero(c):
-                    acc = _vec_add(field, acc, _vec_scale(field, c, act_right(idx, C._basis(j))))
-            row.append(tuple(quot.project(acc)))
-        right.append(tuple(row))
-    module = FiniteBimodule(A, C, quot.dim, tuple(left), tuple(right), name=f"({M.name}(x){N.name})")
-    return module, quot
+    left = tuple(
+        tuple(coordinates(act_left(A._basis(i), idx)) for idx in free) for i in range(A.dim)
+    )
+    right = tuple(
+        tuple(coordinates(act_right(idx, C._basis(j))) for j in range(C.dim)) for idx in free
+    )
+    module = FiniteBimodule(A, C, len(free), left, right, name=f"({M.name}(x){N.name})")
+    return module, project
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +453,8 @@ def relative_tensor(M: FiniteBimodule, N: FiniteBimodule):
 class LabelledCycle:
     algebras: tuple
     bimodules: tuple
+    # Resolved long edges by path, built on first use.
+    _resolved: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.algebras)
@@ -554,7 +495,15 @@ class LabelledCycle:
             raise ValueError("path does not live on this cycle")
         if path.is_vertex:
             return self.algebras[path.start]
-        return _resolved_edge(self, path)
+        if path not in self._resolved:
+            mods = [self.bimodules[(path.start + i) % self.n] for i in range(path.length)]
+            current = mods[0]
+            projections = []
+            for nxt in mods[1:]:
+                current, project = relative_tensor(current, nxt)
+                projections.append(project)
+            self._resolved[path] = ResolvedTensor(tuple(mods), current, _compose_quotients(mods, projections))
+        return self._resolved[path]
 
     def label_dim(self, path: Path):
         if path.is_vertex:
@@ -601,34 +550,16 @@ class LabelledCycle:
         )
 
 
-@lru_cache(maxsize=None)
-def _resolved_edge(cycle, path):
-    mods = [cycle.bimodules[(path.start + i) % cycle.n] for i in range(path.length)]
-    current = mods[0]
-    quotients = []
-    for nxt in mods[1:]:
-        current, q = relative_tensor(current, nxt)
-        quotients.append(q)
-    return ResolvedTensor(tuple(mods), current, _compose_quotients(cycle, mods, quotients))
-
-
-def _compose_quotients(cycle, mods, quotients):
+def _compose_quotients(mods, projections):
     """Projection from the plain tensor of mods onto the iterated quotient."""
-    field = mods[0].field
-    full_dim = 1
-    for m in mods:
-        full_dim *= m.dim
-    if not quotients:
+    if not projections:
         return None
+    dims = [m.dim for m in mods]
 
-    def project(vec_terms):
-        # vec_terms: dict plain-tensor-index -> coeff over the full tensor.
+    def project(terms):
+        # terms: dict plain-tensor-index -> coeff over the full tensor.
         # Fold left: indices split as (prefix, rest) factor by factor.
-        dims = [m.dim for m in mods]
-        terms = vec_terms
-        current_dim = dims[0]
-        for step, q in enumerate(quotients):
-            next_dim = dims[step + 1]
+        for step, pair_projection in enumerate(projections):
             rest_dim = 1
             for d in dims[step + 2:]:
                 rest_dim *= d
@@ -636,23 +567,10 @@ def _compose_quotients(cycle, mods, quotients):
             for idx, c in terms.items():
                 pair, rest = divmod(idx, rest_dim)
                 grouped.setdefault(rest, {})[pair] = c
-            new_terms = {}
+            terms = {}
             for rest, sub in grouped.items():
-                amb = _zero_vec(field, current_dim * next_dim)
-                for pair, c in sub.items():
-                    amb[pair] = field.add(amb[pair], c)
-                proj = q.project(amb)
-                for out_idx, c in enumerate(proj):
-                    if field.is_zero(c):
-                        continue
-                    key = out_idx * rest_dim + rest
-                    val = field.add(new_terms.get(key, field.zero()), c)
-                    if field.is_zero(val):
-                        new_terms.pop(key, None)
-                    else:
-                        new_terms[key] = val
-            terms = new_terms
-            current_dim = q.dim
+                for out_idx, c in pair_projection(sub).items():
+                    terms[out_idx * rest_dim + rest] = c
         return terms
 
     return project
@@ -665,6 +583,8 @@ class ChainComplex:
     ring: object
     dims: tuple
     boundaries: dict
+    # q -> (echelon of the image of d_q, basis of ker d_q), built on first use.
+    _eliminated: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def top(self):
@@ -672,6 +592,36 @@ class ChainComplex:
 
     def boundary(self, q):
         return self.boundaries[q]
+
+    def _eliminate(self, q):
+        # Each boundary is eliminated once.  Homology stops below the top
+        # degree, so the kernel of the top boundary is never read and only its
+        # image is eliminated.
+        if q not in self._eliminated:
+            d = self.boundaries[q]
+            if q < self.top:
+                self._eliminated[q] = image_and_kernel(d)
+            else:
+                self._eliminated[q] = (Echelon(self.ring, d.rows, d.columns()), None)
+        return self._eliminated[q]
+
+    def rank(self, q):
+        """Rank of d_q (d_0 = 0)."""
+        return self._eliminate(q)[0].rank if q > 0 else 0
+
+    def cycles(self, q):
+        """Basis of ker d_q as sparse vectors, for q below the top degree.
+
+        In degree 0 it is the unit vectors; above, the kernel basis of
+        `rings.image_and_kernel`.
+        """
+        if q == 0:
+            return [{i: self.ring.one()} for i in range(self.dims[0])]
+        return self._eliminate(q)[1]
+
+    def reduce_mod_boundaries(self, q, vec):
+        """Normal form of a sparse q-chain modulo the image of d_{q+1}."""
+        return self._eliminate(q + 1)[0].reduce(vec)
 
     def validate(self):
         for q in range(2, self.top + 1):
@@ -853,18 +803,7 @@ def homology(complex_: ChainComplex, upto=None):
         upto = complex_.top - 1
     if upto > complex_.top - 1:
         raise ValueError("top degree is boundary-incomplete")
-    ranks = {}
-
-    def rank(q):
-        if q not in ranks:
-            ranks[q] = rank_of(complex_.boundary(q))
-        return ranks[q]
-
-    out = []
-    for q in range(upto + 1):
-        kernel_dim = complex_.dims[q] - (rank(q) if q > 0 else 0)
-        out.append(kernel_dim - rank(q + 1))
-    return out
+    return [complex_.dims[q] - complex_.rank(q) - complex_.rank(q + 1) for q in range(upto + 1)]
 
 
 def integral_homology_one_cycle(R: FiniteAlgebra, M: FiniteBimodule, degree_bound):
@@ -897,7 +836,10 @@ def integral_homology_one_cycle(R: FiniteAlgebra, M: FiniteBimodule, degree_boun
 
 
 def thh_pi0(R: FiniteAlgebra, M: FiniteBimodule):
-    """M modulo the commutator subspace m.r - r.m; returns (dim, quotient)."""
+    """M modulo the commutator subspace m.r - r.m.
+
+    Returns (dim, echelon of the commutator subspace).
+    """
     if M.left_algebra != R or M.right_algebra != R:
         raise AlgebraMismatch("coefficients must be a bimodule over the algebra")
     field = R.field
@@ -906,9 +848,9 @@ def thh_pi0(R: FiniteAlgebra, M: FiniteBimodule):
         for r in range(R.dim):
             mr = M.right_act(M._basis(m), R._basis(r))
             rm = M.left_act(R._basis(r), M._basis(m))
-            relations.append([field.sub(a, b) for a, b in zip(mr, rm)])
-    quot = Subquotient(field, M.dim, relations)
-    return quot.dim, quot
+            relations.append({i: field.sub(a, b) for i, (a, b) in enumerate(zip(mr, rm))})
+    commutators = Echelon(field, M.dim, relations)
+    return M.dim - commutators.rank, commutators
 
 
 # ---------------------------------------------------------------------------
@@ -948,46 +890,29 @@ def is_chain_map(src, dst, maps):
     return True
 
 
-def _kernel_columns(matrix):
-    _, basis = rank_and_kernel(matrix)
-    return basis
-
-
-def _rank_of_columns(field, columns, dim):
-    if not columns:
-        return 0
-    m = IntMatrix(field, dim, len(columns), {
-        (i, j): columns[j][i]
-        for j in range(len(columns))
-        for i in range(dim)
-        if not field.is_zero(columns[j][i])
+def _images(matrix, vectors):
+    """Images of sparse vectors under a matrix, as sparse vectors."""
+    basis = IntMatrix(matrix.ring, matrix.cols, len(vectors), {
+        (i, j): c for j, vec in enumerate(vectors) for i, c in vec.items()
     })
-    return rank_of(m)
+    return matrix.mul(basis).columns()
 
 
 def homology_map_is_iso(src, dst, maps, q):
     """Does the chain map induce an isomorphism on H_q?
 
     Checked by dimension count plus surjectivity: the image of the source
-    kernel must cover the target homology modulo boundaries.
+    cycles must cover the target homology modulo boundaries.
     """
-    field = src.ring
-    if q == 0:
-        src_kernel = [[field.one() if i == j else field.zero() for i in range(src.dims[0])] for j in range(src.dims[0])]
-        dst_kernel_dim = dst.dims[0]
-    else:
-        src_kernel = _kernel_columns(src.boundary(q))
-        dst_kernel_dim = dst.dims[q] - rank_of(dst.boundary(q))
-    rank_next_src = rank_of(src.boundary(q + 1))
-    rank_next_dst = rank_of(dst.boundary(q + 1))
-    h_src = len(src_kernel) - rank_next_src
-    h_dst = dst_kernel_dim - rank_next_dst
+    src_cycles = src.cycles(q)
+    h_src = len(src_cycles) - src.rank(q + 1)
+    h_dst = dst.dims[q] - dst.rank(q) - dst.rank(q + 1)
     if h_src != h_dst:
         return False
-    boundary_cols = column_space_basis(dst.boundary(q + 1))
-    image_cols = [maps[q].mul_vec(v) for v in src_kernel]
-    covered = _rank_of_columns(field, boundary_cols + image_cols, dst.dims[q]) - len(boundary_cols)
-    return covered == h_dst
+    covered = Echelon(dst.ring, dst.dims[q], (
+        dst.reduce_mod_boundaries(q, v) for v in _images(maps[q], src_cycles)
+    ))
+    return covered.rank == h_dst
 
 
 def contraction_comparison(cycle: LabelledCycle, a, degree_bound):
@@ -1034,73 +959,38 @@ def rotation_matrices(cycle: LabelledCycle, k, degree_bound):
 
 
 def induced_homology_matrix(complex_, chain_map_q, q):
-    """Matrix of the induced endomorphism on H_q in a chosen kernel basis."""
+    """Matrix of the induced endomorphism on H_q in a chosen cycle basis.
+
+    The basis is the first cycles (in the order of `ChainComplex.cycles`)
+    that are independent modulo boundaries.
+    """
     field = complex_.ring
-    if q == 0:
-        kernel = [[field.one() if i == j else field.zero() for i in range(complex_.dims[0])] for j in range(complex_.dims[0])]
-    else:
-        kernel = _kernel_columns(complex_.boundary(q))
-    boundary_cols = column_space_basis(complex_.boundary(q + 1))
-    h_dim = len(kernel) - len(boundary_cols)
+    dim = complex_.dims[q]
+    cycles = complex_.cycles(q)
+    h_dim = len(cycles) - complex_.rank(q + 1)
     if h_dim == 0:
         return IntMatrix.zeros(field, 0, 0)
-    # Reduce modulo boundaries: homology coordinates are the quotient classes.
-    quot = Subquotient(field, complex_.dims[q], boundary_cols)
+    # Classes modulo boundaries, each augmented with a unit coordinate after
+    # the chain coordinates: reducing a class by the span leaves minus its
+    # coordinates in the chosen basis there.
+    span = Echelon(field, dim + h_dim)
     chosen = []
-    chosen_vecs = []
-    echelon = {}
-    for v in kernel:
-        c = quot.project(v)
-        col = {i: x for i, x in enumerate(c) if not field.is_zero(x)}
-        if col and _echelon_insert(field, echelon, col):
-            chosen.append(v)
-            chosen_vecs.append(c)
+    for z in cycles:
+        c = complex_.reduce_mod_boundaries(q, z)
+        if any(i < dim for i in span.reduce(c)):
+            c[dim + len(chosen)] = field.one()
+            span.insert(c)
+            chosen.append(z)
             if len(chosen) == h_dim:
                 break
-    cols = []
-    for v in chosen:
-        img = chain_map_q.mul_vec(v)
-        target = quot.project(img)
-        sol = _solve_in_span(field, chosen_vecs, target)
-        if sol is None:
-            raise AssertionError("image leaves the homology span")
-        cols.append(sol)
     entries = {}
-    for j, col in enumerate(cols):
-        for i, c in enumerate(col):
-            if not field.is_zero(c):
-                entries[(i, j)] = c
+    for j, img in enumerate(_images(chain_map_q, chosen)):
+        rest = span.reduce(complex_.reduce_mod_boundaries(q, img))
+        if any(i < dim for i in rest):
+            raise AssertionError("image leaves the homology span")
+        for i, c in rest.items():
+            entries[(i - dim, j)] = field.neg(c)
     return IntMatrix(field, h_dim, h_dim, entries)
-
-
-def _solve_in_span(field, basis_vectors, target):
-    if not basis_vectors:
-        return [] if all(field.is_zero(t) for t in target) else None
-    dim = len(basis_vectors[0])
-    cols = len(basis_vectors)
-    aug = [[basis_vectors[j][i] for j in range(cols)] + [target[i]] for i in range(dim)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, dim) if not field.is_zero(aug[i][c])), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [field.mul(inv, x) for x in aug[r]]
-        for i in range(dim):
-            if i != r and not field.is_zero(aug[i][c]):
-                f0 = aug[i][c]
-                aug[i] = [field.sub(x, field.mul(f0, y)) for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, dim):
-        if not field.is_zero(aug[i][cols]):
-            return None
-    sol = [field.zero()] * cols
-    for row, c in enumerate(pivots):
-        sol[c] = aug[row][cols]
-    return sol
 
 
 def rotation_action(R: FiniteAlgebra, M: FiniteBimodule, n, degree_bound):

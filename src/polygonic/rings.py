@@ -132,6 +132,9 @@ class IntegerRing(CoefficientRing):
     def from_int(self, k):
         return k
 
+    def is_zero(self, a):
+        return not a
+
     def parse(self, s):
         return int(s)
 
@@ -151,6 +154,9 @@ class RationalField(CoefficientRing):
 
     def from_int(self, k):
         return Fraction(k)
+
+    def is_zero(self, a):
+        return not a
 
     def inv(self, a):
         if a == 0:
@@ -182,6 +188,9 @@ class ModularRing(CoefficientRing):
 
     def from_int(self, k):
         return k % self.modulus
+
+    def is_zero(self, a):
+        return not a
 
     def parse(self, s):
         return int(s) % self.modulus
@@ -400,17 +409,13 @@ def ring_from_json(data):
 # ---------------------------------------------------------------------------
 # Matrices.
 
-SPARSE_THRESHOLD = 0.25
-
-
 class IntMatrix:
-    """Immutable-by-convention matrix over a CoefficientRing.
+    """Immutable-by-convention sparse matrix over a CoefficientRing.
 
-    Storage is dense (list of rows) or sparse (dict keyed by (i, j)) chosen by
-    density at construction; the representation never affects results.
+    The nonzero entries are kept in a dict keyed by (i, j).
     """
 
-    def __init__(self, ring, rows, cols, entries=None, sparse=None):
+    def __init__(self, ring, rows, cols, entries=None):
         self.ring = ring
         self.rows = rows
         self.cols = cols
@@ -430,16 +435,7 @@ class IntMatrix:
         for (i, j) in items:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatch(f"entry index ({i},{j}) out of range")
-        if sparse is None:
-            sparse = rows * cols > 16 and len(items) < SPARSE_THRESHOLD * rows * cols
-        self.sparse = sparse
-        if sparse:
-            self._data = items
-        else:
-            grid = [[ring.zero()] * cols for _ in range(rows)]
-            for (i, j), v in items.items():
-                grid[i][j] = v
-            self._data = grid
+        self._data = items
 
     @classmethod
     def zeros(cls, ring, rows, cols):
@@ -456,25 +452,23 @@ class IntMatrix:
         return cls(ring, rows, cols, [list(r) for r in row_list])
 
     def get(self, i, j):
-        if self.sparse:
-            return self._data.get((i, j), self.ring.zero())
-        return self._data[i][j]
+        return self._data.get((i, j), self.ring.zero())
 
     def items(self):
-        if self.sparse:
-            yield from self._data.items()
-        else:
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    v = self._data[i][j]
-                    if not self.ring.is_zero(v):
-                        yield (i, j), v
+        return self._data.items()
 
     def row(self, i):
         return [self.get(i, j) for j in range(self.cols)]
 
     def col(self, j):
         return [self.get(i, j) for i in range(self.rows)]
+
+    def columns(self):
+        """The columns as sparse vectors (dicts row -> entry)."""
+        cols = [{} for _ in range(self.cols)]
+        for (i, j), v in self._data.items():
+            cols[j][i] = v
+        return cols
 
     def to_lists(self):
         return [self.row(i) for i in range(self.rows)]
@@ -553,7 +547,7 @@ class IntMatrix:
         return IntMatrix(self.ring, self.rows + other.rows, self.cols, out)
 
     def is_zero(self):
-        return not any(True for _ in self.items())
+        return not self._data
 
     def to_json(self):
         return {
@@ -716,107 +710,110 @@ def det_int(A):
     return sign * M[n - 1][n - 1]
 
 
-def rank_and_kernel(A):
-    """Rank and a kernel basis of a matrix over a field.
-
-    Returns (rank, basis) where basis is a list of length-cols vectors that
-    are linearly independent and annihilated by A.
-    """
-    ring = A.ring
-    if not ring.is_field:
-        raise NonFieldRing(f"{ring} is not a field")
-    m, n = A.rows, A.cols
-    M = [[A.get(i, j) for j in range(n)] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if not ring.is_zero(M[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        inv = ring.inv(M[r][c])
-        M[r] = [ring.mul(inv, x) for x in M[r]]
-        for i in range(m):
-            if i != r and not ring.is_zero(M[i][c]):
-                f = M[i][c]
-                M[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ring.zero()] * n
-        vec[fc] = ring.one()
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = ring.neg(M[row_idx][fc])
-        basis.append(vec)
-    return r, basis
+# ---------------------------------------------------------------------------
+# Elimination over a field.
 
 
-def _sparse_columns(A):
-    cols = [dict() for _ in range(A.cols)]
-    for (i, j), v in A.items():
-        cols[j][i] = v
-    return cols
-
-
-def _echelon_insert(ring, echelon, col):
-    """Reduce col against the echelon rows; insert if independent.
-
-    echelon maps pivot index -> normalized sparse column.  Returns True when
-    the column was new (rank grew).
-    """
-    col = dict(col)
-    while col:
-        p = min(col)
-        if p in echelon:
-            c = col[p]
-            for i, v in echelon[p].items():
-                w = ring.sub(col.get(i, ring.zero()), ring.mul(c, v))
-                if ring.is_zero(w):
-                    col.pop(i, None)
-                else:
-                    col[i] = w
+def _add_multiple(field, target, c, vec):
+    """target += c * vec, in place, on sparse vectors (c nonzero)."""
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    for i, v in vec.items():
+        w = target.get(i)
+        w = mul(c, v) if w is None else add(w, mul(c, v))
+        if is_zero(w):
+            del target[i]
         else:
-            inv = ring.inv(col[p])
-            echelon[p] = {i: ring.mul(inv, v) for i, v in col.items()}
-            return True
-    return False
+            target[i] = w
+
+
+class Echelon:
+    """A subspace of k^dim, held as sparse rows in reduced echelon form.
+
+    A row is a dict index -> coefficient.  Its pivot is its least index and
+    carries 1, and every row is zero at every other row's pivot.  The reduced
+    echelon form of a subspace is unique, so whatever is read off it does not
+    depend on the order in which the vectors went in.
+    """
+
+    def __init__(self, field, dim, vectors=()):
+        if not field.is_field:
+            raise NonFieldRing(f"{field} is not a field")
+        self.field = field
+        self.dim = dim
+        self.rows = {}  # pivot -> row
+        for vec in vectors:
+            self.insert(vec)
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def free(self):
+        """The indices that are no row's pivot, in increasing order."""
+        return [j for j in range(self.dim) if j not in self.rows]
+
+    def reduce(self, vec):
+        """Normal form of the sparse vector vec modulo the span.
+
+        The result is zero at every pivot.  Rows vanish at each other's
+        pivots, so the multiple of a row to subtract is vec's own entry at
+        its pivot, and one pass over those entries suffices.
+        """
+        field = self.field
+        out = {i: v for i, v in vec.items() if not field.is_zero(v)}
+        for p in [p for p in out if p in self.rows]:
+            _add_multiple(field, out, field.neg(out[p]), self.rows[p])
+        return out
+
+    def insert(self, vec):
+        """Add vec to the span; return True when the rank grew."""
+        field = self.field
+        vec = self.reduce(vec)
+        if not vec:
+            return False
+        p = min(vec)
+        inv = field.inv(vec[p])
+        new = {i: field.mul(inv, v) for i, v in vec.items()}
+        for row in self.rows.values():
+            if p in row:
+                _add_multiple(field, row, field.neg(row[p]), new)
+        self.rows[p] = new
+        return True
 
 
 def rank_of(A):
-    """Rank over a field by sparse incremental elimination."""
-    ring = A.ring
-    if not ring.is_field:
-        raise NonFieldRing(f"{ring} is not a field")
-    echelon = {}
-    rank = 0
-    for col in _sparse_columns(A):
-        if col and _echelon_insert(ring, echelon, col):
-            rank += 1
-    return rank
+    """Rank of a matrix over a field."""
+    return Echelon(A.ring, A.rows, A.columns()).rank
 
 
-def column_space_basis(A):
-    """An echelon basis of the column space (list of dense vectors)."""
-    ring = A.ring
-    if not ring.is_field:
-        raise NonFieldRing(f"{ring} is not a field")
-    echelon = {}
-    for col in _sparse_columns(A):
-        if col:
-            _echelon_insert(ring, echelon, col)
-    out = []
-    for p in sorted(echelon):
-        vec = [ring.zero()] * A.rows
-        for i, v in echelon[p].items():
-            vec[i] = v
-        out.append(vec)
-    return out
+def image_and_kernel(A):
+    """Echelon of the column space of A and a basis of its kernel, from one
+    elimination over a field.
+
+    Column j goes in as A e_j followed by a unit coordinate at index
+    A.rows + A.cols - 1 - j, so the echelon is that of the graph {(Ax, x)}.
+    Its rows with pivot below A.rows are the echelon of the image once the
+    unit coordinates are dropped; the others, read back as columns, span the
+    kernel.  The unit coordinates run backwards so that a kernel row's pivot
+    is its greatest column: there is one kernel vector per free column j
+    (a column that depends on the ones before it), with 1 at j and 0 at
+    every other free column, in increasing order of j.
+    """
+    m, n = A.rows, A.cols
+    graph = Echelon(A.ring, m + n)
+    one = A.ring.one()
+    for j, col in enumerate(A.columns()):
+        col[m + n - 1 - j] = one
+        graph.insert(col)
+    image = Echelon(A.ring, m)
+    kernel = []
+    for p in sorted(graph.rows, reverse=True):
+        row = graph.rows[p]
+        if p < m:
+            image.rows[p] = {i: v for i, v in row.items() if i < m}
+        else:
+            kernel.append({m + n - 1 - i: v for i, v in row.items()})
+    return image, kernel
 
 
 def presented_group_quotient(G, S):

@@ -33,6 +33,7 @@ class TruncationSet:
     def __post_init__(self):
         elems = tuple(sorted(set(self.elements)))
         object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "_members", frozenset(elems))
         if not is_truncation_set(elems):
             raise ValueError(f"{list(elems)} is not divisor-closed")
 
@@ -61,7 +62,7 @@ class TruncationSet:
         return TruncationSet(tuple(t for t in self.elements if n * t in self))
 
     def __contains__(self, t):
-        return t in set(self.elements)
+        return t in self._members
 
     def __iter__(self):
         return iter(self.elements)

@@ -14,6 +14,9 @@ from polygonic.hochschild import (
     bar_complex,
     contraction_comparison,
     homology,
+    homology_map_is_iso,
+    induced_homology_matrix,
+    is_chain_map,
     relative_tensor,
     rotation_action,
     rotation_matrices,
@@ -435,6 +438,60 @@ def test_rotation_rejects_nonuniform():
     )
     with pytest.raises(ValueError):
         rotation_matrices(X, 1, 2)
+
+
+def _tensor_power(phi, k):
+    """phi (x) ... (x) phi with k factors, indices in row-major order."""
+    out = IntMatrix.identity(phi.ring, 1)
+    for _ in range(k):
+        out = IntMatrix(phi.ring, out.rows * phi.rows, out.cols * phi.cols, {
+            (i * phi.rows + a, j * phi.cols + b): phi.ring.mul(x, y)
+            for (i, j), x in out.items()
+            for (a, b), y in phi.items()
+        })
+    return out
+
+
+def test_induced_map_of_an_algebra_automorphism():
+    # An algebra map phi acts on the one-cycle complex of (A, A) as
+    # phi (x) ... (x) phi.  Here x -> 2x on Q[x]/(x^3).
+    A = FiniteAlgebra.poly_quotient(QQ, (QQ.zero(),) * 3 + (QQ.one(),))
+    complex_ = bar_complex(LabelledCycle.one_cycle(A, FiniteBimodule.regular(A)), 3)
+    phi = IntMatrix.from_rows(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 4]])
+    maps = {q: _tensor_power(phi, q + 1) for q in range(4)}
+    assert is_chain_map(complex_, complex_, maps)
+    assert homology(complex_) == [3, 2, 2]
+    # H_0 = A, as A is commutative; H_1 = A dx / (x^2 dx), weights 2 and 4.
+    assert induced_homology_matrix(complex_, maps[0], 0) == phi
+    (a, b), (c, d) = induced_homology_matrix(complex_, maps[1], 1).to_lists()
+    assert (a + d, a * d - b * c) == (6, 8)
+    assert all(homology_map_is_iso(complex_, complex_, maps, q) for q in range(3))
+    # x -> 0 is an algebra map too; on H_0 it keeps only the unit.
+    augmentation = IntMatrix.from_rows(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    collapse = {q: _tensor_power(augmentation, q + 1) for q in range(4)}
+    assert is_chain_map(complex_, complex_, collapse)
+    assert not homology_map_is_iso(complex_, complex_, collapse, 0)
+
+
+def test_each_boundary_eliminated_once(monkeypatch):
+    # Every elimination of a boundary starts by reading its columns.
+    reads = {}
+    columns = IntMatrix.columns
+
+    def counted(self):
+        reads[id(self)] = reads.get(id(self), 0) + 1
+        return columns(self)
+
+    monkeypatch.setattr(IntMatrix, "columns", counted)
+    cycle = LabelledCycle.uniform(dual_numbers(F3), None, 2)
+    complex_ = bar_complex(cycle, 3)
+    maps = rotation_matrices(cycle, 1, 3)
+    for q in range(3):
+        assert homology(complex_) == [2, 1, 1]
+        assert induced_homology_matrix(complex_, maps[q], q).rows == [2, 1, 1][q]
+        assert homology_map_is_iso(complex_, complex_, maps, q)
+    boundaries = {id(d) for d in complex_.boundaries.values()}
+    assert {k: n for k, n in reads.items() if k in boundaries} == dict.fromkeys(boundaries, 1)
 
 
 def test_cycle_json_roundtrip():

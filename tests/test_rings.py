@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -8,17 +9,17 @@ from polygonic.rings import (
     QQ,
     ZZ,
     DimensionMismatch,
+    Echelon,
     IntMatrix,
     ModularRing,
     NonFieldRing,
     PrimeField,
     QuotientPolynomialRing,
-    column_space_basis,
     det_int,
+    image_and_kernel,
     in_column_span,
     invariant_factors,
     presented_group_quotient,
-    rank_and_kernel,
     rank_of,
     ring_from_string,
     smith_normal_form,
@@ -109,49 +110,126 @@ def test_invariant_factors_match_determinantal_divisors():
         assert invariant_factors(mat(rows)) == _determinantal_invariants(rows)
 
 
-def test_rank_and_kernel_examples():
+def test_echelon_examples():
     F2 = PrimeField(2)
-    r, basis = rank_and_kernel(mat([[1, 1], [1, 1]], F2))
-    assert r == 1 and len(basis) == 1
-    assert basis[0] == [1, 1]
+    image, kernel = image_and_kernel(mat([[1, 1], [1, 1]], F2))
+    assert image.rank == 1 and kernel == [{0: 1, 1: 1}]
 
-    r, basis = rank_and_kernel(IntMatrix.identity(QQ, 4))
-    assert r == 4 and basis == []
+    image, kernel = image_and_kernel(IntMatrix.identity(QQ, 4))
+    assert image.rank == 4 and kernel == []
 
-    r, basis = rank_and_kernel(mat([[1, 2, 3]], QQ))
-    assert r == 1 and len(basis) == 2
+    # one kernel vector per free column: 1 there, 0 at the other free column
+    image, kernel = image_and_kernel(mat([[1, 2, 3]], QQ))
+    assert image.rank == 1 and kernel == [{1: 1, 0: -2}, {2: 1, 0: -3}]
+
+    # rows are reduced: pivot 1, and zero at the other row's pivot
+    E = Echelon(QQ, 3, [{0: 2, 1: 4}, {0: 1, 2: 1}])
+    assert E.rows == {0: {0: 1, 2: 1}, 1: {1: 1, 2: Fraction(-1, 2)}}
+    assert E.free() == [2]
+    assert not E.insert({1: 2, 2: -1})
+    assert E.reduce({2: 5}) == {2: 5}
 
 
-def test_rank_and_kernel_annihilates():
+def _random_matrix(rng, m, n, k):
+    """Random m x n integer rows; every fourth k gives rank < min(m, n)."""
+    if k % 4:
+        return [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
+    r = rng.randrange(min(m, n))
+    left = [[rng.randrange(-2, 3) for _ in range(r)] for _ in range(m)]
+    right = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(r)]
+    return [[sum(row[t] * right[t][j] for t in range(r)) for j in range(n)] for row in left]
+
+
+def _rank_by_minors(rows):
+    """Largest k with a nonzero k x k minor."""
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for I in combinations(range(m), k):
+            for J in combinations(range(n), k):
+                if det_int(mat([[rows[i][j] for j in J] for i in I])):
+                    return k
+    return 0
+
+
+def test_rank_over_q_matches_minors():
+    rng = random.Random(3)
+    deficient = 0
+    for k in range(60):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 8)
+        rows = _random_matrix(rng, m, n, k)
+        expected = _rank_by_minors(rows)
+        deficient += expected < min(m, n)
+        A = mat(rows, QQ)
+        assert rank_of(A) == expected
+        image, kernel = image_and_kernel(A)
+        assert image.rank == expected and len(kernel) == n - expected
+    assert deficient >= 15
+
+
+def test_kernel_count_over_small_fields():
     rng = random.Random(1)
-    for ring in (QQ, PrimeField(5)):
-        for _ in range(25):
+    for p in (2, 3):
+        F = PrimeField(p)
+        for k in range(30):
             m, n = rng.randrange(1, 5), rng.randrange(1, 6)
-            A = mat([[ring.from_int(rng.randrange(-4, 5)) for _ in range(n)] for _ in range(m)], ring)
-            r, basis = rank_and_kernel(A)
-            assert r + len(basis) == n
-            assert r == rank_of(A)
-            for v in basis:
-                assert all(ring.is_zero(x) for x in A.mul_vec(v))
+            rows = [[x % p for x in r] for r in _random_matrix(rng, m, n, k)]
+            image, kernel = image_and_kernel(mat(rows, F))
+            zeros = sum(
+                all(sum(a * x for a, x in zip(r, v)) % p == 0 for r in rows)
+                for v in product(range(p), repeat=n)
+            )
+            assert zeros == p ** (n - image.rank)
+            assert len(kernel) == n - image.rank
+            for v in kernel:
+                assert all(sum(r[j] * c for j, c in v.items()) % p == 0 for r in rows)
+            # 1 at its own free column, 0 at every other one: independent
+            free = [max(v) for v in kernel]
+            assert free == sorted(set(free))
+            assert all(v[j] == 1 and not any(f in v for f in free if f != j) for v, j in zip(kernel, free))
 
 
-def test_rank_of_matches_dense_on_sparse_matrices():
+def test_reduce_is_zero_on_span_and_idempotent():
+    rng = random.Random(4)
+    for F in (QQ, PrimeField(3)):
+        for _ in range(20):
+            dim = rng.randrange(1, 8)
+            vectors = [
+                {i: F.from_int(rng.randrange(-3, 4)) for i in rng.sample(range(dim), rng.randrange(0, dim + 1))}
+                for _ in range(rng.randrange(1, 6))
+            ]
+            E = Echelon(F, dim, vectors)
+            for _ in range(5):
+                combo = {}
+                for v in vectors:
+                    c = F.from_int(rng.randrange(-2, 3))
+                    for i, x in v.items():
+                        combo[i] = F.add(combo.get(i, F.zero()), F.mul(c, x))
+                assert E.reduce(combo) == {}
+                w = {i: F.from_int(rng.randrange(-3, 4)) for i in range(dim)}
+                r = E.reduce(w)
+                assert E.reduce(r) == r
+                assert not set(r) & set(E.rows)
+                diff = {i: F.sub(w.get(i, F.zero()), r.get(i, F.zero())) for i in range(dim)}
+                assert E.reduce(diff) == {}
+
+
+def test_rank_of_transpose():
     rng = random.Random(9)
-    F3 = PrimeField(3)
-    for _ in range(20):
-        m, n = rng.randrange(1, 8), rng.randrange(1, 8)
-        entries = {}
-        for _ in range(rng.randrange(0, m * n // 2 + 1)):
-            entries[(rng.randrange(m), rng.randrange(n))] = F3.from_int(rng.randrange(1, 3))
-        A = IntMatrix(F3, m, n, entries)
-        r, _ = rank_and_kernel(A)
-        assert rank_of(A) == r
-        assert len(column_space_basis(A)) == r
+    for F in (PrimeField(3), QQ):
+        for _ in range(20):
+            m, n = rng.randrange(1, 8), rng.randrange(1, 8)
+            entries = {}
+            for _ in range(rng.randrange(0, m * n // 2 + 1)):
+                entries[(rng.randrange(m), rng.randrange(n))] = F.from_int(rng.randrange(1, 3))
+            A = IntMatrix(F, m, n, entries)
+            assert rank_of(A) == rank_of(A.transpose())
 
 
 def test_rank_requires_field():
     with pytest.raises(NonFieldRing):
-        rank_and_kernel(mat([[2]]))
+        rank_of(mat([[2]]))
+    with pytest.raises(NonFieldRing):
+        Echelon(ZZ, 1)
 
 
 def test_presented_group_quotient():
@@ -174,18 +252,6 @@ def test_solve_and_membership():
     assert solve_int(A, [1, 0]) is None
     assert in_column_span([[2, 0], [0, 3]], [4, 3])
     assert not in_column_span([[2, 0], [0, 3]], [1, 0])
-
-
-def test_sparse_dense_agree():
-    rng = random.Random(5)
-    rows = [[rng.randrange(-3, 4) for _ in range(6)] for _ in range(6)]
-    dense = IntMatrix(ZZ, 6, 6, rows, sparse=False)
-    sparse = IntMatrix(ZZ, 6, 6, rows, sparse=True)
-    assert dense == sparse
-    assert dense.mul(sparse) == sparse.mul(dense)
-    D1, _, _ = smith_normal_form(dense)
-    D2, _, _ = smith_normal_form(sparse)
-    assert D1 == D2
 
 
 def test_matrix_json_roundtrip():
