@@ -13,6 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .cyclic import CutSet, CyclicMap, Path, SizeGuard
 from .operad import (
@@ -41,15 +42,8 @@ class DegreeBoundNegative(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Linear-algebra helpers over a field (vectors are plain lists).
-
-
-def _vec_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
-
-
-def _vec_scale(field, c, u):
-    return [field.mul(c, a) for a in u]
+# Linear-algebra helpers over a field (dense vectors are plain lists, sparse
+# ones dicts index -> nonzero coefficient).
 
 
 def _zero_vec(field, d):
@@ -57,11 +51,12 @@ def _zero_vec(field, d):
 
 
 def _combo_mul(field, terms_a, terms_b, mult_table):
-    """Product of two linear combinations through a bilinear basis table.
+    """Product of two sparse linear combinations through a bilinear basis
+    table: mult_table[i][j] is the vector of the product of basis i and j.
 
-    terms are dicts index -> coefficient; mult_table[i][j] is the vector of
-    the basis product.
+    Algebra multiplication and both bimodule actions are such products.
     """
+    zero = field.zero()
     out = {}
     for i, c in terms_a.items():
         for j, d in terms_b.items():
@@ -69,12 +64,33 @@ def _combo_mul(field, terms_a, terms_b, mult_table):
             for k, e in enumerate(mult_table[i][j]):
                 if field.is_zero(e):
                     continue
-                val = field.add(out.get(k, field.zero()), field.mul(coeff, e))
+                val = field.add(out.get(k, zero), field.mul(coeff, e))
                 if field.is_zero(val):
                     out.pop(k, None)
                 else:
                     out[k] = val
     return out
+
+
+def _dense_mul(field, u, v, mult_table, dim):
+    """_combo_mul on dense vectors, with a dense result of length dim."""
+    out = _combo_mul(
+        field,
+        {i: a for i, a in enumerate(u) if not field.is_zero(a)},
+        {j: b for j, b in enumerate(v) if not field.is_zero(b)},
+        mult_table,
+    )
+    zero = field.zero()
+    return [out.get(k, zero) for k in range(dim)]
+
+
+def _has_shape(table, shape):
+    """Is table nested tuples/lists with the given lengths, outermost first?"""
+    return not shape or (
+        isinstance(table, (tuple, list))
+        and len(table) == shape[0]
+        and all(_has_shape(row, shape[1:]) for row in table)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +110,22 @@ class FiniteAlgebra:
     def __post_init__(self):
         if not self.field.is_field:
             raise NonFieldRing("algebras need field coefficients")
-        f = self.field
+        if not isinstance(self.dim, int) or self.dim < 1:
+            raise ValueError(f"algebra dimension must be an integer >= 1, got {self.dim!r}")
+        if not _has_shape(self.mult, (self.dim,) * 3):
+            raise ValueError(f"multiplication table must be {self.dim}x{self.dim}x{self.dim}")
+        if not _has_shape(self.unit, (self.dim,)):
+            raise ValueError(f"unit must have {self.dim} coordinates")
         for i in range(self.dim):
             for j in range(self.dim):
                 for k in range(self.dim):
-                    lhs = self._mul_vec(self._mul_vec(self._basis(i), self._basis(j)), self._basis(k))
-                    rhs = self._mul_vec(self._basis(i), self._mul_vec(self._basis(j), self._basis(k)))
+                    lhs = self.mul_vec(self.mul_vec(self._basis(i), self._basis(j)), self._basis(k))
+                    rhs = self.mul_vec(self._basis(i), self.mul_vec(self._basis(j), self._basis(k)))
                     if lhs != rhs:
                         raise ValueError(f"associativity fails at basis ({i},{j},{k})")
         for i in range(self.dim):
             e = self._basis(i)
-            if self._mul_vec(list(self.unit), e) != e or self._mul_vec(e, list(self.unit)) != e:
+            if self.mul_vec(self.unit, e) != e or self.mul_vec(e, self.unit) != e:
                 raise ValueError("unit axiom fails")
 
     def _basis(self, i):
@@ -112,21 +133,8 @@ class FiniteAlgebra:
         v[i] = self.field.one()
         return v
 
-    def _mul_vec(self, u, v):
-        f = self.field
-        out = _zero_vec(f, self.dim)
-        for i, a in enumerate(u):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(v):
-                if f.is_zero(b):
-                    continue
-                c = f.mul(a, b)
-                out = _vec_add(f, out, _vec_scale(f, c, self.mult[i][j]))
-        return out
-
     def mul_vec(self, u, v):
-        return self._mul_vec(list(u), list(v))
+        return _dense_mul(self.field, u, v, self.mult, self.dim)
 
     @classmethod
     def ground(cls, field):
@@ -216,7 +224,10 @@ class FiniteBimodule:
 
     def __post_init__(self):
         A, B = self.left_algebra, self.right_algebra
-        f = A.field
+        if not _has_shape(self.left, (A.dim, self.dim, self.dim)):
+            raise ValueError(f"left action must be {A.dim}x{self.dim}x{self.dim}")
+        if not _has_shape(self.right, (self.dim, B.dim, self.dim)):
+            raise ValueError(f"right action must be {self.dim}x{B.dim}x{self.dim}")
         for m in range(self.dim):
             fm = self._basis(m)
             if self.left_act(list(A.unit), fm) != fm:
@@ -258,28 +269,10 @@ class FiniteBimodule:
         return v
 
     def left_act(self, avec, mvec):
-        f = self.field
-        out = _zero_vec(f, self.dim)
-        for i, a in enumerate(avec):
-            if f.is_zero(a):
-                continue
-            for m, c in enumerate(mvec):
-                if f.is_zero(c):
-                    continue
-                out = _vec_add(f, out, _vec_scale(f, f.mul(a, c), self.left[i][m]))
-        return out
+        return _dense_mul(self.field, avec, mvec, self.left, self.dim)
 
     def right_act(self, mvec, bvec):
-        f = self.field
-        out = _zero_vec(f, self.dim)
-        for m, c in enumerate(mvec):
-            if f.is_zero(c):
-                continue
-            for j, b in enumerate(bvec):
-                if f.is_zero(b):
-                    continue
-                out = _vec_add(f, out, _vec_scale(f, f.mul(c, b), self.right[m][j]))
-        return out
+        return _dense_mul(self.field, mvec, bvec, self.right, self.dim)
 
     @classmethod
     def regular(cls, A):
@@ -544,6 +537,8 @@ class LabelledCycle:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict) or not {"algebras", "bimodules"} <= data.keys():
+            raise ValueError("a labelled cycle is an object with 'algebras' and 'bimodules'")
         return cls(
             tuple(FiniteAlgebra.from_json(a) for a in data["algebras"]),
             tuple(FiniteBimodule.from_json(m) for m in data["bimodules"]),
@@ -637,121 +632,73 @@ def multiply_sequence(cycle, target_path, factors):
     dict index -> coefficient in the resolved module of target_path.
     """
     field = cycle.field
+    one = field.one()
     if target_path.is_vertex:
         A = cycle.algebras[target_path.start]
         acc = {i: c for i, c in enumerate(A.unit) if not field.is_zero(c)}
         for p, idx in factors:
-            acc = _combo_mul(field, acc, {idx: field.one()}, A.mult)
+            acc = _combo_mul(field, acc, {idx: one}, A.mult)
         return acc
     # Edge target: group factors into edge values with algebra actions.
-    edges = []           # list of dicts (one per covered edge)
+    edges = []           # (module, value) per covered edge
     pending = None       # algebra combination waiting to act
-    pending_alg = None
     for p, idx in factors:
         if p.is_vertex:
             A = cycle.algebras[p.start]
-            if pending is None:
-                pending = {i: c for i, c in enumerate(A.unit) if not field.is_zero(c)}
-                pending_alg = A
-            pending = _combo_mul(field, pending, {idx: field.one()}, A.mult)
+            pending = {idx: one} if pending is None else _combo_mul(field, pending, {idx: one}, A.mult)
         else:
             if p.length != 1:
                 raise ValueError("fiber factors must be vertices or single edges")
             M = cycle.bimodules[p.start]
-            value = {idx: field.one()}
+            value = {idx: one}
             if pending is not None:
-                out = {}
-                for i, c in pending.items():
-                    for m, d in value.items():
-                        for k, e in enumerate(M.left[i][m]):
-                            if field.is_zero(e):
-                                continue
-                            v = field.add(out.get(k, field.zero()), field.mul(field.mul(c, d), e))
-                            if field.is_zero(v):
-                                out.pop(k, None)
-                            else:
-                                out[k] = v
-                value = out
+                value = _combo_mul(field, pending, value, M.left)
                 pending = None
             edges.append((M, value))
     if pending is not None:
         # Trailing algebra acts on the last edge from the right.
         M, value = edges[-1]
-        out = {}
-        for m, c in value.items():
-            for j, d in pending.items():
-                for k, e in enumerate(M.right[m][j]):
-                    if field.is_zero(e):
-                        continue
-                    v = field.add(out.get(k, field.zero()), field.mul(field.mul(c, d), e))
-                    if field.is_zero(v):
-                        out.pop(k, None)
-                    else:
-                        out[k] = v
-        edges[-1] = (M, out)
-        pending = None
+        edges[-1] = (M, _combo_mul(field, value, pending, M.right))
     if len(edges) != target_path.length:
         raise ValueError("edge count does not cover the target path")
     if target_path.length == 1:
         return edges[0][1]
     # Long target: plain tensor of the edge values, then project.
-    resolved = cycle.resolved(target_path)
-    dims = [m.dim for m, _ in edges]
-    terms = {0: field.one()}
-    for (m, value), d in zip(edges, dims):
-        new_terms = {}
-        for idx, c in terms.items():
-            for k, e in value.items():
-                key = idx * d + k
-                v = field.add(new_terms.get(key, field.zero()), field.mul(c, e))
-                if not field.is_zero(v):
-                    new_terms[key] = v
-        terms = new_terms
-    if resolved.quotient is None:
-        return terms
-    return resolved.quotient(terms)
+    terms = {0: one}
+    for M, value in edges:
+        terms = {i * M.dim + k: field.mul(c, e) for i, c in terms.items() for k, e in value.items()}
+    quotient = cycle.resolved(target_path).quotient
+    return terms if quotient is None else quotient(terms)
 
 
 def envelope_matrix(cycle, env: EnvelopeMorphism, target_paths, target_dims):
     """Matrix of the multilinear map induced by an envelope morphism.
 
     Source basis indices run over the product of the source colour dimensions
-    in element order; likewise for the target.
+    in element order; likewise for the target.  The map is the tensor product,
+    over target elements, of the multiplications of their fibers.  So the
+    matrix is the Kronecker product of one small matrix per fiber, whose
+    columns are the products of the basis tensors of the fiber's labels; a
+    fiber column sits at the source strides of the fiber's own elements.  The
+    fibers partition the source, so each (row, col) comes from one term only.
     """
     field = cycle.field
-    src_dims = [cycle.label_dim(c) for c in env.source.colours]
-    src_total = 1
-    for d in src_dims:
-        src_total *= d
-    tgt_total = 1
-    for d in target_dims:
-        tgt_total *= d
-    entries = {}
-    for col, combo in enumerate(product(*[range(d) for d in src_dims])):
-        per_target = []
-        for y, fiber in enumerate(env.fiber_orders):
-            factors = [(env.source.colours[x], combo[x]) for x in fiber]
-            per_target.append(multiply_sequence(cycle, target_paths[y], factors))
-        # expand the outer product over target elements
-        acc = {0: field.one()}
-        for y, terms in enumerate(per_target):
-            d = target_dims[y]
-            new_acc = {}
-            for idx, c in acc.items():
-                for k, e in terms.items():
-                    v = field.mul(c, e)
-                    if field.is_zero(v):
-                        continue
-                    key = idx * d + k
-                    cur = field.add(new_acc.get(key, field.zero()), v)
-                    if field.is_zero(cur):
-                        new_acc.pop(key, None)
-                    else:
-                        new_acc[key] = cur
-            acc = new_acc
-        for row, c in acc.items():
-            entries[(row, col)] = c
-    return IntMatrix(field, tgt_total, src_total, entries)
+    colours = env.source.colours
+    src_dims = [cycle.label_dim(c) for c in colours]
+    strides = [prod(src_dims[x + 1:]) for x in range(len(src_dims))]
+    entries = {(0, 0): field.one()}
+    for path, d, fiber in zip(target_paths, target_dims, env.fiber_orders):
+        block = []  # (row, col offset, entry) of the fiber matrix
+        for combo in product(*[range(src_dims[x]) for x in fiber]):
+            col = sum(i * strides[x] for x, i in zip(fiber, combo))
+            factors = [(colours[x], i) for x, i in zip(fiber, combo)]
+            block.extend((k, col, e) for k, e in multiply_sequence(cycle, path, factors).items())
+        entries = {
+            (row * d + k, col + c): field.mul(v, e)
+            for (row, col), v in entries.items()
+            for k, c, e in block
+        }
+    return IntMatrix(field, prod(target_dims), prod(src_dims), entries)
 
 
 BAR_DIMENSION_GUARD = 20000

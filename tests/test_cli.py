@@ -238,3 +238,30 @@ def test_tsv_flattens_nested_values(runner, tmp_path):
         for i, row in enumerate(matrix):
             assert lines[f"homology_action.{q}.{i}"] == ",".join(str(x) for x in row)
     assert lines["homology_dims"] == ",".join(str(d) for d in data["homology_dims"])
+
+
+def test_malformed_cycle_files_are_validation_errors(runner, tmp_path):
+    cycle = LabelledCycle.uniform(FiniteAlgebra.ground(QQ), None, 1).to_json()
+    A = FiniteAlgebra.poly_quotient(QQ, (QQ.from_int(-1), QQ.zero(), QQ.one()))
+    cycle_c2 = LabelledCycle.uniform(A, None, 1).to_json()
+
+    def edited(data, edit):
+        data = json.loads(json.dumps(data))
+        edit(data)
+        return data
+
+    cases = {
+        "short_mult": edited(cycle_c2, lambda d: d["algebras"][0].update(mult=d["algebras"][0]["mult"][:1])),
+        "dim_above_tables": edited(cycle, lambda d: d["algebras"][0].update(dim=2)),
+        "dim_as_string": edited(cycle_c2, lambda d: d["algebras"][0].update(dim="2")),
+        "short_left_action_row": edited(
+            cycle_c2, lambda d: d["bimodules"][0]["left_action"][0].pop()
+        ),
+        "top_level_list": [cycle],
+    }
+    for name, data in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        result = run(runner, ["hh", "compute", "--cycle", str(path), "--degree", "2"])
+        assert result.exit_code == 2, (name, result.output)
+        assert json.loads(result.output)["kind"] == "validation"

@@ -1,9 +1,11 @@
 import random
 from itertools import product
+from math import prod
 
 import pytest
 
-from polygonic.cyclic import CutSet, SizeGuard
+from polygonic import hochschild
+from polygonic.cyclic import CutSet, CyclicMap, SizeGuard
 from polygonic.hochschild import (
     AlgebraMismatch,
     DegreeBoundNegative,
@@ -13,15 +15,18 @@ from polygonic.hochschild import (
     LabelledCycle,
     bar_complex,
     contraction_comparison,
+    envelope_matrix,
     homology,
     homology_map_is_iso,
     induced_homology_matrix,
     is_chain_map,
+    multiply_sequence,
     relative_tensor,
     rotation_action,
     rotation_matrices,
     thh_pi0,
 )
+from polygonic.operad import cut_degeneracy, cut_envelope_cyclic, cut_face
 from polygonic.rings import QQ, IntMatrix, NonFieldRing, PrimeField
 
 F2 = PrimeField(2)
@@ -43,6 +48,26 @@ def dual_numbers(field):
     return FiniteAlgebra.poly_quotient(field, (field.zero(), field.zero(), field.one()), name="k[e]")
 
 
+def morita_cycle():
+    # (F2, M2(F2); row vectors, column vectors)
+    rows = FiniteBimodule.row_vectors(F2, 2)
+    cols = FiniteBimodule.column_vectors(F2, 2)
+    return LabelledCycle((ground(F2), FiniteAlgebra.matrix_algebra(F2, 2)), (rows, cols))
+
+
+def twisted_cycle():
+    # (A, A; A, A twisted by e -> -e) over A = F3[e]/(e^2)
+    A = dual_numbers(F3)
+    twisted = FiniteBimodule.through_hom(A, A, [(F3.one(), F3.zero()), (F3.zero(), F3.from_int(-1))])
+    return LabelledCycle((A, A), (FiniteBimodule.regular(A), twisted))
+
+
+def level_matrix(X, env, target_cut):
+    """envelope_matrix of env into the labels of target_cut."""
+    paths = [target_cut.colour(e) for e in range(target_cut.size)]
+    return envelope_matrix(X, env, paths, [X.label_dim(p) for p in paths])
+
+
 # ---------------------------------------------------------------- algebras
 
 
@@ -52,6 +77,19 @@ def test_algebra_validation():
     bad_mult = tuple(tuple((QQ.one(),) for _ in range(1)) for _ in range(1))
     with pytest.raises(ValueError):
         FiniteAlgebra(QQ, 1, bad_mult, (QQ.from_int(2),))
+    # tables of the wrong shape are rejected before any axiom is checked
+    A = group_algebra_c2(QQ)
+    for dim, mult, unit in (
+        (2, A.mult, A.unit[:1]),
+        (2, A.mult[:1], A.unit),
+        (3, A.mult, A.unit),
+        ("2", A.mult, A.unit),
+        (0, (), ()),
+    ):
+        with pytest.raises(ValueError):
+            FiniteAlgebra(QQ, dim, mult, unit)
+    with pytest.raises(ValueError):
+        FiniteBimodule(A, A, 2, A.mult, A.mult[:1])
     with pytest.raises(NonFieldRing):
         from polygonic.rings import ZZ
         FiniteAlgebra.ground(ZZ)
@@ -160,8 +198,6 @@ def test_bar_degree_one_faces_match_displayed_formulas():
                     d_left[(i * 2 + j, col)] = v
     expected_right = IntMatrix(F3, 4, 16, d_right)
     expected_left = IntMatrix(F3, 4, 16, d_left)
-    from polygonic.operad import cut_face
-    from polygonic.hochschild import envelope_matrix
     cut = CutSet(1, 2)
     lo = CutSet(0, 2)
     target_paths = [lo.colour(e) for e in range(lo.size)]
@@ -185,6 +221,25 @@ def test_bar_guards():
     M4 = FiniteAlgebra.matrix_algebra(F2, 4)
     with pytest.raises(SizeGuard):
         bar_complex(LabelledCycle.one_cycle(M4, FiniteBimodule.regular(M4)), 3)
+
+
+def test_face_after_degeneracy_is_identity():
+    # d_j s_i = id for j in {i, i+1}, matrix by matrix.  The degeneracy
+    # inserts units, through fibers with no source elements.
+    cycles = [LabelledCycle.uniform(group_algebra_c2(QQ), None, n) for n in (1, 2, 3)]
+    cycles += [morita_cycle(), twisted_cycle()]
+    checks = 0
+    for X in cycles:
+        for q in range(3):
+            lo, hi = CutSet(q, X.n), CutSet(q + 1, X.n)
+            faces = [level_matrix(X, cut_face(hi, j), lo) for j in range(q + 2)]
+            identity = IntMatrix.identity(X.field, faces[0].rows)
+            for i in range(q + 1):
+                s = level_matrix(X, cut_degeneracy(lo, i), hi)
+                for j in (i, i + 1):
+                    assert faces[j].mul(s) == identity, (X.spec(), q, i, j)
+                    checks += 1
+    assert checks == 60
 
 
 def test_boundary_squared_zero_random():
@@ -257,9 +312,7 @@ def test_contraction_ground():
 
 
 def test_contraction_morita():
-    rows = FiniteBimodule.row_vectors(F2, 2)
-    cols = FiniteBimodule.column_vectors(F2, 2)
-    X = LabelledCycle((ground(F2), FiniteAlgebra.matrix_algebra(F2, 2)), (rows, cols))
+    X = morita_cycle()
     for edge in (0, 1):
         report = contraction_comparison(X, edge, 3)
         assert report["chain_map"] and report["quasi_iso"], report
@@ -492,6 +545,30 @@ def test_each_boundary_eliminated_once(monkeypatch):
         assert homology_map_is_iso(complex_, complex_, maps, q)
     boundaries = {id(d) for d in complex_.boundaries.values()}
     assert {k: n for k, n in reads.items() if k in boundaries} == dict.fromkeys(boundaries, 1)
+
+
+def test_envelope_matrix_multiplies_each_fiber_once(monkeypatch):
+    # The matrix is the Kronecker product of the fiber multiplications:
+    # each fiber multiplies each basis tensor of its own labels once.
+    calls = []
+
+    def counted(cycle, target_path, factors):
+        calls.append(factors)
+        return multiply_sequence(cycle, target_path, factors)
+
+    monkeypatch.setattr(hochschild, "multiply_sequence", counted)
+    X = morita_cycle()
+    cut = CutSet(2, 2)
+    envs = [cut_face(cut, i) for i in range(3)]
+    envs += [cut_envelope_cyclic(cut, CyclicMap.contraction(2, a))[0] for a in (0, 1)]
+    for env in envs:
+        calls.clear()
+        target_paths = list(env.target.colours)
+        envelope_matrix(X, env, target_paths, [X.label_dim(p) for p in target_paths])
+        dims = [X.label_dim(c) for c in env.source.colours]
+        assert len(calls) == sum(prod(dims[x] for x in fiber) for fiber in env.fiber_orders)
+        # once per source basis tensor and target element would be more
+        assert len(calls) < prod(dims) * env.target.size
 
 
 def test_cycle_json_roundtrip():
