@@ -163,7 +163,7 @@ class CyclicMap:
     def contraction(cls, n, a):
         """The injection [n-1] -> [n] whose image skips vertex a+1 (mod n)."""
         if n < 2:
-            raise SizeGuard("contraction needs n >= 2")
+            raise ValueError("contraction needs n >= 2")
         drop = (a + 1) % n
         return cls(n - 1, n, tuple(i for i in range(n) if i != drop))
 

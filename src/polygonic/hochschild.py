@@ -9,6 +9,7 @@ maps, so every boundary identity reduces to cut-set combinatorics.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -23,12 +24,11 @@ from .operad import (
     cut_face,
 )
 from .rings import (
-    ZZ,
     Echelon,
     IntMatrix,
     NonFieldRing,
     image_and_kernel,
-    invariant_factors,
+    invariant_factors_of_rows,
     ring_from_json,
 )
 
@@ -351,9 +351,9 @@ class FiniteBimodule:
         }
 
     @classmethod
-    def from_json(cls, data):
-        A = FiniteAlgebra.from_json(data["left_algebra"])
-        B = FiniteAlgebra.from_json(data["right_algebra"])
+    def from_json(cls, data, algebra_from_json=FiniteAlgebra.from_json):
+        A = algebra_from_json(data["left_algebra"])
+        B = algebra_from_json(data["right_algebra"])
         f = A.field
         left = tuple(
             tuple(tuple(f.parse(c) for c in vec) for vec in row) for row in data["left_action"]
@@ -512,7 +512,7 @@ class LabelledCycle:
         stays aligned with the chain-level comparison morphisms.
         """
         if self.n < 2:
-            raise SizeGuard("cannot contract a 1-cycle")
+            raise ValueError("cannot contract a 1-cycle")
         n = self.n
         c = CyclicMap.contraction(n, a)
         algebras = tuple(self.algebras[c(j) % n] for j in range(n - 1))
@@ -539,9 +539,17 @@ class LabelledCycle:
     def from_json(cls, data):
         if not isinstance(data, dict) or not {"algebras", "bimodules"} <= data.keys():
             raise ValueError("a labelled cycle is an object with 'algebras' and 'bimodules'")
+        built = {}  # algebra JSON -> algebra: each distinct one is validated once
+
+        def algebra(a):
+            key = json.dumps(a, sort_keys=True)
+            if key not in built:
+                built[key] = FiniteAlgebra.from_json(a)
+            return built[key]
+
         return cls(
-            tuple(FiniteAlgebra.from_json(a) for a in data["algebras"]),
-            tuple(FiniteBimodule.from_json(m) for m in data["bimodules"]),
+            tuple(algebra(a) for a in data["algebras"]),
+            tuple(FiniteBimodule.from_json(m, algebra) for m in data["bimodules"]),
         )
 
 
@@ -765,18 +773,20 @@ def integral_homology_one_cycle(R: FiniteAlgebra, M: FiniteBimodule, degree_boun
     d_{q+1}, and its free rank is dims[q] - rank d_q - rank d_{q+1}.
     """
     complex_ = bar_complex(LabelledCycle.one_cycle(R, M), degree_bound)
+
+    def integer(v):
+        f = Fraction(v)
+        if f.denominator != 1:
+            raise ValueError("structure constants are not integral")
+        return int(f)
+
     out = []
     rank_d = 0  # rank of d_q; d_0 = 0
     for q in range(degree_bound):
-        entries = {}
-        for (i, j), v in complex_.boundary(q + 1).items():
-            f = Fraction(v)
-            if f.denominator != 1:
-                raise ValueError("structure constants are not integral")
-            # transposed: the rows present Z^dims[q] modulo the image of d_{q+1}
-            entries[(j, i)] = int(f)
-        image = IntMatrix(ZZ, complex_.dims[q + 1], complex_.dims[q], entries)
-        torsion, free = invariant_factors(image)  # free = dims[q] - rank d_{q+1}
+        # the columns of d_{q+1} present Z^dims[q] modulo its image
+        relations = [{i: integer(v) for i, v in col.items()} for col in complex_.boundary(q + 1).columns()]
+        # free = dims[q] - rank d_{q+1}
+        torsion, free = invariant_factors_of_rows(relations, complex_.dims[q])
         out.append((torsion, free - rank_d))
         rank_d = complex_.dims[q] - free
     return out
@@ -810,7 +820,7 @@ def contraction_chain_map(cycle: LabelledCycle, a, degree_bound):
     Returns (source complex, target complex, per-degree matrices).
     """
     if cycle.n < 2:
-        raise SizeGuard("cannot contract a 1-cycle")
+        raise ValueError("cannot contract a 1-cycle")
     n = cycle.n
     contracted = cycle.contract(a)
     f = CyclicMap.contraction(n, a)

@@ -71,19 +71,12 @@ class FPGroup:
         torsion, free = self.invariants()
         return not torsion and free == 0
 
-    def elements_equal(self, x, y):
-        diff = [a - b for a, b in zip(x, y)]
-        return in_column_span(self.relation_columns(), diff)
-
     def is_zero_element(self, x):
         return in_column_span(self.relation_columns(), list(x))
 
     def quotient_by(self, subgroup_columns):
         rows = [list(c) for c in subgroup_columns]
         return FPGroup(self.ngens, presented_group_quotient(self.relations, rows))
-
-    def isomorphic(self, other):
-        return self.invariants() == other.invariants()
 
 
 @dataclass(frozen=True)

@@ -256,7 +256,7 @@ class LabelledCycleSpec:
     def contract(self, a):
         """Fuse edges a and a+1 across vertex a+1 (mod n) into one handle."""
         if self.n < 2:
-            raise SizeGuard("cannot contract a 1-cycle")
+            raise ValueError("cannot contract a 1-cycle")
         n = self.n
         drop = (a + 1) % n
         order = [i for i in range(n) if i != drop]

@@ -55,9 +55,6 @@ class QFinSet:
     def canonical(self):
         return QFinSet(tuple(sorted(self.orbits)), self.tail)
 
-    def isomorphic(self, other):
-        return sorted(self.orbits) == sorted(other.orbits)
-
     def check_tail_window(self, window_bound):
         if self.tail is not None and any(g <= window_bound for g in self.tail):
             raise NotQuasifinite(

@@ -7,6 +7,7 @@ point is used anywhere in the package.
 
 from __future__ import annotations
 
+import heapq
 import json
 from fractions import Fraction
 
@@ -17,21 +18,6 @@ class NonFieldRing(Exception):
 
 class DimensionMismatch(Exception):
     pass
-
-
-def xgcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
 
 
 def is_prime(n):
@@ -568,108 +554,133 @@ class IntMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Sparse rows: dicts index -> coefficient, changed only by _add_multiple.
+
+
+def _add_multiple(ring, target, c, vec):
+    """target += c * vec, in place, on sparse vectors (c nonzero)."""
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    for i, v in vec.items():
+        w = target.get(i)
+        w = mul(c, v) if w is None else add(w, mul(c, v))
+        if is_zero(w):
+            del target[i]
+        else:
+            target[i] = w
+
+
+# ---------------------------------------------------------------------------
 # Smith normal form over the integers.
 
 
-def _smith_eliminate(D, U=None, V=None):
-    """Bring the m x n row lists D to Smith form in place; return the diagonal.
+def _pivot_key(row):
+    return min(map(abs, row.values())), len(row)
 
-    The diagonal is d_1 | d_2 | ..., d_i >= 0, of length min(m, n).  When U
-    and V are given (row lists of identity matrices) each row operation is
-    applied to U and each column operation to V, so that U*A*V = D after.
+
+def _smith_eliminate(rows, U=None, V=None):
+    """Bring the sparse integer rows to Smith form in place.
+
+    Returns the pivots (row, col), each the only entry of its row and of its
+    column, ordered so that their entries d_1 | d_2 | ... are positive; all
+    other rows end empty.  The pivot is the entry of least absolute value,
+    ties going to the shortest row, so that the unit entries of a sparse
+    boundary go first and fill in least.  Euclid with row operations clears
+    its column first; the column operations that then clear its row change
+    only the pivot row.  When U (rows) and V (columns) are given, as sparse
+    identity matrices, each row operation is applied to U and each column
+    operation to V, so that U*A*V is the final matrix.
     """
-    m = len(D)
-    n = len(D[0]) if D else 0
+    holders = {}  # col -> the rows that may have an entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    active = {i for i, row in enumerate(rows) if row}
+    queue = []  # (pivot key, row), possibly stale
+    pivots = []
 
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        if V is not None:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
+    def enqueue(i):
+        heapq.heappush(queue, (_pivot_key(rows[i]), i))
 
     def add_row(src, dst, c):
-        # row dst += c * row src
-        D[dst] = [a + c * b for a, b in zip(D[dst], D[src])]
+        _add_multiple(ZZ, rows[dst], c, rows[src])
+        for j in rows[src]:
+            holders[j].add(dst)
         if U is not None:
-            U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
+            _add_multiple(ZZ, U[dst], c, U[src])
 
-    def add_col(src, dst, c):
-        for r in D:
-            r[dst] += c * r[src]
+    def add_col(r, src, dst, c):
+        # column src is zero outside row r
+        _add_multiple(ZZ, rows[r], c, {dst: rows[r][src]})
+        holders.setdefault(dst, set()).add(r)
         if V is not None:
-            for r in V:
-                r[dst] += c * r[src]
+            _add_multiple(ZZ, V[dst], c, V[src])
 
-    def negate_row(i):
-        D[i] = [-a for a in D[i]]
-        if U is not None:
-            U[i] = [-a for a in U[i]]
-
-    def diagonalize():
-        for t in range(min(m, n)):
-            # Pivot of minimal absolute value in the remaining block.
-            pivot = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    a = D[i][j]
-                    if a != 0 and (best is None or abs(a) < best):
-                        best = abs(a)
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
-            # Euclid on column t, then on row t, until both are clear.  The
-            # column is cleared first, so that column operations only touch
-            # row t and the rest of the block does not grow with them.
+    def eliminate():
+        while queue:
+            key, r = heapq.heappop(queue)
+            if r not in active or key != _pivot_key(rows[r]):
+                continue  # a pivot already, or queued again since it changed
+            row = rows[r]
+            c = min(row, key=lambda j: (abs(row[j]), j))
+            touched = {r}
             while True:
-                below = [i for i in range(t + 1, m) if D[i][t]]
-                if below:
-                    smallest = min(below, key=lambda i: abs(D[i][t]))
-                    if abs(D[smallest][t]) < abs(D[t][t]):
-                        swap_rows(t, smallest)
-                    for i in below:
-                        add_row(t, i, -(D[i][t] // D[t][t]))
+                below = [i for i in holders[c] if i != r and i in active and c in rows[i]]
+                for i in below:
+                    add_row(r, i, -(rows[i][c] // rows[r][c]))
+                touched.update(below)
+                below = [i for i in below if c in rows[i]]
+                if below:  # a smaller remainder takes over as pivot
+                    r = min(below, key=lambda i: (abs(rows[i][c]), len(rows[i]), i))
                     continue
-                right = [j for j in range(t + 1, n) if D[t][j]]
-                if not right:
+                row = rows[r]
+                for j in [j for j in row if j != c]:
+                    add_col(r, c, j, -(row[j] // row[c]))
+                if len(row) == 1:
                     break
-                smallest = min(right, key=lambda j: abs(D[t][j]))
-                if abs(D[t][smallest]) < abs(D[t][t]):
-                    swap_cols(t, smallest)
-                for j in right:
-                    add_col(t, j, -(D[t][j] // D[t][t]))
-            if D[t][t] < 0:
-                negate_row(t)
+                c = min((j for j in row if j != c), key=lambda j: (abs(row[j]), j))
+            if row[c] < 0:
+                rows[r] = {c: -row[c]}
+                if U is not None:
+                    U[r] = {k: -v for k, v in U[r].items()}
+            pivots.append((r, c))
+            active.discard(r)
+            touched.discard(r)
+            for i in touched:
+                if rows[i]:
+                    enqueue(i)
+                else:
+                    active.discard(i)
 
-    # Diagonalize, then fold adjacent entries until the chain d_1 | d_2 | ...
-    # holds; each fold strictly shrinks the earlier entry, so this stops.
-    diagonalize()
+    # Eliminate; then, while d_a does not divide the next pivot d_b, add b's
+    # column to a's and eliminate the two rows again.  Column a then holds
+    # d_a and d_b, so a pivot below d_a comes out and this stops.
+    for i in active:
+        enqueue(i)
+    eliminate()
     while True:
-        bad = None
-        for i in range(min(m, n) - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if a and b % a != 0:
-                bad = i
-                break
+        pivots.sort(key=lambda p: rows[p[0]][p[1]])
+        bad = next(((a, b) for a, b in zip(pivots, pivots[1:])
+                    if rows[b[0]][b[1]] % rows[a[0]][a[1]]), None)
         if bad is None:
-            break
-        add_col(bad + 1, bad, 1)
-        diagonalize()
-    return [D[i][i] for i in range(min(m, n))]
+            return pivots
+        (ra, ca), (rb, cb) = bad
+        pivots.remove(bad[0])
+        pivots.remove(bad[1])
+        add_col(rb, cb, ca, 1)
+        for i in (ra, rb):
+            active.add(i)
+            enqueue(i)
+        eliminate()
 
 
 def _int_rows(A):
+    """The rows of A as sparse dicts col -> entry."""
     if A.ring.kind != "integers":
         raise NonFieldRing("Smith normal form requires integer entries")
-    return [[A.get(i, j) for j in range(A.cols)] for i in range(A.rows)]
+    rows = [{} for _ in range(A.rows)]
+    for (i, j), v in A.items():
+        rows[i][j] = v
+    return rows
 
 
 def smith_normal_form(A):
@@ -678,52 +689,22 @@ def smith_normal_form(A):
     A must be an IntMatrix over the integers; U and V are unimodular.
     """
     m, n = A.rows, A.cols
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    diag = _smith_eliminate(_int_rows(A), U, V)
-    Dm = IntMatrix(ZZ, m, n, {(i, i): d for i, d in enumerate(diag) if d})
-    return Dm, IntMatrix.from_rows(ZZ, U), IntMatrix.from_rows(ZZ, V)
-
-
-def det_int(A):
-    """Determinant over Z by fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise DimensionMismatch("determinant of non-square matrix")
-    n = A.rows
-    M = [[A.get(i, j) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    rows = _int_rows(A)
+    U = [{i: 1} for i in range(m)]
+    V = [{j: 1} for j in range(n)]
+    pivots = _smith_eliminate(rows, U, V)
+    # Permute once: pivot t goes to (t, t), the empty rows and columns after.
+    row_order = [r for r, _ in pivots] + [i for i in range(m) if not rows[i]]
+    col_order = [c for _, c in pivots]
+    col_order += sorted(set(range(n)).difference(col_order))
+    D = {(t, t): rows[r][c] for t, (r, c) in enumerate(pivots)}
+    Um = {(t, k): v for t, r in enumerate(row_order) for k, v in U[r].items()}
+    Vm = {(k, t): v for t, c in enumerate(col_order) for k, v in V[c].items()}
+    return IntMatrix(ZZ, m, n, D), IntMatrix(ZZ, m, m, Um), IntMatrix(ZZ, n, n, Vm)
 
 
 # ---------------------------------------------------------------------------
 # Elimination over a field.
-
-
-def _add_multiple(field, target, c, vec):
-    """target += c * vec, in place, on sparse vectors (c nonzero)."""
-    add, mul, is_zero = field.add, field.mul, field.is_zero
-    for i, v in vec.items():
-        w = target.get(i)
-        w = mul(c, v) if w is None else add(w, mul(c, v))
-        if is_zero(w):
-            del target[i]
-        else:
-            target[i] = w
 
 
 class Echelon:
@@ -833,10 +814,14 @@ def presented_group_quotient(G, S):
 
 def invariant_factors(P):
     """Invariant factors (d_1 | d_2 | ...) > 1 and free rank of Z^cols / rows(P)."""
-    diag = _smith_eliminate(_int_rows(P))
-    torsion = [d for d in diag if d > 1]
-    free = P.cols - sum(1 for d in diag if d != 0)
-    return torsion, free
+    return invariant_factors_of_rows(_int_rows(P), P.cols)
+
+
+def invariant_factors_of_rows(rows, ngens):
+    """invariant_factors of Z^ngens modulo the sparse rows (dicts generator ->
+    nonzero int), which are eliminated in place."""
+    diag = [rows[r][c] for r, c in _smith_eliminate(rows)]
+    return [d for d in diag if d > 1], ngens - len(diag)
 
 
 def solve_int(A, b):

@@ -51,10 +51,6 @@ class TruncationSet:
             raise ValueError("N must be >= 1")
         return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def empty(cls):
-        return cls(())
-
     def divide(self, n):
         """{t in T : n*t in T}; again a truncation set."""
         if n < 1:

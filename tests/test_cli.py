@@ -196,6 +196,32 @@ def test_bar_guard_exit(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_contracting_a_one_cycle_is_a_validation_error(runner, tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(LabelledCycle.uniform(FiniteAlgebra.ground(QQ), None, 1).to_json()))
+    for argv in (
+        ["hh", "contract-compare", "--cycle", str(path), "--edge", "0", "--degree", "2"],
+        ["operad", "contract", "--spec", '{"n": 1, "vertices": ["A"], "edges": ["M"]}', "--edge", "0"],
+    ):
+        result = run(runner, argv)
+        assert result.exit_code == 2
+        assert json.loads(result.output) == {"error": "cannot contract a 1-cycle", "kind": "validation"}
+
+
+def test_bimodule_over_another_algebra_is_a_validation_error(runner, tmp_path):
+    # the vertex is Q[e]/(e^2), the edge is Q[C2] over itself: same dimension,
+    # different algebra
+    C2 = FiniteAlgebra.poly_quotient(QQ, (QQ.from_int(-1), QQ.zero(), QQ.one()))
+    dual = FiniteAlgebra.poly_quotient(QQ, (QQ.zero(), QQ.zero(), QQ.one()))
+    data = LabelledCycle.uniform(C2, None, 1).to_json()
+    data["algebras"] = [dual.to_json()]
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(data))
+    result = run(runner, ["hh", "compute", "--cycle", str(path), "--degree", "2"])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["kind"] == "validation"
+
+
 def test_rotate_rejects_non_uniform_cycle(runner, tmp_path):
     # (A, A; A, A twisted by e -> -e) over F3[e]/(e^2): rotation does not
     # preserve this cycle, so there is no rotation action to report.

@@ -103,6 +103,27 @@ def test_bimodule_validation():
     assert reg.dim == 4
 
 
+def test_cycle_file_validates_each_distinct_algebra_once(monkeypatch):
+    cycles = {
+        "morita": (morita_cycle(), 2),
+        "twisted": (twisted_cycle(), 1),
+        "uniform": (LabelledCycle.uniform(group_algebra_c2(F3), None, 3), 1),
+    }
+    validate = FiniteAlgebra.__post_init__
+    checked = []
+
+    def counting(self):
+        checked.append(self.name)
+        validate(self)
+
+    monkeypatch.setattr(FiniteAlgebra, "__post_init__", counting)
+    for name, (X, distinct) in cycles.items():
+        data = X.to_json()
+        checked.clear()
+        assert LabelledCycle.from_json(data) == X
+        assert len(checked) == distinct, name
+
+
 def test_algebra_json_roundtrip():
     A = group_algebra_c2(F3)
     assert FiniteAlgebra.from_json(A.to_json()) == A
@@ -433,7 +454,7 @@ def _integral_closed_form(n, group, degree_bound):
 
 
 @pytest.mark.parametrize("n, group, degree_bound", [
-    (2, False, 7), (3, False, 4), (2, True, 6), (3, True, 4),
+    (2, False, 7), (2, False, 10), (3, False, 4), (2, True, 6), (3, True, 4),
 ])
 def test_integral_homology_closed_forms(n, group, degree_bound):
     from polygonic.hochschild import integral_homology_one_cycle

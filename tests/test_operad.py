@@ -251,8 +251,11 @@ def test_spec_json_roundtrip():
 
 
 def test_contract_guard():
-    with pytest.raises(SizeGuard):
+    # a 1-cycle has no two edges to fuse: bad input, not a size limit
+    with pytest.raises(ValueError):
         LabelledCycleSpec(1, ("R",), ("M",)).contract(0)
+    with pytest.raises(ValueError):
+        CyclicMap.contraction(1, 0)
 
 
 def test_mul_set_guard():

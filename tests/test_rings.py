@@ -15,7 +15,6 @@ from polygonic.rings import (
     NonFieldRing,
     PrimeField,
     QuotientPolynomialRing,
-    det_int,
     image_and_kernel,
     in_column_span,
     invariant_factors,
@@ -29,6 +28,31 @@ from polygonic.rings import (
 
 def mat(rows, ring=ZZ):
     return IntMatrix.from_rows(ring, rows)
+
+
+def det_int(A):
+    """Determinant over Z by fraction-free (Bareiss) elimination: an oracle
+    that shares no code with the library's elimination."""
+    assert A.rows == A.cols
+    n = A.rows
+    M = A.to_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k] != 0:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
 
 
 def test_smith_examples():
@@ -108,6 +132,48 @@ def test_invariant_factors_match_determinantal_divisors():
     for m, n in ((4, 6), (6, 4)):
         rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
         assert invariant_factors(mat(rows)) == _determinantal_invariants(rows)
+
+
+def _sparse_unimodular(rng, n):
+    """A signed permutation matrix followed by n elementary operations
+    row i += (+-1) row j: sparse, with determinant +-1."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        rows[i] = [a + s * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_sparse_unit_matrices_with_a_planted_core():
+    # A = P diag(1, ..., 1, C) Q with P, Q sparse unimodular: Z^n / rows(A)
+    # is Z^3 / rows(C), whatever the elimination order.  Extra rows that are
+    # sums of two rows of A leave the lattice unchanged.
+    rng = random.Random(5)
+    for k in range(12):
+        n = rng.randrange(10, 31)
+        core = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(3)]
+        if k % 4 == 0:
+            core[2] = [a + 2 * b for a, b in zip(core[0], core[1])]
+        middle = mat([[int(i == j) for j in range(n)] for i in range(n - 3)]
+                     + [[0] * (n - 3) + row for row in core])
+        A = mat(_sparse_unimodular(rng, n)).mul(middle).mul(mat(_sparse_unimodular(rng, n)))
+        rows = A.to_lists()
+        for _ in range(k % 3):
+            a, b = rng.sample(range(n), 2)
+            rows.append([x + y for x, y in zip(rows[a], rows[b])])
+        A = mat(rows)
+        expected = _determinantal_invariants(core)
+        assert invariant_factors(A) == expected
+        D, U, V = smith_normal_form(A)
+        assert U.mul(A).mul(V) == D
+        assert det_int(U) in (1, -1) and det_int(V) in (1, -1)
+        diag = [D.get(i, i) for i in range(n)]
+        assert [d for d in diag if d > 1] == expected[0]
+        assert diag.count(0) == expected[1]
+        assert all(d >= 0 for d in diag) and diag == sorted(diag, key=lambda d: d == 0)
 
 
 def test_echelon_examples():
