@@ -757,11 +757,15 @@ def rotate_cmd(ctx, cycle_path, degree):
     if cyc.algebras != (R,) * cyc.n or cyc.bimodules != (M,) * cyc.n:
         raise ValueError("rotate needs a uniform cycle: every vertex and every edge labelled alike")
     report = hochschild.rotation_action(R, M, cyc.n, degree)
+    action = report["homology_action"]
+    if R.field == rings.QQ:
+        # rationals print as strings ("1", "1/2"); residues stay JSON numbers
+        action = [[[R.field.show(x) for x in row] for row in matrix] for matrix in action]
     _emit(ctx, {
         "commutes_with_boundary": report["commutes_with_boundary"],
         "order_exact": report["order_exact"],
         "homology_dims": report["homology_dims"],
-        "homology_action": report["homology_action"],
+        "homology_action": action,
     })
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -27,6 +26,7 @@ from .rings import (
     Echelon,
     IntMatrix,
     NonFieldRing,
+    QQ,
     image_and_kernel,
     invariant_factors_of_rows,
     ring_from_json,
@@ -234,6 +234,10 @@ class FiniteBimodule:
                 raise ValueError("left unit axiom fails")
             if self.right_act(fm, list(B.unit)) != fm:
                 raise ValueError("right unit axiom fails")
+        # A over itself by its own multiplication: the algebra's associativity
+        # check already covers the three below.
+        if A == B and self.left == A.mult and self.right == A.mult:
+            return
         for i in range(A.dim):
             for j in range(A.dim):
                 for m in range(self.dim):
@@ -764,21 +768,23 @@ def homology(complex_: ChainComplex, upto=None):
 def integral_homology_one_cycle(R: FiniteAlgebra, M: FiniteBimodule, degree_bound):
     """Integral homology of the one-cycle bar complex, by Smith form.
 
-    The labels must have integral structure constants (rational entries with
-    denominator 1); homology groups are returned as (torsion, free rank)
-    pairs through degree_bound - 1.
+    The labels must be over Q with integral structure constants; homology
+    groups are returned as (torsion, free rank) pairs through
+    degree_bound - 1.
 
     Every chain group is free, so ker d_q is a direct summand and H_q is read
     off the boundaries alone: its torsion is the invariant factors > 1 of
     d_{q+1}, and its free rank is dims[q] - rank d_q - rank d_{q+1}.
     """
+    if R.field != QQ:
+        raise ValueError(f"integral homology needs labels over Q, not {R.field!r}")
     complex_ = bar_complex(LabelledCycle.one_cycle(R, M), degree_bound)
 
     def integer(v):
-        f = Fraction(v)
-        if f.denominator != 1:
+        # an int, or a Fraction that may still have denominator 1
+        if v.denominator != 1:
             raise ValueError("structure constants are not integral")
-        return int(f)
+        return v.numerator
 
     out = []
     rank_d = 0  # rank of d_q; d_0 = 0

@@ -1,8 +1,9 @@
 """Exact coefficient rings and integer/field linear algebra.
 
-Everything here is exact: integers are Python big ints, rationals are
-``fractions.Fraction``, residues are canonical representatives.  No floating
-point is used anywhere in the package.
+Everything here is exact: integers are Python big ints, a rational is a
+Python int when it is integral and a ``fractions.Fraction`` otherwise,
+residues are canonical representatives.  No floating point is used anywhere
+in the package.
 """
 
 from __future__ import annotations
@@ -125,7 +126,16 @@ class IntegerRing(CoefficientRing):
         return int(s)
 
 
+def _integral(f):
+    """A Fraction with denominator 1 as the int it equals."""
+    return f.numerator if f.denominator == 1 else f
+
+
 class RationalField(CoefficientRing):
+    """Q.  An element is an int when integral, a Fraction otherwise: mixed
+    int/Fraction arithmetic is exact, and Fraction(k) == k hashes alike, so
+    sums and products need no normalising."""
+
     kind = "rationals"
     is_field = True
 
@@ -139,7 +149,7 @@ class RationalField(CoefficientRing):
         return a * b
 
     def from_int(self, k):
-        return Fraction(k)
+        return k
 
     def is_zero(self, a):
         return not a
@@ -147,10 +157,10 @@ class RationalField(CoefficientRing):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return _integral(1 / Fraction(a))
 
     def parse(self, s):
-        return Fraction(s)
+        return _integral(Fraction(s))
 
 
 class ModularRing(CoefficientRing):

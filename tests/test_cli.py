@@ -187,6 +187,24 @@ def test_hh_commands(runner, tmp_path):
     assert data["commutes_with_boundary"] is True and data["order_exact"] is True
 
 
+def test_rotate_prints_rationals_as_strings_and_residues_as_numbers(runner, tmp_path):
+    # raw stdout: entries over Q are strings, entries over F3 JSON numbers
+    expected = {
+        QQ: '[[["1", "0"], ["0", "1"]], [], []]',
+        PrimeField(3): "[[[1, 0], [0, 1]], [], []]",
+    }
+    for field, action in expected.items():
+        C2 = FiniteAlgebra.poly_quotient(field, (field.from_int(-1), field.zero(), field.one()))
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps(LabelledCycle.uniform(C2, None, 2).to_json()))
+        result = run(runner, ["hh", "rotate", "--cycle", str(path), "--degree", "3"])
+        assert result.exit_code == 0
+        assert result.output == (
+            '{"commutes_with_boundary": true, "homology_action": ' + action
+            + ', "homology_dims": [2, 0, 0], "order_exact": true}\n'
+        )
+
+
 def test_bar_guard_exit(runner, tmp_path):
     M4 = FiniteAlgebra.matrix_algebra(PrimeField(2), 4)
     X = LabelledCycle.one_cycle(M4, FiniteBimodule.regular(M4))

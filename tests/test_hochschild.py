@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -46,6 +47,11 @@ def group_algebra_c2(field=QQ):
 
 def dual_numbers(field):
     return FiniteAlgebra.poly_quotient(field, (field.zero(), field.zero(), field.one()), name="k[e]")
+
+
+def quarter_algebra():
+    # Q[x]/(x^2 - 1/4), isomorphic to Q[C2] by g = 2x
+    return FiniteAlgebra.poly_quotient(QQ, (Fraction(-1, 4), QQ.zero(), QQ.one()), name="Q[x]/(x^2-1/4)")
 
 
 def morita_cycle():
@@ -101,6 +107,21 @@ def test_bimodule_validation():
     assert rows.dim == 2 and cols.dim == 2
     reg = FiniteBimodule.regular(FiniteAlgebra.matrix_algebra(F2, 2))
     assert reg.dim == 4
+
+
+def test_bimodule_over_its_own_algebra_still_checks_a_foreign_action():
+    # only the regular bimodule (both actions the multiplication table)
+    # skips the associativity checks.  Here g acts on one side by a shear:
+    # unital, but not associative, as the shear squared is not 1 = g^2.
+    A = group_algebra_c2(QQ)
+    one, zero = QQ.one(), QQ.zero()
+    shear = ((one, one), (zero, one))
+    left = (A.mult[0], shear)                               # left[i][m] = e_i . f_m
+    right = tuple((A.mult[0][m], shear[m]) for m in range(2))  # right[m][j] = f_m . e_j
+    with pytest.raises(ValueError, match="left associativity"):
+        FiniteBimodule(A, A, 2, left, A.mult)
+    with pytest.raises(ValueError, match="right associativity"):
+        FiniteBimodule(A, A, 2, A.mult, right)
 
 
 def test_cycle_file_validates_each_distinct_algebra_once(monkeypatch):
@@ -442,6 +463,19 @@ def test_integral_homology_one_cycle():
     assert result[2] == ([], 0)
 
 
+def test_integral_homology_needs_integral_rationals():
+    from polygonic.hochschild import integral_homology_one_cycle
+
+    # F3[x]/(x^2 - 1): residues are not integers, so there is no integral
+    # homology to read off (treated as integers they gave a free rank of -2)
+    R = group_algebra_c2(F3)
+    with pytest.raises(ValueError):
+        integral_homology_one_cycle(R, FiniteBimodule.regular(R), 3)
+    R = quarter_algebra()
+    with pytest.raises(ValueError):
+        integral_homology_one_cycle(R, FiniteBimodule.regular(R), 3)
+
+
 def _integral_closed_form(n, group, degree_bound):
     """HH_q over Z of Z[x]/(x^n) (group=False) or Z[C_n] (group=True)."""
     out = [([], n)]
@@ -502,6 +536,32 @@ def test_rotation_group_algebra():
     assert len(act) == 2
     sq = [[sum(act[i][k] * act[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
     assert sq == [[1, 0], [0, 1]]
+
+
+def _order(matrix):
+    n = len(matrix)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    power, k = matrix, 1
+    while power != identity:
+        power = [[sum(power[i][l] * matrix[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        k += 1
+    return k
+
+
+def test_fractional_structure_constants_match_the_group_algebra():
+    # Q[x]/(x^2 - 1/4) has entries 1/4 in its table: elimination and chain
+    # maps mix int and Fraction entries, and must agree with Q[C2].
+    Q4, C2 = quarter_algebra(), group_algebra_c2(QQ)
+    assert Q4.mult[1][1] == (Fraction(1, 4), 0) and type(Q4.mult[1][1][0]) is Fraction
+    for n, degree in ((1, 4), (2, 3), (3, 3)):
+        complexes = [bar_complex(LabelledCycle.uniform(A, None, n), degree) for A in (Q4, C2)]
+        assert homology(complexes[0]) == homology(complexes[1])
+        reports = [rotation_action(A, FiniteBimodule.regular(A), n, degree) for A in (Q4, C2)]
+        for report in reports:
+            assert report["commutes_with_boundary"] and report["order_exact"]
+        assert reports[0]["homology_dims"] == reports[1]["homology_dims"]
+        orders = [[_order(m) for m in report["homology_action"] if m] for report in reports]
+        assert orders[0] == orders[1]
 
 
 def test_rotation_rejects_nonuniform():

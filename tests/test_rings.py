@@ -340,6 +340,24 @@ def test_ring_parsing():
         ModularRing(1)
 
 
+def test_rationals_are_ints_when_integral():
+    for value, expected in (
+        (QQ.from_int(3), 3), (QQ.parse("4/2"), 2), (QQ.parse("-7"), -7),
+        (QQ.inv(-1), -1), (QQ.inv(Fraction(1, 3)), 3),
+    ):
+        assert value == expected and type(value) is int
+    for value, expected in (
+        (QQ.parse("1/2"), Fraction(1, 2)), (QQ.inv(2), Fraction(1, 2)), (QQ.inv(Fraction(2, 3)), Fraction(3, 2)),
+    ):
+        assert value == expected and type(value) is Fraction
+    # sums and products are not normalised: an integral Fraction equals,
+    # hashes and prints as its int
+    assert QQ.mul(QQ.parse("1/2"), 2) == 1 and hash(Fraction(2)) == hash(2)
+    assert QQ.show(2) == QQ.show(Fraction(2)) == "2"
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(QQ.zero())
+
+
 def test_modular_arithmetic():
     R = ModularRing(9)
     assert R.add(5, 7) == 3
