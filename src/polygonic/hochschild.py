@@ -27,8 +27,9 @@ from .rings import (
     IntMatrix,
     NonFieldRing,
     QQ,
-    image_and_kernel,
+    _add_multiple,
     invariant_factors_of_rows,
+    kernel_basis,
     ring_from_json,
 )
 
@@ -69,6 +70,14 @@ def _combo_mul(field, terms_a, terms_b, mult_table):
                     out.pop(k, None)
                 else:
                     out[k] = val
+    return out
+
+
+def _apply(field, columns, vec):
+    """Image of a sparse vector under the matrix with the given sparse columns."""
+    out = {}
+    for j, c in vec.items():
+        _add_multiple(field, out, c, columns[j])
     return out
 
 
@@ -590,8 +599,11 @@ class ChainComplex:
     ring: object
     dims: tuple
     boundaries: dict
-    # q -> (echelon of the image of d_q, basis of ker d_q), built on first use.
-    _eliminated: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+    # q -> echelon of the image of d_q (ranks, reduction modulo boundaries),
+    # and q -> basis of ker d_q (read only where homology is nonzero); each
+    # is built once, when first read.
+    _image: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+    _kernel: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def top(self):
@@ -600,39 +612,41 @@ class ChainComplex:
     def boundary(self, q):
         return self.boundaries[q]
 
-    def _eliminate(self, q):
-        # Each boundary is eliminated once.  Homology stops below the top
-        # degree, so the kernel of the top boundary is never read and only its
-        # image is eliminated.
-        if q not in self._eliminated:
+    def _image_of(self, q):
+        if q not in self._image:
             d = self.boundaries[q]
-            if q < self.top:
-                self._eliminated[q] = image_and_kernel(d)
-            else:
-                self._eliminated[q] = (Echelon(self.ring, d.rows, d.columns()), None)
-        return self._eliminated[q]
+            self._image[q] = Echelon(self.ring, d.rows, d.columns())
+        return self._image[q]
 
     def rank(self, q):
         """Rank of d_q (d_0 = 0)."""
-        return self._eliminate(q)[0].rank if q > 0 else 0
+        return self._image_of(q).rank if q > 0 else 0
+
+    def homology_dim(self, q):
+        """dim H_q, from the ranks alone; q must be below the top degree."""
+        return self.dims[q] - self.rank(q) - self.rank(q + 1)
 
     def cycles(self, q):
-        """Basis of ker d_q as sparse vectors, for q below the top degree.
+        """Basis of ker d_q as sparse vectors.
 
-        In degree 0 it is the unit vectors; above, the kernel basis of
-        `rings.image_and_kernel`.
+        In degree 0 it is the unit vectors; above, `rings.kernel_basis` of
+        d_q, which is only built when it is read.
         """
         if q == 0:
             return [{i: self.ring.one()} for i in range(self.dims[0])]
-        return self._eliminate(q)[1]
+        if q not in self._kernel:
+            self._kernel[q] = kernel_basis(self.boundaries[q])
+        return self._kernel[q]
 
     def reduce_mod_boundaries(self, q, vec):
         """Normal form of a sparse q-chain modulo the image of d_{q+1}."""
-        return self._eliminate(q + 1)[0].reduce(vec)
+        return self._image_of(q + 1).reduce(vec)
 
     def validate(self):
+        """Is d_{q-1} d_q = 0 for every q?  Checked column by column."""
         for q in range(2, self.top + 1):
-            if not self.boundaries[q - 1].mul(self.boundaries[q]).is_zero():
+            lower = self.boundaries[q - 1].columns()
+            if any(_apply(self.ring, lower, col) for col in self.boundaries[q].columns()):
                 return False
         return True
 
@@ -743,14 +757,14 @@ def bar_complex(cycle: LabelledCycle, degree_bound):
         lo = cut_sets[q - 1]
         target_paths = [lo.colour(e) for e in range(lo.size)]
         target_dims = [cycle.label_dim(p) for p in target_paths]
-        total = IntMatrix.zeros(field, dims[q - 1], dims[q])
+        # the signed faces summed as sparse vectors keyed by (row, col)
+        entries = {}
         sign = field.one()
         for i in range(q + 1):
             env = cut_face(cut, i)
-            mat = envelope_matrix(cycle, env, target_paths, target_dims)
-            total = total.add(mat.scale(sign))
+            _add_multiple(field, entries, sign, envelope_matrix(cycle, env, target_paths, target_dims))
             sign = field.neg(sign)
-        boundaries[q] = total
+        boundaries[q] = IntMatrix(field, dims[q - 1], dims[q], entries)
     return ChainComplex(field, tuple(dims), boundaries)
 
 
@@ -762,7 +776,7 @@ def homology(complex_: ChainComplex, upto=None):
         upto = complex_.top - 1
     if upto > complex_.top - 1:
         raise ValueError("top degree is boundary-incomplete")
-    return [complex_.dims[q] - complex_.rank(q) - complex_.rank(q + 1) for q in range(upto + 1)]
+    return [complex_.homology_dim(q) for q in range(upto + 1)]
 
 
 def integral_homology_one_cycle(R: FiniteAlgebra, M: FiniteBimodule, degree_bound):
@@ -845,20 +859,21 @@ def contraction_chain_map(cycle: LabelledCycle, a, degree_bound):
 
 
 def is_chain_map(src, dst, maps):
+    """Is f_{q-1} d_q = d_q f_q in every degree?  Checked column by column."""
+    field = src.ring
+    columns = {q: m.columns() for q, m in maps.items()}
     for q in range(1, src.top + 1):
-        lhs = maps[q - 1].mul(src.boundary(q))
-        rhs = dst.boundary(q).mul(maps[q])
-        if not lhs.sub(rhs).is_zero():
-            return False
+        d_src, d_dst = src.boundary(q).columns(), dst.boundary(q).columns()
+        for col, f_col in zip(d_src, columns[q], strict=True):
+            if _apply(field, columns[q - 1], col) != _apply(field, d_dst, f_col):
+                return False
     return True
 
 
 def _images(matrix, vectors):
     """Images of sparse vectors under a matrix, as sparse vectors."""
-    basis = IntMatrix(matrix.ring, matrix.cols, len(vectors), {
-        (i, j): c for j, vec in enumerate(vectors) for i, c in vec.items()
-    })
-    return matrix.mul(basis).columns()
+    columns = matrix.columns()
+    return [_apply(matrix.ring, columns, vec) for vec in vectors]
 
 
 def homology_map_is_iso(src, dst, maps, q):
@@ -867,13 +882,13 @@ def homology_map_is_iso(src, dst, maps, q):
     Checked by dimension count plus surjectivity: the image of the source
     cycles must cover the target homology modulo boundaries.
     """
-    src_cycles = src.cycles(q)
-    h_src = len(src_cycles) - src.rank(q + 1)
-    h_dst = dst.dims[q] - dst.rank(q) - dst.rank(q + 1)
-    if h_src != h_dst:
+    h_dst = dst.homology_dim(q)
+    if src.homology_dim(q) != h_dst:
         return False
+    if h_dst == 0:
+        return True  # two zero spaces
     covered = Echelon(dst.ring, dst.dims[q], (
-        dst.reduce_mod_boundaries(q, v) for v in _images(maps[q], src_cycles)
+        dst.reduce_mod_boundaries(q, v) for v in _images(maps[q], src.cycles(q))
     ))
     return covered.rank == h_dst
 
@@ -929,8 +944,7 @@ def induced_homology_matrix(complex_, chain_map_q, q):
     """
     field = complex_.ring
     dim = complex_.dims[q]
-    cycles = complex_.cycles(q)
-    h_dim = len(cycles) - complex_.rank(q + 1)
+    h_dim = complex_.homology_dim(q)
     if h_dim == 0:
         return IntMatrix.zeros(field, 0, 0)
     # Classes modulo boundaries, each augmented with a unit coordinate after
@@ -938,7 +952,7 @@ def induced_homology_matrix(complex_, chain_map_q, q):
     # coordinates in the chosen basis there.
     span = Echelon(field, dim + h_dim)
     chosen = []
-    for z in cycles:
+    for z in complex_.cycles(q):
         c = complex_.reduce_mod_boundaries(q, z)
         if any(i < dim for i in span.reduce(c)):
             c[dim + len(chosen)] = field.one()
@@ -956,6 +970,18 @@ def induced_homology_matrix(complex_, chain_map_q, q):
     return IntMatrix(field, h_dim, h_dim, entries)
 
 
+def _power_is_identity(matrix, n):
+    """Is matrix^n the identity?  Each unit vector is mapped n times."""
+    field, columns = matrix.ring, matrix.columns()
+    for j in range(matrix.cols):
+        vec = {j: field.one()}
+        for _ in range(n):
+            vec = _apply(field, columns, vec)
+        if vec != {j: field.one()}:
+            return False
+    return True
+
+
 def rotation_action(R: FiniteAlgebra, M: FiniteBimodule, n, degree_bound):
     """Rotation data on the bar complex of the uniform n-cycle (R, M; ...).
 
@@ -967,13 +993,7 @@ def rotation_action(R: FiniteAlgebra, M: FiniteBimodule, n, degree_bound):
     complex_ = bar_complex(cycle, degree_bound)
     maps = rotation_matrices(cycle, 1, degree_bound)
     commutes = is_chain_map(complex_, complex_, maps)
-    order_ok = True
-    for q in range(degree_bound + 1):
-        power = IntMatrix.identity(complex_.ring, complex_.dims[q])
-        for _ in range(n):
-            power = maps[q].mul(power)
-        if power != IntMatrix.identity(complex_.ring, complex_.dims[q]):
-            order_ok = False
+    order_ok = all(_power_is_identity(maps[q], n) for q in range(degree_bound + 1))
     homology_action = []
     for q in range(degree_bound):
         homology_action.append(

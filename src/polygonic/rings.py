@@ -574,7 +574,7 @@ def _add_multiple(ring, target, c, vec):
         w = target.get(i)
         w = mul(c, v) if w is None else add(w, mul(c, v))
         if is_zero(w):
-            del target[i]
+            target.pop(i, None)  # c * v can be 0 over Z/m
         else:
             target[i] = w
 
@@ -777,34 +777,22 @@ def rank_of(A):
     return Echelon(A.ring, A.rows, A.columns()).rank
 
 
-def image_and_kernel(A):
-    """Echelon of the column space of A and a basis of its kernel, from one
-    elimination over a field.
+def kernel_basis(A):
+    """Basis of the kernel of a matrix over a field, read off the reduced
+    echelon form of its rows.
 
-    Column j goes in as A e_j followed by a unit coordinate at index
-    A.rows + A.cols - 1 - j, so the echelon is that of the graph {(Ax, x)}.
-    Its rows with pivot below A.rows are the echelon of the image once the
-    unit coordinates are dropped; the others, read back as columns, span the
-    kernel.  The unit coordinates run backwards so that a kernel row's pivot
-    is its greatest column: there is one kernel vector per free column j
-    (a column that depends on the ones before it), with 1 at j and 0 at
-    every other free column, in increasing order of j.
+    There is one kernel vector per free column j (a column in the span of the
+    ones before it), with 1 at j and 0 at every other free column, in
+    increasing order of j; its entry at a pivot column p is minus the entry
+    at j of the row with pivot p.
     """
-    m, n = A.rows, A.cols
-    graph = Echelon(A.ring, m + n)
-    one = A.ring.one()
-    for j, col in enumerate(A.columns()):
-        col[m + n - 1 - j] = one
-        graph.insert(col)
-    image = Echelon(A.ring, m)
-    kernel = []
-    for p in sorted(graph.rows, reverse=True):
-        row = graph.rows[p]
-        if p < m:
-            image.rows[p] = {i: v for i, v in row.items() if i < m}
-        else:
-            kernel.append({m + n - 1 - i: v for i, v in row.items()})
-    return image, kernel
+    echelon = Echelon(A.ring, A.cols, A.transpose().columns())
+    kernel = {j: {j: A.ring.one()} for j in echelon.free()}
+    for p, row in echelon.rows.items():
+        for j, v in row.items():
+            if j != p:  # rows vanish at the other pivots, so j is free
+                kernel[j][p] = A.ring.neg(v)
+    return list(kernel.values())
 
 
 def presented_group_quotient(G, S):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -212,6 +213,47 @@ def test_bar_guard_exit(runner, tmp_path):
     path.write_text(json.dumps(X.to_json()))
     result = run(runner, ["hh", "compute", "--cycle", str(path), "--degree", "3"])
     assert result.exit_code == 3
+
+
+def test_bar_guard_edge(runner, tmp_path):
+    # The M2(Q) one-cycle at degree 6 reaches dimension 16384, under the
+    # guard, and must finish; its homology is HH(Q) by Morita invariance.
+    M2 = FiniteAlgebra.matrix_algebra(QQ, 2)
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps(LabelledCycle.one_cycle(M2, FiniteBimodule.regular(M2)).to_json()))
+    result = run(runner, ["hh", "compute", "--cycle", str(path), "--degree", "6"])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {
+        "boundary_squared_zero": True,
+        "dims": [4 ** (q + 1) for q in range(7)],
+        "homology": [1, 0, 0, 0, 0, 0],
+    }
+    result = run(runner, ["hh", "compute", "--cycle", str(path), "--degree", "7"])
+    assert result.exit_code == 3
+
+
+def test_hh_stdout_matches_the_recorded_runs(runner, tmp_path):
+    # hh compute, rotate and contract-compare on cycles whose homology is
+    # nonzero above degree 0, so that cycle bases above degree 0 are read;
+    # stdout and exit codes are compared byte for byte.
+    F3 = PrimeField(3)
+    algebras = {
+        "F3[e]/(e^2)": FiniteAlgebra.poly_quotient(F3, (F3.zero(), F3.zero(), F3.one())),
+        "Q[x]/(x^3)": FiniteAlgebra.poly_quotient(QQ, (QQ.zero(),) * 3 + (QQ.one(),)),
+    }
+    commands = {
+        "compute": ["hh", "compute"],
+        "rotate": ["hh", "rotate"],
+        "contract-compare": ["hh", "contract-compare", "--edge", "0"],
+    }
+    recorded = json.loads((Path(__file__).parent / "data" / "hh_golden_stdout.json").read_text())
+    assert len(recorded) == 18
+    for case in recorded:
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(LabelledCycle.uniform(algebras[case["algebra"]], None, case["n"]).to_json()))
+        argv = commands[case["command"]] + ["--cycle", str(path), "--degree", "3"]
+        result = run(runner, argv)
+        assert (result.exit_code, result.output) == (case["exit_code"], case["stdout"]), case
 
 
 def test_contracting_a_one_cycle_is_a_validation_error(runner, tmp_path):

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from polygonic import hochschild
+from polygonic import hochschild, rings
 from polygonic.cyclic import CutSet, CyclicMap, SizeGuard
 from polygonic.hochschild import (
     AlgebraMismatch,
@@ -28,7 +28,7 @@ from polygonic.hochschild import (
     thh_pi0,
 )
 from polygonic.operad import cut_degeneracy, cut_envelope_cyclic, cut_face
-from polygonic.rings import QQ, IntMatrix, NonFieldRing, PrimeField
+from polygonic.rings import QQ, Echelon, IntMatrix, ModularRing, NonFieldRing, PrimeField
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -307,6 +307,16 @@ def test_homology_edge_cases():
     bad = ChainComplex(ZZ, (1, 1), {1: IntMatrix.identity(ZZ, 1)})
     with pytest.raises(NonFieldRing):
         homology(bad)
+
+
+def test_checks_over_a_ring_with_zero_divisors():
+    # over Z/4, 2 * 2 = 0: d_1 d_2 = 0 although no entry is zero
+    Z4 = ModularRing(4)
+    two, one = IntMatrix(Z4, 1, 1, {(0, 0): 2}), IntMatrix.identity(Z4, 1)
+    complex_ = ChainComplex(Z4, (1, 1, 1), {1: two, 2: two})
+    assert complex_.validate()
+    assert is_chain_map(complex_, complex_, {q: one for q in range(3)})
+    assert not ChainComplex(Z4, (1, 1, 1), {1: two, 2: one}).validate()
 
 
 def test_thh_pi0():
@@ -607,25 +617,70 @@ def test_induced_map_of_an_algebra_automorphism():
     assert not homology_map_is_iso(complex_, complex_, collapse, 0)
 
 
+def _signature(dim, vectors):
+    return dim, tuple(tuple(sorted(v.items())) for v in vectors)
+
+
 def test_each_boundary_eliminated_once(monkeypatch):
-    # Every elimination of a boundary starts by reading its columns.
-    reads = {}
-    columns = IntMatrix.columns
+    # The image of d_q is eliminated once, as an Echelon of its columns; its
+    # kernel at most once, as an Echelon of its rows, and only where
+    # homology lives: on the Q[C2] 2-cycle (H = [2, 0, 0]) never above
+    # degree 0.
+    built = []
 
-    def counted(self):
-        reads[id(self)] = reads.get(id(self), 0) + 1
-        return columns(self)
+    class Counted(Echelon):
+        def __init__(self, field, dim, vectors=()):
+            vectors = list(vectors)
+            built.append(_signature(dim, vectors))
+            super().__init__(field, dim, vectors)
 
-    monkeypatch.setattr(IntMatrix, "columns", counted)
-    cycle = LabelledCycle.uniform(dual_numbers(F3), None, 2)
+    monkeypatch.setattr(rings, "Echelon", Counted)
+    monkeypatch.setattr(hochschild, "Echelon", Counted)
+    for cycle, dims, kernels in (
+        (LabelledCycle.uniform(dual_numbers(F3), None, 2), [2, 1, 1], {1: 1, 2: 1, 3: 0}),
+        (LabelledCycle.uniform(group_algebra_c2(QQ), None, 2), [2, 0, 0], {1: 0, 2: 0, 3: 0}),
+    ):
+        built.clear()
+        complex_ = bar_complex(cycle, 3)
+        maps = rotation_matrices(cycle, 1, 3)
+        for q in range(3):
+            assert homology(complex_) == dims
+            assert induced_homology_matrix(complex_, maps[q], q).rows == dims[q]
+            assert homology_map_is_iso(complex_, complex_, maps, q)
+        for q, d in complex_.boundaries.items():
+            assert built.count(_signature(d.rows, d.columns())) == 1
+            assert built.count(_signature(d.cols, d.transpose().columns())) == kernels[q]
+
+
+def test_chain_checks_fail_on_broken_input(monkeypatch):
+    # Each check answers False when what it checks is broken, on the Q[C2]
+    # 2-cycle at degree 3.  Column i of d_1 is nonzero, so adding 1 at
+    # (i, 0) of f_1 or of d_2 adds d_1 e_i to one side of the identity.
+    C2 = group_algebra_c2(QQ)
+    cycle = LabelledCycle.uniform(C2, None, 2)
     complex_ = bar_complex(cycle, 3)
     maps = rotation_matrices(cycle, 1, 3)
-    for q in range(3):
-        assert homology(complex_) == [2, 1, 1]
-        assert induced_homology_matrix(complex_, maps[q], q).rows == [2, 1, 1][q]
-        assert homology_map_is_iso(complex_, complex_, maps, q)
-    boundaries = {id(d) for d in complex_.boundaries.values()}
-    assert {k: n for k, n in reads.items() if k in boundaries} == dict.fromkeys(boundaries, 1)
+    i = min(i for (_, i), _ in complex_.boundary(1).items())
+
+    def bumped(matrix):
+        entries = dict(matrix.items())
+        entries[(i, 0)] = QQ.add(matrix.get(i, 0), QQ.one())
+        return IntMatrix(QQ, matrix.rows, matrix.cols, entries)
+
+    assert is_chain_map(complex_, complex_, maps)
+    assert not is_chain_map(complex_, complex_, {**maps, 1: bumped(maps[1])})
+
+    assert complex_.validate()
+    boundaries = {**complex_.boundaries, 2: bumped(complex_.boundary(2))}
+    assert not ChainComplex(QQ, complex_.dims, boundaries).validate()
+
+    # 2 tau commutes with the boundary, but (2 tau)^2 = 4
+    rotation = hochschild.rotation_matrices
+    monkeypatch.setattr(hochschild, "rotation_matrices", lambda *args: {
+        q: m.scale(QQ.from_int(2)) for q, m in rotation(*args).items()
+    })
+    report = rotation_action(C2, FiniteBimodule.regular(C2), 2, 3)
+    assert report["commutes_with_boundary"] and not report["order_exact"]
 
 
 def test_envelope_matrix_multiplies_each_fiber_once(monkeypatch):

@@ -15,9 +15,9 @@ from polygonic.rings import (
     NonFieldRing,
     PrimeField,
     QuotientPolynomialRing,
-    image_and_kernel,
     in_column_span,
     invariant_factors,
+    kernel_basis,
     presented_group_quotient,
     rank_of,
     ring_from_string,
@@ -178,15 +178,15 @@ def test_sparse_unit_matrices_with_a_planted_core():
 
 def test_echelon_examples():
     F2 = PrimeField(2)
-    image, kernel = image_and_kernel(mat([[1, 1], [1, 1]], F2))
-    assert image.rank == 1 and kernel == [{0: 1, 1: 1}]
+    A = mat([[1, 1], [1, 1]], F2)
+    assert rank_of(A) == 1 and kernel_basis(A) == [{0: 1, 1: 1}]
 
-    image, kernel = image_and_kernel(IntMatrix.identity(QQ, 4))
-    assert image.rank == 4 and kernel == []
+    A = IntMatrix.identity(QQ, 4)
+    assert rank_of(A) == 4 and kernel_basis(A) == []
 
     # one kernel vector per free column: 1 there, 0 at the other free column
-    image, kernel = image_and_kernel(mat([[1, 2, 3]], QQ))
-    assert image.rank == 1 and kernel == [{1: 1, 0: -2}, {2: 1, 0: -3}]
+    A = mat([[1, 2, 3]], QQ)
+    assert rank_of(A) == 1 and kernel_basis(A) == [{1: 1, 0: -2}, {2: 1, 0: -3}]
 
     # rows are reduced: pivot 1, and zero at the other row's pivot
     E = Echelon(QQ, 3, [{0: 2, 1: 4}, {0: 1, 2: 1}])
@@ -226,9 +226,7 @@ def test_rank_over_q_matches_minors():
         expected = _rank_by_minors(rows)
         deficient += expected < min(m, n)
         A = mat(rows, QQ)
-        assert rank_of(A) == expected
-        image, kernel = image_and_kernel(A)
-        assert image.rank == expected and len(kernel) == n - expected
+        assert rank_of(A) == expected and len(kernel_basis(A)) == n - expected
     assert deficient >= 15
 
 
@@ -239,19 +237,41 @@ def test_kernel_count_over_small_fields():
         for k in range(30):
             m, n = rng.randrange(1, 5), rng.randrange(1, 6)
             rows = [[x % p for x in r] for r in _random_matrix(rng, m, n, k)]
-            image, kernel = image_and_kernel(mat(rows, F))
+            A = mat(rows, F)
+            rank, kernel = rank_of(A), kernel_basis(A)
             zeros = sum(
                 all(sum(a * x for a, x in zip(r, v)) % p == 0 for r in rows)
                 for v in product(range(p), repeat=n)
             )
-            assert zeros == p ** (n - image.rank)
-            assert len(kernel) == n - image.rank
+            assert zeros == p ** (n - rank)
+            assert len(kernel) == n - rank
             for v in kernel:
                 assert all(sum(r[j] * c for j, c in v.items()) % p == 0 for r in rows)
             # 1 at its own free column, 0 at every other one: independent
             free = [max(v) for v in kernel]
             assert free == sorted(set(free))
             assert all(v[j] == 1 and not any(f in v for f in free if f != j) for v, j in zip(kernel, free))
+
+
+def test_kernel_basis_is_normalized_at_the_free_columns():
+    # The free columns, found by inserting the columns one by one, are those
+    # outside the span of the columns before them.  Kernel vector t belongs
+    # to free column t: it is 1 there, 0 at every other free column, and
+    # zero after it, as it writes column t in terms of the earlier ones.
+    rng = random.Random(6)
+    for F in (PrimeField(2), PrimeField(3), QQ):
+        for k in range(30):
+            m, n = rng.randrange(1, 6), rng.randrange(1, 7)
+            A = mat([[F.from_int(x) for x in r] for r in _random_matrix(rng, m, n, k)], F)
+            span = Echelon(F, m)
+            free = [j for j, col in enumerate(A.columns()) if not span.insert(col)]
+            kernel = kernel_basis(A)
+            assert len(kernel) == len(free)
+            for j, v in zip(free, kernel):
+                assert {f: v.get(f, F.zero()) for f in free} == {f: F.one() if f == j else F.zero() for f in free}
+                assert max(v) == j
+                for i in range(m):
+                    assert F.is_zero(F.sum(F.mul(A.get(i, t), c) for t, c in v.items()))
 
 
 def test_reduce_is_zero_on_span_and_idempotent():
