@@ -532,6 +532,10 @@ def transfer_sum_cmd(ctx, window, burnside_m, witt_ring, witt_n, family):
 @click.pass_context
 @guarded
 def coinvariants(ctx, ngens, relations, action, order):
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if order > WINDOW_GUARD:
+        raise GuardExceeded(f"order is above {WINDOW_GUARD}")
     rows = [
         _ints(r) for r in relations.split(";") if r.strip()
     ]
@@ -542,6 +546,8 @@ def coinvariants(ctx, ngens, relations, action, order):
     )
     act = rings.IntMatrix.from_rows(rings.ZZ, [_ints(r) for r in action.split(";")])
     G = mackey.GroupWithAction(mackey.FPGroup(ngens, rel), act, order)
+    if not G.validate():
+        raise ValueError(f"the action must preserve the relations and have order dividing {order}")
     quotient = mackey.coinvariants(G)
     torsion, free = quotient.invariants()
     _emit(ctx, {"torsion": torsion, "free_rank": free})

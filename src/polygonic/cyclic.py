@@ -28,6 +28,11 @@ class EmptyOrder(Exception):
     pass
 
 
+def _check_sizes(*sizes):
+    if min(sizes) < 1:
+        raise ValueError(f"cycle sizes must be >= 1, got {', '.join(map(str, sizes))}")
+
+
 # ---------------------------------------------------------------------------
 # Paths.
 
@@ -46,11 +51,13 @@ class Path:
 
     @classmethod
     def vertex(cls, n, a):
+        _check_sizes(n)
         return cls(n, a % n, 0)
 
     @classmethod
     def edge(cls, n, a, b):
         """e_[a,b]: from vertex a forward to vertex b (one full loop if a = b)."""
+        _check_sizes(n)
         a %= n
         b %= n
         length = (b - a) % n
@@ -61,6 +68,7 @@ class Path:
     @classmethod
     def from_pair(cls, n, x, y):
         """Class of the pair of positions (x, y), 0 <= y - x <= n."""
+        _check_sizes(n)
         if not 0 <= y - x <= n:
             raise ValueError(f"({x}, {y}) is not a path pair")
         return cls(n, x % n, y - x)
@@ -91,6 +99,7 @@ class Path:
 
 def path_set(n):
     """All n + n^2 paths: n vertices and an edge for each start and length."""
+    _check_sizes(n)
     paths = [Path.vertex(n, a) for a in range(n)]
     paths += [Path(n, a, l) for a in range(n) for l in range(1, n + 1)]
     return paths
@@ -136,6 +145,7 @@ class CyclicMap:
     vals: tuple
 
     def __post_init__(self):
+        _check_sizes(self.source_n, self.target_n)
         vals = tuple(self.vals)
         if len(vals) != self.source_n:
             raise ValueError("vals length must equal source_n")
@@ -222,6 +232,7 @@ HOM_GUARD = 6
 
 def hom_set(n, m):
     """All canonical maps [n] -> [m]; brute-force enumeration, guarded."""
+    _check_sizes(n, m)
     if n > HOM_GUARD or m > HOM_GUARD:
         raise SizeGuard(f"hom_set enumeration is guarded at {HOM_GUARD}")
     out = []
@@ -273,6 +284,8 @@ class CutSet:
             raise EmptyOrder("the indexing order must be nonempty")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.p is not None and self.p < 1:
+            raise ValueError("p must be >= 1")
 
     @property
     def cycle_n(self):

@@ -103,8 +103,6 @@ class QFinMap:
 
     def after(self, other):
         """self composed after other."""
-        if other.target != self.target and other.target.orbits != self.source.orbits:
-            pass
         if other.target.orbits != self.source.orbits:
             raise TargetMismatch("maps are not composable")
         assign = []

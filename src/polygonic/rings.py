@@ -534,14 +534,6 @@ class IntMatrix:
             out[i] = ring.add(out[i], ring.mul(v, vec[j]))
         return out
 
-    def stack_rows(self, other):
-        if self.cols != other.cols:
-            raise DimensionMismatch("column count mismatch in stack")
-        out = dict(self.items())
-        for (i, j), v in other.items():
-            out[(i + self.rows, j)] = v
-        return IntMatrix(self.ring, self.rows + other.rows, self.cols, out)
-
     def is_zero(self):
         return not self._data
 
@@ -795,21 +787,6 @@ def kernel_basis(A):
     return list(kernel.values())
 
 
-def presented_group_quotient(G, S):
-    """Presentation of the quotient of a finitely presented abelian group.
-
-    G is a presentation matrix (rows are relations among ngens = G.cols
-    generators) and S is a list of generator-coefficient rows spanning the
-    subgroup to kill.  The result is the stacked presentation.
-    """
-    ngens = G.cols
-    for row in S:
-        if len(row) != ngens:
-            raise DimensionMismatch("subgroup generator length != ngens")
-    extra = IntMatrix.from_rows(ZZ, list(S)) if S else IntMatrix.zeros(ZZ, 0, ngens)
-    return G.stack_rows(extra)
-
-
 def invariant_factors(P):
     """Invariant factors (d_1 | d_2 | ...) > 1 and free rank of Z^cols / rows(P)."""
     return invariant_factors_of_rows(_int_rows(P), P.cols)
@@ -822,41 +799,20 @@ def invariant_factors_of_rows(rows, ngens):
     return [d for d in diag if d > 1], ngens - len(diag)
 
 
-def solve_int(A, b):
-    """One integer solution x of A x = b, or None.
+def lattice_contains(gens, vectors, ngens):
+    """Do the integer vectors all lie in the Z-span L of gens, in Z^ngens?
 
-    Uses U A V = D: with c = U b, the system D y = c is solved coordinatewise
-    and x = V y.
+    Both are lists of dense integer vectors.  L + span(vectors) contains L,
+    so Z^ngens / L maps onto Z^ngens / (L + span(vectors)); a surjection
+    between isomorphic finitely generated abelian groups is injective, so
+    the vectors lie in L exactly when both quotients have the same
+    invariant factors and free rank.
     """
-    D, U, V = smith_normal_form(A)
-    c = U.mul_vec(list(b))
-    y = [0] * A.cols
-    for i in range(A.rows):
-        d = D.get(i, i) if i < min(A.rows, A.cols) else 0
-        ci = c[i]
-        if d == 0:
-            if ci != 0:
-                return None
-        else:
-            if ci % d != 0:
-                return None
-            if i < A.cols:
-                y[i] = ci // d
-    return V.mul_vec(y)
+    if any(len(vec) != ngens for vec in (*gens, *vectors)):
+        raise DimensionMismatch(f"lattice vectors must have length {ngens}")
 
+    def quotient(vecs):
+        rows = [{j: v for j, v in enumerate(vec) if v} for vec in vecs]
+        return invariant_factors_of_rows(rows, ngens)
 
-def in_column_span(cols, target):
-    """Is target in the Z-span of the given columns?"""
-    if not cols:
-        return all(t == 0 for t in target)
-    A = IntMatrix(ZZ, len(target), len(cols), {(i, j): cols[j][i] for j in range(len(cols)) for i in range(len(target)) if cols[j][i]})
-    return solve_int(A, target) is not None
-
-
-def column_span_contains(cols, others):
-    return all(in_column_span(cols, t) for t in others)
-
-
-def lattices_equal(cols_a, cols_b):
-    """Do two generating sets span the same integer lattice?"""
-    return column_span_contains(cols_a, cols_b) and column_span_contains(cols_b, cols_a)
+    return quotient(gens) == quotient(list(gens) + list(vectors))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .mackey import FPGroup, MackeyWindow
-from .rings import ZZ, IntMatrix, invariant_factors, presented_group_quotient
+from .rings import ZZ, IntMatrix
 from .truncation import TruncationSet
 
 
@@ -264,9 +264,6 @@ class GhostVector:
     support: TruncationSet
     values: tuple
 
-    def value(self, t):
-        return self.values[self.support.elements.index(t)]
-
     def as_dict(self):
         return dict(zip(self.support.elements, self.values))
 
@@ -448,8 +445,7 @@ def recover_base(ring, n):
     for i, t in enumerate(support.elements):
         if t >= 2:
             killed.append([1 if j == i else 0 for j in range(group.ngens)])
-    quotient = presented_group_quotient(group.relations, killed)
-    torsion, free = invariant_factors(quotient)
+    torsion, free = group.quotient_by(killed).invariants()
     if ring.kind == "integers":
         expected = ([], 1)
     else:

@@ -256,6 +256,58 @@ def test_hh_stdout_matches_the_recorded_runs(runner, tmp_path):
         assert (result.exit_code, result.output) == (case["exit_code"], case["stdout"]), case
 
 
+def test_mackey_and_witt_stdout_matches_the_recorded_runs(runner):
+    # Recorded before lattice membership moved to invariant factors: axioms,
+    # gfp, conservativity, proper-core, evaluate-span, transfer-sum,
+    # coinvariants, witt recover and witt as-mackey, in JSON and in TSV,
+    # including exit 2 and exit 3 cases.
+    recorded = json.loads((Path(__file__).parent / "data" / "mackey_witt_golden_stdout.json").read_text())
+    assert len(recorded) == 54
+    for case in recorded:
+        result = run(runner, case["argv"])
+        assert (result.exit_code, result.output) == (case["exit_code"], case["stdout"]), case
+
+
+def test_coinvariants_checks_its_action(runner):
+    base = ["mackey", "coinvariants", "--ngens", "2", "--action", "0,1;1,0"]
+    for extra, code in (
+        (["--relations", "4,0", "--order", "2"], 2),  # the swap does not preserve <(4,0)>
+        (["--order", "3"], 2),  # the swap has order 2
+        (["--order", "0"], 2),
+        (["--order", "-5"], 2),
+        (["--order", "100000000"], 3),
+        (["--order", "65"], 3),
+    ):
+        result = run(runner, base + extra)
+        assert result.exit_code == code, extra
+        assert json.loads(result.output)["kind"] == ("validation" if code == 2 else "guard")
+    result = run(runner, base + ["--relations", "4,0;0,4", "--order", "4"])
+    assert json.loads(result.output) == {"free_rank": 0, "torsion": [4]}
+
+
+def test_cycle_sizes_below_one_are_validation_errors(runner):
+    for argv in (
+        ["cyclic", "hom", "--n", "0", "--m", "1"],
+        ["cyclic", "hom", "--n", "2", "--m", "0"],
+        ["cyclic", "hom", "--n", "7", "--m", "-1"],
+        ["cyclic", "dualize", "--n", "0", "--m", "1", "--vals", ","],
+        ["cyclic", "dualize", "--n", "1", "--m", "0", "--vals", "0"],
+        ["cyclic", "pushforward", "--n", "0", "--m", "1", "--vals", ",", "--path", "v:0"],
+        ["cyclic", "pushforward", "--n", "1", "--m", "-1", "--vals", "0", "--path", "v:0"],
+        ["cyclic", "admissible", "--n", "0", "--seq", "v:0", "--target", "v:0"],
+        ["cyclic", "admissible", "--n", "-1", "--seq", "e:0:1", "--target", "e:0:1"],
+        ["operad", "mulset", "--n", "0", "--seq", "v:0", "--target", "v:0"],
+        ["cyclic", "paths", "--n", "0"],
+        ["cyclic", "paths", "--n", "-2"],
+        ["cyclic", "cut", "--q", "1", "--n", "2", "--p", "-1"],
+        ["cyclic", "cut", "--q", "1", "--n", "2", "--p", "0"],
+        ["cyclic", "cut", "--q", "1", "--n", "0"],
+    ):
+        result = run(runner, argv)
+        assert result.exit_code == 2, argv
+        assert json.loads(result.output)["kind"] == "validation", argv
+
+
 def test_contracting_a_one_cycle_is_a_validation_error(runner, tmp_path):
     path = tmp_path / "one.json"
     path.write_text(json.dumps(LabelledCycle.uniform(FiniteAlgebra.ground(QQ), None, 1).to_json()))

@@ -229,3 +229,21 @@ def test_path_serialization_roundtrip():
     for n in (1, 2, 5):
         for p in path_set(n):
             assert Path.deserialize(n, p.serialize()) == p
+
+
+def test_cycle_sizes_below_one_are_rejected():
+    for n in (0, -2):
+        for make in (
+            lambda: Path.vertex(n, 1),
+            lambda: Path.edge(n, 0, 1),
+            lambda: Path.from_pair(n, 0, 0),
+            lambda: path_set(n),
+            lambda: hom_set(n, 1),
+            lambda: hom_set(1, n),
+            lambda: CyclicMap(n, 1, ()),
+            lambda: CyclicMap(1, n, (0,)),
+            lambda: CutSet(1, 2, n),
+        ):
+            with pytest.raises(ValueError):
+                make()
+    assert CutSet(1, 2, 1).size == CutSet(1, 2).size == 4

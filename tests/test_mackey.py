@@ -195,10 +195,51 @@ def test_witt_transfer_sum_dies_in_gfp():
     M = witt_as_mackey(ZZ, 6)
     family = [(i, [1] + [0] * (M.group(i).ngens - 1)) for i in range(2, 7)]
     total = infinite_transfer_sum(M, family)
-    from polygonic.mackey import proper_transfer_columns
-    from polygonic.rings import in_column_span
-    cols = proper_transfer_columns(M, 1) + M.group(1).relation_columns()
-    assert in_column_span(cols, total)
+    assert geometric_fixed_points(M, 1).group.is_zero_element(total)
+    assert not M.group(1).is_zero_element(total)
+
+
+def test_hom_checks_compare_modulo_the_relations():
+    # Z + Z/4: generators a (free) and b (order 4)
+    G = FPGroup(2, IntMatrix.from_rows(ZZ, [[0, 4]]))
+
+    def hom(rows, dom=G, cod=G):
+        return Hom(dom, cod, IntMatrix.from_rows(ZZ, rows))
+
+    identity = Hom.identity(G)
+    assert identity.is_well_defined()
+    # b -> 5b is b -> b, as the two matrices differ by the relation 4b = 0
+    assert hom([[1, 0], [0, 5]]).equal(identity)
+    assert hom([[1, 0], [4, -3]]).equal(identity)
+    assert not hom([[1, 0], [0, 3]]).equal(identity)
+    assert not hom([[1, 0], [2, 1]]).equal(identity)
+    # the swap a <-> b sends the relation 4b to 4a, which is not zero
+    assert not hom([[0, 1], [1, 0]]).is_well_defined()
+    assert hom([[1, 0], [1, 2]]).is_well_defined()
+    # on Z/4 + Z/4 the swap is well defined, of order 2
+    H = FPGroup(2, IntMatrix.from_rows(ZZ, [[4, 0], [0, 4]]))
+    swap = hom([[0, 1], [1, 0]], H, H)
+    assert swap.is_well_defined()
+    assert swap.power(2).equal(Hom.identity(H)) and not swap.equal(Hom.identity(H))
+    # Z/4 -> Z/2 by 1 is well defined; Z/2 -> Z/4 by 1 is not, by 2 it is
+    Z2, Z4 = FPGroup.cyclic(2), FPGroup.cyclic(4)
+    assert hom([[1]], Z4, Z2).is_well_defined()
+    assert not hom([[1]], Z2, Z4).is_well_defined()
+    assert hom([[2]], Z2, Z4).is_well_defined()
+    assert hom([[3]], Z4, Z2).equal(hom([[1]], Z4, Z2))
+    # maps into the zero group and out of a free group
+    assert hom([[5, -2]], G, FPGroup.cyclic(1)).is_well_defined()
+    assert Hom.zero(FPGroup.free(2), G).is_well_defined()
+
+
+def test_group_elements_are_zero_modulo_the_relations():
+    G = FPGroup(2, IntMatrix.from_rows(ZZ, [[0, 4], [6, 2]]))
+    assert G.are_zero([[0, 0], [0, 8], [6, -2], [6, 6]])
+    assert not G.are_zero([[0, 4], [0, 2]])
+    assert not G.is_zero_element([3, 1])
+    assert G.are_zero([])
+    assert FPGroup.zero().are_zero([[]]) and FPGroup.zero().is_zero_group()
+    assert not FPGroup.free(1).is_zero_element([1])
 
 
 def test_conservativity_zero_module():

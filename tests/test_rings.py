@@ -15,14 +15,12 @@ from polygonic.rings import (
     NonFieldRing,
     PrimeField,
     QuotientPolynomialRing,
-    in_column_span,
     invariant_factors,
     kernel_basis,
-    presented_group_quotient,
+    lattice_contains,
     rank_of,
     ring_from_string,
     smith_normal_form,
-    solve_int,
 )
 
 
@@ -319,25 +317,90 @@ def test_rank_requires_field():
 
 
 def test_presented_group_quotient():
+    from polygonic.mackey import FPGroup
+
     # Z^2 / <(0,1)> = Z
-    P = presented_group_quotient(IntMatrix.zeros(ZZ, 0, 2), [[0, 1]])
-    assert invariant_factors(P) == ([], 1)
+    assert FPGroup.free(2).quotient_by([[0, 1]]).invariants() == ([], 1)
     # (Z/4) / <2> = Z/2
-    P = presented_group_quotient(mat([[4]]), [[2]])
-    assert invariant_factors(P) == ([2], 0)
+    assert FPGroup.cyclic(4).quotient_by([[2]]).invariants() == ([2], 0)
     # Z / <> = Z
-    P = presented_group_quotient(IntMatrix.zeros(ZZ, 0, 1), [])
-    assert invariant_factors(P) == ([], 1)
+    assert FPGroup.free(1).quotient_by([]).invariants() == ([], 1)
     with pytest.raises(DimensionMismatch):
-        presented_group_quotient(mat([[4]]), [[1, 0]])
+        FPGroup.cyclic(4).quotient_by([[1, 0]])
 
 
 def test_solve_and_membership():
-    A = mat([[2, 0], [0, 3]])
-    assert solve_int(A, [4, 9]) == [2, 3]
-    assert solve_int(A, [1, 0]) is None
-    assert in_column_span([[2, 0], [0, 3]], [4, 3])
-    assert not in_column_span([[2, 0], [0, 3]], [1, 0])
+    gens = [[2, 0], [0, 3]]
+    assert lattice_contains(gens, [[4, 3]], 2)
+    assert lattice_contains(gens, [[4, 9], [-2, 3], [0, 0]], 2)
+    assert not lattice_contains(gens, [[1, 0]], 2)
+    assert not lattice_contains(gens, [[4, 3], [1, 0]], 2)
+    with pytest.raises(DimensionMismatch):
+        lattice_contains(gens, [[1, 0, 0]], 2)
+
+
+def _adjugate(B):
+    """adj(B) by cofactors through det_int, so adj(B) B = det(B) I."""
+    n = len(B)
+    if n == 1:
+        return [[1]]
+
+    def minor(i, j):
+        return [[B[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+
+    return [[(-1) ** (i + j) * det_int(mat(minor(j, i))) for j in range(n)] for i in range(n)]
+
+
+def test_lattice_contains_matches_cramer():
+    # The columns of a nonsingular B span L(B), and v = B c has the unique
+    # rational solution c = adj(B) v / det B: v lies in L(B) exactly when
+    # det B divides every entry of adj(B) v.
+    rng = random.Random(13)
+    seen = {True: 0, False: 0}
+    for k in range(120):
+        n = rng.randrange(1, 5)
+        B = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
+        det = det_int(mat(B))
+        if det == 0:
+            continue
+        adj = _adjugate(B)
+        gens = [[B[i][j] for i in range(n)] for j in range(n)]
+        if k % 3 == 0:  # a lattice point, most of the time with a remainder
+            c = [rng.randrange(-4, 5) for _ in range(n)]
+            v = [sum(B[i][j] * c[j] for j in range(n)) + (rng.randrange(2) and rng.randrange(-1, 2))
+                 for i in range(n)]
+        else:
+            v = [rng.randrange(-9, 10) for _ in range(n)]
+        expected = all(sum(adj[i][j] * v[j] for j in range(n)) % det == 0 for i in range(n))
+        assert lattice_contains(gens, [v], n) == expected, (B, v)
+        seen[expected] += 1
+    assert min(seen.values()) >= 20
+
+
+def test_lattice_contains_rank_deficient_and_empty():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randrange(2, 6)
+        r = rng.randrange(1, n)
+        # generators inside the first r coordinates, some of them dependent
+        gens = [[rng.randrange(-5, 6) for _ in range(r)] + [0] * (n - r) for _ in range(rng.randrange(1, n + 2))]
+        c = [rng.randrange(-3, 4) for _ in gens]
+        inside = [sum(a * g[i] for a, g in zip(c, gens)) for i in range(n)]
+        assert lattice_contains(gens, [inside], n)
+        outside = list(inside)
+        outside[rng.randrange(r, n)] = rng.choice((1, -1, 2, 7))  # leaves the rational span
+        assert not lattice_contains(gens, [outside], n)
+        assert not lattice_contains(gens, [inside, outside], n)
+    # in the rational span but not in the lattice
+    assert not lattice_contains([[2, 0, 0], [0, 2, 2]], [[0, 1, 1]], 3)
+    assert lattice_contains([[2, 0, 0], [0, 2, 2]], [[2, -4, -4]], 3)
+    # no generators: the lattice is 0
+    assert lattice_contains([], [], 2)
+    assert lattice_contains([], [[0, 0]], 2)
+    assert not lattice_contains([], [[0, 1]], 2)
+    # ngens 0: Z^0 is 0
+    assert lattice_contains([], [[]], 0)
+    assert lattice_contains([[]], [[], []], 0)
 
 
 def test_matrix_json_roundtrip():
