@@ -16,6 +16,7 @@ import click
 from . import cyclic, hochschild, mackey, operad, qfin, rings, truncation, witt
 
 WINDOW_GUARD = 64
+TRIALS_GUARD = 10000
 
 
 class GuardExceeded(Exception):
@@ -434,6 +435,10 @@ def _window_module(window_text, burnside_m=None, witt_ring=None, witt_n=None):
 @click.pass_context
 @guarded
 def axioms(ctx, window, burnside_m, witt_ring, witt_n, trials, seed):
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
+    if trials > TRIALS_GUARD:
+        raise GuardExceeded(f"trials are limited to {TRIALS_GUARD}; {trials} requested")
     M = _window_module(window, burnside_m, witt_ring, witt_n)
     report = mackey.check_mackey_axioms(M, trials=trials, seed=seed)
     _emit(ctx, {"ok": report.ok, "checked": report.checked, "failures": report.failures})

@@ -16,6 +16,7 @@ in position steps.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,10 +89,14 @@ class Path:
 
     @classmethod
     def deserialize(cls, n, s):
-        parts = s.split(":")
-        if parts[0] == "v":
-            return cls.vertex(n, int(parts[1]))
-        return cls.edge(n, int(parts[1]), int(parts[2]))
+        """Read v:<a> (vertex a) or e:<a>:<b> (edge from a forward to b)."""
+        match = re.fullmatch(r"v:(-?[0-9]+)|e:(-?[0-9]+):(-?[0-9]+)", s)
+        if match is None:
+            raise ValueError(f"{s!r} is not a path: expected v:<a> or e:<a>:<b>")
+        a, start, end = match.groups()
+        if a is not None:
+            return cls.vertex(n, int(a))
+        return cls.edge(n, int(start), int(end))
 
     def __repr__(self):
         return self.serialize()

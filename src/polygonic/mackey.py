@@ -171,6 +171,8 @@ class MackeyWindow:
     weyl: dict
     res: dict
     tr: dict
+    # level n -> [weyl^0, weyl^1, ...], grown up to the highest power read
+    _weyl_powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for n in self.window:
@@ -184,8 +186,12 @@ class MackeyWindow:
 
     def weyl_hom(self, n, k=1):
         g = self.group(n)
-        h = Hom(g, g, self.weyl[n])
-        return h.power(k % n)
+        powers = self._weyl_powers.get(n)
+        if powers is None:
+            powers = self._weyl_powers[n] = [Hom.identity(g)]
+        while len(powers) <= k % n:
+            powers.append(Hom(g, g, self.weyl[n]).after(powers[-1]))
+        return powers[k % n]
 
     def res_hom(self, n, m):
         """F from level n up to level m (n | m)."""

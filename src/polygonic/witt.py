@@ -78,31 +78,36 @@ def series_inv(ring, s):
     return out
 
 
-def series_geometric(ring, c, step, n):
-    """(1 - c tau^step)^(-1) truncated at degree n."""
-    out = [ring.zero()] * (n + 1)
-    out[0] = ring.one()
-    power = ring.one()
-    k = step
-    while k <= n:
-        power = ring.mul(power, c)
-        out[k] = power
-        k += step
-    return out
+def series_times_factor(ring, s, x, t, g):
+    """s <- s * (1 - x tau^t)^(-g) in place, truncated at degree len(s) - 1.
 
-
-def series_int_power(ring, s, c):
-    """s^c for an integer c (c may be negative)."""
-    if c < 0:
-        return series_int_power(ring, series_inv(ring, s), -c)
-    out = series_one(ring, len(s) - 1)
-    base = s
-    while c:
-        if c & 1:
-            out = series_mul(ring, out, base)
-        base = series_mul(ring, base, base)
-        c >>= 1
-    return out
+    The coefficients of (1 - y)^(-g) are a_0 = 1, a_j = a_(j-1) (g + j - 1) / j,
+    exact integers for every integer g (and 0 from j = 1 - g on when g <= 0).
+    Degrees are updated from the top down so each step reads old values; the
+    cost is O(n * n/t) whatever g is.
+    """
+    n = len(s) - 1
+    if t > n or g == 0 or ring.is_zero(x):
+        return
+    terms = []
+    a, power = 1, ring.one()
+    for j in range(1, n // t + 1):
+        a = a * (g + j - 1) // j
+        if a == 0:
+            break
+        power = ring.mul(power, x)
+        c = ring.mul(ring.from_int(a), power)
+        if not ring.is_zero(c):
+            terms.append((j * t, c))
+    for i in range(n, t - 1, -1):
+        acc = s[i]
+        for shift, c in terms:
+            if shift > i:
+                break
+            y = s[i - shift]
+            if not ring.is_zero(y):
+                acc = ring.add(acc, ring.mul(c, y))
+        s[i] = acc
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +183,18 @@ def teichmuller(ring, r, support):
     return WittVector.from_dict(ring, support, {1: r} if 1 in support else {})
 
 
+def _times_vector(s, a: WittVector, g=1):
+    """s <- s * prod (1 - a_t tau^t)^(-g) in place; returns s."""
+    for t, c in zip(a.support.elements, a.coeffs):
+        series_times_factor(a.ring, s, c, t, g)
+    return s
+
+
 def to_series(a: WittVector):
     """prod (1 - a_t tau^t)^(-1) mod tau^(N+1); interval supports only."""
     if not a.support.is_interval():
         raise NonIntervalSupport(f"{a.support} is not an interval")
-    n = a.support.max()
-    out = series_one(a.ring, n)
-    for t, c in a.as_dict().items():
-        if not a.ring.is_zero(c):
-            out = series_mul(a.ring, out, series_geometric(a.ring, c, t, n))
-    return out
+    return _times_vector(series_one(a.ring, a.support.max()), a)
 
 
 def from_series(ring, s):
@@ -207,30 +214,17 @@ def from_series(ring, s):
     return WittVector(ring, TruncationSet.interval(n), tuple(coeffs))
 
 
-def _padded_series(a: WittVector, n):
-    out = series_one(a.ring, n)
-    for t, c in a.as_dict().items():
-        if t <= n and not a.ring.is_zero(c):
-            out = series_mul(a.ring, out, series_geometric(a.ring, c, t, n))
-    return out
-
-
 def add(a: WittVector, b: WittVector):
     if a.ring != b.ring or a.support != b.support:
         raise SupportMismatch("addition needs matching ring and support")
     if not a.support.elements:
         return a
-    n = a.support.max()
-    s = series_mul(a.ring, _padded_series(a, n), _padded_series(b, n))
+    s = _times_vector(_times_vector(series_one(a.ring, a.support.max()), a), b)
     return from_series(a.ring, s).restrict(a.support)
 
 
 def neg(a: WittVector):
-    if not a.support.elements:
-        return a
-    n = a.support.max()
-    s = series_inv(a.ring, _padded_series(a, n))
-    return from_series(a.ring, s).restrict(a.support)
+    return int_multiple(-1, a)
 
 
 def sub(a, b):
@@ -240,8 +234,7 @@ def sub(a, b):
 def int_multiple(c, a: WittVector):
     if not a.support.elements:
         return a
-    n = a.support.max()
-    s = series_int_power(a.ring, _padded_series(a, n), c)
+    s = _times_vector(series_one(a.ring, a.support.max()), a, c)
     return from_series(a.ring, s).restrict(a.support)
 
 
@@ -304,10 +297,8 @@ def multiply(a: WittVector, b: WittVector):
             l = lcm(s, t)
             if l > n:
                 continue
-            g = gcd(s, t)
             c = ring.mul(ring.pow(x, l // s), ring.pow(y, l // t))
-            term = series_geometric(ring, c, l, n)
-            out = series_mul(ring, out, series_int_power(ring, term, g))
+            series_times_factor(ring, out, c, l, gcd(s, t))
     return from_series(ring, out).restrict(a.support)
 
 
@@ -351,9 +342,7 @@ def frobenius(a: WittVector, n):
         step = t // g
         if step > m:
             continue
-        c = ring.pow(x, n // g)
-        term = series_geometric(ring, c, step, m)
-        out = series_mul(ring, out, series_int_power(ring, term, g))
+        series_times_factor(ring, out, ring.pow(x, n // g), step, g)
     return from_series(ring, out).restrict(target)
 
 

@@ -268,6 +268,46 @@ def test_mackey_and_witt_stdout_matches_the_recorded_runs(runner):
         assert (result.exit_code, result.output) == (case["exit_code"], case["stdout"]), case
 
 
+def test_witt_arithmetic_stdout_matches_the_recorded_runs(runner):
+    # Recorded before Verschiebung factors were applied in place: witt add,
+    # mul, frob, ver, ghost, teich and sum-v over Z, Q, Z/8, Z/9 and F5, on
+    # [8] and on the divisors of 12, in JSON and in TSV, plus exit 2 cases.
+    recorded = json.loads((Path(__file__).parent / "data" / "witt_arithmetic_golden_stdout.json").read_text())
+    assert len(recorded) == 164
+    for case in recorded:
+        result = run(runner, case["argv"])
+        assert (result.exit_code, result.output) == (case["exit_code"], case["stdout"]), case
+
+
+def test_malformed_paths_are_validation_errors(runner):
+    for seq, target in (("v", "v:0"), ("x:0:1", "e:0:1"), ("v:0:7", "v:0"), ("v:0", "e:0"),
+                        ("e:0:1:2", "v:0"), ("v: 1", "v:0"), ("v:1_0", "v:0"), ("v:0", "")):
+        for command in ("cyclic admissible", "operad mulset"):
+            result = run(runner, command.split() + ["--n", "2", "--seq", seq, "--target", target])
+            assert result.exit_code == 2, (command, seq, target)
+            assert json.loads(result.output)["kind"] == "validation"
+    result = run(runner, ["cyclic", "admissible", "--n", "2", "--seq", "v:-1,e:1:0", "--target", "e:1:0"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["admissible"] is True
+
+
+def test_axiom_trials_are_bounded(runner):
+    base = ["mackey", "axioms", "--window", "1,2,3,4,6,12", "--trials"]
+    result = run(runner, base + ["-1"])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["kind"] == "validation"
+    result = run(runner, base + ["10001"])
+    assert result.exit_code == 3
+    payload = json.loads(result.output)
+    assert payload["kind"] == "guard"
+    assert "10000" in payload["error"] and "10001" in payload["error"]
+    result = run(runner, base + ["0"])
+    assert json.loads(result.output) == {"checked": 80, "failures": [], "ok": True}
+    # The limit itself is accepted; a one-level window keeps the run short.
+    result = run(runner, ["mackey", "axioms", "--window", "1", "--trials", "10000"])
+    assert result.exit_code == 0
+
+
 def test_coinvariants_checks_its_action(runner):
     base = ["mackey", "coinvariants", "--ngens", "2", "--action", "0,1;1,0"]
     for extra, code in (

@@ -294,3 +294,35 @@ def test_window_json_roundtrip():
     for n in M.window:
         assert M2.group(n).invariants() == M.group(n).invariants()
     assert check_mackey_axioms(M2, trials=20, seed=2).ok
+
+
+def test_weyl_powers_match_repeated_products():
+    # Two windows on the same levels with different actions: each keeps its
+    # own table of powers, read here out of order.
+    windows = (burnside_representable(1, W12), burnside_representable(2, W12))
+    for M in windows:
+        for n in W12:
+            w = Hom(M.group(n), M.group(n), M.weyl[n])
+            ks = list(range(2 * n + 1))
+            random.Random(n).shuffle(ks)
+            for k in ks:
+                expected = Hom.identity(M.group(n))
+                for _ in range(k):
+                    expected = w.after(expected)
+                assert M.weyl_hom(n, k).matrix == expected.matrix, (n, k)
+    assert windows[0].weyl[4] != windows[1].weyl[4]
+    assert windows[0].weyl_hom(4).matrix == windows[0].weyl[4]
+    assert windows[1].weyl_hom(4).matrix == windows[1].weyl[4]
+
+
+def test_axioms_report_a_weyl_action_of_the_wrong_order():
+    # Level 2 acts on Z^2 by an element of order 3.
+    window = TruncationSet.divisors(2)
+    groups = {1: FPGroup.zero(), 2: FPGroup.free(2)}
+    weyl = {1: IntMatrix.zeros(ZZ, 0, 0), 2: IntMatrix.from_rows(ZZ, [[0, -1], [1, -1]])}
+    res = {(1, 2): IntMatrix.zeros(ZZ, 2, 0)}
+    tr = {(1, 2): IntMatrix.zeros(ZZ, 0, 2)}
+    M = MackeyWindow(window, groups, weyl, res, tr)
+    report = check_mackey_axioms(M, trials=10, seed=0)
+    assert not report.ok
+    assert "weyl at level 2 does not have order dividing 2" in report.failures

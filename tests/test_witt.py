@@ -4,7 +4,7 @@ import pytest
 
 from polygonic.mackey import check_mackey_axioms, evaluate_span
 from polygonic.qfin import SpanMorphism, compose_spans
-from polygonic.rings import QQ, ZZ, ModularRing, PrimeField
+from polygonic.rings import QQ, ZZ, ModularRing, PrimeField, QuotientPolynomialRing
 from polygonic.truncation import TruncationSet, interval_truncation
 from polygonic.witt import (
     GhostFlow,
@@ -24,11 +24,13 @@ from polygonic.witt import (
     infinite_verschiebung,
     int_multiple,
     multiply,
+    neg,
     peel_coordinates,
     recover_base,
-    series_geometric,
+    series_inv,
     series_mul,
     series_one,
+    series_times_factor,
     sub,
     teichmuller,
     to_series,
@@ -45,6 +47,74 @@ T6 = interval_truncation(6)
 
 def rand_vec(rng, ring, support, lo=-9, hi=9):
     return WittVector(ring, support, tuple(ring.from_int(rng.randrange(lo, hi + 1)) for _ in support))
+
+
+# Dense reference series: the factor (1 - c tau^step)^(-1) written out, and
+# integer powers by binary powering of dense products.
+
+
+def series_geometric(ring, c, step, n):
+    """(1 - c tau^step)^(-1) truncated at degree n."""
+    out = [ring.zero()] * (n + 1)
+    out[0] = ring.one()
+    power = ring.one()
+    k = step
+    while k <= n:
+        power = ring.mul(power, c)
+        out[k] = power
+        k += step
+    return out
+
+
+def series_int_power(ring, s, c):
+    """s^c for an integer c (c may be negative)."""
+    if c < 0:
+        return series_int_power(ring, series_inv(ring, s), -c)
+    out = series_one(ring, len(s) - 1)
+    base = s
+    while c:
+        if c & 1:
+            out = series_mul(ring, out, base)
+        base = series_mul(ring, base, base)
+        c >>= 1
+    return out
+
+
+def test_series_times_factor_matches_dense_product():
+    rng = random.Random(4)
+    gaussian = QuotientPolynomialRing(ZZ, (1, 0, 1))  # Z[i]
+    cases = (
+        (ZZ, lambda: rng.randrange(-4, 5)),
+        (QQ, lambda: QQ.parse(f"{rng.randrange(-4, 5)}/{rng.randrange(1, 4)}")),
+        (ModularRing(8), lambda: rng.randrange(8)),
+        (PrimeField(5), lambda: rng.randrange(5)),
+        (gaussian, lambda: (rng.randrange(-3, 4), rng.randrange(-3, 4))),
+    )
+    n = 7
+    for ring, draw in cases:
+        for t in range(1, n + 1):
+            for g in list(range(-4, 7)) + [100003]:
+                s = [ring.one()] + [draw() for _ in range(n)]
+                x = draw()
+                want = series_mul(ring, s, series_int_power(ring, series_geometric(ring, x, t, n), g))
+                got = list(s)
+                series_times_factor(ring, got, x, t, g)
+                assert all(ring.eq(p, q) for p, q in zip(got, want)), (ring, t, g)
+    # Degrees above the truncation leave the series alone.
+    s = [1, 2, 3]
+    series_times_factor(ZZ, s, 5, 3, 2)
+    assert s == [1, 2, 3]
+
+
+def test_multiples_of_the_characteristic_over_z_mod_p():
+    # Over Z/p, (1 - y)^(-p) = (1 - y^p)^(-1) truncates to 1 below degree p,
+    # so a p-fold multiple on [6] is zero and its neighbours are a + a and -a.
+    p = 1000003
+    ring = ModularRing(p)
+    a = rand_vec(random.Random(6), ring, T6)
+    assert int_multiple(p, a).is_zero()
+    assert int_multiple(p + 2, a).eq(add(a, a))
+    assert int_multiple(-p - 1, a).eq(neg(a))
 
 
 def test_teichmuller_series_and_ghost():
@@ -95,6 +165,22 @@ def test_ghost_additive_multiplicative():
         assert ghost(add(v, w)).values == tuple(x + y for x, y in zip(gv, gw))
         assert ghost(multiply(v, w)).values == tuple(x * y for x, y in zip(gv, gw))
         assert ghost_oracle(v).values == gv
+
+
+def test_ring_operations_through_the_ghost_map():
+    rng = random.Random(8)
+    for support in (TruncationSet.divisors(36), interval_truncation(20)):
+        for _ in range(3):
+            v = rand_vec(rng, ZZ, support, -3, 3)
+            w = rand_vec(rng, ZZ, support, -3, 3)
+            gv, gw = ghost(v).values, ghost(w).values
+            assert ghost(multiply(v, w)).values == tuple(x * y for x, y in zip(gv, gw))
+            assert ghost(add(v, w)).values == tuple(x + y for x, y in zip(gv, gw))
+            for c in (-3, -1, 0, 2, 7):
+                assert ghost(int_multiple(c, v)).values == tuple(c * x for x in gv)
+            for n in (2, 3, 5):
+                target = support.divide(n)
+                assert ghost(frobenius(v, n)).values == tuple(gv[support.elements.index(n * t)] for t in target)
 
 
 def test_ghost_injective_over_Z():
