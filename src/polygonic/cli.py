@@ -416,13 +416,15 @@ def mackey_group():
     """Windowed Mackey modules."""
 
 
-def _window_module(window_text, burnside_m=None, witt_ring=None, witt_n=None):
+def _window_module(window_text, burnside_m, witt_ring, witt_n):
+    if burnside_m < 1:
+        raise ValueError(f"--burnside-m must be >= 1, got {burnside_m}")
     if witt_ring is not None:
         if witt_n is None or witt_n > WINDOW_GUARD:
             raise GuardExceeded(f"window bound is {WINDOW_GUARD}")
         return witt.witt_as_mackey(rings.ring_from_string(witt_ring), witt_n)
     window = _trunc(window_text)
-    return mackey.burnside_representable(burnside_m or 1, window)
+    return mackey.burnside_representable(burnside_m, window)
 
 
 @mackey_group.command()
@@ -725,9 +727,10 @@ def _cycle_from(path):
 @guarded
 def compute(ctx, cycle_path, degree):
     cyc = _cycle_from(cycle_path)
-    complex_ = hochschild.bar_complex(cyc, degree)
+    dims = hochschild.bar_dims(cyc, degree)
+    complex_ = hochschild.hh_complex(cyc, degree)
     _emit(ctx, {
-        "dims": list(complex_.dims),
+        "dims": list(dims),
         "boundary_squared_zero": complex_.validate(),
         "homology": hochschild.homology(complex_),
     })

@@ -730,31 +730,39 @@ def envelope_matrix(cycle, env: EnvelopeMorphism, target_paths, target_dims):
 BAR_DIMENSION_GUARD = 20000
 
 
+def bar_dims(cycle: LabelledCycle, degree_bound):
+    """Dimensions of the bar complex through the given degree, from the label
+    dimensions alone: level q is prod dim M_a * (prod dim R_a)^q.
+
+    Raises SizeGuard at the first level past BAR_DIMENSION_GUARD, so a
+    request can be refused before anything is built.
+    """
+    if degree_bound < 0:
+        raise DegreeBoundNegative("degree bound must be >= 0")
+    edges = prod(M.dim for M in cycle.bimodules)
+    vertices = prod(A.dim for A in cycle.algebras)
+    dims = []
+    for q in range(degree_bound + 1):
+        total = edges * vertices ** q
+        if total > BAR_DIMENSION_GUARD:
+            raise SizeGuard(f"bar complex dimension {total} exceeds {BAR_DIMENSION_GUARD}")
+        dims.append(total)
+    return tuple(dims)
+
+
 def bar_complex(cycle: LabelledCycle, degree_bound):
     """The cyclic bar complex through the given degree.
 
     Level q is the tensor product of the labels of the level-q cut set; the
     boundary is the alternating sum of the face maps.
     """
-    if degree_bound < 0:
-        raise DegreeBoundNegative("degree bound must be >= 0")
+    dims = bar_dims(cycle, degree_bound)
     field = cycle.field
     n = cycle.n
-    dims = []
-    cut_sets = []
-    for q in range(degree_bound + 1):
-        cut = CutSet(q, n)
-        total = 1
-        for e in range(cut.size):
-            total *= cycle.label_dim(cut.colour(e))
-        if total > BAR_DIMENSION_GUARD:
-            raise SizeGuard(f"bar complex dimension {total} exceeds {BAR_DIMENSION_GUARD}")
-        dims.append(total)
-        cut_sets.append(cut)
     boundaries = {}
     for q in range(1, degree_bound + 1):
-        cut = cut_sets[q]
-        lo = cut_sets[q - 1]
+        cut = CutSet(q, n)
+        lo = CutSet(q - 1, n)
         target_paths = [lo.colour(e) for e in range(lo.size)]
         target_dims = [cycle.label_dim(p) for p in target_paths]
         # the signed faces summed as sparse vectors keyed by (row, col)
@@ -765,7 +773,151 @@ def bar_complex(cycle: LabelledCycle, degree_bound):
             _add_multiple(field, entries, sign, envelope_matrix(cycle, env, target_paths, target_dims))
             sign = field.neg(sign)
         boundaries[q] = IntMatrix(field, dims[q - 1], dims[q], entries)
-    return ChainComplex(field, tuple(dims), boundaries)
+    return ChainComplex(field, dims, boundaries)
+
+
+# ---------------------------------------------------------------------------
+# Normalized complexes.
+#
+# Element (j, a) of a level-q cut set sits in column j of block a: column 0
+# holds the edges, columns 1..q the vertices.  A degeneracy puts the unit into
+# one vertex column of every block.  So when every vertex unit is basis
+# vector 0, the degenerate subcomplex is spanned by the basis tensors with
+# some vertex column all units.  It is acyclic, over Z as over a field
+# (Loday, Cyclic Homology, 1.1), and the quotient is free on the other basis
+# tensors.  Its faces are built column by column, a column's tuples of block
+# indices ranked row-major without the all-unit tuple of a vertex column,
+# and then put back in the order the tensors have in bar_complex: in column
+# order the echelon forms over Q fill in with fractions, and eliminating the
+# Q[C2] 3-cycle at degree 3 took about six times as long.
+
+
+def units_first(cycle: LabelledCycle):
+    """Is the unit of every vertex algebra basis vector 0?"""
+    return all(list(A.unit) == A._basis(0) for A in cycle.algebras)
+
+
+def _column_tuples(cycle, j):
+    """The nondegenerate tuples of column j, block indices in block order."""
+    if j == 0:
+        dims = [cycle.bimodules[a - 1].dim for a in range(cycle.n)]
+    else:
+        dims = [A.dim for A in cycle.algebras]
+    return list(product(*map(range, dims)))[j > 0:]
+
+
+def _normalized_face(cycle, env, q):
+    """Matrix of a face from normalized level q to level q - 1.
+
+    Each target column takes its fibers from whole source columns, so the
+    matrix is the Kronecker product, over target columns, of one small matrix
+    per column, from the nondegenerate tuples of its source columns to those
+    of the column itself; as in envelope_matrix, a column matrix's columns
+    sit at the source strides of its own columns.
+    """
+    field, n = cycle.field, cycle.n
+    colours, paths = env.source.colours, env.target.colours
+    src_tuples = [_column_tuples(cycle, j) for j in range(q + 1)]
+    strides = [prod(len(t) for t in src_tuples[j + 1:]) for j in range(q + 1)]
+    entries = {(0, 0): field.one()}
+    products = {}  # (target, fiber indices) -> product, as each recurs
+    for c in range(q):
+        targets = [a * q + c for a in range(n)]
+        fibers = [env.fiber_orders[y] for y in targets]
+        columns = sorted({x % (q + 1) for fiber in fibers for x in fiber})
+        rank = {t: r for r, t in enumerate(_column_tuples(cycle, c))}
+        block = []  # (row, col offset, entry) of the column matrix
+        for combo in product(*[enumerate(src_tuples[j]) for j in columns]):
+            index = {}
+            for j, (_, digits) in zip(columns, combo):
+                for a, i in enumerate(digits):
+                    index[a * (q + 1) + j] = i
+            image = {(): field.one()}  # block index tuple -> coefficient
+            for y, fiber in zip(targets, fibers):
+                key = (y,) + tuple(index[x] for x in fiber)
+                if key not in products:
+                    products[key] = multiply_sequence(cycle, paths[y], [(colours[x], index[x]) for x in fiber])
+                value = products[key]
+                image = {t + (k,): field.mul(v, e) for t, v in image.items() for k, e in value.items()}
+            col = sum(r * strides[j] for j, (r, _) in zip(columns, combo))
+            block.extend((rank[t], col, e) for t, e in image.items() if t in rank)
+        d = len(rank)
+        entries = {
+            (row * d + k, col + c0): field.mul(v, e)
+            for (row, col), v in entries.items()
+            for k, c0, e in block
+        }
+    return entries
+
+
+def normalized_bar_complex(cycle: LabelledCycle, degree_bound):
+    """The bar complex modulo its degenerate subcomplex, through the given
+    degree: quasi-isomorphic to bar_complex, over Z too, with
+    prod dim M_a * (prod dim R_a - 1)^q basis tensors at level q.
+
+    Needs units_first(cycle).  The guard applies to the dimensions of the
+    full complex, so a request is refused exactly when bar_complex refuses it.
+    """
+    if not units_first(cycle):
+        raise ValueError("normalization needs every vertex unit to be basis vector 0")
+    bar_dims(cycle, degree_bound)
+    field, n = cycle.field, cycle.n
+    order = []  # column-order index -> index in the order of bar_complex
+    for q in range(degree_bound + 1):
+        positions = _column_positions(cycle, q)
+        rank = {p: i for i, p in enumerate(sorted(positions))}
+        order.append([rank[p] for p in positions])
+    dims = tuple(map(len, order))
+    boundaries = {}
+    for q in range(1, degree_bound + 1):
+        entries = {}
+        sign = field.one()
+        for i in range(q + 1):
+            _add_multiple(field, entries, sign, _normalized_face(cycle, cut_face(CutSet(q, n), i), q))
+            sign = field.neg(sign)
+        lo, hi = order[q - 1], order[q]
+        boundaries[q] = IntMatrix(field, dims[q - 1], dims[q], {
+            (lo[r], hi[c]): v for (r, c), v in entries.items()
+        })
+    return ChainComplex(field, dims, boundaries)
+
+
+def normalized_positions(cycle: LabelledCycle, q):
+    """Index in level q of bar_complex of each basis tensor of level q of
+    normalized_bar_complex, in order."""
+    return sorted(_column_positions(cycle, q))
+
+
+def _column_positions(cycle, q):
+    """Index in level q of bar_complex of each nondegenerate basis tensor,
+    in column order."""
+    dims = [cycle.label_dim(c) for c in CutSet(q, cycle.n).colours()]
+    strides = [prod(dims[e + 1:]) for e in range(len(dims))]
+    positions = [0]
+    for j in range(q + 1):
+        offsets = [
+            sum(i * strides[a * (q + 1) + j] for a, i in enumerate(t))
+            for t in _column_tuples(cycle, j)
+        ]
+        positions = [p + o for p in positions for o in offsets]
+    return positions
+
+
+def _restrict(matrix, positions):
+    """The endomorphism of the quotient induced by a chain map of the full
+    complex that keeps the degenerate subcomplex: its entries between
+    nondegenerate basis tensors."""
+    where = {p: i for i, p in enumerate(positions)}
+    return IntMatrix(matrix.ring, len(positions), len(positions), {
+        (where[r], where[c]): v for (r, c), v in matrix.items() if r in where and c in where
+    })
+
+
+def reduced_bar_complex(cycle: LabelledCycle, degree_bound):
+    """normalized_bar_complex where it applies, else bar_complex."""
+    if units_first(cycle):
+        return normalized_bar_complex(cycle, degree_bound)
+    return bar_complex(cycle, degree_bound)
 
 
 def homology(complex_: ChainComplex, upto=None):
@@ -786,13 +938,14 @@ def integral_homology_one_cycle(R: FiniteAlgebra, M: FiniteBimodule, degree_boun
     groups are returned as (torsion, free rank) pairs through
     degree_bound - 1.
 
-    Every chain group is free, so ker d_q is a direct summand and H_q is read
-    off the boundaries alone: its torsion is the invariant factors > 1 of
-    d_{q+1}, and its free rank is dims[q] - rank d_q - rank d_{q+1}.
+    The complex is normalized when R's unit is basis vector 0.  Every chain
+    group is free, so ker d_q is a direct summand and H_q is read off the
+    boundaries alone: its torsion is the invariant factors > 1 of d_{q+1},
+    and its free rank is dims[q] - rank d_q - rank d_{q+1}.
     """
     if R.field != QQ:
         raise ValueError(f"integral homology needs labels over Q, not {R.field!r}")
-    complex_ = bar_complex(LabelledCycle.one_cycle(R, M), degree_bound)
+    complex_ = reduced_bar_complex(LabelledCycle.one_cycle(R, M), degree_bound)
 
     def integer(v):
         # an int, or a Fraction that may still have denominator 1
@@ -810,6 +963,39 @@ def integral_homology_one_cycle(R: FiniteAlgebra, M: FiniteBimodule, degree_boun
         out.append((torsion, free - rank_d))
         rank_d = complex_.dims[q] - free
     return out
+
+
+def _free_at(cycle: LabelledCycle, v):
+    """Is an edge at vertex v free of rank 1 over the vertex algebra?
+
+    Exact and sufficient: the incoming edge's right action, or the outgoing
+    edge's left action, is the algebra's own multiplication table.  Then Tor
+    over the vertex algebra vanishes, and contracting across v keeps the
+    homology (contraction_comparison shows it may not otherwise).
+    """
+    A = cycle.algebras[v]
+    return cycle.bimodules[v - 1].right == A.mult or cycle.bimodules[v].left == A.mult
+
+
+def contract_free(cycle: LabelledCycle):
+    """Contract across vertices where _free_at holds, while any does: by
+    the trace property the result has the homology of the cycle."""
+    while cycle.n > 1:
+        v = next((v for v in range(cycle.n) if _free_at(cycle, v)), None)
+        if v is None:
+            break
+        cycle = cycle.contract((v - 1) % cycle.n)
+    return cycle
+
+
+def hh_complex(cycle: LabelledCycle, degree_bound):
+    """A complex with the homology of bar_complex(cycle, degree_bound).
+
+    The guard applies to the dimensions of bar_complex.  The cycle is
+    contracted by contract_free, then normalized where that applies.
+    """
+    bar_dims(cycle, degree_bound)
+    return reduced_bar_complex(contract_free(cycle), degree_bound)
 
 
 def thh_pi0(R: FiniteAlgebra, M: FiniteBimodule):
@@ -987,11 +1173,15 @@ def rotation_action(R: FiniteAlgebra, M: FiniteBimodule, n, degree_bound):
 
     Returns the chain matrices of the generator, exactness of the relations
     (commutation with the boundary and order n), and the induced matrices on
-    homology through degree_bound - 1.
+    homology through degree_bound - 1.  The rotation permutes blocks and
+    keeps columns, so it keeps the degenerate subcomplex: when R's unit is
+    basis vector 0, all of this is on the normalized complex.
     """
     cycle = LabelledCycle((R,) * n, (M,) * n)
-    complex_ = bar_complex(cycle, degree_bound)
+    complex_ = reduced_bar_complex(cycle, degree_bound)
     maps = rotation_matrices(cycle, 1, degree_bound)
+    if units_first(cycle):
+        maps = {q: _restrict(m, normalized_positions(cycle, q)) for q, m in maps.items()}
     commutes = is_chain_map(complex_, complex_, maps)
     order_ok = all(_power_is_identity(maps[q], n) for q in range(degree_bound + 1))
     homology_action = []

@@ -324,7 +324,8 @@ def check_mackey_axioms(M: MackeyWindow, trials=100, seed=0):
     levels = list(M.window)
 
     for n in levels:
-        w = M.weyl_hom(n)
+        # weyl[n] itself: weyl_hom(1) reads weyl^(1 % 1), the identity
+        w = Hom(M.group(n), M.group(n), M.weyl[n])
         report.record(w.is_well_defined(), f"weyl at level {n} not well defined")
         report.record(
             w.power(n).equal(Hom.identity(M.group(n))),

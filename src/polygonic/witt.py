@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from .cyclic import SizeGuard
 from .mackey import FPGroup, MackeyWindow
 from .rings import ZZ, IntMatrix
 from .truncation import TruncationSet
@@ -126,6 +127,9 @@ class WittVector:
 
     @classmethod
     def from_dict(cls, ring, support, values):
+        outside = sorted(set(values).difference(support.elements))
+        if outside:
+            raise SupportMismatch(f"indices {outside} lie outside the support {list(support.elements)}")
         return cls(ring, support, tuple(values.get(t, ring.zero()) for t in support))
 
     def coeff(self, t):
@@ -567,9 +571,17 @@ def equalizer_membership(flow: GhostFlow, values):
     return True
 
 
+EQUALIZER_GUARD = 2 ** 20
+
+
 def equalizer_enumerate(flow: GhostFlow, box):
     """All members with integer coordinates in [-box, box] (or the full
-    space for modular coefficients)."""
+    space for modular coefficients), in lexicographic order.
+
+    Members are grown one support index at a time.  Each step tests every
+    member so far with every value, so before it starts the count of those
+    tests is known; past EQUALIZER_GUARD it raises SizeGuard.
+    """
     ring = flow.ring
     support = flow.support.elements
     if ring.kind == "integers":
@@ -578,26 +590,26 @@ def equalizer_enumerate(flow: GhostFlow, box):
         domain = range(ring.modulus)
     else:
         raise UnsupportedEnumerationRing(f"cannot enumerate over {ring}")
-    out = []
-
-    def extend(idx, partial):
-        if idx == len(support):
-            out.append(tuple(partial))
-            return
-        t = support[idx]
-        for v in domain:
-            ok = True
-            for p in _primes_upto(t):
-                if t % p == 0 and t // p in support[:idx + 1]:
-                    prev = partial[support.index(t // p)]
-                    if not mod_p_equal(ring, flow.lift(p)(ring.from_int(prev)), ring.from_int(v), p):
-                        ok = False
-                        break
-            if ok:
-                extend(idx + 1, partial + [v])
-
-    extend(0, [])
-    return out
+    values = [(v, ring.from_int(v)) for v in domain]
+    members = [()]
+    for idx, t in enumerate(support):
+        requested = len(members) * len(values)
+        if requested > EQUALIZER_GUARD:
+            raise SizeGuard(
+                f"equalizer enumeration is limited to {EQUALIZER_GUARD} tests per index; "
+                f"index {t} needs {requested}"
+            )
+        # w_t must be congruent to phi_p(w_{t/p}) modulo p for each prime p | t
+        conditions = [(p, flow.lift(p), support.index(t // p)) for p in _primes_upto(t) if t % p == 0]
+        grown = []
+        for partial in members:
+            targets = [(p, lift(ring.from_int(partial[j]))) for p, lift, j in conditions]
+            grown.extend(
+                partial + (v,) for v, x in values
+                if all(mod_p_equal(ring, y, x, p) for p, y in targets)
+            )
+        members = grown
+    return members
 
 
 def ghost_section(values, support):

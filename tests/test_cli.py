@@ -443,3 +443,77 @@ def test_malformed_cycle_files_are_validation_errors(runner, tmp_path):
         result = run(runner, ["hh", "compute", "--cycle", str(path), "--degree", "2"])
         assert result.exit_code == 2, (name, result.output)
         assert json.loads(result.output)["kind"] == "validation"
+
+
+def test_hh_compute_keeps_the_direct_route_where_tor_does_not_vanish(runner, tmp_path):
+    # (R, R; k, k) with R = Q[e]/(e^2) and k = R/(e): neither edge is free
+    # over R, and contracting it would print [1, 1, 1, 1].
+    R = FiniteAlgebra.poly_quotient(QQ, (QQ.zero(), QQ.zero(), QQ.one()))
+    k = FiniteBimodule(R, R, 1, (((1,),), ((0,),)), (((1,), (0,)),), name="k")
+    path = tmp_path / "augmentation.json"
+    path.write_text(json.dumps(LabelledCycle((R, R), (k, k)).to_json()))
+    result = run(runner, ["hh", "compute", "--cycle", str(path), "--degree", "4"])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {
+        "boundary_squared_zero": True,
+        "dims": [1, 4, 16, 64, 256],
+        "homology": [1, 2, 3, 4],
+    }
+
+
+def test_hh_compute_reports_the_full_dims_on_the_trace_route(runner, tmp_path):
+    # The Q[C2] 3-cycle contracts to a one-cycle; dims and the guard still
+    # read the 3-cycle's own bar complex.
+    R = FiniteAlgebra.poly_quotient(QQ, (QQ.from_int(-1), QQ.zero(), QQ.one()))
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(LabelledCycle.uniform(R, None, 3).to_json()))
+    result = run(runner, ["hh", "compute", "--cycle", str(path), "--degree", "3"])
+    assert json.loads(result.output) == {
+        "boundary_squared_zero": True,
+        "dims": [8, 64, 512, 4096],
+        "homology": [2, 0, 0],
+    }
+    result = run(runner, ["hh", "compute", "--cycle", str(path), "--degree", "4"])
+    assert result.exit_code == 3
+    assert json.loads(result.output)["error"] == "bar complex dimension 32768 exceeds 20000"
+
+
+def test_burnside_m_below_one_is_a_validation_error(runner):
+    for command, extra in (
+        ("axioms", ["--trials", "0"]),
+        ("gfp", []),
+        ("evaluate-span", ["--span", "1:2:1"]),
+        ("transfer-sum", ["--family", "4=1"]),
+    ):
+        base = ["mackey", command, "--window", "1,2,4"] + extra
+        for m in ("0", "-1"):
+            result = run(runner, base + ["--burnside-m", m])
+            assert result.exit_code == 2, (command, m)
+            assert json.loads(result.output)["kind"] == "validation"
+        assert run(runner, base + ["--burnside-m", "1"]).exit_code == 0
+
+
+def test_witt_indices_outside_the_support_are_validation_errors(runner):
+    base = ["witt", "add", "--ring", "Z", "--support", "1,2,3", "--a", "1:1"]
+    result = run(runner, base + ["--b", "5:1"])
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {
+        "error": "indices [5] lie outside the support [1, 2, 3]", "kind": "validation",
+    }
+    assert run(runner, base + ["--b", "3:1"]).exit_code == 0
+    result = run(runner, ["witt", "sum-v", "--support", "1,2,3,4", "--family", "2=1:1,3:1"])
+    assert result.exit_code == 2
+
+
+def test_equalizer_guard_edge(runner):
+    # Over Z/1025 on {1, 2} the second index tests 1025^2 = 1050625 pairs,
+    # past the limit of 2^20 = 1048576; the run stops before testing any.
+    base = ["witt", "equalizer", "--support", "1,2", "--box", "0"]
+    result = run(runner, base + ["--ring", "Z/1025"])
+    assert result.exit_code == 3
+    payload = json.loads(result.output)
+    assert payload["kind"] == "guard"
+    assert "1048576" in payload["error"] and "1050625" in payload["error"]
+    result = run(runner, base + ["--ring", "Z/9"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["equalizer_size"] == 81

@@ -15,17 +15,24 @@ from polygonic.hochschild import (
     FiniteBimodule,
     LabelledCycle,
     bar_complex,
+    bar_dims,
+    contract_free,
     contraction_comparison,
     envelope_matrix,
+    hh_complex,
     homology,
     homology_map_is_iso,
     induced_homology_matrix,
+    integral_homology_one_cycle,
     is_chain_map,
     multiply_sequence,
+    normalized_bar_complex,
+    normalized_positions,
     relative_tensor,
     rotation_action,
     rotation_matrices,
     thh_pi0,
+    units_first,
 )
 from polygonic.operad import cut_degeneracy, cut_envelope_cyclic, cut_face
 from polygonic.rings import QQ, Echelon, IntMatrix, ModularRing, NonFieldRing, PrimeField
@@ -459,8 +466,6 @@ def test_double_contraction_cycle_lemma():
 
 
 def test_integral_homology_one_cycle():
-    from polygonic.hochschild import integral_homology_one_cycle
-
     k_int = ground(QQ)
     result = integral_homology_one_cycle(k_int, FiniteBimodule.regular(k_int), 3)
     assert result == [([], 1), ([], 0), ([], 0)]
@@ -474,8 +479,6 @@ def test_integral_homology_one_cycle():
 
 
 def test_integral_homology_needs_integral_rationals():
-    from polygonic.hochschild import integral_homology_one_cycle
-
     # F3[x]/(x^2 - 1): residues are not integers, so there is no integral
     # homology to read off (treated as integers they gave a free rank of -2)
     R = group_algebra_c2(F3)
@@ -498,11 +501,10 @@ def _integral_closed_form(n, group, degree_bound):
 
 
 @pytest.mark.parametrize("n, group, degree_bound", [
-    (2, False, 7), (2, False, 10), (3, False, 4), (2, True, 6), (3, True, 4),
+    (2, False, 7), (2, False, 10), (2, False, 12), (3, False, 4), (3, False, 6),
+    (2, True, 6), (3, True, 4), (3, True, 6),
 ])
 def test_integral_homology_closed_forms(n, group, degree_bound):
-    from polygonic.hochschild import integral_homology_one_cycle
-
     modulus = [QQ.zero()] * n + [QQ.one()]
     if group:
         modulus[0] = QQ.from_int(-1)
@@ -712,3 +714,159 @@ def test_cycle_json_roundtrip():
     cols = FiniteBimodule.column_vectors(F2, 2)
     X = LabelledCycle((ground(F2), FiniteAlgebra.matrix_algebra(F2, 2)), (rows, cols))
     assert LabelledCycle.from_json(X.to_json()) == X
+
+
+# ------------------------------------------- trace route and normalization
+
+
+def augmentation_cycle():
+    # (R, R; k, k) with R = Q[e]/(e^2) and k = R/(e) on both sides: Tor over
+    # R does not vanish, and contracting loses homology (target [1, 1, 1, 1])
+    R = dual_numbers(QQ)
+    k = FiniteBimodule(R, R, 1, (((1,),), ((0,),)), (((1,), (0,)),), name="k")
+    return LabelledCycle((R, R), (k, k))
+
+
+def through_hom_cycles():
+    """Seeded (A, B; M, N) over F3 with both edges through algebra maps."""
+    rng = random.Random(7)
+    pool = [ground(F3), dual_numbers(F3), group_algebra_c2(F3)]
+    out = []
+    for A, B in product(pool, pool):
+        M = FiniteBimodule.through_hom(A, B, rng.choice(_algebra_maps(A, B)))
+        N = FiniteBimodule.through_hom(B, A, rng.choice(_algebra_maps(B, A)))
+        out.append(LabelledCycle((A, B), (M, N)))
+    return out
+
+
+def labelled_cycles():
+    """(cycle, degree) for each kind of labelled cycle built in these tests."""
+    M2 = FiniteAlgebra.matrix_algebra(QQ, 2)
+    kQ = ground()
+    x3 = FiniteAlgebra.poly_quotient(QQ, (QQ.zero(),) * 3 + (QQ.one(),))
+    mixed = LabelledCycle(
+        (kQ, M2, kQ),
+        (FiniteBimodule.row_vectors(QQ, 2), FiniteBimodule.column_vectors(QQ, 2), FiniteBimodule.regular(kQ)),
+    )
+    return [
+        (LabelledCycle.uniform(ground(), None, 1), 3),
+        (LabelledCycle.uniform(ground(), None, 2), 3),
+        (LabelledCycle.uniform(group_algebra_c2(QQ), None, 1), 4),
+        (LabelledCycle.uniform(group_algebra_c2(QQ), None, 2), 3),
+        (LabelledCycle.uniform(group_algebra_c2(QQ), None, 3), 3),
+        (LabelledCycle.uniform(group_algebra_c2(F3), None, 2), 3),
+        (LabelledCycle.uniform(dual_numbers(F3), None, 1), 4),
+        (LabelledCycle.uniform(dual_numbers(F3), None, 2), 3),
+        (LabelledCycle.uniform(dual_numbers(F3), None, 3), 3),
+        (LabelledCycle.uniform(quarter_algebra(), None, 2), 3),
+        (LabelledCycle.uniform(x3, None, 1), 4),
+        (LabelledCycle.uniform(x3, None, 2), 3),
+        (LabelledCycle.uniform(M2, None, 1), 3),
+        (twisted_cycle(), 3),
+        (morita_cycle(), 3),
+        (mixed, 3),
+        (augmentation_cycle(), 4),
+    ] + [(X, 3) for X in through_hom_cycles()]
+
+
+def _projections(cycle, degree):
+    """The quotient maps from bar_complex onto normalized_bar_complex."""
+    field = cycle.field
+    dims = bar_dims(cycle, degree)
+    out = {}
+    for q in range(degree + 1):
+        positions = normalized_positions(cycle, q)
+        out[q] = IntMatrix(field, len(positions), dims[q], {(i, p): field.one() for i, p in enumerate(positions)})
+    return out
+
+
+def _trace(matrix):
+    return sum(matrix[i][i] for i in range(len(matrix)))
+
+
+def test_trace_normalized_and_direct_routes_agree():
+    for cycle, degree in labelled_cycles():
+        direct = bar_complex(cycle, degree)
+        expected = homology(direct)
+        contracted = contract_free(cycle)
+        assert homology(bar_complex(contracted, degree)) == expected
+        assert homology(hh_complex(cycle, degree)) == expected
+        if not units_first(cycle):
+            continue
+        normal = normalized_bar_complex(cycle, degree)
+        assert normal.validate() and homology(normal) == expected
+        vertices = prod(A.dim for A in cycle.algebras) - 1
+        assert normal.dims == tuple(direct.dims[0] * vertices ** q for q in range(degree + 1))
+        # the quotient map is a chain map and an isomorphism on homology
+        proj = _projections(cycle, degree)
+        assert is_chain_map(direct, normal, proj)
+        assert all(homology_map_is_iso(direct, normal, proj, q) for q in range(degree))
+
+
+def test_rotation_action_on_the_normalized_complex():
+    for cycle, degree in labelled_cycles():
+        R, M, n = cycle.algebras[0], cycle.bimodules[0], cycle.n
+        if cycle.algebras != (R,) * n or cycle.bimodules != (M,) * n:
+            continue
+        report = rotation_action(R, M, n, degree)
+        assert report["commutes_with_boundary"] and report["order_exact"]
+        direct = bar_complex(cycle, degree)
+        assert report["homology_dims"] == homology(direct)
+        full = rotation_matrices(cycle, 1, degree)
+        if units_first(cycle):
+            assert report["complex"].dims == normalized_bar_complex(cycle, degree).dims
+            # the quotient map intertwines the two rotations
+            proj = _projections(cycle, degree)
+            for q in range(degree + 1):
+                assert proj[q].mul(full[q]) == report["chain_maps"][q].mul(proj[q])
+        # so the actions on homology are conjugate: same traces
+        for q in range(degree):
+            action = induced_homology_matrix(direct, full[q], q).to_lists()
+            assert _trace(report["homology_action"][q]) == _trace(action)
+
+
+def _direct_integral_homology(R, M, degree_bound):
+    """integral_homology_one_cycle on the full bar complex."""
+    complex_ = bar_complex(LabelledCycle.one_cycle(R, M), degree_bound)
+    out, rank_d = [], 0
+    for q in range(degree_bound):
+        relations = [{i: int(v) for i, v in col.items()} for col in complex_.boundary(q + 1).columns()]
+        torsion, free = rings.invariant_factors_of_rows(relations, complex_.dims[q])
+        out.append((torsion, free - rank_d))
+        rank_d = complex_.dims[q] - free
+    return out
+
+
+def test_integral_homology_normalized_matches_the_full_complex():
+    # Z[x]/(x^3), Z[C2], Z, and Q[x]/(x^2 - 2) with unit vector (1, 0)
+    root2 = FiniteAlgebra.poly_quotient(QQ, (QQ.from_int(-2), QQ.zero(), QQ.one()))
+    for R, degree_bound in (
+        (FiniteAlgebra.poly_quotient(QQ, (QQ.zero(),) * 3 + (QQ.one(),)), 5),
+        (group_algebra_c2(QQ), 6), (ground(QQ), 4), (root2, 6),
+    ):
+        M = FiniteBimodule.regular(R)
+        assert integral_homology_one_cycle(R, M, degree_bound) == _direct_integral_homology(R, M, degree_bound)
+
+
+def test_contraction_needs_a_free_edge():
+    # No edge of the augmentation cycle is free, so it is not contracted.
+    X = augmentation_cycle()
+    assert contract_free(X) is X
+    assert homology(hh_complex(X, 4)) == [1, 2, 3, 4]
+    report = contraction_comparison(X, 0, 4)
+    assert report["chain_map"] and not report["quasi_iso"]
+    # Regular edges are free: the Q[C2] 3-cycle contracts to a one-cycle.
+    C2 = group_algebra_c2(QQ)
+    assert contract_free(LabelledCycle.uniform(C2, None, 3)).n == 1
+
+
+def test_normalized_complex_needs_units_first():
+    X = LabelledCycle.uniform(FiniteAlgebra.matrix_algebra(QQ, 2), None, 1)
+    assert not units_first(X)
+    with pytest.raises(ValueError):
+        normalized_bar_complex(X, 2)
+    # the guard reads the full dimensions: 2 * 3^q fits, 2 * 4^q does not
+    Y = LabelledCycle.uniform(FiniteAlgebra.poly_quotient(QQ, (QQ.zero(),) * 4 + (QQ.one(),)), None, 1)
+    assert normalized_bar_complex(Y, 6).dims[-1] == 4 * 3 ** 6
+    with pytest.raises(SizeGuard, match="bar complex dimension 65536 exceeds 20000"):
+        normalized_bar_complex(Y, 7)

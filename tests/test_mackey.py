@@ -326,3 +326,23 @@ def test_axioms_report_a_weyl_action_of_the_wrong_order():
     report = check_mackey_axioms(M, trials=10, seed=0)
     assert not report.ok
     assert "weyl at level 2 does not have order dividing 2" in report.failures
+
+
+def test_axioms_check_the_level_one_action_itself():
+    # weyl[1] must be the identity (Z/1 acts trivially); [[-1]] is reported
+    # on a one-level window and on a two-level one.
+    minus = IntMatrix.from_rows(ZZ, [[-1]])
+    one = IntMatrix.from_rows(ZZ, [[1]])
+    windows = [
+        MackeyWindow(TruncationSet((1,)), {1: FPGroup.free(1)}, {1: minus}, {}, {}),
+        MackeyWindow(
+            TruncationSet.divisors(2), {1: FPGroup.free(1), 2: FPGroup.free(1)},
+            {1: minus, 2: one}, {(1, 2): one}, {(1, 2): IntMatrix.from_rows(ZZ, [[2]])},
+        ),
+    ]
+    for M in windows:
+        report = check_mackey_axioms(M, trials=10, seed=0)
+        assert not report.ok
+        assert "weyl at level 1 does not have order dividing 1" in report.failures
+    fixed = MackeyWindow(TruncationSet((1,)), {1: FPGroup.free(1)}, {1: one}, {}, {})
+    assert check_mackey_axioms(fixed, trials=10, seed=0).ok

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from polygonic import witt
+from polygonic.cyclic import SizeGuard
 from polygonic.mackey import check_mackey_axioms, evaluate_span
 from polygonic.qfin import SpanMorphism, compose_spans
 from polygonic.rings import QQ, ZZ, ModularRing, PrimeField, QuotientPolynomialRing
@@ -425,3 +427,26 @@ def test_nontrivial_frobenius_lift_validation():
 def test_json_roundtrip():
     v = WittVector.from_dict(ModularRing(8), T4, {1: 3, 4: 5})
     assert WittVector.from_json(v.to_json()).eq(v)
+
+
+def test_from_dict_rejects_indices_outside_the_support():
+    with pytest.raises(SupportMismatch, match=r"\[5\]"):
+        WittVector.from_dict(ZZ, TruncationSet((1, 2, 3)), {1: 1, 5: 1})
+    data = WittVector.from_dict(ZZ, T4, {1: 3}).to_json()
+    data["coeffs"]["6"] = "1"
+    with pytest.raises(SupportMismatch):
+        WittVector.from_json(data)
+
+
+def test_equalizer_enumeration_limit_edge(monkeypatch):
+    # The last index of {1, 2, 3, 6} tests every member on {1, 2, 3} with
+    # each of the 2 * box + 1 values: a limit of exactly that many passes.
+    flow = GhostFlow(ZZ, {}, TruncationSet.divisors(6))
+    prefix = GhostFlow(ZZ, {}, TruncationSet((1, 2, 3)))
+    requested = len(equalizer_enumerate(prefix, 5)) * 11
+    members = equalizer_enumerate(flow, 5)
+    monkeypatch.setattr(witt, "EQUALIZER_GUARD", requested)
+    assert equalizer_enumerate(flow, 5) == members
+    monkeypatch.setattr(witt, "EQUALIZER_GUARD", requested - 1)
+    with pytest.raises(SizeGuard, match=f"limited to {requested - 1} .* needs {requested}"):
+        equalizer_enumerate(flow, 5)
