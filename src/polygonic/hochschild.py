@@ -10,7 +10,6 @@ maps, so every boundary identity reduces to cut-set combinatorics.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 from math import prod
@@ -47,8 +46,9 @@ class DegreeBoundNegative(Exception):
 # ones dicts index -> nonzero coefficient).
 
 
-def _zero_vec(field, d):
-    return [field.zero()] * d
+def _unit_vector(field, dim, i):
+    """Basis vector i of field^dim as a tuple (the zero vector for i = None)."""
+    return tuple(field.one() if t == i else field.zero() for t in range(dim))
 
 
 def _combo_mul(field, terms_a, terms_b, mult_table):
@@ -93,6 +93,42 @@ def _dense_mul(field, u, v, mult_table, dim):
     return [out.get(k, zero) for k in range(dim)]
 
 
+def _associative(field, dims, xy, xy_z, yz, x_yz):
+    """First basis triple (i, j, k), in lexicographic order, at which
+    (x_i y_j) z_k != x_i (y_j z_k), or None.
+
+    x y is read from table xy and times z through xy_z; y z from yz, and x
+    times it through x_yz.  The algebra law and the three bimodule laws
+    (left, right, commuting actions) are all of this form.
+    """
+    one = field.one()
+    for i, j in product(range(dims[0]), range(dims[1])):
+        ij = _combo_mul(field, {i: one}, {j: one}, xy)
+        for k in range(dims[2]):
+            jk = _combo_mul(field, {j: one}, {k: one}, yz)
+            if _combo_mul(field, ij, {k: one}, xy_z) != _combo_mul(field, {i: one}, jk, x_yz):
+                return i, j, k
+    return None
+
+
+def _json_fields(data, what, keys):
+    """The values at keys of a JSON object; ValueError if data is not one."""
+    if not isinstance(data, dict) or not set(keys) <= data.keys():
+        raise ValueError(f"{what} is an object with {', '.join(map(repr, keys))}")
+    return [data[k] for k in keys]
+
+
+def _json_table(field, table, depth):
+    """Nested JSON lists of the given depth, as tuples of parsed entries."""
+    if depth == 0:
+        if not isinstance(table, (str, int)):
+            raise ValueError(f"{table!r} is not a coefficient")
+        return field.parse(str(table))
+    if not isinstance(table, list):
+        raise ValueError(f"{table!r} is not a list")
+    return tuple(_json_table(field, row, depth - 1) for row in table)
+
+
 def _has_shape(table, shape):
     """Is table nested tuples/lists with the given lengths, outermost first?"""
     return not shape or (
@@ -125,22 +161,16 @@ class FiniteAlgebra:
             raise ValueError(f"multiplication table must be {self.dim}x{self.dim}x{self.dim}")
         if not _has_shape(self.unit, (self.dim,)):
             raise ValueError(f"unit must have {self.dim} coordinates")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.mul_vec(self.mul_vec(self._basis(i), self._basis(j)), self._basis(k))
-                    rhs = self.mul_vec(self._basis(i), self.mul_vec(self._basis(j), self._basis(k)))
-                    if lhs != rhs:
-                        raise ValueError(f"associativity fails at basis ({i},{j},{k})")
+        bad = _associative(self.field, (self.dim,) * 3, self.mult, self.mult, self.mult, self.mult)
+        if bad is not None:
+            raise ValueError("associativity fails at basis ({},{},{})".format(*bad))
         for i in range(self.dim):
             e = self._basis(i)
             if self.mul_vec(self.unit, e) != e or self.mul_vec(e, self.unit) != e:
                 raise ValueError("unit axiom fails")
 
     def _basis(self, i):
-        v = _zero_vec(self.field, self.dim)
-        v[i] = self.field.one()
-        return v
+        return list(_unit_vector(self.field, self.dim, i))
 
     def mul_vec(self, u, v):
         return _dense_mul(self.field, u, v, self.mult, self.dim)
@@ -153,24 +183,13 @@ class FiniteAlgebra:
     @classmethod
     def matrix_algebra(cls, field, n):
         """n x n matrices; basis E_{ab} at index a*n + b."""
-        dim = n * n
-        zero = field.zero()
-        one = field.one()
-        mult = []
-        for i in range(dim):
-            a, b = divmod(i, n)
-            row = []
-            for j in range(dim):
-                c, d = divmod(j, n)
-                vec = [zero] * dim
-                if b == c:
-                    vec[a * n + d] = one
-                row.append(tuple(vec))
-            mult.append(tuple(row))
-        unit = [zero] * dim
-        for a in range(n):
-            unit[a * n + a] = one
-        return cls(field, dim, tuple(mult), tuple(unit), name=f"M{n}")
+        cells = [divmod(i, n) for i in range(n * n)]
+        mult = tuple(
+            tuple(_unit_vector(field, n * n, a * n + d if b == c else None) for c, d in cells)
+            for a, b in cells
+        )
+        unit = tuple(field.one() if a == b else field.zero() for a, b in cells)
+        return cls(field, n * n, mult, unit, name=f"M{n}")
 
     @classmethod
     def poly_quotient(cls, field, modulus, name=""):
@@ -189,16 +208,8 @@ class FiniteAlgebra:
                     raw[i - d + j] = field.sub(raw[i - d + j], field.mul(c, modulus[j]))
             return tuple(raw[:d])
 
-        mult = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                raw = [field.zero()] * (2 * d)
-                raw[i + j] = field.one()
-                row.append(reduce(raw))
-            mult.append(tuple(row))
-        unit = tuple(field.one() if i == 0 else field.zero() for i in range(d))
-        return cls(field, d, tuple(mult), unit, name=name or "k[x]/(f)")
+        mult = tuple(tuple(reduce(_unit_vector(field, 2 * d, i + j)) for j in range(d)) for i in range(d))
+        return cls(field, d, mult, _unit_vector(field, d, 0), name=name or "k[x]/(f)")
 
     def to_json(self):
         f = self.field
@@ -212,12 +223,9 @@ class FiniteAlgebra:
 
     @classmethod
     def from_json(cls, data):
-        field = ring_from_json(data["field"])
-        mult = tuple(
-            tuple(tuple(field.parse(c) for c in vec) for vec in row) for row in data["mult"]
-        )
-        unit = tuple(field.parse(c) for c in data["unit"])
-        return cls(field, data["dim"], mult, unit, data.get("name", ""))
+        field, dim, mult, unit = _json_fields(data, "an algebra", ("field", "dim", "mult", "unit"))
+        field = ring_from_json(field)
+        return cls(field, dim, _json_table(field, mult, 3), _json_table(field, unit, 1), data.get("name", ""))
 
 
 @dataclass(frozen=True)
@@ -247,39 +255,20 @@ class FiniteBimodule:
         # check already covers the three below.
         if A == B and self.left == A.mult and self.right == A.mult:
             return
-        for i in range(A.dim):
-            for j in range(A.dim):
-                for m in range(self.dim):
-                    fm = self._basis(m)
-                    lhs = self.left_act(A._basis(i), self.left_act(A._basis(j), fm))
-                    rhs = self.left_act(A.mul_vec(A._basis(i), A._basis(j)), fm)
-                    if lhs != rhs:
-                        raise ValueError("left associativity fails")
-        for i in range(B.dim):
-            for j in range(B.dim):
-                for m in range(self.dim):
-                    fm = self._basis(m)
-                    lhs = self.right_act(self.right_act(fm, B._basis(i)), B._basis(j))
-                    rhs = self.right_act(fm, B.mul_vec(B._basis(i), B._basis(j)))
-                    if lhs != rhs:
-                        raise ValueError("right associativity fails")
-        for i in range(A.dim):
-            for m in range(self.dim):
-                for j in range(B.dim):
-                    fm = self._basis(m)
-                    lhs = self.right_act(self.left_act(A._basis(i), fm), B._basis(j))
-                    rhs = self.left_act(A._basis(i), self.right_act(fm, B._basis(j)))
-                    if lhs != rhs:
-                        raise ValueError("actions do not commute")
+        for dims, tables, message in (
+            ((A.dim, A.dim, self.dim), (A.mult, self.left, self.left, self.left), "left associativity fails"),
+            ((self.dim, B.dim, B.dim), (self.right, self.right, B.mult, self.right), "right associativity fails"),
+            ((A.dim, self.dim, B.dim), (self.left, self.right, self.right, self.left), "actions do not commute"),
+        ):
+            if _associative(self.field, dims, *tables) is not None:
+                raise ValueError(message)
 
     @property
     def field(self):
         return self.left_algebra.field
 
     def _basis(self, m):
-        v = _zero_vec(self.field, self.dim)
-        v[m] = self.field.one()
-        return v
+        return list(_unit_vector(self.field, self.dim, m))
 
     def left_act(self, avec, mvec):
         return _dense_mul(self.field, avec, mvec, self.left, self.dim)
@@ -297,43 +286,26 @@ class FiniteBimodule:
     @classmethod
     def row_vectors(cls, field, n):
         """k - M_n bimodule of row vectors (dimension n)."""
-        k = FiniteAlgebra.ground(field)
-        Mn = FiniteAlgebra.matrix_algebra(field, n)
-        left = ((tuple(tuple(field.one() if i == m else field.zero() for i in range(n)) for m in range(n)),))
+        k, Mn = FiniteAlgebra.ground(field), FiniteAlgebra.matrix_algebra(field, n)
+        left = (tuple(_unit_vector(field, n, m) for m in range(n)),)
         # row e_m . E_{cd} = delta_{mc} e_d
-        right = []
-        for m in range(n):
-            row = []
-            for j in range(n * n):
-                c, d = divmod(j, n)
-                vec = [field.zero()] * n
-                if m == c:
-                    vec[d] = field.one()
-                row.append(tuple(vec))
-            right.append(tuple(row))
-        return cls(k, Mn, n, left, tuple(right), name="rows")
+        right = tuple(
+            tuple(_unit_vector(field, n, j % n if m == j // n else None) for j in range(n * n))
+            for m in range(n)
+        )
+        return cls(k, Mn, n, left, right, name="rows")
 
     @classmethod
     def column_vectors(cls, field, n):
         """M_n - k bimodule of column vectors (dimension n)."""
-        k = FiniteAlgebra.ground(field)
-        Mn = FiniteAlgebra.matrix_algebra(field, n)
+        k, Mn = FiniteAlgebra.ground(field), FiniteAlgebra.matrix_algebra(field, n)
         # E_{cd} . e_m = delta_{dm} e_c
-        left = []
-        for i in range(n * n):
-            c, d = divmod(i, n)
-            row = []
-            for m in range(n):
-                vec = [field.zero()] * n
-                if d == m:
-                    vec[c] = field.one()
-                row.append(tuple(vec))
-            left.append(tuple(row))
-        right = tuple(
-            tuple(tuple(field.one() if i == m else field.zero() for i in range(n)) for _ in range(1))
-            for m in range(n)
+        left = tuple(
+            tuple(_unit_vector(field, n, i // n if i % n == m else None) for m in range(n))
+            for i in range(n * n)
         )
-        return cls(Mn, k, n, tuple(left), right, name="cols")
+        right = tuple((_unit_vector(field, n, m),) for m in range(n))
+        return cls(Mn, k, n, left, right, name="cols")
 
     @classmethod
     def through_hom(cls, A, B, phi_matrix, name=""):
@@ -341,16 +313,12 @@ class FiniteBimodule:
 
         phi_matrix[i] is the image vector of the i-th basis element of A.
         """
-        field = A.field
-        left = []
-        for i in range(A.dim):
-            img = list(phi_matrix[i])
-            row = []
-            for m in range(B.dim):
-                row.append(tuple(B.mul_vec(img, B._basis(m))))
-            left.append(tuple(row))
+        left = tuple(
+            tuple(tuple(B.mul_vec(list(phi_matrix[i]), B._basis(m))) for m in range(B.dim))
+            for i in range(A.dim)
+        )
         right = tuple(tuple(B.mult[m][j] for j in range(B.dim)) for m in range(B.dim))
-        return cls(A, B, B.dim, tuple(left), right, name=name or "B_phi")
+        return cls(A, B, B.dim, left, right, name=name or "B_phi")
 
     def to_json(self):
         f = self.field
@@ -365,30 +333,16 @@ class FiniteBimodule:
 
     @classmethod
     def from_json(cls, data, algebra_from_json=FiniteAlgebra.from_json):
-        A = algebra_from_json(data["left_algebra"])
-        B = algebra_from_json(data["right_algebra"])
-        f = A.field
-        left = tuple(
-            tuple(tuple(f.parse(c) for c in vec) for vec in row) for row in data["left_action"]
+        A, B, dim, left, right = _json_fields(
+            data, "a bimodule", ("left_algebra", "right_algebra", "dim", "left_action", "right_action")
         )
-        right = tuple(
-            tuple(tuple(f.parse(c) for c in vec) for vec in row) for row in data["right_action"]
-        )
-        return cls(A, B, data["dim"], left, right, data.get("name", ""))
+        A, B = algebra_from_json(A), algebra_from_json(B)
+        left, right = (_json_table(A.field, table, 3) for table in (left, right))
+        return cls(A, B, dim, left, right, data.get("name", ""))
 
 
 # ---------------------------------------------------------------------------
 # Relative tensor products.
-
-
-@dataclass(frozen=True)
-class ResolvedTensor:
-    """M_1 (x)_B ... (x) M_k together with the projection from the plain
-    tensor product (indices in row-major order of the factors)."""
-
-    factors: tuple
-    module: FiniteBimodule
-    quotient: Callable | None  # projection on sparse vectors; None for one factor
 
 
 def relative_tensor(M: FiniteBimodule, N: FiniteBimodule):
@@ -401,51 +355,33 @@ def relative_tensor(M: FiniteBimodule, N: FiniteBimodule):
     """
     if M.right_algebra != N.left_algebra:
         raise AlgebraMismatch("middle algebras differ")
-    field = M.field
-    B = M.right_algebra
-
-    def tensor_index(m, n):
-        return m * N.dim + n
-
-    relations = []
-    for m in range(M.dim):
-        for b in range(B.dim):
-            for n in range(N.dim):
-                rel = {}
-                mb = M.right_act(M._basis(m), B._basis(b))
-                for mm, c in enumerate(mb):
-                    rel[tensor_index(mm, n)] = field.add(rel.get(tensor_index(mm, n), field.zero()), c)
-                bn = N.left_act(B._basis(b), N._basis(n))
-                for nn, c in enumerate(bn):
-                    rel[tensor_index(m, nn)] = field.sub(rel.get(tensor_index(m, nn), field.zero()), c)
-                relations.append(rel)
-    quot = Echelon(field, M.dim * N.dim, relations)
+    field, d = M.field, N.dim
+    relations = []  # m b (x) n - m (x) b n for basis m, b, n
+    for m, b, n in product(range(M.dim), range(N.left_algebra.dim), range(d)):
+        rel = {mm * d + n: c for mm, c in enumerate(M.right[m][b])}
+        for nn, c in enumerate(N.left[b][n]):
+            rel[m * d + nn] = field.sub(rel.get(m * d + nn, field.zero()), c)
+        relations.append(rel)
+    quot = Echelon(field, M.dim * d, relations)
     free = quot.free()
     coords = {j: t for t, j in enumerate(free)}
-    A, C = M.left_algebra, N.right_algebra
 
     def project(terms):
         return {coords[j]: c for j, c in quot.reduce(terms).items()}
 
     def coordinates(terms):
-        out = _zero_vec(field, len(free))
-        for t, c in project(terms).items():
-            out[t] = c
-        return tuple(out)
+        image = project(terms)
+        return tuple(image.get(t, field.zero()) for t in range(len(free)))
 
-    def act_left(avec, idx):
-        m, n = divmod(idx, N.dim)
-        return {tensor_index(mm, n): c for mm, c in enumerate(M.left_act(avec, M._basis(m)))}
-
-    def act_right(idx, bvec):
-        m, n = divmod(idx, N.dim)
-        return {tensor_index(m, nn): c for nn, c in enumerate(N.right_act(N._basis(n), bvec))}
-
+    A, C = M.left_algebra, N.right_algebra
+    cells = [divmod(j, d) for j in free]
     left = tuple(
-        tuple(coordinates(act_left(A._basis(i), idx)) for idx in free) for i in range(A.dim)
+        tuple(coordinates({mm * d + n: c for mm, c in enumerate(M.left[i][m])}) for m, n in cells)
+        for i in range(A.dim)
     )
     right = tuple(
-        tuple(coordinates(act_right(idx, C._basis(j))) for j in range(C.dim)) for idx in free
+        tuple(coordinates({m * d + nn: c for nn, c in enumerate(N.right[n][j])}) for j in range(C.dim))
+        for m, n in cells
     )
     module = FiniteBimodule(A, C, len(free), left, right, name=f"({M.name}(x){N.name})")
     return module, project
@@ -459,8 +395,8 @@ def relative_tensor(M: FiniteBimodule, N: FiniteBimodule):
 class LabelledCycle:
     algebras: tuple
     bimodules: tuple
-    # Resolved long edges by path, built on first use.
-    _resolved: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+    # fused(a) by a, built on first use.
+    _fused: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.algebras)
@@ -494,29 +430,23 @@ class LabelledCycle:
             tuple(M.name or f"M{i}" for i, M in enumerate(self.bimodules)),
         )
 
-    def resolved(self, path: Path):
-        """Value of a path: the algebra at a vertex, or the iterated relative
-        tensor of the edge modules it covers."""
-        if path.n != self.n:
-            raise ValueError("path does not live on this cycle")
-        if path.is_vertex:
-            return self.algebras[path.start]
-        if path not in self._resolved:
-            mods = [self.bimodules[(path.start + i) % self.n] for i in range(path.length)]
-            current = mods[0]
-            projections = []
-            for nxt in mods[1:]:
-                current, project = relative_tensor(current, nxt)
-                projections.append(project)
-            self._resolved[path] = ResolvedTensor(tuple(mods), current, _compose_quotients(mods, projections))
-        return self._resolved[path]
+    def fused(self, a):
+        """Edges a and a+1 (mod n) fused across vertex a+1: relative_tensor
+        of their bimodules, as (bimodule, projection)."""
+        a %= self.n
+        if a not in self._fused:
+            self._fused[a] = relative_tensor(self.bimodules[a], self.bimodules[(a + 1) % self.n])
+        return self._fused[a]
 
     def label_dim(self, path: Path):
+        """Dimension of the label of a vertex, an edge or two fused edges."""
         if path.is_vertex:
             return self.algebras[path.start].dim
         if path.length == 1:
             return self.bimodules[path.start].dim
-        return self.resolved(path).module.dim
+        if path.length == 2:
+            return self.fused(path.start)[0].dim
+        raise ValueError(f"labels cover at most two edges, not {path.length}")
 
     def contract(self, a):
         """The (n-1)-cycle with edges a, a+1 fused across vertex a+1 (mod n).
@@ -528,19 +458,13 @@ class LabelledCycle:
             raise ValueError("cannot contract a 1-cycle")
         n = self.n
         c = CyclicMap.contraction(n, a)
-        algebras = tuple(self.algebras[c(j) % n] for j in range(n - 1))
-        bimodules = []
-        for j in range(n - 1):
-            length = c(j + 1) - c(j)
-            start = c(j) % n
-            if length == 1:
-                bimodules.append(self.bimodules[start])
-            else:
-                fused, _ = relative_tensor(
-                    self.bimodules[start], self.bimodules[(start + 1) % n]
-                )
-                bimodules.append(fused)
-        return LabelledCycle(algebras, tuple(bimodules))
+        return LabelledCycle(
+            tuple(self.algebras[c(j) % n] for j in range(n - 1)),
+            tuple(
+                self.bimodules[c(j) % n] if c(j + 1) - c(j) == 1 else self.fused(c(j))[0]
+                for j in range(n - 1)
+            ),
+        )
 
     def to_json(self):
         return {
@@ -550,8 +474,9 @@ class LabelledCycle:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict) or not {"algebras", "bimodules"} <= data.keys():
-            raise ValueError("a labelled cycle is an object with 'algebras' and 'bimodules'")
+        algebras, bimodules = _json_fields(data, "a labelled cycle", ("algebras", "bimodules"))
+        if not isinstance(algebras, list) or not isinstance(bimodules, list):
+            raise ValueError("a labelled cycle lists its 'algebras' and 'bimodules'")
         built = {}  # algebra JSON -> algebra: each distinct one is validated once
 
         def algebra(a):
@@ -561,35 +486,9 @@ class LabelledCycle:
             return built[key]
 
         return cls(
-            tuple(algebra(a) for a in data["algebras"]),
-            tuple(FiniteBimodule.from_json(m, algebra) for m in data["bimodules"]),
+            tuple(algebra(a) for a in algebras),
+            tuple(FiniteBimodule.from_json(m, algebra) for m in bimodules),
         )
-
-
-def _compose_quotients(mods, projections):
-    """Projection from the plain tensor of mods onto the iterated quotient."""
-    if not projections:
-        return None
-    dims = [m.dim for m in mods]
-
-    def project(terms):
-        # terms: dict plain-tensor-index -> coeff over the full tensor.
-        # Fold left: indices split as (prefix, rest) factor by factor.
-        for step, pair_projection in enumerate(projections):
-            rest_dim = 1
-            for d in dims[step + 2:]:
-                rest_dim *= d
-            grouped = {}
-            for idx, c in terms.items():
-                pair, rest = divmod(idx, rest_dim)
-                grouped.setdefault(rest, {})[pair] = c
-            terms = {}
-            for rest, sub in grouped.items():
-                for out_idx, c in pair_projection(sub).items():
-                    terms[out_idx * rest_dim + rest] = c
-        return terms
-
-    return project
 
 
 @dataclass(frozen=True)
@@ -655,7 +554,7 @@ def multiply_sequence(cycle, target_path, factors):
     """Value of one fiber: multiply labelled factors along the target path.
 
     factors is the admissible sequence [(path, basis index), ...]; returns a
-    dict index -> coefficient in the resolved module of target_path.
+    dict index -> coefficient in the label of target_path (see label_dim).
     """
     field = cycle.field
     one = field.one()
@@ -689,12 +588,13 @@ def multiply_sequence(cycle, target_path, factors):
         raise ValueError("edge count does not cover the target path")
     if target_path.length == 1:
         return edges[0][1]
-    # Long target: plain tensor of the edge values, then project.
-    terms = {0: one}
-    for M, value in edges:
-        terms = {i * M.dim + k: field.mul(c, e) for i, c in terms.items() for k, e in value.items()}
-    quotient = cycle.resolved(target_path).quotient
-    return terms if quotient is None else quotient(terms)
+    if target_path.length != 2:
+        raise ValueError(f"labels cover at most two edges, not {target_path.length}")
+    # Two fused edges: the plain tensor of the edge values, then project.
+    (_, u), (N, v) = edges
+    return cycle.fused(target_path.start)[1]({
+        i * N.dim + k: field.mul(c, e) for i, c in u.items() for k, e in v.items()
+    })
 
 
 def envelope_matrix(cycle, env: EnvelopeMorphism, target_paths, target_dims):
@@ -728,17 +628,26 @@ def envelope_matrix(cycle, env: EnvelopeMorphism, target_paths, target_dims):
 
 
 BAR_DIMENSION_GUARD = 20000
+BAR_DEGREE_GUARD = 24
+BAR_CUT_GUARD = 256
 
 
 def bar_dims(cycle: LabelledCycle, degree_bound):
     """Dimensions of the bar complex through the given degree, from the label
     dimensions alone: level q is prod dim M_a * (prod dim R_a)^q.
 
-    Raises SizeGuard at the first level past BAR_DIMENSION_GUARD, so a
-    request can be refused before anything is built.
+    Raises SizeGuard past BAR_DEGREE_GUARD, when the top cut set has more
+    than BAR_CUT_GUARD elements, or at the first level past
+    BAR_DIMENSION_GUARD, so a request can be refused before anything is
+    built.  With 1-dimensional labels the dimensions stay at 1, and only the
+    first two bound the work of faces and chain maps.
     """
     if degree_bound < 0:
         raise DegreeBoundNegative("degree bound must be >= 0")
+    if degree_bound > BAR_DEGREE_GUARD:
+        raise SizeGuard(f"degree {degree_bound} exceeds {BAR_DEGREE_GUARD}")
+    if cycle.n * (degree_bound + 1) > BAR_CUT_GUARD:
+        raise SizeGuard(f"cut set size {cycle.n * (degree_bound + 1)} exceeds {BAR_CUT_GUARD}")
     edges = prod(M.dim for M in cycle.bimodules)
     vertices = prod(A.dim for A in cycle.algebras)
     dims = []
@@ -1006,12 +915,10 @@ def thh_pi0(R: FiniteAlgebra, M: FiniteBimodule):
     if M.left_algebra != R or M.right_algebra != R:
         raise AlgebraMismatch("coefficients must be a bimodule over the algebra")
     field = R.field
-    relations = []
-    for m in range(M.dim):
-        for r in range(R.dim):
-            mr = M.right_act(M._basis(m), R._basis(r))
-            rm = M.left_act(R._basis(r), M._basis(m))
-            relations.append({i: field.sub(a, b) for i, (a, b) in enumerate(zip(mr, rm))})
+    relations = [  # m r - r m for basis m, r
+        {i: field.sub(a, b) for i, (a, b) in enumerate(zip(M.right[m][r], M.left[r][m]))}
+        for m in range(M.dim) for r in range(R.dim)
+    ]
     commutators = Echelon(field, M.dim, relations)
     return M.dim - commutators.rank, commutators
 
@@ -1020,28 +927,31 @@ def thh_pi0(R: FiniteAlgebra, M: FiniteBimodule):
 # Trace comparisons.
 
 
+def _cyclic_maps(cycle: LabelledCycle, f, degree_bound):
+    """Per-degree matrices of the comparison morphisms along an injective
+    cycle map f into the cycle.
+
+    The target colours are paths on the cycle pushed forward along f: a
+    vertex, an edge, or two edges that f fuses, so their labels are those of
+    the cycle on f's source.
+    """
+    maps = {}
+    for q in range(degree_bound + 1):
+        env, _ = cut_envelope_cyclic(CutSet(q, cycle.n), f)
+        paths = env.target.colours
+        maps[q] = envelope_matrix(cycle, env, paths, [cycle.label_dim(p) for p in paths])
+    return maps
+
+
 def contraction_chain_map(cycle: LabelledCycle, a, degree_bound):
     """Chain map from the bar complex of the cycle to that of the contraction.
 
     Returns (source complex, target complex, per-degree matrices).
     """
-    if cycle.n < 2:
-        raise ValueError("cannot contract a 1-cycle")
-    n = cycle.n
-    contracted = cycle.contract(a)
-    f = CyclicMap.contraction(n, a)
+    contracted = cycle.contract(a)  # raises on a 1-cycle
     src = bar_complex(cycle, degree_bound)
     dst = bar_complex(contracted, degree_bound)
-    maps = {}
-    for q in range(degree_bound + 1):
-        cut = CutSet(q, n)
-        env, lo = cut_envelope_cyclic(cut, f)
-        # env.target carries the pushed colours (paths on the big cycle);
-        # their resolved values are the labels of the contracted cycle.
-        target_paths = list(env.target.colours)
-        target_dims = [cycle.label_dim(p) for p in target_paths]
-        maps[q] = envelope_matrix(cycle, env, target_paths, target_dims)
-    return src, dst, maps
+    return src, dst, _cyclic_maps(cycle, CyclicMap.contraction(cycle.n, a), degree_bound)
 
 
 def is_chain_map(src, dst, maps):
@@ -1111,15 +1021,7 @@ def rotation_matrices(cycle: LabelledCycle, k, degree_bound):
     )
     if rotated != cycle:
         raise ValueError("labels are not invariant under this rotation")
-    tau = CyclicMap.rotation(n, k)
-    maps = {}
-    for q in range(degree_bound + 1):
-        cut = CutSet(q, n)
-        env, _ = cut_envelope_cyclic(cut, tau)
-        target_paths = list(env.target.colours)
-        target_dims = [cycle.label_dim(p) for p in target_paths]
-        maps[q] = envelope_matrix(cycle, env, target_paths, target_dims)
-    return maps
+    return _cyclic_maps(cycle, CyclicMap.rotation(n, k), degree_bound)
 
 
 def induced_homology_matrix(complex_, chain_map_q, q):

@@ -292,6 +292,12 @@ class LabelledCycleSpec:
                 return tuple(dec(x) for x in h)
             return h
 
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("n"), int)
+            and all(isinstance(data.get(k), list) for k in ("vertices", "edges"))
+        ):
+            raise ValueError("a spec is an object with an integer 'n' and lists 'vertices' and 'edges'")
         return cls(
             data["n"],
             tuple(dec(v) for v in data["vertices"]),

@@ -169,8 +169,8 @@ class ModularRing(CoefficientRing):
     kind = "integers-mod-m"
 
     def __init__(self, m):
-        if m < 2:
-            raise ValueError("modulus must be >= 2")
+        if not isinstance(m, int) or m < 2:
+            raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
         self.modulus = m
 
     def add(self, a, b):
@@ -203,8 +203,8 @@ class PrimeField(ModularRing):
     is_field = True
 
     def __init__(self, p):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if not isinstance(p, int) or not is_prime(p):
+            raise ValueError(f"{p!r} is not prime")
         super().__init__(p)
 
     def inv(self, a):
@@ -386,7 +386,7 @@ def ring_to_string(ring):
 
 
 def ring_from_json(data):
-    kind = data["kind"]
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "integers":
         return ZZ
     if kind == "rationals":

@@ -590,10 +590,12 @@ def equalizer_enumerate(flow: GhostFlow, box):
         domain = range(ring.modulus)
     else:
         raise UnsupportedEnumerationRing(f"cannot enumerate over {ring}")
-    values = [(v, ring.from_int(v)) for v in domain]
+    size = max(domain.stop - domain.start, 0)  # len() overflows on huge moduli
+    # built only when the first index may test them all
+    values = [(v, ring.from_int(v)) for v in domain] if size <= EQUALIZER_GUARD else []
     members = [()]
     for idx, t in enumerate(support):
-        requested = len(members) * len(values)
+        requested = len(members) * size
         if requested > EQUALIZER_GUARD:
             raise SizeGuard(
                 f"equalizer enumeration is limited to {EQUALIZER_GUARD} tests per index; "

@@ -517,3 +517,56 @@ def test_equalizer_guard_edge(runner):
     result = run(runner, base + ["--ring", "Z/9"])
     assert result.exit_code == 0
     assert json.loads(result.output)["equalizer_size"] == 81
+
+
+def test_bar_degree_and_cut_set_guard_edges(runner, tmp_path):
+    # With 1-dimensional labels every bar dimension is 1, so only the degree
+    # and the top cut-set size n (degree + 1) bound the work.
+    k = FiniteAlgebra.ground(QQ)
+    paths = {}
+    for n in (2, 128, 256, 257):
+        paths[n] = tmp_path / f"ground{n}.json"
+        paths[n].write_text(json.dumps(LabelledCycle.uniform(k, None, n).to_json()))
+    commands = {  # argv prefix -> the key of the printed homology
+        ("hh", "compute"): "homology",
+        ("hh", "rotate"): "homology_dims",
+        ("hh", "contract-compare", "--edge", "0"): "source_homology",
+    }
+    for command, key in commands.items():
+        command = list(command)
+        for n, degree in ((2, 24), (128, 1), (256, 0)):
+            argv = command + ["--cycle", str(paths[n]), "--degree", str(degree)]
+            result = run(runner, argv)
+            assert result.exit_code == 0, argv
+            assert json.loads(result.output)[key] == ([1] + [0] * (degree - 1) if degree else [])
+        for n, degree, error in (
+            (2, 25, "degree 25 exceeds 24"),
+            (128, 2, "cut set size 384 exceeds 256"),
+            (257, 0, "cut set size 257 exceeds 256"),
+        ):
+            result = run(runner, command + ["--cycle", str(paths[n]), "--degree", str(degree)])
+            assert result.exit_code == 3
+            assert json.loads(result.output) == {"error": error, "kind": "guard"}
+
+
+def test_malformed_json_is_a_validation_error(runner, tmp_path):
+    for spec in ("[]", "1", '{"n": "x", "vertices": [], "edges": []}', '{"n": 2, "vertices": 1, "edges": 2}'):
+        for argv in (
+            ["operad", "rotate", "--spec", spec, "--k", "1"],
+            ["operad", "contract", "--spec", spec, "--edge", "0"],
+        ):
+            result = run(runner, argv)
+            assert result.exit_code == 2, argv
+            assert json.loads(result.output)["kind"] == "validation"
+    path = tmp_path / "untyped.json"
+    path.write_text(json.dumps({"algebras": [1], "bimodules": [1]}))
+    for argv in (
+        ["hh", "compute", "--cycle", str(path), "--degree", "2"],
+        ["hh", "thh0", "--cycle", str(path)],
+        ["hh", "rotate", "--cycle", str(path), "--degree", "2"],
+    ):
+        result = run(runner, argv)
+        assert result.exit_code == 2, argv
+        assert json.loads(result.output) == {
+            "error": "an algebra is an object with 'field', 'dim', 'mult', 'unit'", "kind": "validation",
+        }

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 from polygonic import hochschild, rings
-from polygonic.cyclic import CutSet, CyclicMap, SizeGuard
+from polygonic.cyclic import CutSet, CyclicMap, Path, SizeGuard
 from polygonic.hochschild import (
     AlgebraMismatch,
     DegreeBoundNegative,
@@ -129,6 +129,23 @@ def test_bimodule_over_its_own_algebra_still_checks_a_foreign_action():
         FiniteBimodule(A, A, 2, left, A.mult)
     with pytest.raises(ValueError, match="right associativity"):
         FiniteBimodule(A, A, 2, A.mult, right)
+
+
+def test_each_associativity_law_is_checked():
+    one, zero = QQ.one(), QQ.zero()
+    e0, e1, nil = (one, zero), (zero, one), (zero, zero)
+    # not unital either, but associativity is checked first:
+    # (e0 e0) e0 = e1 e0 = e0, while e0 (e0 e0) = e0 e1 = 0
+    with pytest.raises(ValueError, match=r"^associativity fails at basis \(0,0,0\)$"):
+        FiniteAlgebra(QQ, 2, ((e1, nil), (e0, nil)), e0)
+    k, C2 = ground(QQ), group_algebra_c2(QQ)
+    # g acts on the right of Q^2 by a shear, whose square is not 1 = g^2
+    with pytest.raises(ValueError, match="right associativity"):
+        FiniteBimodule(k, C2, 2, ((e0, e1),), ((e0, e0), (e1, (one, one))))
+    # g swaps the basis on the left and acts by diag(1, -1) on the right:
+    # each action is one of C2, but they do not commute
+    with pytest.raises(ValueError, match="actions do not commute"):
+        FiniteBimodule(C2, C2, 2, ((e0, e1), (e1, e0)), ((e0, e0), (e1, (zero, QQ.from_int(-1)))))
 
 
 def test_cycle_file_validates_each_distinct_algebra_once(monkeypatch):
@@ -463,6 +480,33 @@ def test_double_contraction_cycle_lemma():
         t1 = sum(Z1.bimodules[0].left[i][m][m] for m in range(Z1.bimodules[0].dim))
         t2 = sum(Z2.bimodules[0].left[i][m][m] for m in range(Z2.bimodules[0].dim))
         assert t1 == t2
+
+
+def test_a_contraction_and_its_chain_map_share_one_fused_label(monkeypatch):
+    mixed = LabelledCycle(
+        (ground(), FiniteAlgebra.matrix_algebra(QQ, 2), ground()),
+        (FiniteBimodule.row_vectors(QQ, 2), FiniteBimodule.column_vectors(QQ, 2), FiniteBimodule.regular(ground())),
+    )
+    for X in (morita_cycle(), twisted_cycle(), mixed):
+        for a in range(X.n):
+            module, _ = X.fused(a)
+            assert sum(M is module for M in X.contract(a).bimodules) == 1
+            assert X.label_dim(Path(X.n, a, 2)) == module.dim
+    # contraction_comparison builds the fused label once, for both sides
+    built = []
+    tensor = hochschild.relative_tensor
+    monkeypatch.setattr(hochschild, "relative_tensor", lambda M, N: built.append(1) or tensor(M, N))
+    assert contraction_comparison(morita_cycle(), 0, 2)["quasi_iso"]
+    assert len(built) == 1
+
+
+def test_labels_cover_at_most_two_edges():
+    X = LabelledCycle.uniform(ground(), None, 3)
+    assert [X.label_dim(Path(3, 0, k)) for k in range(3)] == [1, 1, 1]
+    with pytest.raises(ValueError, match="at most two edges, not 3"):
+        X.label_dim(Path(3, 0, 3))
+    with pytest.raises(ValueError, match="at most two edges, not 3"):
+        multiply_sequence(X, Path(3, 0, 3), [(Path(3, a, 1), 0) for a in range(3)])
 
 
 def test_integral_homology_one_cycle():

@@ -450,3 +450,15 @@ def test_equalizer_enumeration_limit_edge(monkeypatch):
     monkeypatch.setattr(witt, "EQUALIZER_GUARD", requested - 1)
     with pytest.raises(SizeGuard, match=f"limited to {requested - 1} .* needs {requested}"):
         equalizer_enumerate(flow, 5)
+
+
+def test_equalizer_refuses_a_huge_modulus_before_listing_its_residues(monkeypatch):
+    # Over Z/2^64 the first index alone would test 2^64 residues.
+    flow = GhostFlow(ModularRing(2 ** 64), {}, TruncationSet((1,)))
+
+    def listed(v):
+        raise AssertionError("a residue was listed")
+
+    monkeypatch.setattr(flow.ring, "from_int", listed)
+    with pytest.raises(SizeGuard, match=f"needs {2 ** 64}"):
+        equalizer_enumerate(flow, 0)
