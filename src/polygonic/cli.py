@@ -1,30 +1,28 @@
 """Batch command-line surface with stable, machine-readable output.
 
-Exit codes: 0 success, 2 validation failure (machine-readable error object on
-stdout), 3 guard exceeded.  All output is deterministic: JSON with sorted
-keys, or flat TSV via --format tsv.
+Exit codes: 0 success, 2 invalid input or a usage error, 3 guard exceeded;
+a failure prints one JSON error object on stdout.  All output is
+deterministic: JSON with sorted keys, or flat TSV via --format tsv.  Each
+command takes its options and returns its payload; the root group prints it
+and owns the exit codes.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from functools import wraps
+from contextlib import contextmanager
 
 import click
 
 from . import cyclic, hochschild, mackey, operad, qfin, rings, truncation, witt
+from .cyclic import SizeGuard
 
 WINDOW_GUARD = 64
 TRIALS_GUARD = 10000
 
 
-class GuardExceeded(Exception):
-    pass
-
-
-def _emit(ctx, payload):
-    fmt = ctx.obj.get("format", "json")
+def _emit(payload, fmt):
     if fmt == "tsv":
         for line in _flatten(payload):
             click.echo("\t".join(str(x) for x in line))
@@ -49,38 +47,31 @@ def _flatten(payload, prefix=""):
         yield from _flatten(value, f"{prefix}.{key}" if prefix else str(key))
 
 
-def guarded(fn):
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (GuardExceeded, cyclic.SizeGuard) as exc:
-            click.echo(json.dumps({"error": str(exc), "kind": "guard"}, sort_keys=True))
-            sys.exit(3)
-        except (
-            ValueError,
-            KeyError,
-            rings.NonFieldRing,
-            rings.DimensionMismatch,
-            cyclic.EmptyOrder,
-            operad.NonComposable,
-            qfin.TargetMismatch,
-            qfin.NoPrimeDivisorInWindow,
-            qfin.NotQuasifinite,
-            mackey.LevelOutsideWindow,
-            mackey.NotQuasifinite,
-            witt.SupportMismatch,
-            witt.NonIntervalSupport,
-            witt.NotSummable,
-            witt.UnsupportedEnumerationRing,
-            hochschild.AlgebraMismatch,
-            hochschild.DegreeBoundNegative,
-            json.JSONDecodeError,
-        ) as exc:
-            click.echo(json.dumps({"error": str(exc), "kind": "validation"}, sort_keys=True))
-            sys.exit(2)
+def _fail(message, kind, code):
+    click.echo(json.dumps({"error": message, "kind": kind}, sort_keys=True))
+    sys.exit(code)
 
-    return wrapper
+
+# A group run without arguments prints its help; click >= 8.2 raises this
+# UsageError for it, older versions exit through ctx.exit.
+_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+@contextmanager
+def _json_errors():
+    """Print a failure as one JSON error object on stdout, whatever the
+    format: exit 3 for a guard, exit 2 for invalid input (every library
+    validation error is a ValueError) or for click's own usage errors."""
+    try:
+        yield
+    except _HELP:
+        raise
+    except click.UsageError as exc:
+        _fail(exc.format_message(), "validation", 2)
+    except SizeGuard as exc:
+        _fail(str(exc), "guard", 3)
+    except (ValueError, KeyError) as exc:
+        _fail(str(exc), "validation", 2)
 
 
 def _ints(text):
@@ -90,7 +81,7 @@ def _ints(text):
 def _trunc(text):
     elems = _ints(text)
     if any(t > WINDOW_GUARD for t in elems):
-        raise GuardExceeded(f"window elements above {WINDOW_GUARD}")
+        raise SizeGuard(f"window elements above {WINDOW_GUARD}")
     return truncation.TruncationSet(tuple(elems))
 
 
@@ -123,14 +114,36 @@ def _witt_vector(ring, support, text):
     return witt.WittVector.from_dict(ring, support, values)
 
 
-@click.group()
+class _Root(click.Group):
+    """Parses and runs a subcommand under _json_errors, then prints the
+    payload it returns."""
+
+    def parse_args(self, ctx, args):
+        with _json_errors():
+            return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        with _json_errors():
+            payload = super().invoke(ctx)
+        _emit(payload, ctx.params["fmt"])
+
+
+def _options(*options):
+    """One decorator for an option stack that several commands share."""
+
+    def apply(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+
+    return apply
+
+
+@click.group(cls=_Root)
 @click.option("--format", "fmt", type=click.Choice(["json", "tsv"]), default="json")
-@click.pass_context
-def main(ctx, fmt):
+def main(fmt):
     """Exact computations: truncation sets, cyclic combinatorics, quasifinite
     Mackey windows, big Witt vectors, and Hochschild homology."""
-    ctx.ensure_object(dict)
-    ctx.obj["format"] = fmt
 
 
 # --------------------------------------------------------------------- trunc
@@ -147,39 +160,31 @@ main.add_command(trunc, name="truncation")
 
 @trunc.command()
 @click.option("--set", "set_", required=True)
-@click.pass_context
-@guarded
-def check(ctx, set_):
-    _emit(ctx, {"is_truncation_set": truncation.is_truncation_set(_ints(set_))})
+def check(set_):
+    return {"is_truncation_set": truncation.is_truncation_set(_ints(set_))}
 
 
 @trunc.command()
 @click.option("--set", "set_", required=True)
 @click.option("--n", type=int, required=True)
-@click.pass_context
-@guarded
-def divide(ctx, set_, n):
-    _emit(ctx, {"set": _trunc(set_).divide(n).to_json()})
+def divide(set_, n):
+    return {"set": _trunc(set_).divide(n).to_json()}
 
 
 @trunc.command()
 @click.option("--n", type=int, required=True)
-@click.pass_context
-@guarded
-def divisors(ctx, n):
+def divisors(n):
     if n > WINDOW_GUARD:
-        raise GuardExceeded(f"window bound is {WINDOW_GUARD}")
-    _emit(ctx, {"set": truncation.divisors_truncation(n).to_json()})
+        raise SizeGuard(f"window bound is {WINDOW_GUARD}")
+    return {"set": truncation.divisors_truncation(n).to_json()}
 
 
 @trunc.command()
 @click.option("--N", "--n", "n", type=int, required=True)
-@click.pass_context
-@guarded
-def interval(ctx, n):
+def interval(n):
     if n > WINDOW_GUARD:
-        raise GuardExceeded(f"window bound is {WINDOW_GUARD}")
-    _emit(ctx, {"set": truncation.interval_truncation(n).to_json()})
+        raise SizeGuard(f"window bound is {WINDOW_GUARD}")
+    return {"set": truncation.interval_truncation(n).to_json()}
 
 
 # -------------------------------------------------------------------- cyclic
@@ -192,44 +197,36 @@ def cyclic_group():
 
 @cyclic_group.command()
 @click.option("--n", type=int, required=True)
-@click.pass_context
-@guarded
-def paths(ctx, n):
+def paths(n):
     if n > WINDOW_GUARD:
-        raise GuardExceeded(f"cycle size above {WINDOW_GUARD}")
-    _emit(ctx, {"paths": [p.serialize() for p in cyclic.path_set(n)], "count": n + n * n})
+        raise SizeGuard(f"cycle size above {WINDOW_GUARD}")
+    return {"paths": [p.serialize() for p in cyclic.path_set(n)], "count": n + n * n}
 
 
 @cyclic_group.command()
 @click.option("--n", type=int, required=True)
 @click.option("--seq", required=True, help="comma list, e.g. v:0,e:0:1")
 @click.option("--target", required=True)
-@click.pass_context
-@guarded
-def admissible(ctx, n, seq, target):
+def admissible(n, seq, target):
     ok, wit = cyclic.is_admissible(_paths(n, seq), cyclic.Path.deserialize(n, target))
-    _emit(ctx, {"admissible": ok, "witness": [str(x) for x in wit] if wit else None})
+    return {"admissible": ok, "witness": [str(x) for x in wit] if wit else None}
 
 
 @cyclic_group.command()
 @click.option("--n", type=int, required=True)
 @click.option("--m", type=int, required=True)
-@click.pass_context
-@guarded
-def hom(ctx, n, m):
+def hom(n, m):
     maps = cyclic.hom_set(n, m)
-    _emit(ctx, {"count": len(maps), "maps": sorted(f.serialize() for f in maps)})
+    return {"count": len(maps), "maps": sorted(f.serialize() for f in maps)}
 
 
 @cyclic_group.command()
 @click.option("--n", type=int, required=True)
 @click.option("--m", type=int, required=True)
 @click.option("--vals", required=True)
-@click.pass_context
-@guarded
-def dualize(ctx, n, m, vals):
+def dualize(n, m, vals):
     f = cyclic.CyclicMap(n, m, tuple(_ints(vals)))
-    _emit(ctx, {"dual": f.dual().serialize()})
+    return {"dual": f.dual().serialize()}
 
 
 @cyclic_group.command()
@@ -237,24 +234,20 @@ def dualize(ctx, n, m, vals):
 @click.option("--m", type=int, required=True)
 @click.option("--vals", required=True, help="map values, e.g. 0,1")
 @click.option("--path", "path_", required=True, help="v:a or e:a:b on the source")
-@click.pass_context
-@guarded
-def pushforward(ctx, n, m, vals, path_):
+def pushforward(n, m, vals, path_):
     f = cyclic.CyclicMap(n, m, tuple(_ints(vals)))
     p = cyclic.Path.deserialize(n, path_)
-    _emit(ctx, {"path": cyclic.path_pushforward(f, p).serialize()})
+    return {"path": cyclic.path_pushforward(f, p).serialize()}
 
 
 @cyclic_group.command()
 @click.option("--q", type=int, required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--p", type=int, default=None)
-@click.pass_context
-@guarded
-def cut(ctx, q, n, p):
+def cut(q, n, p):
     cs = cyclic.cut_lambda(q, n, p)
     if cs.size > WINDOW_GUARD * WINDOW_GUARD:
-        raise GuardExceeded("cut set too large")
+        raise SizeGuard("cut set too large")
     payload = {
         "size": cs.size,
         "colours": [cs.colour(e).serialize() for e in range(cs.size)],
@@ -263,7 +256,7 @@ def cut(ctx, q, n, p):
         payload["action"] = [cs.action(e) for e in range(cs.size)]
         payload["quotient"] = [cs.quotient_element(e) for e in range(cs.size)]
         payload["cover_checks"] = operad.cut_quotient_check(cs)
-    _emit(ctx, payload)
+    return payload
 
 
 # -------------------------------------------------------------------- operad
@@ -278,29 +271,23 @@ def operad_group():
 @click.option("--n", type=int, required=True)
 @click.option("--seq", required=True)
 @click.option("--target", required=True)
-@click.pass_context
-@guarded
-def mulset(ctx, n, seq, target):
+def mulset(n, seq, target):
     perms = operad.mul_set(_paths(n, seq), cyclic.Path.deserialize(n, target))
-    _emit(ctx, {"count": len(perms), "permutations": [list(p) for p in perms]})
+    return {"count": len(perms), "permutations": [list(p) for p in perms]}
 
 
 @operad_group.command()
 @click.option("--spec", required=True, help="JSON or @file")
 @click.option("--k", type=int, required=True)
-@click.pass_context
-@guarded
-def rotate(ctx, spec, k):
-    _emit(ctx, {"spec": _spec(spec).rotate(k).to_json()})
+def rotate(spec, k):
+    return {"spec": _spec(spec).rotate(k).to_json()}
 
 
 @operad_group.command()
 @click.option("--spec", required=True)
 @click.option("--edge", type=int, required=True)
-@click.pass_context
-@guarded
-def contract(ctx, spec, edge):
-    _emit(ctx, {"spec": _spec(spec).contract(edge).to_json()})
+def contract(spec, edge):
+    return {"spec": _spec(spec).contract(edge).to_json()}
 
 
 # ---------------------------------------------------------------------- qfin
@@ -314,12 +301,10 @@ def qfin_group():
 @qfin_group.command(name="fixed-points")
 @click.option("--orbits", required=True)
 @click.option("--k", type=int, required=True)
-@click.pass_context
-@guarded
-def fixed_points(ctx, orbits, k):
+def fixed_points(orbits, k):
     S = qfin.QFinSet(tuple(_ints(orbits)))
     F = qfin.fixed_points(S, k)
-    _emit(ctx, {"orbits": sorted(F.orbits), "elements": F.element_count()})
+    return {"orbits": sorted(F.orbits), "elements": F.element_count()}
 
 
 @qfin_group.command()
@@ -328,42 +313,36 @@ def fixed_points(ctx, orbits, k):
 @click.option("--u", type=int, default=1)
 @click.option("--shift-a", type=int, default=0)
 @click.option("--shift-b", type=int, default=0)
-@click.pass_context
-@guarded
-def pullback(ctx, a, b, u, shift_a, shift_b):
+def pullback(a, b, u, shift_a, shift_b):
     U = qfin.QFinSet.orbit(u)
     f = qfin.QFinMap(qfin.QFinSet.orbit(a), U, ((0, shift_a),))
     g = qfin.QFinMap(qfin.QFinSet.orbit(b), U, ((0, shift_b),))
     W, p, q = qfin.pullback(f, g)
-    _emit(ctx, {
+    return {
         "orbits": sorted(W.orbits),
         "left": p.to_json(),
         "right": q.to_json(),
         "elements": W.element_count(),
-    })
+    }
 
 
 @qfin_group.command()
 @click.option("--orbits", required=True)
 @click.option("--n", type=int, required=True)
-@click.pass_context
-@guarded
-def scale(ctx, orbits, n):
+def scale(orbits, n):
     S = qfin.QFinSet(tuple(_ints(orbits)))
-    _emit(ctx, {"orbits": sorted(qfin.scale(S, n).orbits)})
+    return {"orbits": sorted(qfin.scale(S, n).orbits)}
 
 
 @qfin_group.command(name="is-proper")
 @click.option("--pairs", required=True, help="m:n pairs, orbit size to target size")
-@click.pass_context
-@guarded
-def is_proper_cmd(ctx, pairs):
+def is_proper_cmd(pairs):
     sizes = [tuple(int(x) for x in item.split(":")) for item in pairs.split(",")]
     S = qfin.QFinSet(tuple(m for m, _ in sizes))
     T = qfin.QFinSet(tuple(sorted(set(n for _, n in sizes))))
     assign = tuple((T.orbits.index(n), 0) for _, n in sizes)
     f = qfin.QFinMap(S, T, assign)
-    _emit(ctx, {"proper": qfin.is_proper(f)})
+    return {"proper": qfin.is_proper(f)}
 
 
 def _parse_span(text):
@@ -382,30 +361,26 @@ def _parse_span(text):
 @qfin_group.command(name="compose-spans")
 @click.option("--first", required=True, help="span a:l:b[:s:t]")
 @click.option("--second", required=True, help="span b:l:c[:s:t]")
-@click.pass_context
-@guarded
-def compose_spans_cmd(ctx, first, second):
+def compose_spans_cmd(first, second):
     s1 = _parse_span(first)
     s2 = _parse_span(second)
     composite = qfin.compose_spans(s2, s1)
     rows, src, tgt = composite.canonical()
-    _emit(ctx, {
+    return {
         "apex": sorted(composite.apex.orbits),
         "canonical_orbits": [list(r) for r in rows],
         "source": list(src),
         "target": list(tgt),
-    })
+    }
 
 
 @qfin_group.command(name="weakly-terminal")
 @click.option("--orbits", required=True)
 @click.option("--primes", required=True)
-@click.pass_context
-@guarded
-def weakly_terminal(ctx, orbits, primes):
+def weakly_terminal(orbits, primes):
     S = qfin.QFinSet(tuple(_ints(orbits)))
     f = qfin.weakly_terminal_map(S, _ints(primes))
-    _emit(ctx, {"target": sorted(f.target.orbits), "assign": f.to_json()["assign"]})
+    return {"target": sorted(f.target.orbits), "assign": f.to_json()["assign"]}
 
 
 # -------------------------------------------------------------------- mackey
@@ -416,59 +391,55 @@ def mackey_group():
     """Windowed Mackey modules."""
 
 
-def _window_module(window_text, burnside_m, witt_ring, witt_n):
+_window_module_options = _options(
+    click.option("--window", default="1"),
+    click.option("--burnside-m", type=int, default=1),
+    click.option("--witt-ring"),
+    click.option("--witt-n", type=int),
+)
+
+
+def _window_module(window, burnside_m, witt_ring, witt_n):
+    """The module that _window_module_options describe."""
     if burnside_m < 1:
         raise ValueError(f"--burnside-m must be >= 1, got {burnside_m}")
     if witt_ring is not None:
         if witt_n is None or witt_n > WINDOW_GUARD:
-            raise GuardExceeded(f"window bound is {WINDOW_GUARD}")
+            raise SizeGuard(f"window bound is {WINDOW_GUARD}")
         return witt.witt_as_mackey(rings.ring_from_string(witt_ring), witt_n)
-    window = _trunc(window_text)
-    return mackey.burnside_representable(burnside_m, window)
+    return mackey.burnside_representable(burnside_m, _trunc(window))
 
 
 @mackey_group.command()
-@click.option("--window", default="1")
-@click.option("--burnside-m", type=int, default=1)
-@click.option("--witt-ring", default=None)
-@click.option("--witt-n", type=int, default=None)
+@_window_module_options
 @click.option("--trials", type=int, default=100)
 @click.option("--seed", type=int, default=0)
-@click.pass_context
-@guarded
-def axioms(ctx, window, burnside_m, witt_ring, witt_n, trials, seed):
+def axioms(trials, seed, **window_module):
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if trials > TRIALS_GUARD:
-        raise GuardExceeded(f"trials are limited to {TRIALS_GUARD}; {trials} requested")
-    M = _window_module(window, burnside_m, witt_ring, witt_n)
+        raise SizeGuard(f"trials are limited to {TRIALS_GUARD}; {trials} requested")
+    M = _window_module(**window_module)
     report = mackey.check_mackey_axioms(M, trials=trials, seed=seed)
-    _emit(ctx, {"ok": report.ok, "checked": report.checked, "failures": report.failures})
+    return {"ok": report.ok, "checked": report.checked, "failures": report.failures}
 
 
 @mackey_group.command()
-@click.option("--window", default="1")
-@click.option("--burnside-m", type=int, default=1)
-@click.option("--witt-ring", default=None)
-@click.option("--witt-n", type=int, default=None)
+@_window_module_options
 @click.option("--level", type=int, default=None, help="default: all levels")
-@click.pass_context
-@guarded
-def gfp(ctx, window, burnside_m, witt_ring, witt_n, level):
-    M = _window_module(window, burnside_m, witt_ring, witt_n)
+def gfp(level, **window_module):
+    M = _window_module(**window_module)
     levels = {}
     for n in [level] if level is not None else M.window:
         torsion, free = mackey.geometric_fixed_points(M, n).group.invariants()
         levels[str(n)] = {"torsion": torsion, "free_rank": free}
-    _emit(ctx, {"levels": levels})
+    return {"levels": levels}
 
 
 @mackey_group.command()
 @click.option("--window", required=True)
 @click.option("--burnside-m", type=int, default=1)
-@click.pass_context
-@guarded
-def conservativity(ctx, window, burnside_m):
+def conservativity(window, burnside_m):
     M = mackey.burnside_representable(burnside_m, _trunc(window))
     report = mackey.check_conservativity(M)
     payload = {
@@ -477,58 +448,45 @@ def conservativity(ctx, window, burnside_m):
     }
     if report["applicable"]:
         payload["transfer_generated"] = report["transfer_generated"]
-    _emit(ctx, payload)
+    return payload
 
 
 @mackey_group.command(name="proper-core")
 @click.option("--window", required=True)
 @click.option("--burnside-m", type=int, default=1)
-@click.pass_context
-@guarded
-def proper_core(ctx, window, burnside_m):
+def proper_core(window, burnside_m):
     M = mackey.burnside_representable(burnside_m, _trunc(window))
     core, trace = mackey.proper_transfer_core(M)
     report = mackey.check_conservativity(core)
-    _emit(ctx, {
+    return {
         "iterations": len(trace),
         "core_ranks": trace[-1],
         "all_gfp_zero": report["all_gfp_zero"],
         "transfer_generated": report.get("transfer_generated"),
-    })
+    }
 
 
 @mackey_group.command(name="evaluate-span")
-@click.option("--window", default="1")
-@click.option("--burnside-m", type=int, default=1)
-@click.option("--witt-ring", default=None)
-@click.option("--witt-n", type=int, default=None)
+@_window_module_options
 @click.option("--span", required=True, help="span a:l:b[:s:t]")
-@click.pass_context
-@guarded
-def evaluate_span_cmd(ctx, window, burnside_m, witt_ring, witt_n, span):
-    M = _window_module(window, burnside_m, witt_ring, witt_n)
-    h = mackey.evaluate_span(M, _parse_span(span))
-    _emit(ctx, {"matrix": h.matrix.to_lists(),
-                "source_level": _parse_span(span).target.orbits[0],
-                "target_level": _parse_span(span).source.orbits[0]})
+def evaluate_span_cmd(span, **window_module):
+    M = _window_module(**window_module)
+    S = _parse_span(span)
+    h = mackey.evaluate_span(M, S)
+    return {"matrix": h.matrix.to_lists(), "source_level": S.target.orbits[0], "target_level": S.source.orbits[0]}
 
 
 @mackey_group.command(name="transfer-sum")
-@click.option("--window", default="1")
-@click.option("--burnside-m", type=int, default=1)
-@click.option("--witt-ring", default=None)
-@click.option("--witt-n", type=int, default=None)
+@_window_module_options
 @click.option("--family", required=True, help="semicolon list n=c1,c2,... of coordinates")
-@click.pass_context
-@guarded
-def transfer_sum_cmd(ctx, window, burnside_m, witt_ring, witt_n, family):
-    M = _window_module(window, burnside_m, witt_ring, witt_n)
+def transfer_sum_cmd(family, **window_module):
+    M = _window_module(**window_module)
     fam = []
     for item in family.split(";"):
         n_text, coords = item.split("=", 1)
         fam.append((int(n_text), _ints(coords)))
     total = mackey.infinite_transfer_sum(M, fam)
-    _emit(ctx, {"element": total})
+    return {"element": total}
 
 
 @mackey_group.command()
@@ -536,16 +494,12 @@ def transfer_sum_cmd(ctx, window, burnside_m, witt_ring, witt_n, family):
 @click.option("--relations", default="", help="semicolon rows of comma entries")
 @click.option("--action", required=True, help="semicolon rows of the matrix")
 @click.option("--order", type=int, required=True)
-@click.pass_context
-@guarded
-def coinvariants(ctx, ngens, relations, action, order):
+def coinvariants(ngens, relations, action, order):
     if order < 1:
         raise ValueError("order must be >= 1")
     if order > WINDOW_GUARD:
-        raise GuardExceeded(f"order is above {WINDOW_GUARD}")
-    rows = [
-        _ints(r) for r in relations.split(";") if r.strip()
-    ]
+        raise SizeGuard(f"order is above {WINDOW_GUARD}")
+    rows = [_ints(r) for r in relations.split(";") if r.strip()]
     rel = (
         rings.IntMatrix.from_rows(rings.ZZ, rows)
         if rows
@@ -555,9 +509,8 @@ def coinvariants(ctx, ngens, relations, action, order):
     G = mackey.GroupWithAction(mackey.FPGroup(ngens, rel), act, order)
     if not G.validate():
         raise ValueError(f"the action must preserve the relations and have order dividing {order}")
-    quotient = mackey.coinvariants(G)
-    torsion, free = quotient.invariants()
-    _emit(ctx, {"torsion": torsion, "free_rank": free})
+    torsion, free = mackey.coinvariants(G).invariants()
+    return {"torsion": torsion, "free_rank": free}
 
 
 # ---------------------------------------------------------------------- witt
@@ -568,144 +521,116 @@ def witt_group():
     """Big Witt vectors."""
 
 
-def _ring_support(ring_text, support_text):
-    ring = rings.ring_from_string(ring_text)
-    support = _trunc(support_text)
-    return ring, support
+_ring_support_options = _options(
+    click.option("--ring", default="Z"),
+    click.option("--support", required=True),
+)
+
+
+def _ring_support(ring, support):
+    """The ring and the truncation set that _ring_support_options describe."""
+    return rings.ring_from_string(ring), _trunc(support)
 
 
 @witt_group.command()
-@click.option("--ring", "ring_", default="Z")
-@click.option("--support", required=True)
+@_ring_support_options
 @click.option("--a", "a_", required=True)
 @click.option("--b", "b_", required=True)
-@click.pass_context
-@guarded
-def add(ctx, ring_, support, a_, b_):
-    ring, supp = _ring_support(ring_, support)
+def add(a_, b_, **ring_support):
+    ring, supp = _ring_support(**ring_support)
     c = witt.add(_witt_vector(ring, supp, a_), _witt_vector(ring, supp, b_))
-    _emit(ctx, c.to_json())
+    return c.to_json()
 
 
 @witt_group.command()
-@click.option("--ring", "ring_", default="Z")
-@click.option("--support", required=True)
+@_ring_support_options
 @click.option("--a", "a_", required=True)
 @click.option("--b", "b_", required=True)
-@click.pass_context
-@guarded
-def mul(ctx, ring_, support, a_, b_):
-    ring, supp = _ring_support(ring_, support)
+def mul(a_, b_, **ring_support):
+    ring, supp = _ring_support(**ring_support)
     c = witt.multiply(_witt_vector(ring, supp, a_), _witt_vector(ring, supp, b_))
-    _emit(ctx, c.to_json())
+    return c.to_json()
 
 
 @witt_group.command()
-@click.option("--ring", "ring_", default="Z")
-@click.option("--support", required=True)
+@_ring_support_options
 @click.option("--vec", required=True)
-@click.pass_context
-@guarded
-def ghost(ctx, ring_, support, vec):
-    ring, supp = _ring_support(ring_, support)
+def ghost(vec, **ring_support):
+    ring, supp = _ring_support(**ring_support)
     g = witt.ghost(_witt_vector(ring, supp, vec))
-    _emit(ctx, {"support": supp.to_json(), "ghost": {str(t): ring.show(v) for t, v in g.as_dict().items()}})
+    return {"support": supp.to_json(), "ghost": {str(t): ring.show(v) for t, v in g.as_dict().items()}}
 
 
 @witt_group.command()
-@click.option("--ring", "ring_", default="Z")
-@click.option("--support", required=True, help="support of the input")
+@_ring_support_options
 @click.option("--target", required=True, help="support of the output")
 @click.option("--n", type=int, required=True)
 @click.option("--vec", required=True)
-@click.pass_context
-@guarded
-def ver(ctx, ring_, support, target, n, vec):
-    ring, supp = _ring_support(ring_, support)
+def ver(target, n, vec, **ring_support):
+    ring, supp = _ring_support(**ring_support)
     out = witt.verschiebung(_witt_vector(ring, supp, vec), n, _trunc(target))
-    _emit(ctx, out.to_json())
+    return out.to_json()
 
 
 @witt_group.command()
-@click.option("--ring", "ring_", default="Z")
-@click.option("--support", required=True)
+@_ring_support_options
 @click.option("--n", type=int, required=True)
 @click.option("--vec", required=True)
-@click.pass_context
-@guarded
-def frob(ctx, ring_, support, n, vec):
-    ring, supp = _ring_support(ring_, support)
+def frob(n, vec, **ring_support):
+    ring, supp = _ring_support(**ring_support)
     out = witt.frobenius(_witt_vector(ring, supp, vec), n)
-    _emit(ctx, out.to_json())
+    return out.to_json()
 
 
 @witt_group.command()
-@click.option("--ring", "ring_", default="Z")
-@click.option("--support", required=True)
+@_ring_support_options
 @click.option("--r", required=True)
-@click.pass_context
-@guarded
-def teich(ctx, ring_, support, r):
-    ring, supp = _ring_support(ring_, support)
-    _emit(ctx, witt.teichmuller(ring, ring.parse(r), supp).to_json())
+def teich(r, **ring_support):
+    ring, supp = _ring_support(**ring_support)
+    return witt.teichmuller(ring, ring.parse(r), supp).to_json()
 
 
 @witt_group.command(name="sum-v")
-@click.option("--ring", "ring_", default="Z")
-@click.option("--support", required=True)
+@_ring_support_options
 @click.option("--family", required=True, help="semicolon list n=coeffs, e.g. 2=1:1;3=1:1")
-@click.pass_context
-@guarded
-def sum_v(ctx, ring_, support, family):
-    ring, supp = _ring_support(ring_, support)
+def sum_v(family, **ring_support):
+    ring, supp = _ring_support(**ring_support)
     fam = []
     for item in family.split(";"):
         n_text, coeffs = item.split("=", 1)
         n = int(n_text)
         fam.append((n, _witt_vector(ring, supp.divide(n), coeffs)))
     out = witt.infinite_verschiebung(ring, fam, supp)
-    _emit(ctx, out.to_json())
+    return out.to_json()
 
 
 @witt_group.command()
-@click.option("--ring", "ring_", required=True)
+@click.option("--ring", required=True)
 @click.option("--N", "--n", "n", type=int, required=True)
-@click.pass_context
-@guarded
-def recover(ctx, ring_, n):
+def recover(ring, n):
     if n > WINDOW_GUARD:
-        raise GuardExceeded(f"window bound is {WINDOW_GUARD}")
-    report = witt.recover_base(rings.ring_from_string(ring_), n)
-    _emit(ctx, {"invariant_factors": report["invariant_factors"],
-                "free_rank": report["free_rank"],
-                "matches_base": report["matches_base"]})
+        raise SizeGuard(f"window bound is {WINDOW_GUARD}")
+    report = witt.recover_base(rings.ring_from_string(ring), n)
+    return {key: report[key] for key in ("invariant_factors", "free_rank", "matches_base")}
 
 
 @witt_group.command()
-@click.option("--ring", "ring_", default="Z")
-@click.option("--support", required=True)
+@_ring_support_options
 @click.option("--box", type=int, default=10)
-@click.pass_context
-@guarded
-def equalizer(ctx, ring_, support, box):
-    ring, supp = _ring_support(ring_, support)
+def equalizer(box, **ring_support):
+    ring, supp = _ring_support(**ring_support)
     if box > 50 or len(supp) > 6:
-        raise GuardExceeded("equalizer enumeration guard: box <= 50, |T| <= 6")
-    flow = witt.GhostFlow(ring, {}, supp)
-    report = witt.equalizer_report(flow, box)
-    _emit(ctx, report)
+        raise SizeGuard("equalizer enumeration guard: box <= 50, |T| <= 6")
+    return witt.equalizer_report(witt.GhostFlow(ring, {}, supp), box)
 
 
 @witt_group.command(name="as-mackey")
-@click.option("--ring", "ring_", required=True)
+@click.option("--ring", required=True)
 @click.option("--N", "--n", "n", type=int, required=True)
-@click.pass_context
-@guarded
-def as_mackey(ctx, ring_, n):
+def as_mackey(ring, n):
     if n > WINDOW_GUARD:
-        raise GuardExceeded(f"window bound is {WINDOW_GUARD}")
-    M = witt.witt_as_mackey(rings.ring_from_string(ring_), n)
-    _emit(ctx, M.to_json())
+        raise SizeGuard(f"window bound is {WINDOW_GUARD}")
+    return witt.witt_as_mackey(rings.ring_from_string(ring), n).to_json()
 
 
 # ------------------------------------------------------------------------ hh
@@ -723,49 +648,39 @@ def _cycle_from(path):
 @hh_group.command()
 @click.option("--cycle", "cycle_path", required=True)
 @click.option("--degree", type=int, required=True)
-@click.pass_context
-@guarded
-def compute(ctx, cycle_path, degree):
+def compute(cycle_path, degree):
     cyc = _cycle_from(cycle_path)
     dims = hochschild.bar_dims(cyc, degree)
     complex_ = hochschild.hh_complex(cyc, degree)
-    _emit(ctx, {
+    return {
         "dims": list(dims),
         "boundary_squared_zero": complex_.validate(),
         "homology": hochschild.homology(complex_),
-    })
+    }
 
 
 @hh_group.command()
 @click.option("--cycle", "cycle_path", required=True)
-@click.pass_context
-@guarded
-def thh0(ctx, cycle_path):
+def thh0(cycle_path):
     cyc = _cycle_from(cycle_path)
     if cyc.n != 1:
         raise ValueError("thh0 needs a 1-cycle")
     dim, _ = hochschild.thh_pi0(cyc.algebras[0], cyc.bimodules[0])
-    _emit(ctx, {"dimension": dim})
+    return {"dimension": dim}
 
 
 @hh_group.command(name="contract-compare")
 @click.option("--cycle", "cycle_path", required=True)
 @click.option("--edge", type=int, required=True)
 @click.option("--degree", type=int, required=True)
-@click.pass_context
-@guarded
-def contract_compare(ctx, cycle_path, edge, degree):
-    cyc = _cycle_from(cycle_path)
-    report = hochschild.contraction_comparison(cyc, edge, degree)
-    _emit(ctx, report)
+def contract_compare(cycle_path, edge, degree):
+    return hochschild.contraction_comparison(_cycle_from(cycle_path), edge, degree)
 
 
 @hh_group.command(name="rotate")
 @click.option("--cycle", "cycle_path", required=True, help="uniform cycle JSON")
 @click.option("--degree", type=int, required=True)
-@click.pass_context
-@guarded
-def rotate_cmd(ctx, cycle_path, degree):
+def rotate_cmd(cycle_path, degree):
     cyc = _cycle_from(cycle_path)
     R, M = cyc.algebras[0], cyc.bimodules[0]
     if cyc.algebras != (R,) * cyc.n or cyc.bimodules != (M,) * cyc.n:
@@ -775,12 +690,12 @@ def rotate_cmd(ctx, cycle_path, degree):
     if R.field == rings.QQ:
         # rationals print as strings ("1", "1/2"); residues stay JSON numbers
         action = [[[R.field.show(x) for x in row] for row in matrix] for matrix in action]
-    _emit(ctx, {
+    return {
         "commutes_with_boundary": report["commutes_with_boundary"],
         "order_exact": report["order_exact"],
         "homology_dims": report["homology_dims"],
         "homology_action": action,
-    })
+    }
 
 
 if __name__ == "__main__":

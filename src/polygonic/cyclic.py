@@ -22,10 +22,11 @@ from fractions import Fraction
 
 
 class SizeGuard(Exception):
-    pass
+    """A request beyond a size limit; the message names the limit.  Every
+    other error the package raises on bad input is a ValueError."""
 
 
-class EmptyOrder(Exception):
+class EmptyOrder(ValueError):
     pass
 
 

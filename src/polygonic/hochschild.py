@@ -33,11 +33,11 @@ from .rings import (
 )
 
 
-class AlgebraMismatch(Exception):
+class AlgebraMismatch(ValueError):
     pass
 
 
-class DegreeBoundNegative(Exception):
+class DegreeBoundNegative(ValueError):
     pass
 
 

@@ -17,11 +17,7 @@ from .rings import ZZ, DimensionMismatch, IntMatrix, invariant_factors, lattice_
 from .truncation import TruncationSet
 
 
-class LevelOutsideWindow(Exception):
-    pass
-
-
-class NotQuasifinite(Exception):
+class LevelOutsideWindow(ValueError):
     pass
 
 

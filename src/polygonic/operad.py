@@ -22,7 +22,7 @@ from .cyclic import (
 )
 
 
-class NonComposable(Exception):
+class NonComposable(ValueError):
     pass
 
 

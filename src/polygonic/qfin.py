@@ -12,16 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from .cyclic import SizeGuard
 
-class TargetMismatch(Exception):
+
+PULLBACK_GUARD = 2 ** 20
+
+
+class TargetMismatch(ValueError):
     pass
 
 
-class NoPrimeDivisorInWindow(Exception):
+class NoPrimeDivisorInWindow(ValueError):
     pass
 
 
-class NotQuasifinite(Exception):
+class NotQuasifinite(ValueError):
     pass
 
 
@@ -150,12 +155,21 @@ def pullback(f, g):
     """Pullback of f : S -> U against g : T -> U.
 
     Over each orbit Z/u of U, a pair of preimage orbits of sizes a and b
-    contributes gcd(a, b)/u orbits of size lcm(a, b).  Returns (W, p, q) with
-    the two projections.
+    contributes gcd(a, b)/u orbits of size lcm(a, b), so a*b/u elements; above
+    PULLBACK_GUARD elements in all it raises SizeGuard before listing any.
+    Returns (W, p, q) with the two projections.
     """
     if f.target.orbits != g.target.orbits:
         raise TargetMismatch("pullback needs a common target")
     U = f.target
+    elements = sum(
+        a * b // U.orbits[i]
+        for a, (i, _) in zip(f.source.orbits, f.assign)
+        for b, (j, _) in zip(g.source.orbits, g.assign)
+        if i == j
+    )
+    if elements > PULLBACK_GUARD:
+        raise SizeGuard(f"pullback is limited to {PULLBACK_GUARD} elements; {elements} requested")
     orbits = []
     p_assign = []
     q_assign = []
@@ -262,7 +276,10 @@ class SpanMorphism:
         return out
 
     def canonical(self):
-        """Normalize apex orbits up to automorphism, sort, for comparison."""
+        """Normalize apex orbits up to automorphism, sort, for comparison.
+
+        The work is the apex's element count; a composite's apex is a
+        pullback, which PULLBACK_GUARD bounds."""
         rows = []
         for (l, j1, s1, j2, s2) in self.orbit_data():
             a = self.source.orbits[j1]

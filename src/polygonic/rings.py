@@ -12,23 +12,49 @@ import heapq
 import json
 from fractions import Fraction
 
+from .cyclic import SizeGuard
 
-class NonFieldRing(Exception):
+
+class NonFieldRing(ValueError):
     pass
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(ValueError):
     pass
+
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster, Math.
+# Comp. 86 (2017)).
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+ROOT_SEARCH_GUARD = 2 ** 16
 
 
 def is_prime(n):
+    """Deterministic Miller-Rabin; a SizeGuard at or above PRIME_TEST_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= PRIME_TEST_BOUND:
+        raise SizeGuard(f"primality is decided below {PRIME_TEST_BOUND}; {n} requested")
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:  # no prime factor up to 41
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -240,10 +266,12 @@ class QuotientPolynomialRing(CoefficientRing):
         self.is_field = bool(base.is_field and self._irreducible())
 
     def _irreducible(self):
-        # Brute force check, only meaningful over small prime fields.
+        # Brute-force root search, only meaningful over small prime fields.
         if not isinstance(self.base, PrimeField) or self.deg > 3:
             return False
         p = self.base.modulus
+        if p > ROOT_SEARCH_GUARD:
+            raise SizeGuard(f"root search is limited to {ROOT_SEARCH_GUARD} residues; {p} requested")
         for r in range(p):
             val = self.base.zero()
             for c in reversed(self.modulus):
@@ -251,7 +279,7 @@ class QuotientPolynomialRing(CoefficientRing):
             if self.base.is_zero(val):
                 return False
         # Degree 2 and 3 polynomials are irreducible iff they have no root.
-        return self.deg <= 3
+        return True
 
     def from_int(self, k):
         return (self.base.from_int(k),) + (self.base.zero(),) * (self.deg - 1)

@@ -26,23 +26,23 @@ from math import gcd, lcm
 
 from .cyclic import SizeGuard
 from .mackey import FPGroup, MackeyWindow
-from .rings import ZZ, IntMatrix
+from .rings import ZZ, IntMatrix, is_prime
 from .truncation import TruncationSet
 
 
-class SupportMismatch(Exception):
+class SupportMismatch(ValueError):
     pass
 
 
-class NonIntervalSupport(Exception):
+class NonIntervalSupport(ValueError):
     pass
 
 
-class NotSummable(Exception):
+class NotSummable(ValueError):
     pass
 
 
-class UnsupportedEnumerationRing(Exception):
+class UnsupportedEnumerationRing(ValueError):
     pass
 
 
@@ -518,7 +518,7 @@ def mod_p_equal(ring, x, y, p):
 
 
 def _primes_upto(n):
-    return [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
+    return [p for p in range(2, n + 1) if is_prime(p)]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
+import importlib
+import inspect
 import json
+import pkgutil
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import polygonic
 from polygonic.cli import main
+from polygonic.cyclic import SizeGuard
 from polygonic.hochschild import FiniteAlgebra, FiniteBimodule, LabelledCycle
 from polygonic.rings import QQ, PrimeField
 
@@ -570,3 +576,82 @@ def test_malformed_json_is_a_validation_error(runner, tmp_path):
         assert json.loads(result.output) == {
             "error": "an algebra is an object with 'field', 'dim', 'mult', 'unit'", "kind": "validation",
         }
+
+
+def test_usage_errors_print_the_error_object(runner):
+    # click's own parse errors keep the exit-2 contract: one JSON object on
+    # stdout, as for any other invalid input
+    for argv, error in (
+        (["trunc", "nope"], "No such command 'nope'."),
+        (["trunc", "divide", "--set", "1,2"], "Missing option '--n'."),
+        (["trunc", "divide", "--set", "1,2", "--n", "x"], "Invalid value for '--n': 'x' is not a valid integer."),
+        (["--format", "xml", "trunc", "check", "--set", "1"],
+         "Invalid value for '--format': 'xml' is not one of 'json', 'tsv'."),
+        (["--format", "tsv", "trunc", "divide", "--set", "1,2", "--n", "1.5"],
+         "Invalid value for '--n': '1.5' is not a valid integer."),
+    ):
+        result = run(runner, argv)
+        assert result.exit_code == 2, argv
+        assert result.stdout.count("\n") == 1, argv
+        assert json.loads(result.stdout) == {"error": error, "kind": "validation"}
+    for argv in (["--help"], ["trunc", "--help"], ["trunc", "divide", "--help"]):
+        result = run(runner, argv)
+        assert result.exit_code == 0, argv
+        assert result.stdout.startswith("Usage:"), argv
+
+
+def test_every_library_error_but_the_guard_is_a_value_error():
+    # the command line maps SizeGuard to exit 3 and ValueError to exit 2, so
+    # an error class outside both would end in a traceback
+    errors = set()
+    for info in pkgutil.iter_modules(polygonic.__path__):
+        module = importlib.import_module(f"polygonic.{info.name}")
+        errors.update(
+            cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, Exception) and cls.__module__.startswith("polygonic.")
+        )
+    assert SizeGuard in errors and len(errors) >= 15
+    for cls in errors - {SizeGuard}:
+        assert issubclass(cls, ValueError), cls
+    assert not issubclass(SizeGuard, ValueError)
+
+
+def test_pullback_guard_edge(runner):
+    # Z/a x_{Z/u} Z/b has a*b/u elements; the limit is 2^20 = 1048576
+    result = run(runner, ["qfin", "pullback", "--a", "1048576", "--b", "1"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["elements"] == 1048576
+    for argv, requested in (
+        (["qfin", "pullback", "--a", "1048577", "--b", "1"], 1048577),
+        (["qfin", "pullback", "--a", "1000000", "--b", "1000000"], 10 ** 12),
+        (["qfin", "compose-spans", "--first", "1:1000000:1", "--second", "1:1000000:1"], 10 ** 12),
+    ):
+        result = run(runner, argv)
+        assert result.exit_code == 3, argv
+        assert json.loads(result.output) == {
+            "error": f"pullback is limited to 1048576 elements; {requested} requested", "kind": "guard",
+        }
+
+
+def test_large_prime_moduli_are_decided_or_refused(runner, tmp_path):
+    # R23 = (10^23 - 1)/9 is prime; trial division would need about 10^11 steps
+    start = time.perf_counter()
+    result = run(runner, ["witt", "add", "--ring", "F11111111111111111111111", "--support", "1",
+                          "--a", "1:1", "--b", "1:1"])
+    assert time.perf_counter() - start < 1
+    assert (result.exit_code, json.loads(result.output)["coeffs"]) == (0, {"1": "2"})
+    result = run(runner, ["witt", "recover", "--ring", f"F{2 ** 89 - 1}", "--N", "1"])
+    assert result.exit_code == 3
+    assert json.loads(result.output)["kind"] == "guard"
+    # a quotient ring over a large prime would search every residue for a root
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps({
+        "ring": {"kind": "univariate-polynomial-quotient", "base": {"kind": "prime-field", "p": 10 ** 9 + 7},
+                 "modulus": ["1", "0", "1"]},
+        "support": [1], "coeffs": {},
+    }))
+    result = run(runner, ["witt", "ghost", "--support", "1", "--vec", f"@{path}"])
+    assert result.exit_code == 3
+    assert json.loads(result.output) == {
+        "error": "root search is limited to 65536 residues; 1000000007 requested", "kind": "guard",
+    }

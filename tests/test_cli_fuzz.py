@@ -1,13 +1,12 @@
 """Seeded grammar fuzz of the command line.
 
 Every subcommand gets argv drawn from a small grammar: boundary integers
-(-1, 0, 1, each guard and guard + 1), malformed tokens, empty and repeated
-lists, and well-formed and malformed input files.  Each run must exit 0, 2 or
-3 with one JSON object on stdout and no traceback, within a time cap.
-
-Integer options get integers only: click refuses other tokens itself, with
-a usage message, before any command runs.  `witt equalizer` is kept far from
-its guard, where it would enumerate for a long time.
+(-1, 0, 1, each guard and guard + 1), malformed tokens (for integer options
+too, which click refuses before any command runs), empty and repeated lists,
+and well-formed and malformed input files.  Each run must exit 0, 2 or 3 with
+one JSON object on stdout and no traceback, within a time cap.
+`witt equalizer` is kept far from its guard, where it would enumerate for a
+long time.
 """
 
 import json
@@ -35,7 +34,7 @@ CAP_S = 5           # per run
 
 
 def _ints(*guards):
-    return [-1, 0, 1, 2, 3] + [g + d for g in guards for d in (0, 1)]
+    return [-1, 0, 1, 2, 3, "x", "", "1.5"] + [g + d for g in guards for d in (0, 1)]
 
 
 WINDOW = _ints(WINDOW_GUARD)
@@ -132,7 +131,7 @@ def _grammar(cycles):
         ("witt", "recover"): ({"--ring": RINGS, "--N": WINDOW}, {}),
         ("witt", "equalizer"): (
             {"--ring": ["Z", "Z/4", "F3", "Q", "x"], "--support": ["1", "1,2", "2", "", "x"],
-             "--box": [-1, 0, 1, 2]},
+             "--box": [-1, 0, 1, 2, "x"]},
             {},
         ),
         ("witt", "as-mackey"): ({"--ring": RINGS, "--N": WINDOW}, {}),

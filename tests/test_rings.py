@@ -5,8 +5,11 @@ from math import gcd
 
 import pytest
 
+from polygonic.cyclic import SizeGuard
 from polygonic.rings import (
+    PRIME_TEST_BOUND,
     QQ,
+    ROOT_SEARCH_GUARD,
     ZZ,
     DimensionMismatch,
     Echelon,
@@ -16,6 +19,7 @@ from polygonic.rings import (
     PrimeField,
     QuotientPolynomialRing,
     invariant_factors,
+    is_prime,
     kernel_basis,
     lattice_contains,
     rank_of,
@@ -462,3 +466,36 @@ def test_poly_quotient_field():
     assert len(elems) == 4
     R = QuotientPolynomialRing(F2, (0, 0, 1))  # x^2, not a field
     assert not R.is_field
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    small = [p for p in range(2, 317) if all(p % d for d in range(2, p))]
+    for n in range(10 ** 5):
+        expected = n >= 2 and all(n % p for p in small if p * p <= n)
+        assert is_prime(n) == expected, n
+
+
+def test_miller_rabin_rejects_pseudoprimes_and_accepts_large_primes():
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 5394826801)
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    strong = (3215031751, 3825123056546413051, 318665857834031151167461)
+    for n in carmichael + strong:
+        assert not is_prime(n), n
+    for n in (2 ** 61 - 1, 2 ** 31 - 1, 11111111111111111111111, 10 ** 9 + 7):
+        assert is_prime(n), n
+    # at the bound the 13 bases stop deciding: it is composite and passes all of them
+    with pytest.raises(SizeGuard, match=str(PRIME_TEST_BOUND)):
+        is_prime(PRIME_TEST_BOUND)
+    with pytest.raises(SizeGuard):
+        PrimeField(2 ** 89 - 1)
+
+
+def test_root_search_is_bounded():
+    # x^2 + 1 is irreducible exactly when p = 3 mod 4
+    assert QuotientPolynomialRing(PrimeField(65519), (1, 0, 1)).is_field
+    assert not QuotientPolynomialRing(PrimeField(65521), (1, 0, 1)).is_field
+    assert 65521 < ROOT_SEARCH_GUARD < 65537
+    with pytest.raises(SizeGuard, match="65537 requested"):
+        QuotientPolynomialRing(PrimeField(65537), (1, 0, 1))
+    # above degree 3 there is no search, so no guard
+    assert not QuotientPolynomialRing(PrimeField(10 ** 9 + 7), (1, 0, 0, 0, 1)).is_field
