@@ -105,7 +105,13 @@ def _spec(text):
 
 def _witt_vector(ring, support, text):
     if text.startswith("@"):
-        return witt.WittVector.from_json(_read_json(text[1:]))
+        vec = witt.WittVector.from_json(_read_json(text[1:]))
+        if (vec.ring, vec.support) != (ring, support):
+            raise ValueError(
+                f"{text[1:]} holds a vector over {vec.ring} on {vec.support.to_json()},"
+                f" but the options give {ring} on {support.to_json()}"
+            )
+        return vec
     values = {}
     if text.strip():
         for item in text.split(","):

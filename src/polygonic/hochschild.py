@@ -27,6 +27,7 @@ from .rings import (
     NonFieldRing,
     QQ,
     _add_multiple,
+    _json_fields,
     invariant_factors_of_rows,
     kernel_basis,
     ring_from_json,
@@ -109,13 +110,6 @@ def _associative(field, dims, xy, xy_z, yz, x_yz):
             if _combo_mul(field, ij, {k: one}, xy_z) != _combo_mul(field, {i: one}, jk, x_yz):
                 return i, j, k
     return None
-
-
-def _json_fields(data, what, keys):
-    """The values at keys of a JSON object; ValueError if data is not one."""
-    if not isinstance(data, dict) or not set(keys) <= data.keys():
-        raise ValueError(f"{what} is an object with {', '.join(map(repr, keys))}")
-    return [data[k] for k in keys]
 
 
 def _json_table(field, table, depth):
@@ -694,11 +688,11 @@ def bar_complex(cycle: LabelledCycle, degree_bound):
 # vector 0, the degenerate subcomplex is spanned by the basis tensors with
 # some vertex column all units.  It is acyclic, over Z as over a field
 # (Loday, Cyclic Homology, 1.1), and the quotient is free on the other basis
-# tensors.  Its faces are built column by column, a column's tuples of block
-# indices ranked row-major without the all-unit tuple of a vertex column,
-# and then put back in the order the tensors have in bar_complex: in column
-# order the echelon forms over Q fill in with fractions, and eliminating the
-# Q[C2] 3-cycle at degree 3 took about six times as long.
+# tensors.  Its faces and rotations are built column by column, a column's
+# tuples of block indices ranked row-major without the all-unit tuple of a
+# vertex column, then put back in the order of bar_complex: in column order
+# the echelon forms over Q fill in with fractions, and eliminating the Q[C2]
+# 3-cycle at degree 3 took about six times as long.
 
 
 def units_first(cycle: LabelledCycle):
@@ -715,8 +709,9 @@ def _column_tuples(cycle, j):
     return list(product(*map(range, dims)))[j > 0:]
 
 
-def _normalized_face(cycle, env, q):
-    """Matrix of a face from normalized level q to level q - 1.
+def _normalized_matrix(cycle, env):
+    """Entries, in column order, of a face or a rotation (as an envelope
+    morphism) between normalized levels.
 
     Each target column takes its fibers from whole source columns, so the
     matrix is the Kronecker product, over target columns, of one small matrix
@@ -726,21 +721,22 @@ def _normalized_face(cycle, env, q):
     """
     field, n = cycle.field, cycle.n
     colours, paths = env.source.colours, env.target.colours
-    src_tuples = [_column_tuples(cycle, j) for j in range(q + 1)]
-    strides = [prod(len(t) for t in src_tuples[j + 1:]) for j in range(q + 1)]
+    width, target_width = len(colours) // n, len(paths) // n
+    src_tuples = [_column_tuples(cycle, j) for j in range(width)]
+    strides = [prod(len(t) for t in src_tuples[j + 1:]) for j in range(width)]
     entries = {(0, 0): field.one()}
     products = {}  # (target, fiber indices) -> product, as each recurs
-    for c in range(q):
-        targets = [a * q + c for a in range(n)]
+    for c in range(target_width):
+        targets = [a * target_width + c for a in range(n)]
         fibers = [env.fiber_orders[y] for y in targets]
-        columns = sorted({x % (q + 1) for fiber in fibers for x in fiber})
+        columns = sorted({x % width for fiber in fibers for x in fiber})
         rank = {t: r for r, t in enumerate(_column_tuples(cycle, c))}
         block = []  # (row, col offset, entry) of the column matrix
         for combo in product(*[enumerate(src_tuples[j]) for j in columns]):
             index = {}
             for j, (_, digits) in zip(columns, combo):
                 for a, i in enumerate(digits):
-                    index[a * (q + 1) + j] = i
+                    index[a * width + j] = i
             image = {(): field.one()}  # block index tuple -> coefficient
             for y, fiber in zip(targets, fibers):
                 key = (y,) + tuple(index[x] for x in fiber)
@@ -759,6 +755,18 @@ def _normalized_face(cycle, env, q):
     return entries
 
 
+def _in_bar_order(field, entries, lo, hi):
+    """Column-order entries as a matrix, rows and columns put in the orders lo and hi of _bar_order."""
+    return IntMatrix(field, len(lo), len(hi), {(lo[r], hi[c]): v for (r, c), v in entries.items()})
+
+
+def _bar_order(cycle, q):
+    """The index in normalized_positions(cycle, q) of each of _column_positions(cycle, q)."""
+    positions = _column_positions(cycle, q)
+    rank = {p: i for i, p in enumerate(sorted(positions))}
+    return [rank[p] for p in positions]
+
+
 def normalized_bar_complex(cycle: LabelledCycle, degree_bound):
     """The bar complex modulo its degenerate subcomplex, through the given
     degree: quasi-isomorphic to bar_complex, over Z too, with
@@ -771,24 +779,16 @@ def normalized_bar_complex(cycle: LabelledCycle, degree_bound):
         raise ValueError("normalization needs every vertex unit to be basis vector 0")
     bar_dims(cycle, degree_bound)
     field, n = cycle.field, cycle.n
-    order = []  # column-order index -> index in the order of bar_complex
-    for q in range(degree_bound + 1):
-        positions = _column_positions(cycle, q)
-        rank = {p: i for i, p in enumerate(sorted(positions))}
-        order.append([rank[p] for p in positions])
-    dims = tuple(map(len, order))
+    order = [_bar_order(cycle, q) for q in range(degree_bound + 1)]
     boundaries = {}
     for q in range(1, degree_bound + 1):
         entries = {}
         sign = field.one()
         for i in range(q + 1):
-            _add_multiple(field, entries, sign, _normalized_face(cycle, cut_face(CutSet(q, n), i), q))
+            _add_multiple(field, entries, sign, _normalized_matrix(cycle, cut_face(CutSet(q, n), i)))
             sign = field.neg(sign)
-        lo, hi = order[q - 1], order[q]
-        boundaries[q] = IntMatrix(field, dims[q - 1], dims[q], {
-            (lo[r], hi[c]): v for (r, c), v in entries.items()
-        })
-    return ChainComplex(field, dims, boundaries)
+        boundaries[q] = _in_bar_order(field, entries, order[q - 1], order[q])
+    return ChainComplex(field, tuple(map(len, order)), boundaries)
 
 
 def normalized_positions(cycle: LabelledCycle, q):
@@ -810,16 +810,6 @@ def _column_positions(cycle, q):
         ]
         positions = [p + o for p in positions for o in offsets]
     return positions
-
-
-def _restrict(matrix, positions):
-    """The endomorphism of the quotient induced by a chain map of the full
-    complex that keeps the degenerate subcomplex: its entries between
-    nondegenerate basis tensors."""
-    where = {p: i for i, p in enumerate(positions)}
-    return IntMatrix(matrix.ring, len(positions), len(positions), {
-        (where[r], where[c]): v for (r, c), v in matrix.items() if r in where and c in where
-    })
 
 
 def reduced_bar_complex(cycle: LabelledCycle, degree_bound):
@@ -943,17 +933,6 @@ def _cyclic_maps(cycle: LabelledCycle, f, degree_bound):
     return maps
 
 
-def contraction_chain_map(cycle: LabelledCycle, a, degree_bound):
-    """Chain map from the bar complex of the cycle to that of the contraction.
-
-    Returns (source complex, target complex, per-degree matrices).
-    """
-    contracted = cycle.contract(a)  # raises on a 1-cycle
-    src = bar_complex(cycle, degree_bound)
-    dst = bar_complex(contracted, degree_bound)
-    return src, dst, _cyclic_maps(cycle, CyclicMap.contraction(cycle.n, a), degree_bound)
-
-
 def is_chain_map(src, dst, maps):
     """Is f_{q-1} d_q = d_q f_q in every degree?  Checked column by column."""
     field = src.ring
@@ -995,11 +974,11 @@ def contraction_comparison(cycle: LabelledCycle, a, degree_bound):
     Returns a report: the chain-map property, per-degree homology dimensions
     on both sides, and the quasi-isomorphism verdict.
     """
-    src, dst, maps = contraction_chain_map(cycle, a, degree_bound)
+    contracted = cycle.contract(a)  # raises on a 1-cycle
+    src, dst = bar_complex(cycle, degree_bound), bar_complex(contracted, degree_bound)
+    maps = _cyclic_maps(cycle, CyclicMap.contraction(cycle.n, a), degree_bound)
     chain = is_chain_map(src, dst, maps)
-    verdicts = []
-    for q in range(degree_bound):
-        verdicts.append(homology_map_is_iso(src, dst, maps, q))
+    verdicts = [homology_map_is_iso(src, dst, maps, q) for q in range(degree_bound)]
     return {
         "chain_map": chain,
         "source_homology": homology(src),
@@ -1022,6 +1001,19 @@ def rotation_matrices(cycle: LabelledCycle, k, degree_bound):
     if rotated != cycle:
         raise ValueError("labels are not invariant under this rotation")
     return _cyclic_maps(cycle, CyclicMap.rotation(n, k), degree_bound)
+
+
+def _normalized_rotation(cycle: LabelledCycle, k, degree_bound):
+    """rotation_matrices on normalized_bar_complex, for labels invariant
+    under the rotation (not checked here).  The rotation permutes blocks and
+    keeps columns, so it keeps the degenerate subcomplex and is built like
+    the faces."""
+    maps = {}
+    for q in range(degree_bound + 1):
+        order = _bar_order(cycle, q)
+        env, _ = cut_envelope_cyclic(CutSet(q, cycle.n), CyclicMap.rotation(cycle.n, k))
+        maps[q] = _in_bar_order(cycle.field, _normalized_matrix(cycle, env), order, order)
+    return maps
 
 
 def induced_homology_matrix(complex_, chain_map_q, q):
@@ -1075,26 +1067,28 @@ def rotation_action(R: FiniteAlgebra, M: FiniteBimodule, n, degree_bound):
 
     Returns the chain matrices of the generator, exactness of the relations
     (commutation with the boundary and order n), and the induced matrices on
-    homology through degree_bound - 1.  The rotation permutes blocks and
-    keeps columns, so it keeps the degenerate subcomplex: when R's unit is
-    basis vector 0, all of this is on the normalized complex.
+    homology through degree_bound - 1, all on reduced_bar_complex.  Homology
+    dimensions come by the trace route, from hh_complex; induced matrices are
+    built, and the dimension checked against the rotated complex, only where
+    homology is nonzero (elsewhere they are 0 x 0).
     """
     cycle = LabelledCycle((R,) * n, (M,) * n)
     complex_ = reduced_bar_complex(cycle, degree_bound)
-    maps = rotation_matrices(cycle, 1, degree_bound)
-    if units_first(cycle):
-        maps = {q: _restrict(m, normalized_positions(cycle, q)) for q, m in maps.items()}
+    rotate = _normalized_rotation if units_first(cycle) else rotation_matrices
+    maps = rotate(cycle, 1, degree_bound)
     commutes = is_chain_map(complex_, complex_, maps)
     order_ok = all(_power_is_identity(maps[q], n) for q in range(degree_bound + 1))
+    contracted = contract_free(cycle)
+    dims = homology(complex_ if contracted is cycle else hh_complex(contracted, degree_bound))
     homology_action = []
-    for q in range(degree_bound):
-        homology_action.append(
-            induced_homology_matrix(complex_, maps[q], q).to_lists()
-        )
+    for q, h in enumerate(dims):
+        if h and complex_.homology_dim(q) != h:
+            raise AssertionError(f"dim H_{q} is {complex_.homology_dim(q)}, but {h} by the trace route")
+        homology_action.append(induced_homology_matrix(complex_, maps[q], q).to_lists() if h else [])
     return {
         "commutes_with_boundary": commutes,
         "order_exact": order_ok,
-        "homology_dims": homology(complex_),
+        "homology_dims": dims,
         "homology_action": homology_action,
         "chain_maps": maps,
         "complex": complex_,

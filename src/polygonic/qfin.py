@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .cyclic import SizeGuard
+from .rings import is_prime
 
 
 PULLBACK_GUARD = 2 ** 20
@@ -23,6 +24,10 @@ class TargetMismatch(ValueError):
 
 
 class NoPrimeDivisorInWindow(ValueError):
+    pass
+
+
+class NonPrimeInWindow(ValueError):
     pass
 
 
@@ -301,9 +306,13 @@ def weakly_terminal_map(S, prime_window):
     """Map each orbit Z/m (m >= 2) to Z/p for its least prime divisor.
 
     The target is the windowed coproduct of one orbit per prime; an orbit
-    whose prime factors all miss the window is an error.
+    whose prime factors all miss the window is an error, and so is a window
+    entry that is not a prime.
     """
     primes = sorted(set(prime_window))
+    for p in primes:
+        if not is_prime(p):
+            raise NonPrimeInWindow(f"window entry {p} is not a prime")
     target = QFinSet(tuple(primes))
     assign = []
     for m in S.orbits:

@@ -413,6 +413,18 @@ def ring_to_string(ring):
     return ring.kind
 
 
+def _json_fields(data, what, keys):
+    """The values at keys of a JSON object.  A ValueError says what was
+    being read, and which key is missing, if data is not such an object."""
+    message = f"{what} is an object with {', '.join(map(repr, keys))}"
+    if not isinstance(data, dict):
+        raise ValueError(message)
+    for k in keys:
+        if k not in data:
+            raise ValueError(f"{message}; {k!r} is missing")
+    return [data[k] for k in keys]
+
+
 def ring_from_json(data):
     kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "integers":
@@ -420,13 +432,15 @@ def ring_from_json(data):
     if kind == "rationals":
         return QQ
     if kind == "integers-mod-m":
-        return ModularRing(data["modulus"])
+        return ModularRing(*_json_fields(data, "a ring of integers mod m", ("modulus",)))
     if kind == "prime-field":
-        return PrimeField(data["p"])
+        return PrimeField(*_json_fields(data, "a prime field", ("p",)))
     if kind == "univariate-polynomial-quotient":
-        base = ring_from_json(data["base"])
-        modulus = tuple(base.parse(c) for c in data["modulus"])
-        return QuotientPolynomialRing(base, modulus, data.get("var", "x"))
+        base, modulus = _json_fields(data, "a polynomial quotient ring", ("base", "modulus"))
+        base = ring_from_json(base)
+        if not isinstance(modulus, list):
+            raise ValueError("a polynomial quotient ring lists the coefficients of its 'modulus'")
+        return QuotientPolynomialRing(base, tuple(base.parse(str(c)) for c in modulus), data.get("var", "x"))
     raise ValueError(f"unknown ring kind {kind!r}")
 
 

@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from .cyclic import SizeGuard
 from .mackey import FPGroup, MackeyWindow
-from .rings import ZZ, IntMatrix, is_prime
+from .rings import ZZ, IntMatrix, _json_fields, is_prime, ring_from_json
 from .truncation import TruncationSet
 
 
@@ -166,12 +166,15 @@ class WittVector:
 
     @classmethod
     def from_json(cls, data):
-        from .rings import ring_from_json
-
-        ring = ring_from_json(data["ring"])
-        support = TruncationSet(tuple(data["support"]))
-        values = {int(k): ring.parse(v) for k, v in data["coeffs"].items()}
-        return cls.from_dict(ring, support, values)
+        ring, support, coeffs = _json_fields(data, "a Witt vector", ("ring", "support", "coeffs"))
+        if not (
+            isinstance(support, list) and all(isinstance(t, int) for t in support)
+            and isinstance(coeffs, dict) and all(isinstance(v, (str, int)) for v in coeffs.values())
+        ):
+            raise ValueError("a Witt vector lists integer degrees in 'support' and maps degrees to 'coeffs'")
+        ring = ring_from_json(ring)
+        values = {int(k): ring.parse(str(v)) for k, v in coeffs.items()}
+        return cls.from_dict(ring, TruncationSet(tuple(support)), values)
 
     def __repr__(self):
         body = ", ".join(f"{t}: {self.ring.show(c)}" for t, c in self.as_dict().items())

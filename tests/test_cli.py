@@ -655,3 +655,57 @@ def test_large_prime_moduli_are_decided_or_refused(runner, tmp_path):
     assert json.loads(result.output) == {
         "error": "root search is limited to 65536 residues; 1000000007 requested", "kind": "guard",
     }
+
+
+def test_weakly_terminal_window_holds_primes(runner):
+    # the map sends an orbit to its least prime divisor, so 4, 6 and 1 are
+    # not window entries
+    for argv, entry in (
+        (["qfin", "weakly-terminal", "--orbits", "12", "--primes", "4,6"], 4),
+        (["qfin", "weakly-terminal", "--orbits", "12,5", "--primes", "1,2"], 1),
+    ):
+        result = run(runner, argv)
+        assert result.exit_code == 2, argv
+        assert json.loads(result.output) == {"error": f"window entry {entry} is not a prime", "kind": "validation"}
+
+
+def test_witt_vector_file_must_match_the_options(runner, tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"ring": {"kind": "integers"}, "support": [1], "coeffs": {"1": "3"}}))
+    result = run(runner, ["witt", "ghost", "--support", "1", "--vec", f"@{path}"])
+    assert (result.exit_code, json.loads(result.output)) == (0, {"ghost": {"1": "3"}, "support": [1]})
+    for options, given in ((["--support", "1,2"], "Z on [1, 2]"), (["--ring", "Z/4", "--support", "1"], "Z/4 on [1]")):
+        for argv in (
+            ["witt", "ghost", *options, "--vec", f"@{path}"],
+            ["witt", "add", *options, "--a", "1:1", "--b", f"@{path}"],
+        ):
+            result = run(runner, argv)
+            assert result.exit_code == 2, argv
+            assert json.loads(result.output) == {
+                "error": f"{path} holds a vector over Z on [1], but the options give {given}", "kind": "validation",
+            }
+
+
+def test_witt_vector_file_of_the_wrong_shape(runner, tmp_path):
+    path = tmp_path / "v.json"
+    for data, error in (
+        ({}, "a Witt vector is an object with 'ring', 'support', 'coeffs'; 'ring' is missing"),
+        ({"ring": {"kind": "integers"}, "support": [1]},
+         "a Witt vector is an object with 'ring', 'support', 'coeffs'; 'coeffs' is missing"),
+        ([1], "a Witt vector is an object with 'ring', 'support', 'coeffs'"),
+        ({"ring": {"kind": "integers"}, "support": [1], "coeffs": []},
+         "a Witt vector lists integer degrees in 'support' and maps degrees to 'coeffs'"),
+        ({"ring": {"kind": "integers"}, "support": ["a"], "coeffs": {}},
+         "a Witt vector lists integer degrees in 'support' and maps degrees to 'coeffs'"),
+        ({"ring": {"kind": "integers"}, "support": [1], "coeffs": {"1": [1]}},
+         "a Witt vector lists integer degrees in 'support' and maps degrees to 'coeffs'"),
+        ({"ring": {"kind": "prime-field"}, "support": [1], "coeffs": {}},
+         "a prime field is an object with 'p'; 'p' is missing"),
+        ({"ring": {"kind": "univariate-polynomial-quotient", "base": {"kind": "integers"}, "modulus": 1},
+          "support": [1], "coeffs": {}},
+         "a polynomial quotient ring lists the coefficients of its 'modulus'"),
+    ):
+        path.write_text(json.dumps(data))
+        result = run(runner, ["witt", "ghost", "--support", "1", "--vec", f"@{path}"])
+        assert result.exit_code == 2, data
+        assert json.loads(result.output) == {"error": error, "kind": "validation"}

@@ -1,11 +1,14 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
 from math import prod
 
 import pytest
+from click.testing import CliRunner
 
 from polygonic import hochschild, rings
+from polygonic.cli import main
 from polygonic.cyclic import CutSet, CyclicMap, Path, SizeGuard
 from polygonic.hochschild import (
     AlgebraMismatch,
@@ -721,8 +724,8 @@ def test_chain_checks_fail_on_broken_input(monkeypatch):
     assert not ChainComplex(QQ, complex_.dims, boundaries).validate()
 
     # 2 tau commutes with the boundary, but (2 tau)^2 = 4
-    rotation = hochschild.rotation_matrices
-    monkeypatch.setattr(hochschild, "rotation_matrices", lambda *args: {
+    rotation = hochschild._normalized_rotation
+    monkeypatch.setattr(hochschild, "_normalized_rotation", lambda *args: {
         q: m.scale(QQ.from_int(2)) for q, m in rotation(*args).items()
     })
     report = rotation_action(C2, FiniteBimodule.regular(C2), 2, 3)
@@ -867,6 +870,93 @@ def test_rotation_action_on_the_normalized_complex():
         for q in range(degree):
             action = induced_homology_matrix(direct, full[q], q).to_lists()
             assert _trace(report["homology_action"][q]) == _trace(action)
+
+
+def test_normalized_rotation_is_the_restricted_full_rotation():
+    # the column-by-column builder of the faces, given the rotation, gives
+    # the entries of the full rotation between nondegenerate basis tensors
+    for cycle, degree in labelled_cycles():
+        R, M, n = cycle.algebras[0], cycle.bimodules[0], cycle.n
+        if cycle.algebras != (R,) * n or cycle.bimodules != (M,) * n or not units_first(cycle):
+            continue
+        full = rotation_matrices(cycle, 1, degree)
+        normal = hochschild._normalized_rotation(cycle, 1, degree)
+        proj = _projections(cycle, degree)
+        for q in range(degree + 1):
+            assert normal[q] == proj[q].mul(full[q]).mul(proj[q].transpose()), (cycle, q)
+
+
+def test_rotation_eliminates_only_where_homology_lives(monkeypatch):
+    # H = [2, 0, 0] on the Q[C2] 3-cycle: the dimensions come by the trace
+    # route, and the rotated complex needs the image of d_1 alone
+    built = []
+
+    class Counted(Echelon):
+        def __init__(self, field, dim, vectors=()):
+            vectors = list(vectors)
+            built.append(_signature(dim, vectors))
+            super().__init__(field, dim, vectors)
+
+    monkeypatch.setattr(rings, "Echelon", Counted)
+    monkeypatch.setattr(hochschild, "Echelon", Counted)
+    C2 = group_algebra_c2(QQ)
+    report = rotation_action(C2, FiniteBimodule.regular(C2), 3, 3)
+    assert report["homology_dims"] == [2, 0, 0]
+    assert report["homology_action"][1:] == [[], []]
+    complex_ = report["complex"]
+    assert complex_.dims == (8, 56, 392, 2744)
+    for q, d in complex_.boundaries.items():
+        assert built.count(_signature(d.rows, d.columns())) == (q == 1), q
+
+
+def test_rotation_by_the_trace_route_matches_the_direct_route(monkeypatch):
+    # The augmentation module does not contract, so its rotated complex is
+    # reused; the regular dual numbers have homology in every degree, so the
+    # dimensions are cross-checked on the rotated complex above degree 0.
+    X = augmentation_cycle()
+    assert contract_free(X) is X
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return normalized_bar_complex(*args)
+
+    monkeypatch.setattr(hochschild, "normalized_bar_complex", counted)
+    rotation_action(X.algebras[0], X.bimodules[0], 2, 4)
+    assert len(built) == 1
+    for cycle, degree in (
+        (augmentation_cycle(), 4),
+        (LabelledCycle.uniform(dual_numbers(QQ), None, 2), 4),
+        (LabelledCycle.uniform(dual_numbers(F3), None, 2), 4),
+    ):
+        R, M = cycle.algebras[0], cycle.bimodules[0]
+        report = rotation_action(R, M, 2, degree)
+        assert report["commutes_with_boundary"] and report["order_exact"]
+        direct = bar_complex(cycle, degree)
+        assert report["homology_dims"] == homology(direct)
+        assert all(report["homology_dims"])
+        if M.dim == 1:
+            assert report["homology_dims"] == [1, 2, 3, 4]
+        full = rotation_matrices(cycle, 1, degree)
+        for q in range(degree):
+            action = induced_homology_matrix(direct, full[q], q).to_lists()
+            assert _trace(report["homology_action"][q]) == _trace(action)
+
+
+def test_rotation_refuses_a_trace_route_that_disagrees(monkeypatch, tmp_path):
+    # The Q[C2] 2-cycle has H = [2, 0, 0].  A trace route that gives [1, 0, 0]
+    # disagrees where both are nonzero; one that gives [2, 1, 1] disagrees
+    # where only it is nonzero.
+    C2 = group_algebra_c2(QQ)
+    cycle = LabelledCycle.uniform(C2, None, 2)
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(cycle.to_json()))
+    for wrong in (LabelledCycle.uniform(ground(), None, 1), LabelledCycle.uniform(dual_numbers(QQ), None, 1)):
+        monkeypatch.setattr(hochschild, "hh_complex", lambda _, degree, wrong=wrong: bar_complex(wrong, degree))
+        with pytest.raises(AssertionError, match="by the trace route"):
+            rotation_action(C2, FiniteBimodule.regular(C2), 2, 3)
+        result = CliRunner().invoke(main, ["hh", "rotate", "--cycle", str(path), "--degree", "3"])
+        assert isinstance(result.exception, AssertionError) and result.output == ""
 
 
 def _direct_integral_homology(R, M, degree_bound):
