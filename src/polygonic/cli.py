@@ -104,14 +104,18 @@ def _spec(text):
 
 
 def _witt_vector(ring, support, text):
+    """A Witt vector on support: t:v pairs over ring (Z if ring is None), or
+    @file.json.  A file keeps its own ring, which ring, if given, must be."""
     if text.startswith("@"):
         vec = witt.WittVector.from_json(_read_json(text[1:]))
-        if (vec.ring, vec.support) != (ring, support):
+        if vec.support != support or (ring is not None and ring != vec.ring):
+            given = f"support {support.to_json()}" if ring is None else f"{ring} on {support.to_json()}"
             raise ValueError(
                 f"{text[1:]} holds a vector over {vec.ring} on {vec.support.to_json()},"
-                f" but the options give {ring} on {support.to_json()}"
+                f" but the options give {given}"
             )
         return vec
+    ring = ring or rings.ZZ
     values = {}
     if text.strip():
         for item in text.split(","):
@@ -528,14 +532,15 @@ def witt_group():
 
 
 _ring_support_options = _options(
-    click.option("--ring", default="Z"),
+    click.option("--ring", help="coefficient ring, Z if not given; a vector read from @file keeps its own ring"),
     click.option("--support", required=True),
 )
 
 
 def _ring_support(ring, support):
-    """The ring and the truncation set that _ring_support_options describe."""
-    return rings.ring_from_string(ring), _trunc(support)
+    """The ring (None if --ring is not given) and the truncation set that
+    _ring_support_options describe."""
+    return None if ring is None else rings.ring_from_string(ring), _trunc(support)
 
 
 @witt_group.command()
@@ -563,8 +568,9 @@ def mul(a_, b_, **ring_support):
 @click.option("--vec", required=True)
 def ghost(vec, **ring_support):
     ring, supp = _ring_support(**ring_support)
-    g = witt.ghost(_witt_vector(ring, supp, vec))
-    return {"support": supp.to_json(), "ghost": {str(t): ring.show(v) for t, v in g.as_dict().items()}}
+    a = _witt_vector(ring, supp, vec)
+    g = witt.ghost(a)
+    return {"support": supp.to_json(), "ghost": {str(t): a.ring.show(v) for t, v in g.as_dict().items()}}
 
 
 @witt_group.command()
@@ -593,6 +599,7 @@ def frob(n, vec, **ring_support):
 @click.option("--r", required=True)
 def teich(r, **ring_support):
     ring, supp = _ring_support(**ring_support)
+    ring = ring or rings.ZZ
     return witt.teichmuller(ring, ring.parse(r), supp).to_json()
 
 
@@ -601,6 +608,7 @@ def teich(r, **ring_support):
 @click.option("--family", required=True, help="semicolon list n=coeffs, e.g. 2=1:1;3=1:1")
 def sum_v(family, **ring_support):
     ring, supp = _ring_support(**ring_support)
+    ring = ring or rings.ZZ
     fam = []
     for item in family.split(";"):
         n_text, coeffs = item.split("=", 1)

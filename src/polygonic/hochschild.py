@@ -1068,9 +1068,10 @@ def rotation_action(R: FiniteAlgebra, M: FiniteBimodule, n, degree_bound):
     Returns the chain matrices of the generator, exactness of the relations
     (commutation with the boundary and order n), and the induced matrices on
     homology through degree_bound - 1, all on reduced_bar_complex.  Homology
-    dimensions come by the trace route, from hh_complex; induced matrices are
-    built, and the dimension checked against the rotated complex, only where
-    homology is nonzero (elsewhere they are 0 x 0).
+    dimensions come by the trace route, as in hh_complex, from the
+    contract_free cycle; induced matrices are built, and the dimension
+    checked against the rotated complex, only where homology is nonzero
+    (elsewhere they are 0 x 0).
     """
     cycle = LabelledCycle((R,) * n, (M,) * n)
     complex_ = reduced_bar_complex(cycle, degree_bound)
@@ -1079,7 +1080,7 @@ def rotation_action(R: FiniteAlgebra, M: FiniteBimodule, n, degree_bound):
     commutes = is_chain_map(complex_, complex_, maps)
     order_ok = all(_power_is_identity(maps[q], n) for q in range(degree_bound + 1))
     contracted = contract_free(cycle)
-    dims = homology(complex_ if contracted is cycle else hh_complex(contracted, degree_bound))
+    dims = homology(complex_ if contracted is cycle else reduced_bar_complex(contracted, degree_bound))
     homology_action = []
     for q, h in enumerate(dims):
         if h and complex_.homology_dim(q) != h:

@@ -674,7 +674,7 @@ def test_witt_vector_file_must_match_the_options(runner, tmp_path):
     path.write_text(json.dumps({"ring": {"kind": "integers"}, "support": [1], "coeffs": {"1": "3"}}))
     result = run(runner, ["witt", "ghost", "--support", "1", "--vec", f"@{path}"])
     assert (result.exit_code, json.loads(result.output)) == (0, {"ghost": {"1": "3"}, "support": [1]})
-    for options, given in ((["--support", "1,2"], "Z on [1, 2]"), (["--ring", "Z/4", "--support", "1"], "Z/4 on [1]")):
+    for options, given in ((["--support", "1,2"], "support [1, 2]"), (["--ring", "Z/4", "--support", "1"], "Z/4 on [1]")):
         for argv in (
             ["witt", "ghost", *options, "--vec", f"@{path}"],
             ["witt", "add", *options, "--a", "1:1", "--b", f"@{path}"],
@@ -684,6 +684,26 @@ def test_witt_vector_file_must_match_the_options(runner, tmp_path):
             assert json.loads(result.output) == {
                 "error": f"{path} holds a vector over Z on [1], but the options give {given}", "kind": "validation",
             }
+
+
+def test_witt_vector_file_keeps_a_ring_that_ring_cannot_name(runner, tmp_path):
+    # --ring names only Z, Q, Z/m and F_p; a file over Z[i] keeps its ring
+    # when --ring is not given, and is refused when it is.
+    zi = {"base": {"kind": "integers"}, "kind": "univariate-polynomial-quotient", "modulus": ["1", "0", "1"], "var": "i"}
+    path = tmp_path / "zi.json"
+    path.write_text(json.dumps({"ring": zi, "support": [1, 2], "coeffs": {"1": "1,1", "2": "3,0"}}))
+    result = run(runner, ["witt", "add", "--support", "1,2", "--a", f"@{path}", "--b", f"@{path}"])
+    assert (result.exit_code, json.loads(result.output)) == (
+        0, {"coeffs": {"1": "2,2", "2": "6,-2"}, "ring": zi, "support": [1, 2]},
+    )
+    result = run(runner, ["witt", "ghost", "--support", "1,2", "--vec", f"@{path}"])
+    assert (result.exit_code, json.loads(result.output)) == (0, {"ghost": {"1": "1,1", "2": "6,2"}, "support": [1, 2]})
+    for options, given in ((["--ring", "Z", "--support", "1,2"], "Z on [1, 2]"), (["--support", "1"], "support [1]")):
+        result = run(runner, ["witt", "frob", *options, "--n", "2", "--vec", f"@{path}"])
+        assert (result.exit_code, json.loads(result.output)) == (2, {
+            "error": f"{path} holds a vector over Z[i]/(...) on [1, 2], but the options give {given}",
+            "kind": "validation",
+        })
 
 
 def test_witt_vector_file_of_the_wrong_shape(runner, tmp_path):

@@ -944,15 +944,16 @@ def test_rotation_by_the_trace_route_matches_the_direct_route(monkeypatch):
 
 
 def test_rotation_refuses_a_trace_route_that_disagrees(monkeypatch, tmp_path):
-    # The Q[C2] 2-cycle has H = [2, 0, 0].  A trace route that gives [1, 0, 0]
-    # disagrees where both are nonzero; one that gives [2, 1, 1] disagrees
-    # where only it is nonzero.
+    # The Q[C2] 2-cycle has H = [2, 0, 0].  With contract_free patched to
+    # give a wrong cycle, a trace route that gives [1, 0, 0] disagrees where
+    # both are nonzero; one that gives [2, 1, 1] disagrees where only it is
+    # nonzero.
     C2 = group_algebra_c2(QQ)
     cycle = LabelledCycle.uniform(C2, None, 2)
     path = tmp_path / "c2.json"
     path.write_text(json.dumps(cycle.to_json()))
     for wrong in (LabelledCycle.uniform(ground(), None, 1), LabelledCycle.uniform(dual_numbers(QQ), None, 1)):
-        monkeypatch.setattr(hochschild, "hh_complex", lambda _, degree, wrong=wrong: bar_complex(wrong, degree))
+        monkeypatch.setattr(hochschild, "contract_free", lambda _, wrong=wrong: wrong)
         with pytest.raises(AssertionError, match="by the trace route"):
             rotation_action(C2, FiniteBimodule.regular(C2), 2, 3)
         result = CliRunner().invoke(main, ["hh", "rotate", "--cycle", str(path), "--degree", "3"])
