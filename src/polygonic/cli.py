@@ -255,7 +255,7 @@ def pushforward(n, m, vals, path_):
 @click.option("--n", type=int, required=True)
 @click.option("--p", type=int, default=None)
 def cut(q, n, p):
-    cs = cyclic.cut_lambda(q, n, p)
+    cs = cyclic.CutSet(q, n, p)
     if cs.size > WINDOW_GUARD * WINDOW_GUARD:
         raise SizeGuard("cut set too large")
     payload = {
@@ -635,7 +635,7 @@ def equalizer(box, **ring_support):
     ring, supp = _ring_support(**ring_support)
     if box > 50 or len(supp) > 6:
         raise SizeGuard("equalizer enumeration guard: box <= 50, |T| <= 6")
-    return witt.equalizer_report(witt.GhostFlow(ring, {}, supp), box)
+    return witt.equalizer_report(witt.GhostFlow(ring or rings.ZZ, {}, supp), box)
 
 
 @witt_group.command(name="as-mackey")

@@ -177,9 +177,10 @@ class CyclicMap:
 
     @classmethod
     def contraction(cls, n, a):
-        """The injection [n-1] -> [n] whose image skips vertex a+1 (mod n)."""
+        """The injection [n-1] -> [n] whose image skips vertex a+1 (mod n):
+        it fuses edges a and a+1 into one path of length 2."""
         if n < 2:
-            raise ValueError("contraction needs n >= 2")
+            raise ValueError("cannot contract a 1-cycle")
         drop = (a + 1) % n
         return cls(n - 1, n, tuple(i for i in range(n) if i != drop))
 
@@ -220,10 +221,6 @@ class CyclicMap:
         return f"CyclicMap({self.source_n}->{self.target_n}, {list(self.vals)})"
 
 
-def dualize(f):
-    return f.dual()
-
-
 def path_pushforward(f, p):
     """Image class of (x, y) -> (f(x), f(y))."""
     if p.n != f.source_n:
@@ -231,6 +228,20 @@ def path_pushforward(f, p):
     x = f(p.start)
     y = f(p.start + p.length)
     return Path.from_pair(f.target_n, x, y)
+
+
+def pull_back_labels(f, label):
+    """Vertex and edge labels of f's source, read off f's target: vertex j
+    takes the label of vertex f(j), edge j that of path_pushforward(f, edge j).
+
+    label maps a path on f's target to its label.  Along a rotation this
+    rotates the labels; along a contraction the fused edge takes the label
+    of a path of length 2.
+    """
+    return tuple(
+        tuple(label(path_pushforward(f, Path(f.source_n, j, length))) for j in range(f.source_n))
+        for length in (0, 1)
+    )
 
 
 HOM_GUARD = 6
@@ -384,8 +395,3 @@ def delta_face(q, i):
 def delta_degeneracy(q, i):
     """sigma_i : [q+1] -> [q], repeating i."""
     return tuple(j if j <= i else j - 1 for j in range(q + 2))
-
-
-def cut_lambda(q, n, p=None):
-    """Cut set of the q-simplex level over the n-cycle (p-fold cover if set)."""
-    return CutSet(q, n, p)

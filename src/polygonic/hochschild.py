@@ -14,13 +14,8 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 from math import prod
 
-from .cyclic import CutSet, CyclicMap, Path, SizeGuard
-from .operad import (
-    EnvelopeMorphism,
-    LabelledCycleSpec,
-    cut_envelope_cyclic,
-    cut_face,
-)
+from .cyclic import CutSet, CyclicMap, Path, SizeGuard, pull_back_labels
+from .operad import EnvelopeMorphism, cut_envelope_cyclic, cut_face
 from .rings import (
     Echelon,
     IntMatrix,
@@ -417,13 +412,6 @@ class LabelledCycle:
     def uniform(cls, R, M, n):
         return cls((R,) * n, (FiniteBimodule.regular(R) if M is None else M,) * n)
 
-    def spec(self):
-        return LabelledCycleSpec(
-            self.n,
-            tuple(A.name or f"A{i}" for i, A in enumerate(self.algebras)),
-            tuple(M.name or f"M{i}" for i, M in enumerate(self.bimodules)),
-        )
-
     def fused(self, a):
         """Edges a and a+1 (mod n) fused across vertex a+1: relative_tensor
         of their bimodules, as (bimodule, projection)."""
@@ -432,33 +420,29 @@ class LabelledCycle:
             self._fused[a] = relative_tensor(self.bimodules[a], self.bimodules[(a + 1) % self.n])
         return self._fused[a]
 
-    def label_dim(self, path: Path):
-        """Dimension of the label of a vertex, an edge or two fused edges."""
+    def label(self, path: Path):
+        """The label of a vertex (an algebra), an edge (a bimodule) or two
+        edges fused across the vertex between them."""
         if path.is_vertex:
-            return self.algebras[path.start].dim
+            return self.algebras[path.start]
         if path.length == 1:
-            return self.bimodules[path.start].dim
+            return self.bimodules[path.start]
         if path.length == 2:
-            return self.fused(path.start)[0].dim
+            return self.fused(path.start)[0]
         raise ValueError(f"labels cover at most two edges, not {path.length}")
 
-    def contract(self, a):
-        """The (n-1)-cycle with edges a, a+1 fused across vertex a+1 (mod n).
+    def label_dim(self, path: Path):
+        return self.label(path).dim
 
-        Labels are pulled back along the vertex-dropping map, so the cycle
-        stays aligned with the chain-level comparison morphisms.
-        """
-        if self.n < 2:
-            raise ValueError("cannot contract a 1-cycle")
-        n = self.n
-        c = CyclicMap.contraction(n, a)
-        return LabelledCycle(
-            tuple(self.algebras[c(j) % n] for j in range(n - 1)),
-            tuple(
-                self.bimodules[c(j) % n] if c(j + 1) - c(j) == 1 else self.fused(c(j))[0]
-                for j in range(n - 1)
-            ),
-        )
+    def pull_back(self, f: CyclicMap):
+        """The cycle on f's source labelled by pull_back_labels."""
+        return LabelledCycle(*pull_back_labels(f, self.label))
+
+    def contract(self, a):
+        """The (n-1)-cycle with edges a, a+1 fused across vertex a+1 (mod n),
+        pulled back along the contraction, so it stays aligned with the
+        chain-level comparison morphisms along the same map."""
+        return self.pull_back(CyclicMap.contraction(self.n, a))
 
     def to_json(self):
         return {
@@ -548,27 +532,27 @@ def multiply_sequence(cycle, target_path, factors):
     """Value of one fiber: multiply labelled factors along the target path.
 
     factors is the admissible sequence [(path, basis index), ...]; returns a
-    dict index -> coefficient in the label of target_path (see label_dim).
+    dict index -> coefficient in cycle.label(target_path).
     """
     field = cycle.field
     one = field.one()
+    target = cycle.label(target_path)
     if target_path.is_vertex:
-        A = cycle.algebras[target_path.start]
-        acc = {i: c for i, c in enumerate(A.unit) if not field.is_zero(c)}
+        acc = {i: c for i, c in enumerate(target.unit) if not field.is_zero(c)}
         for p, idx in factors:
-            acc = _combo_mul(field, acc, {idx: one}, A.mult)
+            acc = _combo_mul(field, acc, {idx: one}, target.mult)
         return acc
     # Edge target: group factors into edge values with algebra actions.
     edges = []           # (module, value) per covered edge
     pending = None       # algebra combination waiting to act
     for p, idx in factors:
         if p.is_vertex:
-            A = cycle.algebras[p.start]
+            A = cycle.label(p)
             pending = {idx: one} if pending is None else _combo_mul(field, pending, {idx: one}, A.mult)
         else:
             if p.length != 1:
                 raise ValueError("fiber factors must be vertices or single edges")
-            M = cycle.bimodules[p.start]
+            M = cycle.label(p)
             value = {idx: one}
             if pending is not None:
                 value = _combo_mul(field, pending, value, M.left)
@@ -582,8 +566,6 @@ def multiply_sequence(cycle, target_path, factors):
         raise ValueError("edge count does not cover the target path")
     if target_path.length == 1:
         return edges[0][1]
-    if target_path.length != 2:
-        raise ValueError(f"labels cover at most two edges, not {target_path.length}")
     # Two fused edges: the plain tensor of the edge values, then project.
     (_, u), (N, v) = edges
     return cycle.fused(target_path.start)[1]({
@@ -923,7 +905,7 @@ def _cyclic_maps(cycle: LabelledCycle, f, degree_bound):
 
     The target colours are paths on the cycle pushed forward along f: a
     vertex, an edge, or two edges that f fuses, so their labels are those of
-    the cycle on f's source.
+    cycle.pull_back(f).
     """
     maps = {}
     for q in range(degree_bound + 1):
@@ -974,9 +956,9 @@ def contraction_comparison(cycle: LabelledCycle, a, degree_bound):
     Returns a report: the chain-map property, per-degree homology dimensions
     on both sides, and the quasi-isomorphism verdict.
     """
-    contracted = cycle.contract(a)  # raises on a 1-cycle
-    src, dst = bar_complex(cycle, degree_bound), bar_complex(contracted, degree_bound)
-    maps = _cyclic_maps(cycle, CyclicMap.contraction(cycle.n, a), degree_bound)
+    f = CyclicMap.contraction(cycle.n, a)  # raises on a 1-cycle
+    src, dst = bar_complex(cycle, degree_bound), bar_complex(cycle.pull_back(f), degree_bound)
+    maps = _cyclic_maps(cycle, f, degree_bound)
     chain = is_chain_map(src, dst, maps)
     verdicts = [homology_map_is_iso(src, dst, maps, q) for q in range(degree_bound)]
     return {
@@ -993,14 +975,10 @@ def rotation_matrices(cycle: LabelledCycle, k, degree_bound):
 
     The labels must be invariant under the rotation (uniform cycles).
     """
-    n = cycle.n
-    rotated = LabelledCycle(
-        tuple(cycle.algebras[(i + k) % n] for i in range(n)),
-        tuple(cycle.bimodules[(i + k) % n] for i in range(n)),
-    )
-    if rotated != cycle:
+    rotation = CyclicMap.rotation(cycle.n, k)
+    if cycle.pull_back(rotation) != cycle:
         raise ValueError("labels are not invariant under this rotation")
-    return _cyclic_maps(cycle, CyclicMap.rotation(n, k), degree_bound)
+    return _cyclic_maps(cycle, rotation, degree_bound)
 
 
 def _normalized_rotation(cycle: LabelledCycle, k, degree_bound):

@@ -19,6 +19,7 @@ from .cyclic import (
     dual_fibers,
     is_admissible,
     path_pushforward,
+    pull_back_labels,
 )
 
 
@@ -58,10 +59,6 @@ class ColouredSet:
     @property
     def size(self):
         return len(self.colours)
-
-    @classmethod
-    def point(cls, colour):
-        return cls(colour.n, (colour,))
 
     @classmethod
     def from_cut(cls, cut: CutSet):
@@ -180,9 +177,7 @@ def cut_envelope_cyclic(cut: CutSet, f: CyclicMap):
     lo = CutSet(cut.q, f.source_n)
     g = lo.position_map_cyclic(f)
     underlying, fibers = dual_fibers(g)
-    pushed = ColouredSet(
-        cut.cycle_n, tuple(path_pushforward(f, c) for c in lo.colours())
-    )
+    pushed = pushforward(f, ColouredSet.from_cut(lo))
     morphism = EnvelopeMorphism(ColouredSet.from_cut(cut), pushed, underlying, fibers)
     return morphism, lo
 
@@ -244,38 +239,29 @@ class LabelledCycleSpec:
         if self.n < 1 or len(self.vertices) != self.n or len(self.edges) != self.n:
             raise ValueError("label counts must equal the cycle length")
 
+    def label(self, path: Path):
+        """The handle of a vertex, an edge, or two edges fused across the
+        vertex between them."""
+        a = path.start
+        if path.is_vertex:
+            return self.vertices[a]
+        if path.length == 1:
+            return self.edges[a]
+        if path.length == 2:
+            return tensor_handle(self.edges[a], self.vertices[(a + 1) % self.n], self.edges[(a + 1) % self.n])
+        raise ValueError(f"labels cover at most two edges, not {path.length}")
+
+    def pull_back(self, f: CyclicMap):
+        """The spec on f's source labelled by pull_back_labels."""
+        return LabelledCycleSpec(f.source_n, *pull_back_labels(f, self.label))
+
     def rotate(self, k):
         """Shift all labels by k: the new label at slot a is the old one at a+k."""
-        n = self.n
-        return LabelledCycleSpec(
-            n,
-            tuple(self.vertices[(a + k) % n] for a in range(n)),
-            tuple(self.edges[(a + k) % n] for a in range(n)),
-        )
+        return self.pull_back(CyclicMap.rotation(self.n, k))
 
     def contract(self, a):
         """Fuse edges a and a+1 across vertex a+1 (mod n) into one handle."""
-        if self.n < 2:
-            raise ValueError("cannot contract a 1-cycle")
-        n = self.n
-        drop = (a + 1) % n
-        order = [i for i in range(n) if i != drop]
-        vertices = tuple(self.vertices[i % n] for i in order)
-        edges = []
-        for j in range(n - 1):
-            start = order[j]
-            end = order[j + 1] if j + 1 < n - 1 else order[0] + n
-            if end - start == 1:
-                edges.append(self.edges[start % n])
-            else:
-                edges.append(
-                    tensor_handle(
-                        self.edges[start % n],
-                        self.vertices[(start + 1) % n],
-                        self.edges[(start + 1) % n],
-                    )
-                )
-        return LabelledCycleSpec(n - 1, vertices, tuple(edges))
+        return self.pull_back(CyclicMap.contraction(self.n, a))
 
     def to_json(self):
         def enc(h):

@@ -186,7 +186,10 @@ class RationalField(CoefficientRing):
         return _integral(1 / Fraction(a))
 
     def parse(self, s):
-        return _integral(Fraction(s))
+        try:
+            return _integral(Fraction(s))
+        except ZeroDivisionError:
+            raise ValueError(f"{s!r} has a zero denominator") from None
 
 
 class ModularRing(CoefficientRing):

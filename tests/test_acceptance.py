@@ -10,7 +10,7 @@ import time
 from itertools import product
 from math import gcd, lcm
 
-from polygonic.cyclic import CutSet, Path, cut_lambda, path_set
+from polygonic.cyclic import CutSet, Path, path_set
 from polygonic.hochschild import (
     FiniteAlgebra,
     FiniteBimodule,
@@ -196,7 +196,7 @@ def c03():
     for p in (2, 3):
         for n in (1, 2):
             for q in (0, 1, 2):
-                report = cut_quotient_check(cut_lambda(q, n, p))
+                report = cut_quotient_check(CutSet(q, n, p))
                 assert all(report.values())
 
 

@@ -729,3 +729,23 @@ def test_witt_vector_file_of_the_wrong_shape(runner, tmp_path):
         result = run(runner, ["witt", "ghost", "--support", "1", "--vec", f"@{path}"])
         assert result.exit_code == 2, data
         assert json.loads(result.output) == {"error": error, "kind": "validation"}
+
+
+def test_equalizer_without_ring_is_over_z(runner):
+    base = ["witt", "equalizer", "--support", "1,2", "--box", "1"]
+    plain, over_z = run(runner, base), run(runner, base + ["--ring", "Z"])
+    assert plain.exit_code == over_z.exit_code == 0
+    assert plain.output == over_z.output
+
+
+def test_zero_denominators_are_validation_errors(runner, tmp_path):
+    error = {"error": "'1/0' has a zero denominator", "kind": "validation"}
+    result = run(runner, ["witt", "ghost", "--ring", "Q", "--support", "1", "--vec", "1:1/0"])
+    assert (result.exit_code, json.loads(result.output)) == (2, error)
+    cycle = LabelledCycle.uniform(FiniteAlgebra.ground(QQ), None, 2).to_json()
+    cycle["bimodules"][0]["left_action"][0][0][0] = "1/0"
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(cycle))
+    for command in ("compute", "rotate"):
+        result = run(runner, ["hh", command, "--cycle", str(path), "--degree", "2"])
+        assert (result.exit_code, json.loads(result.output)) == (2, error), command

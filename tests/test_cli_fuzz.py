@@ -44,7 +44,7 @@ PATH = ["v:0", "v:2", "e:0:1", "e:1:1", "e:2:0", "", "x", "v:", "e:0"]
 PATHS = PATH + ["v:0,e:0:1", "e:0:1,v:1", "v:0,v:0", ",", "v:0," * 2]
 PATHS += [",".join(["v:0"] * k) for k in (MUL_ARITY_GUARD, MUL_ARITY_GUARD + 1)]
 RINGS = ["Z", "Q", "Z/8", "F5", "F_3", "GF(7)", "F4", "Z/1", "Z/0", "Z/x", "", "x"]
-VECTORS = ["1:1", "1:1,2:3", "", "x", "1:", ":1", "5:1", "1:1,1:2", "0:1", "-1:1", "1:x"]
+VECTORS = ["1:1", "1:1,2:3", "", "x", "1:", ":1", "5:1", "1:1,1:2", "0:1", "-1:1", "1:x", "1:1/0", "1:1/2"]
 SPANS = ["1:1:1", "1:2:1", "2:2:1", "1:2:1:1:0", "2:4:2:1:3", "0:1:1", "1:0:1", "1:2", "x", ""]
 FAMILIES = ["4=1", "2=1;4=1,0", "1=1,0;2=1", "2=", "=1", "x", "", "3=1;3=1", "0=1"]
 SPECS = [
@@ -86,7 +86,8 @@ def _grammar(cycles):
     """subcommand argv prefix -> (required options, optional options), each
     option name -> its pool of values."""
     window_module = {"--window": LISTS, "--burnside-m": _ints(), "--witt-ring": RINGS, "--witt-n": WINDOW}
-    witt = {"--ring": RINGS, "--support": LISTS}
+    witt = {"--support": LISTS}
+    ring = {"--ring": RINGS}
     return {
         ("trunc", "check"): ({"--set": LISTS}, {}),
         ("trunc", "divide"): ({"--set": LISTS, "--n": _ints()}, {}),
@@ -121,18 +122,17 @@ def _grammar(cycles):
              "--order": WINDOW},
             {"--relations": ["", "2", "2,0;0,2", "1,2;", "x"]},
         ),
-        ("witt", "add"): (dict(witt, **{"--a": VECTORS, "--b": VECTORS}), {}),
-        ("witt", "mul"): (dict(witt, **{"--a": VECTORS, "--b": VECTORS}), {}),
-        ("witt", "ghost"): (dict(witt, **{"--vec": VECTORS}), {}),
-        ("witt", "ver"): (dict(witt, **{"--target": LISTS, "--n": _ints(), "--vec": VECTORS}), {}),
-        ("witt", "frob"): (dict(witt, **{"--n": _ints(), "--vec": VECTORS}), {}),
-        ("witt", "teich"): (dict(witt, **{"--r": ["0", "1", "-1", "1/2", "x", ""]}), {}),
-        ("witt", "sum-v"): (dict(witt, **{"--family": ["2=1:1", "2=1:1;3=1:1", "2=", "0=1:1", "x", ""]}), {}),
+        ("witt", "add"): (dict(witt, **{"--a": VECTORS, "--b": VECTORS}), ring),
+        ("witt", "mul"): (dict(witt, **{"--a": VECTORS, "--b": VECTORS}), ring),
+        ("witt", "ghost"): (dict(witt, **{"--vec": VECTORS}), ring),
+        ("witt", "ver"): (dict(witt, **{"--target": LISTS, "--n": _ints(), "--vec": VECTORS}), ring),
+        ("witt", "frob"): (dict(witt, **{"--n": _ints(), "--vec": VECTORS}), ring),
+        ("witt", "teich"): (dict(witt, **{"--r": ["0", "1", "-1", "1/2", "x", ""]}), ring),
+        ("witt", "sum-v"): (dict(witt, **{"--family": ["2=1:1", "2=1:1;3=1:1", "2=", "0=1:1", "x", ""]}), ring),
         ("witt", "recover"): ({"--ring": RINGS, "--N": WINDOW}, {}),
         ("witt", "equalizer"): (
-            {"--ring": ["Z", "Z/4", "F3", "Q", "x"], "--support": ["1", "1,2", "2", "", "x"],
-             "--box": [-1, 0, 1, 2, "x"]},
-            {},
+            {"--support": ["1", "1,2", "2", "", "x"], "--box": [-1, 0, 1, 2, "x"]},
+            {"--ring": ["Z", "Z/4", "F3", "Q", "x"]},
         ),
         ("witt", "as-mackey"): ({"--ring": RINGS, "--N": WINDOW}, {}),
         ("hh", "compute"): ({"--cycle": cycles, "--degree": _ints(BAR_DEGREE_GUARD)}, {}),

@@ -9,9 +9,7 @@ from polygonic.cyclic import (
     Path,
     SizeGuard,
     automorphisms,
-    cut_lambda,
     dual_fibers,
-    dualize,
     hom_set,
     is_admissible,
     path_pushforward,
@@ -105,20 +103,20 @@ def test_pushforward_functorial():
 
 def test_dualize():
     ident = CyclicMap.identity(3)
-    assert dualize(ident) == ident
+    assert ident.dual() == ident
     # The double dual is conjugation by one rotation step (the canonical
     # natural isomorphism); in particular dualizing is a bijection on each
     # hom set and has order dividing 2*lcm(n, m) there.
     for n in (1, 2, 3, 4):
         for m in (1, 2, 3, 4):
             homs = hom_set(n, m)
-            images = {dualize(f) for f in homs}
+            images = {f.dual() for f in homs}
             assert len(images) == len(homs)
             for f in homs:
                 conj = CyclicMap.rotation(m, 1).after(f).after(CyclicMap.rotation(n, n - 1))
-                assert dualize(dualize(f)) == conj
+                assert f.dual().dual() == conj
     surj = CyclicMap(2, 1, (0, 0))
-    dual = dualize(surj)
+    dual = surj.dual()
     assert dual.source_n == 1 and dual.target_n == 2 and dual.is_injective()
 
 
@@ -143,12 +141,12 @@ def test_composition_associative():
 def test_cut_examples():
     # n = 1: one loop-coloured point plus q vertex-coloured points
     for q in range(4):
-        cut = cut_lambda(q, 1)
+        cut = CutSet(q, 1)
         colours = [cut.colour(e).serialize() for e in range(cut.size)]
         assert sorted(colours) == sorted(["e:0:0"] + ["v:0"] * q)
     # n = 2
     for q in range(4):
-        cut = cut_lambda(q, 2)
+        cut = CutSet(q, 2)
         colours = [cut.colour(e).serialize() for e in range(cut.size)]
         assert sorted(colours) == sorted(
             ["e:0:1", "e:1:0"] + ["v:0", "v:1"] * q

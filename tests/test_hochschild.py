@@ -306,7 +306,7 @@ def test_face_after_degeneracy_is_identity():
             for i in range(q + 1):
                 s = level_matrix(X, cut_degeneracy(lo, i), hi)
                 for j in (i, i + 1):
-                    assert faces[j].mul(s) == identity, (X.spec(), q, i, j)
+                    assert faces[j].mul(s) == identity, (X.to_json(), q, i, j)
                     checks += 1
     assert checks == 60
 
@@ -510,6 +510,36 @@ def test_labels_cover_at_most_two_edges():
         X.label_dim(Path(3, 0, 3))
     with pytest.raises(ValueError, match="at most two edges, not 3"):
         multiply_sequence(X, Path(3, 0, 3), [(Path(3, a, 1), 0) for a in range(3)])
+
+
+def test_pull_back_is_functorial_on_labelled_cycles():
+    # contract(a) is the cycle built index by index: vertex a + 1 dropped, and
+    # edges a and a + 1 fused across it.  Pulling back along f and then g is
+    # pulling back along f after g, wherever that takes each edge to at most
+    # two edges; f and g run over the rotations and contractions.
+    def maps_into(n):
+        return [CyclicMap.rotation(n, k) for k in range(n)] + [CyclicMap.contraction(n, a) for a in range(n) if n > 1]
+
+    checked = expected = 0
+    for X, _ in labelled_cycles():
+        n = X.n
+        if n < 2:
+            continue
+        expected += 3 * n * n - n  # the pairs with at most one contraction, at n <= 3
+        for a in range(n):
+            keep = [i for i in range(n) if i != (a + 1) % n]
+            by_index = LabelledCycle(
+                tuple(X.algebras[i] for i in keep),
+                tuple(X.fused(i)[0] if i == a else X.bimodules[i] for i in keep),
+            )
+            assert X.contract(a) == by_index, (X.to_json(), a)
+        for f in maps_into(n):
+            for g in maps_into(f.source_n):
+                h = f.after(g)
+                if all(h(j + 1) - h(j) <= 2 for j in range(h.source_n)):
+                    assert X.pull_back(f).pull_back(g) == X.pull_back(h), (X.to_json(), f, g)
+                    checked += 1
+    assert checked == expected
 
 
 def test_integral_homology_one_cycle():

@@ -230,19 +230,43 @@ def test_rotate_contract_specs():
     assert other.edges == (tensor_handle("N", "R", "M"),)
 
 
+def cyclic_maps_into(n):
+    """The rotations of the n-cycle and its contractions onto the (n-1)-cycle."""
+    return [CyclicMap.rotation(n, k) for k in range(n)] + [CyclicMap.contraction(n, a) for a in range(n) if n > 1]
+
+
+def fuses_at_most_two_edges(f):
+    return all(f(j + 1) - f(j) <= 2 for j in range(f.source_n))
+
+
 def test_rotate_then_contract_matches():
-    spec = LabelledCycleSpec(3, ("A0", "A1", "A2"), ("M0", "M1", "M2"))
-    for k in range(3):
-        lhs = spec.rotate(k).contract(0)
-        rhs = spec.contract(k).rotate(_induced_rotation(k))
-        # contracting edge k of the original is the same cycle as rotating
-        # first and contracting edge 0, up to a rotation of the result
-        found = any(lhs == spec.contract(k).rotate(j) for j in range(2))
-        assert found, (k, lhs.to_json())
-
-
-def _induced_rotation(k):
-    return 0
+    # Pulling labels back along f and then along g is pulling them back along
+    # f after g, wherever that composite takes each edge to at most two edges.
+    for n in (2, 3, 4):
+        spec = LabelledCycleSpec(n, tuple(f"A{i}" for i in range(n)), tuple(f"M{i}" for i in range(n)))
+        for k in range(-1, n + 1):
+            # slot a takes the labels of slot a + k; contracting edge k drops
+            # vertex k + 1 and fuses edges k and k + 1 across it
+            rotated = [tuple(labels[(a + k) % n] for a in range(n)) for labels in (spec.vertices, spec.edges)]
+            assert spec.rotate(k) == LabelledCycleSpec(n, *rotated)
+            keep = [i for i in range(n) if i != (k + 1) % n]
+            fused = tensor_handle(spec.edges[k % n], spec.vertices[(k + 1) % n], spec.edges[(k + 1) % n])
+            edges = tuple(fused if i == k % n else spec.edges[i] for i in keep)
+            assert spec.contract(k) == LabelledCycleSpec(n - 1, tuple(spec.vertices[i] for i in keep), edges)
+        checked = 0
+        for f in cyclic_maps_into(n):
+            for g in cyclic_maps_into(f.source_n):
+                composite = f.after(g)
+                if fuses_at_most_two_edges(composite):
+                    assert spec.pull_back(f).pull_back(g) == spec.pull_back(composite), (f, g)
+                    checked += 1
+                else:
+                    with pytest.raises(ValueError, match="at most two edges, not 3"):
+                        spec.pull_back(composite)
+        # 2n^2 pairs after a rotation, n(n - 1) rotations after a contraction,
+        # and at n = 4 one second contraction after each first one: the one
+        # that fuses the two edges the first left alone
+        assert checked == 3 * n * n - n + (n if n == 4 else 0)
 
 
 def test_spec_json_roundtrip():
