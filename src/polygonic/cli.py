@@ -75,7 +75,7 @@ def _json_errors():
 
 
 def _ints(text):
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+    return [rings.ZZ.parse(x) for x in text.split(",") if x.strip() != ""]
 
 
 def _trunc(text):
@@ -120,7 +120,7 @@ def _witt_vector(ring, support, text):
     if text.strip():
         for item in text.split(","):
             t, v = item.split(":")
-            values[int(t)] = ring.parse(v)
+            values[rings.ZZ.parse(t)] = ring.parse(v)
     return witt.WittVector.from_dict(ring, support, values)
 
 
@@ -347,7 +347,7 @@ def scale(orbits, n):
 @qfin_group.command(name="is-proper")
 @click.option("--pairs", required=True, help="m:n pairs, orbit size to target size")
 def is_proper_cmd(pairs):
-    sizes = [tuple(int(x) for x in item.split(":")) for item in pairs.split(",")]
+    sizes = [tuple(map(rings.ZZ.parse, item.split(":"))) for item in pairs.split(",")]
     S = qfin.QFinSet(tuple(m for m, _ in sizes))
     T = qfin.QFinSet(tuple(sorted(set(n for _, n in sizes))))
     assign = tuple((T.orbits.index(n), 0) for _, n in sizes)
@@ -357,7 +357,7 @@ def is_proper_cmd(pairs):
 
 def _parse_span(text):
     """a:l:b[:s:t] for the span Z/a <- Z/l -> Z/b with optional leg shifts."""
-    parts = [int(x) for x in text.split(":")]
+    parts = [rings.ZZ.parse(x) for x in text.split(":")]
     if len(parts) == 3:
         a, l, b = parts
         s = t = 0
@@ -494,7 +494,7 @@ def transfer_sum_cmd(family, **window_module):
     fam = []
     for item in family.split(";"):
         n_text, coords = item.split("=", 1)
-        fam.append((int(n_text), _ints(coords)))
+        fam.append((rings.ZZ.parse(n_text), _ints(coords)))
     total = mackey.infinite_transfer_sum(M, fam)
     return {"element": total}
 
@@ -612,7 +612,7 @@ def sum_v(family, **ring_support):
     fam = []
     for item in family.split(";"):
         n_text, coeffs = item.split("=", 1)
-        n = int(n_text)
+        n = rings.ZZ.parse(n_text)
         fam.append((n, _witt_vector(ring, supp.divide(n), coeffs)))
     out = witt.infinite_verschiebung(ring, fam, supp)
     return out.to_json()

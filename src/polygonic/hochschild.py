@@ -384,8 +384,9 @@ def relative_tensor(M: FiniteBimodule, N: FiniteBimodule):
 class LabelledCycle:
     algebras: tuple
     bimodules: tuple
-    # fused(a) by a, built on first use.
+    # fused(a) by a, and the rebased unit_first(), built on first use.
     _fused: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+    _unit_first: list = dataclass_field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.algebras)
@@ -419,6 +420,31 @@ class LabelledCycle:
         if a not in self._fused:
             self._fused[a] = relative_tensor(self.bimodules[a], self.bimodules[(a + 1) % self.n])
         return self._fused[a]
+
+    def unit_first(self):
+        """The cycle on vertex bases u, e_j (j != i), u the unit and i its first
+        coordinate that is +-1, else nonzero; edge tables are read through
+        them and module bases stay.  self if every unit is basis vector 0."""
+        if not self._unit_first and any(list(A.unit) != A._basis(0) for A in self.algebras):
+            f, bases = self.field, {}  # algebra -> (rebased algebra, new basis in old coordinates)
+            for A in set(self.algebras):
+                u = list(A.unit)
+                i = min(range(A.dim), key=lambda j: (not f.eq(f.mul(u[j], u[j]), f.one()), f.is_zero(u[j]), j))
+                basis = [u] + [A._basis(j) for j in range(A.dim) if j != i]
+
+                def coordinates(v):
+                    c = f.mul(v[i], f.inv(u[i]))
+                    return (c,) + tuple(f.sub(v[j], f.mul(c, u[j])) for j in range(A.dim) if j != i)
+                mult = tuple(tuple(coordinates(A.mul_vec(x, y)) for y in basis) for x in basis)
+                bases[A] = FiniteAlgebra(f, A.dim, mult, _unit_vector(f, A.dim, 0), A.name), basis
+            edges = []
+            for M in self.bimodules:
+                (A, a), (B, b), m = bases[M.left_algebra], bases[M.right_algebra], list(map(M._basis, range(M.dim)))
+                left = tuple(tuple(tuple(M.left_act(x, y)) for y in m) for x in a)
+                right = tuple(tuple(tuple(M.right_act(x, y)) for y in b) for x in m)
+                edges.append(FiniteBimodule(A, B, M.dim, left, right, M.name))
+            self._unit_first.append(LabelledCycle(tuple(bases[A][0] for A in self.algebras), tuple(edges)))
+        return self._unit_first[0] if self._unit_first else self
 
     def label(self, path: Path):
         """The label of a vertex (an algebra), an edge (a bimodule) or two
@@ -666,20 +692,15 @@ def bar_complex(cycle: LabelledCycle, degree_bound):
 #
 # Element (j, a) of a level-q cut set sits in column j of block a: column 0
 # holds the edges, columns 1..q the vertices.  A degeneracy puts the unit into
-# one vertex column of every block.  So when every vertex unit is basis
-# vector 0, the degenerate subcomplex is spanned by the basis tensors with
-# some vertex column all units.  It is acyclic, over Z as over a field
-# (Loday, Cyclic Homology, 1.1), and the quotient is free on the other basis
-# tensors.  Its faces and rotations are built column by column, a column's
-# tuples of block indices ranked row-major without the all-unit tuple of a
-# vertex column, then put back in the order of bar_complex: in column order
-# the echelon forms over Q fill in with fractions, and eliminating the Q[C2]
-# 3-cycle at degree 3 took about six times as long.
-
-
-def units_first(cycle: LabelledCycle):
-    """Is the unit of every vertex algebra basis vector 0?"""
-    return all(list(A.unit) == A._basis(0) for A in cycle.algebras)
+# one vertex column of every block.  So once unit_first makes every vertex
+# unit basis vector 0, the degenerate subcomplex is spanned by the basis
+# tensors with some vertex column all units.  It is acyclic, over Z as over a
+# field (Loday, Cyclic Homology, 1.1), and the quotient is free on the other
+# basis tensors.  Its faces and rotations are built column by column, a
+# column's tuples of block indices ranked row-major without the all-unit
+# tuple of a vertex column, then put back in the order of bar_complex: in
+# column order the echelon forms over Q fill in with fractions, and
+# eliminating the Q[C2] 3-cycle at degree 3 took about six times as long.
 
 
 def _column_tuples(cycle, j):
@@ -750,16 +771,15 @@ def _bar_order(cycle, q):
 
 
 def normalized_bar_complex(cycle: LabelledCycle, degree_bound):
-    """The bar complex modulo its degenerate subcomplex, through the given
-    degree: quasi-isomorphic to bar_complex, over Z too, with
-    prod dim M_a * (prod dim R_a - 1)^q basis tensors at level q.
+    """The bar complex of cycle.unit_first() modulo its degenerate subcomplex
+    through the given degree, quasi-isomorphic to bar_complex (over Z too if
+    the rebase is unimodular): prod dim M_a * (prod dim R_a - 1)^q tensors.
 
-    Needs units_first(cycle).  The guard applies to the dimensions of the
-    full complex, so a request is refused exactly when bar_complex refuses it.
+    The guard applies to the dimensions of the full complex, so a request is
+    refused exactly when bar_complex refuses it.
     """
-    if not units_first(cycle):
-        raise ValueError("normalization needs every vertex unit to be basis vector 0")
     bar_dims(cycle, degree_bound)
+    cycle = cycle.unit_first()
     field, n = cycle.field, cycle.n
     order = [_bar_order(cycle, q) for q in range(degree_bound + 1)]
     boundaries = {}
@@ -774,8 +794,8 @@ def normalized_bar_complex(cycle: LabelledCycle, degree_bound):
 
 
 def normalized_positions(cycle: LabelledCycle, q):
-    """Index in level q of bar_complex of each basis tensor of level q of
-    normalized_bar_complex, in order."""
+    """Index in level q of bar_complex(cycle.unit_first()) of each basis
+    tensor of level q of normalized_bar_complex, in order."""
     return sorted(_column_positions(cycle, q))
 
 
@@ -792,13 +812,6 @@ def _column_positions(cycle, q):
         ]
         positions = [p + o for p in positions for o in offsets]
     return positions
-
-
-def reduced_bar_complex(cycle: LabelledCycle, degree_bound):
-    """normalized_bar_complex where it applies, else bar_complex."""
-    if units_first(cycle):
-        return normalized_bar_complex(cycle, degree_bound)
-    return bar_complex(cycle, degree_bound)
 
 
 def homology(complex_: ChainComplex, upto=None):
@@ -819,14 +832,16 @@ def integral_homology_one_cycle(R: FiniteAlgebra, M: FiniteBimodule, degree_boun
     groups are returned as (torsion, free rank) pairs through
     degree_bound - 1.
 
-    The complex is normalized when R's unit is basis vector 0.  Every chain
-    group is free, so ker d_q is a direct summand and H_q is read off the
-    boundaries alone: its torsion is the invariant factors > 1 of d_{q+1},
-    and its free rank is dims[q] - rank d_q - rank d_{q+1}.
+    The complex is normalized on the unit_first basis, unimodular when R's
+    unit is integral with a coordinate +-1.  Chain groups are free, so ker d_q
+    is a direct summand, and H_q has the invariant factors > 1 of d_{q+1} as
+    torsion and dims[q] - rank d_q - rank d_{q+1} as free rank.
     """
     if R.field != QQ:
         raise ValueError(f"integral homology needs labels over Q, not {R.field!r}")
-    complex_ = reduced_bar_complex(LabelledCycle.one_cycle(R, M), degree_bound)
+    if any(c.denominator != 1 for c in R.unit) or all(c * c != 1 for c in R.unit):
+        raise ValueError("integral homology needs a unit with integral coordinates, one of them +-1")
+    complex_ = normalized_bar_complex(LabelledCycle.one_cycle(R, M), degree_bound)
 
     def integer(v):
         # an int, or a Fraction that may still have denominator 1
@@ -873,10 +888,10 @@ def hh_complex(cycle: LabelledCycle, degree_bound):
     """A complex with the homology of bar_complex(cycle, degree_bound).
 
     The guard applies to the dimensions of bar_complex.  The cycle is
-    contracted by contract_free, then normalized where that applies.
+    contracted by contract_free, then rebased unit-first and normalized.
     """
     bar_dims(cycle, degree_bound)
-    return reduced_bar_complex(contract_free(cycle), degree_bound)
+    return normalized_bar_complex(contract_free(cycle), degree_bound)
 
 
 def thh_pi0(R: FiniteAlgebra, M: FiniteBimodule):
@@ -982,11 +997,11 @@ def rotation_matrices(cycle: LabelledCycle, k, degree_bound):
 
 
 def _normalized_rotation(cycle: LabelledCycle, k, degree_bound):
-    """rotation_matrices on normalized_bar_complex, for labels invariant
-    under the rotation (not checked here).  The rotation permutes blocks and
-    keeps columns, so it keeps the degenerate subcomplex and is built like
-    the faces."""
-    maps = {}
+    """rotation_matrices of cycle.unit_first() on normalized_bar_complex, for
+    labels invariant under the rotation (not checked here).  The rotation
+    permutes blocks and keeps columns, so it keeps the degenerate subcomplex
+    and is built like the faces."""
+    cycle, maps = cycle.unit_first(), {}
     for q in range(degree_bound + 1):
         order = _bar_order(cycle, q)
         env, _ = cut_envelope_cyclic(CutSet(q, cycle.n), CyclicMap.rotation(cycle.n, k))
@@ -1045,20 +1060,19 @@ def rotation_action(R: FiniteAlgebra, M: FiniteBimodule, n, degree_bound):
 
     Returns the chain matrices of the generator, exactness of the relations
     (commutation with the boundary and order n), and the induced matrices on
-    homology through degree_bound - 1, all on reduced_bar_complex.  Homology
+    homology through degree_bound - 1, all on normalized_bar_complex.  Homology
     dimensions come by the trace route, as in hh_complex, from the
     contract_free cycle; induced matrices are built, and the dimension
     checked against the rotated complex, only where homology is nonzero
     (elsewhere they are 0 x 0).
     """
     cycle = LabelledCycle((R,) * n, (M,) * n)
-    complex_ = reduced_bar_complex(cycle, degree_bound)
-    rotate = _normalized_rotation if units_first(cycle) else rotation_matrices
-    maps = rotate(cycle, 1, degree_bound)
+    complex_ = normalized_bar_complex(cycle, degree_bound)
+    maps = _normalized_rotation(cycle, 1, degree_bound)
     commutes = is_chain_map(complex_, complex_, maps)
     order_ok = all(_power_is_identity(maps[q], n) for q in range(degree_bound + 1))
     contracted = contract_free(cycle)
-    dims = homology(complex_ if contracted is cycle else reduced_bar_complex(contracted, degree_bound))
+    dims = homology(complex_ if contracted is cycle else normalized_bar_complex(contracted, degree_bound))
     homology_action = []
     for q, h in enumerate(dims):
         if h and complex_.homology_dim(q) != h:

@@ -115,7 +115,11 @@ class CoefficientRing:
         return str(a)
 
     def parse(self, s):
-        raise NotImplementedError
+        """An integer literal, through from_int."""
+        try:
+            return self.from_int(int(s))
+        except ValueError:
+            raise ValueError(f"{s!r} is not an element of {self}") from None
 
     def to_json(self):
         return {"kind": self.kind}
@@ -147,9 +151,6 @@ class IntegerRing(CoefficientRing):
 
     def is_zero(self, a):
         return not a
-
-    def parse(self, s):
-        return int(s)
 
 
 def _integral(f):
@@ -190,6 +191,8 @@ class RationalField(CoefficientRing):
             return _integral(Fraction(s))
         except ZeroDivisionError:
             raise ValueError(f"{s!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"{s!r} is not an element of {self}") from None
 
 
 class ModularRing(CoefficientRing):
@@ -216,9 +219,6 @@ class ModularRing(CoefficientRing):
 
     def is_zero(self, a):
         return not a
-
-    def parse(self, s):
-        return int(s) % self.modulus
 
     def elements(self):
         return range(self.modulus)

@@ -262,6 +262,31 @@ def test_hh_stdout_matches_the_recorded_runs(runner, tmp_path):
         assert (result.exit_code, result.output) == (case["exit_code"], case["stdout"]), case
 
 
+def test_hh_unit_basis_stdout_matches_the_recorded_runs(runner, tmp_path):
+    # Recorded before cycles whose units are not basis vector 0 were
+    # rebased and normalized: hh compute, rotate and contract-compare on
+    # M2(F2) and M2(Q) uniform 1- and 2-cycles and on the Morita cycle
+    # (F2, M2(F2); rows, cols), contract-compare across both edges of each
+    # 2-cycle; stdout and exit codes are compared byte for byte.
+    F2 = PrimeField(2)
+    cycles = {
+        f"M2({name}) n={n}": LabelledCycle.uniform(FiniteAlgebra.matrix_algebra(field, 2), None, n)
+        for name, field in (("F2", F2), ("Q", QQ)) for n in (1, 2)
+    }
+    cycles["Morita"] = LabelledCycle(
+        (FiniteAlgebra.ground(F2), FiniteAlgebra.matrix_algebra(F2, 2)),
+        (FiniteBimodule.row_vectors(F2, 2), FiniteBimodule.column_vectors(F2, 2)),
+    )
+    recorded = json.loads((Path(__file__).parent / "data" / "hh_unit_basis_golden_stdout.json").read_text())
+    assert len(recorded) == 28
+    for case in recorded:
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(cycles[case["cycle"]].to_json()))
+        argv = ["hh"] + case["command"] + ["--cycle", str(path), "--degree", str(case["degree"])]
+        result = run(runner, argv)
+        assert (result.exit_code, result.output) == (case["exit_code"], case["stdout"]), case
+
+
 def test_mackey_and_witt_stdout_matches_the_recorded_runs(runner):
     # Recorded before lattice membership moved to invariant factors: axioms,
     # gfp, conservativity, proper-core, evaluate-span, transfer-sum,
@@ -283,6 +308,19 @@ def test_witt_arithmetic_stdout_matches_the_recorded_runs(runner):
     for case in recorded:
         result = run(runner, case["argv"])
         assert (result.exit_code, result.output) == (case["exit_code"], case["stdout"]), case
+
+
+def test_unreadable_coefficients_name_the_token_and_the_ring(runner):
+    for argv, message in (
+        (["witt", "ghost", "--ring", "Z/4", "--support", "1", "--vec", "1:1/2"], "'1/2' is not an element of Z/4"),
+        (["mackey", "coinvariants", "--ngens", "1", "--action", "1/0", "--order", "2"],
+         "'1/0' is not an element of Z"),
+        (["trunc", "divide", "--set", "1,a", "--n", "2"], "'a' is not an element of Z"),
+        (["witt", "ghost", "--ring", "Q", "--support", "1", "--vec", "1:x"], "'x' is not an element of Q"),
+    ):
+        result = run(runner, argv)
+        assert result.exit_code == 2, argv
+        assert json.loads(result.output) == {"error": message, "kind": "validation"}
 
 
 def test_malformed_paths_are_validation_errors(runner):

@@ -35,7 +35,6 @@ from polygonic.hochschild import (
     rotation_action,
     rotation_matrices,
     thh_pi0,
-    units_first,
 )
 from polygonic.operad import cut_degeneracy, cut_envelope_cyclic, cut_face
 from polygonic.rings import QQ, Echelon, IntMatrix, ModularRing, NonFieldRing, PrimeField
@@ -839,6 +838,8 @@ def labelled_cycles():
         (LabelledCycle.uniform(x3, None, 1), 4),
         (LabelledCycle.uniform(x3, None, 2), 3),
         (LabelledCycle.uniform(M2, None, 1), 3),
+        (LabelledCycle.uniform(M2, None, 2), 2),
+        (LabelledCycle.uniform(FiniteAlgebra.matrix_algebra(F2, 2), None, 2), 2),
         (twisted_cycle(), 3),
         (morita_cycle(), 3),
         (mixed, 3),
@@ -847,7 +848,8 @@ def labelled_cycles():
 
 
 def _projections(cycle, degree):
-    """The quotient maps from bar_complex onto normalized_bar_complex."""
+    """The quotient maps from bar_complex(cycle.unit_first()) onto
+    normalized_bar_complex(cycle)."""
     field = cycle.field
     dims = bar_dims(cycle, degree)
     out = {}
@@ -868,16 +870,16 @@ def test_trace_normalized_and_direct_routes_agree():
         contracted = contract_free(cycle)
         assert homology(bar_complex(contracted, degree)) == expected
         assert homology(hh_complex(cycle, degree)) == expected
-        if not units_first(cycle):
-            continue
         normal = normalized_bar_complex(cycle, degree)
         assert normal.validate() and homology(normal) == expected
         vertices = prod(A.dim for A in cycle.algebras) - 1
         assert normal.dims == tuple(direct.dims[0] * vertices ** q for q in range(degree + 1))
-        # the quotient map is a chain map and an isomorphism on homology
+        # the quotient map from the rebased complex is a chain map and an
+        # isomorphism on homology
+        rebased = bar_complex(cycle.unit_first(), degree)
         proj = _projections(cycle, degree)
-        assert is_chain_map(direct, normal, proj)
-        assert all(homology_map_is_iso(direct, normal, proj, q) for q in range(degree))
+        assert is_chain_map(rebased, normal, proj)
+        assert all(homology_map_is_iso(rebased, normal, proj, q) for q in range(degree))
 
 
 def test_rotation_action_on_the_normalized_complex():
@@ -889,14 +891,15 @@ def test_rotation_action_on_the_normalized_complex():
         assert report["commutes_with_boundary"] and report["order_exact"]
         direct = bar_complex(cycle, degree)
         assert report["homology_dims"] == homology(direct)
+        assert report["complex"].dims == normalized_bar_complex(cycle, degree).dims
+        # the quotient map intertwines the rotations of the rebased cycle
+        rebased = rotation_matrices(cycle.unit_first(), 1, degree)
+        proj = _projections(cycle, degree)
+        for q in range(degree + 1):
+            assert proj[q].mul(rebased[q]) == report["chain_maps"][q].mul(proj[q])
+        # so the actions on homology are conjugate to the direct ones: same
+        # traces
         full = rotation_matrices(cycle, 1, degree)
-        if units_first(cycle):
-            assert report["complex"].dims == normalized_bar_complex(cycle, degree).dims
-            # the quotient map intertwines the two rotations
-            proj = _projections(cycle, degree)
-            for q in range(degree + 1):
-                assert proj[q].mul(full[q]) == report["chain_maps"][q].mul(proj[q])
-        # so the actions on homology are conjugate: same traces
         for q in range(degree):
             action = induced_homology_matrix(direct, full[q], q).to_lists()
             assert _trace(report["homology_action"][q]) == _trace(action)
@@ -904,12 +907,13 @@ def test_rotation_action_on_the_normalized_complex():
 
 def test_normalized_rotation_is_the_restricted_full_rotation():
     # the column-by-column builder of the faces, given the rotation, gives
-    # the entries of the full rotation between nondegenerate basis tensors
+    # the entries of the full rotation of the rebased cycle between
+    # nondegenerate basis tensors
     for cycle, degree in labelled_cycles():
         R, M, n = cycle.algebras[0], cycle.bimodules[0], cycle.n
-        if cycle.algebras != (R,) * n or cycle.bimodules != (M,) * n or not units_first(cycle):
+        if cycle.algebras != (R,) * n or cycle.bimodules != (M,) * n:
             continue
-        full = rotation_matrices(cycle, 1, degree)
+        full = rotation_matrices(cycle.unit_first(), 1, degree)
         normal = hochschild._normalized_rotation(cycle, 1, degree)
         proj = _projections(cycle, degree)
         for q in range(degree + 1):
@@ -1013,6 +1017,73 @@ def test_integral_homology_normalized_matches_the_full_complex():
         assert integral_homology_one_cycle(R, M, degree_bound) == _direct_integral_homology(R, M, degree_bound)
 
 
+def diagonal_pair(b0, b1):
+    """Z x Z, multiplied componentwise, written over Q in the basis b0, b1."""
+    (a, c), (b, d) = b0, b1
+    det = a * d - b * c
+
+    def coordinates(v):
+        return tuple(Fraction(x, det) for x in (d * v[0] - b * v[1], a * v[1] - c * v[0]))
+    mult = tuple(tuple(coordinates((x[0] * y[0], x[1] * y[1])) for y in (b0, b1)) for x in (b0, b1))
+    return FiniteAlgebra(QQ, 2, mult, coordinates((1, 1)), name="ZxZ")
+
+
+def test_unit_first_rebase_is_an_algebra_isomorphism():
+    # The new basis is u, then e_j for j != i: i is the first coordinate at
+    # which the unit u is +-1, else the first nonzero one.
+    for R, pivot in (
+        (FiniteAlgebra.matrix_algebra(F2, 2), 0),
+        (FiniteAlgebra.matrix_algebra(QQ, 2), 0),
+        (diagonal_pair((2, -1), (-1, 1)), 0),  # unit (2, 3)
+        (diagonal_pair((1, 0), (-1, 1)), 1),  # unit (2, 1)
+    ):
+        field, X = R.field, LabelledCycle.uniform(R, None, 1)
+        Y = X.unit_first()  # its labels are validated as they are built
+        assert Y is X.unit_first() and Y != X
+        S, N = Y.algebras[0], Y.bimodules[0]
+        assert list(S.unit) == S._basis(0)
+        # The edge keeps R's basis, so it reads each new basis vector s as
+        # s . 1 in R's coordinates: that is the map from S to R.
+        phi = [N.left_act(S._basis(s), list(R.unit)) for s in range(R.dim)]
+        assert phi == [list(R.unit)] + [R._basis(j) for j in range(R.dim) if j != pivot]
+
+        def image(w):
+            return [field.sum(field.mul(c, v[k]) for c, v in zip(w, phi)) for k in range(R.dim)]
+        for s, t in product(range(R.dim), repeat=2):
+            assert image(S.mul_vec(S._basis(s), S._basis(t))) == R.mul_vec(phi[s], phi[t]), (R.name, s, t)
+        normal = normalized_bar_complex(X, 3)
+        assert normal.validate()
+        assert homology(normal) == homology(bar_complex(X, 3))
+    # Over Z the rebase keeps the lattice only with an integral unit that
+    # has a coordinate +-1.
+    R = diagonal_pair((1, 0), (-1, 1))
+    M = FiniteBimodule.regular(R)
+    assert integral_homology_one_cycle(R, M, 4) == _direct_integral_homology(R, M, 4)
+    M2 = FiniteAlgebra.matrix_algebra(QQ, 2)
+    M = FiniteBimodule.regular(M2)
+    homology_z = integral_homology_one_cycle(M2, M, 3)
+    assert homology_z == _direct_integral_homology(M2, M, 3) == [([], 1), ([], 0), ([], 0)]
+    for R in (diagonal_pair((2, -1), (-1, 1)), diagonal_pair((1, 0), (0, 2))):  # units (2, 3) and (1, 1/2)
+        with pytest.raises(ValueError, match="integral coordinates, one of them"):
+            integral_homology_one_cycle(R, FiniteBimodule.regular(R), 3)
+
+
+def test_rotation_is_the_identity_on_homology_for_regular_labels():
+    # For M = R the C_n action on THH(R; R^(x)n) is restricted from the
+    # circle action, so it is trivial on homology.  An identity matrix is
+    # one in every basis, so this checks the rebased route as it is.
+    checked = 0
+    for cycle, degree in labelled_cycles():
+        R, n = cycle.algebras[0], cycle.n
+        if cycle != LabelledCycle.uniform(R, None, n):
+            continue
+        report = rotation_action(R, FiniteBimodule.regular(R), n, degree)
+        for q, action in enumerate(report["homology_action"]):
+            assert action == IntMatrix.identity(R.field, report["homology_dims"][q]).to_lists(), (R.name, n, q)
+        checked += 1
+    assert checked == 15
+
+
 def test_contraction_needs_a_free_edge():
     # No edge of the augmentation cycle is free, so it is not contracted.
     X = augmentation_cycle()
@@ -1025,12 +1096,19 @@ def test_contraction_needs_a_free_edge():
     assert contract_free(LabelledCycle.uniform(C2, None, 3)).n == 1
 
 
-def test_normalized_complex_needs_units_first():
+def test_normalized_complex_rebases_the_unit_first():
+    # The unit of M2(Q) is not basis vector 0: its cycle is rebased and
+    # normalized to 4 * 3^q tensors, while the guard reads 4 * 4^q.
     X = LabelledCycle.uniform(FiniteAlgebra.matrix_algebra(QQ, 2), None, 1)
-    assert not units_first(X)
-    with pytest.raises(ValueError):
-        normalized_bar_complex(X, 2)
-    # the guard reads the full dimensions: 2 * 3^q fits, 2 * 4^q does not
+    assert X.unit_first() != X
+    assert normalized_bar_complex(X, 6).dims == tuple(4 * 3 ** q for q in range(7))
+    assert bar_dims(X, 6) == tuple(4 * 4 ** q for q in range(7))
+    # so is the rotation action's complex, here over F2
+    M2 = FiniteAlgebra.matrix_algebra(F2, 2)
+    report = rotation_action(M2, FiniteBimodule.regular(M2), 1, 6)
+    assert report["complex"].dims[-1] == 2916
+    assert report["homology_dims"] == [1, 0, 0, 0, 0, 0]
+    # the guard reads the full dimensions: 4 * 3^q fits, 4 * 4^q does not
     Y = LabelledCycle.uniform(FiniteAlgebra.poly_quotient(QQ, (QQ.zero(),) * 4 + (QQ.one(),)), None, 1)
     assert normalized_bar_complex(Y, 6).dims[-1] == 4 * 3 ** 6
     with pytest.raises(SizeGuard, match="bar complex dimension 65536 exceeds 20000"):
