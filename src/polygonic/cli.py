@@ -78,6 +78,21 @@ def _ints(text):
     return [rings.ZZ.parse(x) for x in text.split(",") if x.strip() != ""]
 
 
+def _window_guard(n):
+    """A SizeGuard when the window bound n is missing or above WINDOW_GUARD."""
+    if n is None or n > WINDOW_GUARD:
+        raise SizeGuard(f"window bound is {WINDOW_GUARD}")
+
+
+def _pair(option, item, sep, form):
+    """The two sides of a list item around sep; a ValueError names the
+    option, the item and the expected form if there are not two."""
+    parts = item.split(sep)
+    if len(parts) != 2:
+        raise ValueError(f"each {option} item is {form}; got {item!r}")
+    return parts
+
+
 def _trunc(text):
     elems = _ints(text)
     if any(t > WINDOW_GUARD for t in elems):
@@ -103,9 +118,10 @@ def _spec(text):
     return operad.LabelledCycleSpec.from_json(data)
 
 
-def _witt_vector(ring, support, text):
+def _witt_vector(ring, support, text, option):
     """A Witt vector on support: t:v pairs over ring (Z if ring is None), or
-    @file.json.  A file keeps its own ring, which ring, if given, must be."""
+    @file.json, given by option.  A file keeps its own ring, which ring, if
+    given, must be."""
     if text.startswith("@"):
         vec = witt.WittVector.from_json(_read_json(text[1:]))
         if vec.support != support or (ring is not None and ring != vec.ring):
@@ -119,7 +135,7 @@ def _witt_vector(ring, support, text):
     values = {}
     if text.strip():
         for item in text.split(","):
-            t, v = item.split(":")
+            t, v = _pair(option, item, ":", "t:v")
             values[rings.ZZ.parse(t)] = ring.parse(v)
     return witt.WittVector.from_dict(ring, support, values)
 
@@ -184,16 +200,14 @@ def divide(set_, n):
 @trunc.command()
 @click.option("--n", type=int, required=True)
 def divisors(n):
-    if n > WINDOW_GUARD:
-        raise SizeGuard(f"window bound is {WINDOW_GUARD}")
+    _window_guard(n)
     return {"set": truncation.divisors_truncation(n).to_json()}
 
 
 @trunc.command()
 @click.option("--N", "--n", "n", type=int, required=True)
 def interval(n):
-    if n > WINDOW_GUARD:
-        raise SizeGuard(f"window bound is {WINDOW_GUARD}")
+    _window_guard(n)
     return {"set": truncation.interval_truncation(n).to_json()}
 
 
@@ -347,7 +361,7 @@ def scale(orbits, n):
 @qfin_group.command(name="is-proper")
 @click.option("--pairs", required=True, help="m:n pairs, orbit size to target size")
 def is_proper_cmd(pairs):
-    sizes = [tuple(map(rings.ZZ.parse, item.split(":"))) for item in pairs.split(",")]
+    sizes = [tuple(map(rings.ZZ.parse, _pair("--pairs", item, ":", "m:n"))) for item in pairs.split(",")]
     S = qfin.QFinSet(tuple(m for m, _ in sizes))
     T = qfin.QFinSet(tuple(sorted(set(n for _, n in sizes))))
     assign = tuple((T.orbits.index(n), 0) for _, n in sizes)
@@ -414,8 +428,7 @@ def _window_module(window, burnside_m, witt_ring, witt_n):
     if burnside_m < 1:
         raise ValueError(f"--burnside-m must be >= 1, got {burnside_m}")
     if witt_ring is not None:
-        if witt_n is None or witt_n > WINDOW_GUARD:
-            raise SizeGuard(f"window bound is {WINDOW_GUARD}")
+        _window_guard(witt_n)
         return witt.witt_as_mackey(rings.ring_from_string(witt_ring), witt_n)
     return mackey.burnside_representable(burnside_m, _trunc(window))
 
@@ -493,7 +506,7 @@ def transfer_sum_cmd(family, **window_module):
     M = _window_module(**window_module)
     fam = []
     for item in family.split(";"):
-        n_text, coords = item.split("=", 1)
+        n_text, coords = _pair("--family", item, "=", "n=c1,c2,...")
         fam.append((rings.ZZ.parse(n_text), _ints(coords)))
     total = mackey.infinite_transfer_sum(M, fam)
     return {"element": total}
@@ -549,7 +562,7 @@ def _ring_support(ring, support):
 @click.option("--b", "b_", required=True)
 def add(a_, b_, **ring_support):
     ring, supp = _ring_support(**ring_support)
-    c = witt.add(_witt_vector(ring, supp, a_), _witt_vector(ring, supp, b_))
+    c = witt.add(_witt_vector(ring, supp, a_, "--a"), _witt_vector(ring, supp, b_, "--b"))
     return c.to_json()
 
 
@@ -559,7 +572,7 @@ def add(a_, b_, **ring_support):
 @click.option("--b", "b_", required=True)
 def mul(a_, b_, **ring_support):
     ring, supp = _ring_support(**ring_support)
-    c = witt.multiply(_witt_vector(ring, supp, a_), _witt_vector(ring, supp, b_))
+    c = witt.multiply(_witt_vector(ring, supp, a_, "--a"), _witt_vector(ring, supp, b_, "--b"))
     return c.to_json()
 
 
@@ -568,7 +581,7 @@ def mul(a_, b_, **ring_support):
 @click.option("--vec", required=True)
 def ghost(vec, **ring_support):
     ring, supp = _ring_support(**ring_support)
-    a = _witt_vector(ring, supp, vec)
+    a = _witt_vector(ring, supp, vec, "--vec")
     g = witt.ghost(a)
     return {"support": supp.to_json(), "ghost": {str(t): a.ring.show(v) for t, v in g.as_dict().items()}}
 
@@ -580,7 +593,7 @@ def ghost(vec, **ring_support):
 @click.option("--vec", required=True)
 def ver(target, n, vec, **ring_support):
     ring, supp = _ring_support(**ring_support)
-    out = witt.verschiebung(_witt_vector(ring, supp, vec), n, _trunc(target))
+    out = witt.verschiebung(_witt_vector(ring, supp, vec, "--vec"), n, _trunc(target))
     return out.to_json()
 
 
@@ -590,7 +603,7 @@ def ver(target, n, vec, **ring_support):
 @click.option("--vec", required=True)
 def frob(n, vec, **ring_support):
     ring, supp = _ring_support(**ring_support)
-    out = witt.frobenius(_witt_vector(ring, supp, vec), n)
+    out = witt.frobenius(_witt_vector(ring, supp, vec, "--vec"), n)
     return out.to_json()
 
 
@@ -611,9 +624,9 @@ def sum_v(family, **ring_support):
     ring = ring or rings.ZZ
     fam = []
     for item in family.split(";"):
-        n_text, coeffs = item.split("=", 1)
+        n_text, coeffs = _pair("--family", item, "=", "n=t:v,...")
         n = rings.ZZ.parse(n_text)
-        fam.append((n, _witt_vector(ring, supp.divide(n), coeffs)))
+        fam.append((n, _witt_vector(ring, supp.divide(n), coeffs, "--family")))
     out = witt.infinite_verschiebung(ring, fam, supp)
     return out.to_json()
 
@@ -622,8 +635,7 @@ def sum_v(family, **ring_support):
 @click.option("--ring", required=True)
 @click.option("--N", "--n", "n", type=int, required=True)
 def recover(ring, n):
-    if n > WINDOW_GUARD:
-        raise SizeGuard(f"window bound is {WINDOW_GUARD}")
+    _window_guard(n)
     report = witt.recover_base(rings.ring_from_string(ring), n)
     return {key: report[key] for key in ("invariant_factors", "free_rank", "matches_base")}
 
@@ -642,8 +654,7 @@ def equalizer(box, **ring_support):
 @click.option("--ring", required=True)
 @click.option("--N", "--n", "n", type=int, required=True)
 def as_mackey(ring, n):
-    if n > WINDOW_GUARD:
-        raise SizeGuard(f"window bound is {WINDOW_GUARD}")
+    _window_guard(n)
     return witt.witt_as_mackey(rings.ring_from_string(ring), n).to_json()
 
 

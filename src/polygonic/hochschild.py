@@ -69,14 +69,6 @@ def _combo_mul(field, terms_a, terms_b, mult_table):
     return out
 
 
-def _apply(field, columns, vec):
-    """Image of a sparse vector under the matrix with the given sparse columns."""
-    out = {}
-    for j, c in vec.items():
-        _add_multiple(field, out, c, columns[j])
-    return out
-
-
 def _dense_mul(field, u, v, mult_table, dim):
     """_combo_mul on dense vectors, with a dense result of length dim."""
     out = _combo_mul(
@@ -548,8 +540,7 @@ class ChainComplex:
     def validate(self):
         """Is d_{q-1} d_q = 0 for every q?  Checked column by column."""
         for q in range(2, self.top + 1):
-            lower = self.boundaries[q - 1].columns()
-            if any(_apply(self.ring, lower, col) for col in self.boundaries[q].columns()):
+            if any(map(self.boundaries[q - 1].apply, self.boundaries[q].columns())):
                 return False
         return True
 
@@ -932,20 +923,12 @@ def _cyclic_maps(cycle: LabelledCycle, f, degree_bound):
 
 def is_chain_map(src, dst, maps):
     """Is f_{q-1} d_q = d_q f_q in every degree?  Checked column by column."""
-    field = src.ring
-    columns = {q: m.columns() for q, m in maps.items()}
     for q in range(1, src.top + 1):
-        d_src, d_dst = src.boundary(q).columns(), dst.boundary(q).columns()
-        for col, f_col in zip(d_src, columns[q], strict=True):
-            if _apply(field, columns[q - 1], col) != _apply(field, d_dst, f_col):
+        d_dst = dst.boundary(q)
+        for col, f_col in zip(src.boundary(q).columns(), maps[q].columns(), strict=True):
+            if maps[q - 1].apply(col) != d_dst.apply(f_col):
                 return False
     return True
-
-
-def _images(matrix, vectors):
-    """Images of sparse vectors under a matrix, as sparse vectors."""
-    columns = matrix.columns()
-    return [_apply(matrix.ring, columns, vec) for vec in vectors]
 
 
 def homology_map_is_iso(src, dst, maps, q):
@@ -960,7 +943,7 @@ def homology_map_is_iso(src, dst, maps, q):
     if h_dst == 0:
         return True  # two zero spaces
     covered = Echelon(dst.ring, dst.dims[q], (
-        dst.reduce_mod_boundaries(q, v) for v in _images(maps[q], src.cycles(q))
+        dst.reduce_mod_boundaries(q, maps[q].apply(v)) for v in src.cycles(q)
     ))
     return covered.rank == h_dst
 
@@ -1033,24 +1016,23 @@ def induced_homology_matrix(complex_, chain_map_q, q):
             chosen.append(z)
             if len(chosen) == h_dim:
                 break
-    entries = {}
-    for j, img in enumerate(_images(chain_map_q, chosen)):
-        rest = span.reduce(complex_.reduce_mod_boundaries(q, img))
+    columns = []
+    for z in chosen:
+        rest = span.reduce(complex_.reduce_mod_boundaries(q, chain_map_q.apply(z)))
         if any(i < dim for i in rest):
             raise AssertionError("image leaves the homology span")
-        for i, c in rest.items():
-            entries[(i - dim, j)] = field.neg(c)
-    return IntMatrix(field, h_dim, h_dim, entries)
+        columns.append({i - dim: field.neg(c) for i, c in rest.items()})
+    return IntMatrix.from_columns(field, h_dim, columns)
 
 
 def _power_is_identity(matrix, n):
     """Is matrix^n the identity?  Each unit vector is mapped n times."""
-    field, columns = matrix.ring, matrix.columns()
+    one = matrix.ring.one()
     for j in range(matrix.cols):
-        vec = {j: field.one()}
+        vec = {j: one}
         for _ in range(n):
-            vec = _apply(field, columns, vec)
-        if vec != {j: field.one()}:
+            vec = matrix.apply(vec)
+        if vec != {j: one}:
             return False
     return True
 

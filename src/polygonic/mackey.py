@@ -520,14 +520,15 @@ def burnside_basis(n, m, window):
 
 
 def _span_class_vector(level, base, window, basis_index, orbit_rows):
-    """Reduce the apex orbits of a composed span to basis coordinates."""
-    vec = [0] * len(basis_index)
+    """Reduce the apex orbits of a composed span to basis coordinates, as a
+    sparse vector (dict basis index -> count)."""
+    vec = {}
     for (l, _, s, _, t) in orbit_rows:
         if l not in window:
             continue
         t_norm = (t - s) % base if base > 0 else 0
-        key = (l, t_norm % gcd(level, base))
-        vec[basis_index[key]] += 1
+        i = basis_index[(l, t_norm % gcd(level, base))]
+        vec[i] = vec.get(i, 0) + 1
     return vec
 
 
@@ -557,7 +558,7 @@ def burnside_representable(m, window):
             shift = SpanMorphism.single(n, n, n, (-1) % n, 0)
             composed = compose_spans(basis_span(n, key), shift)
             cols.append(_span_class_vector(n, m, window, index[n], composed.orbit_data()))
-        weyl[n] = _columns_matrix(cols, len(bases[n]))
+        weyl[n] = IntMatrix.from_columns(ZZ, len(bases[n]), cols)
     for n in window:
         for k in window:
             if k % n != 0 or k == n:
@@ -568,21 +569,12 @@ def burnside_representable(m, window):
             for key in bases[n]:
                 composed = compose_spans(basis_span(n, key), f_span)
                 cols.append(_span_class_vector(k, m, window, index[k], composed.orbit_data()))
-            res[(n, k)] = _columns_matrix(cols, len(bases[k]))
+            res[(n, k)] = IntMatrix.from_columns(ZZ, len(bases[k]), cols)
             # V from level k to level n: precompose with Z/n <- Z/k -> Z/k.
             v_span = SpanMorphism.single(n, k, k, 0, 0)
             cols = []
             for key in bases[k]:
                 composed = compose_spans(basis_span(k, key), v_span)
                 cols.append(_span_class_vector(n, m, window, index[n], composed.orbit_data()))
-            tr[(n, k)] = _columns_matrix(cols, len(bases[n]))
+            tr[(n, k)] = IntMatrix.from_columns(ZZ, len(bases[n]), cols)
     return MackeyWindow(window, groups, weyl, res, tr)
-
-
-def _columns_matrix(cols, nrows):
-    entries = {}
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            if v:
-                entries[(i, j)] = v
-    return IntMatrix(ZZ, nrows, len(cols), entries)

@@ -453,30 +453,36 @@ def ring_from_json(data):
 class IntMatrix:
     """Immutable-by-convention sparse matrix over a CoefficientRing.
 
-    The nonzero entries are kept in a dict keyed by (i, j).
+    The nonzero entries are kept as sparse columns: _cols[j] is a dict
+    row -> nonzero entry.  apply is the product with a sparse vector; mul
+    and scale apply it to columns.
     """
 
     def __init__(self, ring, rows, cols, entries=None):
-        self.ring = ring
-        self.rows = rows
-        self.cols = cols
+        columns = [{} for _ in range(cols)]
         if entries is None:
             entries = {}
         if isinstance(entries, dict):
-            items = {k: v for k, v in entries.items() if not ring.is_zero(v)}
+            items = entries.items()
         else:
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise DimensionMismatch("entry grid does not match shape")
-            items = {
-                (i, j): entries[i][j]
-                for i in range(rows)
-                for j in range(cols)
-                if not ring.is_zero(entries[i][j])
-            }
-        for (i, j) in items:
+            items = (((i, j), v) for i, r in enumerate(entries) for j, v in enumerate(r))
+        for (i, j), v in items:
+            if ring.is_zero(v):
+                continue
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatch(f"entry index ({i},{j}) out of range")
-        self._data = items
+            columns[j][i] = v
+        self.ring, self.rows, self.cols, self._cols = ring, rows, cols, columns
+
+    @classmethod
+    def from_columns(cls, ring, rows, columns):
+        """The matrix with the given sparse columns, dicts row -> nonzero
+        entry, which it keeps: the caller must not change them after."""
+        matrix = cls.__new__(cls)
+        matrix.ring, matrix.rows, matrix.cols, matrix._cols = ring, rows, len(columns), list(columns)
+        return matrix
 
     @classmethod
     def zeros(cls, ring, rows, cols):
@@ -484,7 +490,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, ring, n):
-        return cls(ring, n, n, {(i, i): ring.one() for i in range(n)})
+        return cls.from_columns(ring, n, [{i: ring.one()} for i in range(n)])
 
     @classmethod
     def from_rows(cls, ring, row_list):
@@ -493,10 +499,11 @@ class IntMatrix:
         return cls(ring, rows, cols, [list(r) for r in row_list])
 
     def get(self, i, j):
-        return self._data.get((i, j), self.ring.zero())
+        return self._cols[j].get(i, self.ring.zero())
 
     def items(self):
-        return self._data.items()
+        """The nonzero entries as ((i, j), entry) pairs, column by column."""
+        return (((i, j), v) for j, col in enumerate(self._cols) for i, v in col.items())
 
     def row(self, i):
         return [self.get(i, j) for j in range(self.cols)]
@@ -505,82 +512,70 @@ class IntMatrix:
         return [self.get(i, j) for i in range(self.rows)]
 
     def columns(self):
-        """The columns as sparse vectors (dicts row -> entry)."""
-        cols = [{} for _ in range(self.cols)]
-        for (i, j), v in self._data.items():
-            cols[j][i] = v
-        return cols
+        """The columns as sparse vectors (dicts row -> entry); not to be changed."""
+        return self._cols
 
     def to_lists(self):
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self):
-        return IntMatrix(self.ring, self.cols, self.rows, {(j, i): v for (i, j), v in self.items()})
+        out = [{} for _ in range(self.rows)]
+        for (i, j), v in self.items():
+            out[i][j] = v
+        return IntMatrix.from_columns(self.ring, self.cols, out)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
             return False
-        return dict(self.items()) == dict(other.items())
+        return self._cols == other._cols
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(sorted(self.items()))))
 
+    def apply(self, vec):
+        """The image of a sparse vector (dict column -> entry), as a sparse vector."""
+        out = {}
+        for j, c in vec.items():
+            _add_multiple(self.ring, out, c, self._cols[j])
+        return out
+
     def add(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in add")
-        out = dict(self.items())
-        for key, v in other.items():
-            s = self.ring.add(out.get(key, self.ring.zero()), v)
-            if self.ring.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return IntMatrix(self.ring, self.rows, self.cols, out)
+        one = self.ring.one()
+        out = [dict(col) for col in self._cols]
+        for col, other_col in zip(out, other._cols):
+            _add_multiple(self.ring, col, one, other_col)
+        return IntMatrix.from_columns(self.ring, self.rows, out)
 
     def neg(self):
-        return IntMatrix(self.ring, self.rows, self.cols, {k: self.ring.neg(v) for k, v in self.items()})
+        return self.scale(self.ring.neg(self.ring.one()))
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
-        return IntMatrix(self.ring, self.rows, self.cols, {k: self.ring.mul(c, v) for k, v in self.items()})
+        return IntMatrix.from_columns(self.ring, self.rows, [self.apply({j: c}) for j in range(self.cols)])
 
     def mul(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch("shape mismatch in mul")
-        ring = self.ring
-        by_row = {}
-        for (i, k), v in self.items():
-            by_row.setdefault(i, []).append((k, v))
-        other_rows = {}
-        for (k, j), w in other.items():
-            other_rows.setdefault(k, []).append((j, w))
-        out = {}
-        for i, terms in by_row.items():
-            acc = {}
-            for k, v in terms:
-                for j, w in other_rows.get(k, ()):
-                    key = j
-                    acc[key] = ring.add(acc.get(key, ring.zero()), ring.mul(v, w))
-            for j, val in acc.items():
-                if not ring.is_zero(val):
-                    out[(i, j)] = val
-        return IntMatrix(ring, self.rows, other.cols, out)
+        return IntMatrix.from_columns(self.ring, self.rows, [self.apply(col) for col in other._cols])
 
     def mul_vec(self, vec):
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
         ring = self.ring
         out = [ring.zero()] * self.rows
-        for (i, j), v in self.items():
-            out[i] = ring.add(out[i], ring.mul(v, vec[j]))
+        for x, col in zip(vec, self._cols):
+            for i, v in col.items():
+                out[i] = ring.add(out[i], ring.mul(v, x))
         return out
 
     def is_zero(self):
-        return not self._data
+        return not any(self._cols)
 
     def to_json(self):
         return {

@@ -323,6 +323,39 @@ def test_unreadable_coefficients_name_the_token_and_the_ring(runner):
         assert json.loads(result.output) == {"error": message, "kind": "validation"}
 
 
+def test_malformed_list_items_name_the_option_and_the_form(runner):
+    for argv, message in (
+        (["qfin", "is-proper", "--pairs", "1"], "each --pairs item is m:n; got '1'"),
+        (["qfin", "is-proper", "--pairs", "1:2:3"], "each --pairs item is m:n; got '1:2:3'"),
+        (["witt", "ghost", "--support", "1", "--vec", "1"], "each --vec item is t:v; got '1'"),
+        (["mackey", "transfer-sum", "--witt-ring", "Z", "--witt-n", "4", "--family", "2"],
+         "each --family item is n=c1,c2,...; got '2'"),
+        (["witt", "sum-v", "--support", "1,2,3,4", "--family", "2"], "each --family item is n=t:v,...; got '2'"),
+    ):
+        result = run(runner, argv)
+        assert result.exit_code == 2, argv
+        assert result.output.count("\n") == 1, argv
+        assert json.loads(result.output) == {"error": message, "kind": "validation"}
+
+
+def test_window_bounds_are_one_guard(runner):
+    error = {"error": "window bound is 64", "kind": "guard"}
+    for argv in (
+        ["trunc", "divisors", "--n", "65"],
+        ["trunc", "interval", "--n", "65"],
+        ["witt", "recover", "--ring", "Z", "--n", "65"],
+        ["witt", "as-mackey", "--ring", "Z", "--n", "65"],
+        ["mackey", "transfer-sum", "--witt-ring", "Z", "--witt-n", "65", "--family", "1=1"],
+        ["mackey", "transfer-sum", "--witt-ring", "Z", "--family", "1=1"],
+        # the bound is checked before the ring is read
+        ["witt", "recover", "--ring", "Z/1", "--n", "65"],
+        ["witt", "as-mackey", "--ring", "F4", "--n", "65"],
+        ["mackey", "gfp", "--witt-ring", "Z/0"],
+    ):
+        result = run(runner, argv)
+        assert (result.exit_code, json.loads(result.output)) == (3, error), argv
+
+
 def test_malformed_paths_are_validation_errors(runner):
     for seq, target in (("v", "v:0"), ("x:0:1", "e:0:1"), ("v:0:7", "v:0"), ("v:0", "e:0"),
                         ("e:0:1:2", "v:0"), ("v: 1", "v:0"), ("v:1_0", "v:0"), ("v:0", "")):

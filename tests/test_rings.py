@@ -414,6 +414,60 @@ def test_matrix_json_roundtrip():
     assert A.to_json()["entries"] == [[0, 0, "1"], [0, 2, "-2"], [1, 1, "5"]]
 
 
+def test_int_matrix_matches_dense_lists():
+    """Each matrix operation against dense list arithmetic over the ring."""
+    rng = random.Random(17)
+
+    def draw(ring, rows, cols):
+        if ring is QQ:
+            entry = lambda: QQ.parse(f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}")
+        else:
+            entry = lambda: ring.from_int(rng.randint(-3, 3))
+        return [[entry() if rng.random() < 0.6 else ring.zero() for _ in range(cols)] for _ in range(rows)]
+
+    def entrywise(f, *grids):
+        return [[f(*xs) for xs in zip(*rows)] for rows in zip(*grids)]
+
+    for ring in (ZZ, ModularRing(4), QQ, PrimeField(3)):
+        for _ in range(25):
+            m, k, n = (rng.randint(1, 4) for _ in range(3))
+            a, b, c = draw(ring, m, k), draw(ring, k, n), draw(ring, m, k)
+            A, B, C = mat(a, ring), mat(b, ring), mat(c, ring)
+            assert A.to_lists() == a and mat(A.to_lists(), ring) == A
+            product_ab = [[ring.sum(ring.mul(a[i][t], b[t][j]) for t in range(k)) for j in range(n)] for i in range(m)]
+            assert A.mul(B).to_lists() == product_ab
+            assert A.add(C).to_lists() == entrywise(ring.add, a, c)
+            assert A.sub(C).to_lists() == entrywise(ring.sub, a, c)
+            assert A.neg().to_lists() == entrywise(ring.neg, a)
+            scalar = ring.from_int(2)
+            assert A.scale(scalar).to_lists() == entrywise(lambda x: ring.mul(scalar, x), a)
+            assert A.transpose().to_lists() == [list(col) for col in zip(*a)]
+            vec = draw(ring, 1, k)[0]
+            image = [ring.sum(ring.mul(a[i][t], vec[t]) for t in range(k)) for i in range(m)]
+            assert A.mul_vec(vec) == image
+            sparse = {t: x for t, x in enumerate(vec) if not ring.is_zero(x)}
+            assert A.apply(sparse) == {i: x for i, x in enumerate(image) if not ring.is_zero(x)}
+            assert A.is_zero() == all(ring.is_zero(x) for row in a for x in row)
+            assert A.sub(A).is_zero() and IntMatrix.zeros(ring, m, k).is_zero()
+            for same in (A.add(C).sub(C), A.transpose().transpose(), IntMatrix(ring, m, k, dict(A.items()))):
+                assert same == A and hash(same) == hash(A)
+            product_matrix = mat(product_ab, ring)
+            assert A.mul(B) == product_matrix and hash(A.mul(B)) == hash(product_matrix)
+            if ring.is_field:
+                columns = [dict(col) for col in A.columns()]
+                Echelon(ring, m, A.columns())
+                assert A.columns() == columns and A.to_lists() == a
+    # over Z/4, 2 * 2 vanishes: the scaled matrix keeps no zero entry
+    A = mat([[2, 1], [0, 2]], ModularRing(4))
+    assert A.scale(2) == mat([[0, 2], [0, 0]], ModularRing(4))
+    assert [v for _, v in A.scale(2).items()] == [2]
+    assert A.scale(2).columns() == [{}, {0: 2}]
+    P = mat([[2, 4, 0], [6, 0, 3], [0, 0, 0]])
+    columns, grid = [dict(col) for col in P.columns()], P.to_lists()
+    assert invariant_factors(P) == ([6], 1)
+    assert P.columns() == columns and P.to_lists() == grid
+
+
 def test_ring_parsing():
     assert ring_from_string("Z") is ZZ
     assert ring_from_string("Q") is QQ
