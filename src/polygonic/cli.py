@@ -79,8 +79,8 @@ def _ints(text):
 
 
 def _window_guard(n):
-    """A SizeGuard when the window bound n is missing or above WINDOW_GUARD."""
-    if n is None or n > WINDOW_GUARD:
+    """A SizeGuard when the window bound n is above WINDOW_GUARD."""
+    if n > WINDOW_GUARD:
         raise SizeGuard(f"window bound is {WINDOW_GUARD}")
 
 
@@ -428,6 +428,8 @@ def _window_module(window, burnside_m, witt_ring, witt_n):
     if burnside_m < 1:
         raise ValueError(f"--burnside-m must be >= 1, got {burnside_m}")
     if witt_ring is not None:
+        if witt_n is None:
+            raise ValueError("--witt-ring needs --witt-n")
         _window_guard(witt_n)
         return witt.witt_as_mackey(rings.ring_from_string(witt_ring), witt_n)
     return mackey.burnside_representable(burnside_m, _trunc(window))

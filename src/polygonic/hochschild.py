@@ -687,11 +687,13 @@ def bar_complex(cycle: LabelledCycle, degree_bound):
 # unit basis vector 0, the degenerate subcomplex is spanned by the basis
 # tensors with some vertex column all units.  It is acyclic, over Z as over a
 # field (Loday, Cyclic Homology, 1.1), and the quotient is free on the other
-# basis tensors.  Its faces and rotations are built column by column, a
-# column's tuples of block indices ranked row-major without the all-unit
-# tuple of a vertex column, then put back in the order of bar_complex: in
-# column order the echelon forms over Q fill in with fractions, and
-# eliminating the Q[C2] 3-cycle at degree 3 took about six times as long.
+# basis tensors.  Its faces are built column by column, a column's tuples of
+# block indices ranked row-major without the all-unit tuple of a vertex
+# column, then put back in the order of bar_complex: in column order the
+# echelon forms over Q fill in with fractions, and eliminating the Q[C2]
+# 3-cycle at degree 3 took about six times as long.  A rotation multiplies
+# nothing: it moves blocks and keeps columns, so it permutes those tuples
+# (_rotation_images).
 
 
 def _column_tuples(cycle, j):
@@ -704,8 +706,8 @@ def _column_tuples(cycle, j):
 
 
 def _normalized_matrix(cycle, env):
-    """Entries, in column order, of a face or a rotation (as an envelope
-    morphism) between normalized levels.
+    """Entries, in column order, of a face (as an envelope morphism) between
+    normalized levels.
 
     Each target column takes its fibers from whole source columns, so the
     matrix is the Kronecker product, over target columns, of one small matrix
@@ -979,17 +981,41 @@ def rotation_matrices(cycle: LabelledCycle, k, degree_bound):
     return _cyclic_maps(cycle, rotation, degree_bound)
 
 
+def _rotation_images(cycle: LabelledCycle, k, degree_bound):
+    """The rotation by k of normalized_bar_complex(cycle), for labels
+    invariant under it (not checked here), as one index list per level:
+    basis tensor j goes to basis tensor images[q][j] with coefficient 1.
+
+    Block a of the image is block a + k of the source and columns stay, so
+    each column's tuples are shifted cyclically; the all-unit tuple shifts
+    to itself, so the nondegenerate tensors are permuted.
+    """
+    cycle, k = cycle.unit_first(), k % cycle.n
+    shifts = []  # per column kind (edge, vertex): the shifted tuple's rank
+    for tuples in (_column_tuples(cycle, 0), _column_tuples(cycle, 1)):
+        rank = {t: r for r, t in enumerate(tuples)}
+        shifts.append([rank[t[k:] + t[:k]] for t in tuples])
+    images, in_columns = {}, shifts[0]  # in_columns: the level in column order
+    for q in range(degree_bound + 1):
+        if q:
+            in_columns = [i * len(shifts[1]) + r for i in in_columns for r in shifts[1]]
+        order, image = _bar_order(cycle, q), [0] * len(in_columns)
+        for s, t in enumerate(in_columns):
+            image[order[s]] = order[t]
+        images[q] = image
+    return images
+
+
+def _permutation_matrix(field, image):
+    one = field.one()
+    return IntMatrix.from_columns(field, len(image), [{i: one} for i in image])
+
+
 def _normalized_rotation(cycle: LabelledCycle, k, degree_bound):
     """rotation_matrices of cycle.unit_first() on normalized_bar_complex, for
-    labels invariant under the rotation (not checked here).  The rotation
-    permutes blocks and keeps columns, so it keeps the degenerate subcomplex
-    and is built like the faces."""
-    cycle, maps = cycle.unit_first(), {}
-    for q in range(degree_bound + 1):
-        order = _bar_order(cycle, q)
-        env, _ = cut_envelope_cyclic(CutSet(q, cycle.n), CyclicMap.rotation(cycle.n, k))
-        maps[q] = _in_bar_order(cycle.field, _normalized_matrix(cycle, env), order, order)
-    return maps
+    labels invariant under the rotation (not checked here): the permutation
+    matrices of _rotation_images."""
+    return {q: _permutation_matrix(cycle.field, image) for q, image in _rotation_images(cycle, k, degree_bound).items()}
 
 
 def induced_homology_matrix(complex_, chain_map_q, q):
@@ -1025,24 +1051,13 @@ def induced_homology_matrix(complex_, chain_map_q, q):
     return IntMatrix.from_columns(field, h_dim, columns)
 
 
-def _power_is_identity(matrix, n):
-    """Is matrix^n the identity?  Each unit vector is mapped n times."""
-    one = matrix.ring.one()
-    for j in range(matrix.cols):
-        vec = {j: one}
-        for _ in range(n):
-            vec = matrix.apply(vec)
-        if vec != {j: one}:
-            return False
-    return True
-
-
 def rotation_action(R: FiniteAlgebra, M: FiniteBimodule, n, degree_bound):
     """Rotation data on the bar complex of the uniform n-cycle (R, M; ...).
 
     Returns the chain matrices of the generator, exactness of the relations
-    (commutation with the boundary and order n), and the induced matrices on
-    homology through degree_bound - 1, all on normalized_bar_complex.  Homology
+    (commutation with the boundary and order n, both checked on the
+    permutations of _rotation_images), and the induced matrices on homology
+    through degree_bound - 1, all on normalized_bar_complex.  Homology
     dimensions come by the trace route, as in hh_complex, from the
     contract_free cycle; induced matrices are built, and the dimension
     checked against the rotated complex, only where homology is nonzero
@@ -1050,9 +1065,19 @@ def rotation_action(R: FiniteAlgebra, M: FiniteBimodule, n, degree_bound):
     """
     cycle = LabelledCycle((R,) * n, (M,) * n)
     complex_ = normalized_bar_complex(cycle, degree_bound)
-    maps = _normalized_rotation(cycle, 1, degree_bound)
-    commutes = is_chain_map(complex_, complex_, maps)
-    order_ok = all(_power_is_identity(maps[q], n) for q in range(degree_bound + 1))
+    images = _rotation_images(cycle, 1, degree_bound)
+    maps = {q: _permutation_matrix(complex_.ring, image) for q, image in images.items()}
+    # rho d e_j = d rho e_j: the rows of column j of d relabelled by rho are
+    # the column rho(j) of d
+    commutes = all(
+        {images[q - 1][i]: v for i, v in column.items()} == complex_.boundary(q).columns()[images[q][j]]
+        for q in range(1, degree_bound + 1)
+        for j, column in enumerate(complex_.boundary(q).columns())
+    )
+    identities = {q: list(range(len(image))) for q, image in images.items()}
+    powers = identities
+    for _ in range(n):
+        powers = {q: [images[q][i] for i in power] for q, power in powers.items()}
     contracted = contract_free(cycle)
     dims = homology(complex_ if contracted is cycle else normalized_bar_complex(contracted, degree_bound))
     homology_action = []
@@ -1062,7 +1087,7 @@ def rotation_action(R: FiniteAlgebra, M: FiniteBimodule, n, degree_bound):
         homology_action.append(induced_homology_matrix(complex_, maps[q], q).to_lists() if h else [])
     return {
         "commutes_with_boundary": commutes,
-        "order_exact": order_ok,
+        "order_exact": powers == identities,
         "homology_dims": dims,
         "homology_action": homology_action,
         "chain_maps": maps,

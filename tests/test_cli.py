@@ -346,14 +346,24 @@ def test_window_bounds_are_one_guard(runner):
         ["witt", "recover", "--ring", "Z", "--n", "65"],
         ["witt", "as-mackey", "--ring", "Z", "--n", "65"],
         ["mackey", "transfer-sum", "--witt-ring", "Z", "--witt-n", "65", "--family", "1=1"],
-        ["mackey", "transfer-sum", "--witt-ring", "Z", "--family", "1=1"],
         # the bound is checked before the ring is read
         ["witt", "recover", "--ring", "Z/1", "--n", "65"],
         ["witt", "as-mackey", "--ring", "F4", "--n", "65"],
-        ["mackey", "gfp", "--witt-ring", "Z/0"],
+        ["mackey", "gfp", "--witt-ring", "Z/0", "--witt-n", "65"],
     ):
         result = run(runner, argv)
         assert (result.exit_code, json.loads(result.output)) == (3, error), argv
+    # a Witt window without its bound is invalid input, named before the
+    # ring is read
+    error = {"error": "--witt-ring needs --witt-n", "kind": "validation"}
+    for argv in (
+        ["mackey", "transfer-sum", "--witt-ring", "Z", "--family", "1=1"],
+        ["mackey", "gfp", "--witt-ring", "Z/0"],
+        ["mackey", "gfp", "--witt-ring", "Z"],
+        ["mackey", "axioms", "--witt-ring", "Z", "--trials", "1"],
+    ):
+        result = run(runner, argv)
+        assert (result.exit_code, json.loads(result.output)) == (2, error), argv
 
 
 def test_malformed_paths_are_validation_errors(runner):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import prod
 
@@ -752,13 +753,27 @@ def test_chain_checks_fail_on_broken_input(monkeypatch):
     boundaries = {**complex_.boundaries, 2: bumped(complex_.boundary(2))}
     assert not ChainComplex(QQ, complex_.dims, boundaries).validate()
 
-    # 2 tau commutes with the boundary, but (2 tau)^2 = 4
-    rotation = hochschild._normalized_rotation
-    monkeypatch.setattr(hochschild, "_normalized_rotation", lambda *args: {
-        q: m.scale(QQ.from_int(2)) for q, m in rotation(*args).items()
-    })
+    # The rotation is a permutation of basis tensors, so it is broken as
+    # one: swapping two images at level 1 breaks the commutation with d_1
+    # or d_2, and a 3-cycle of images is not of order 2.
+    images = hochschild._rotation_images
+
+    def broken(q, change):
+        def patched(*args):
+            out = images(*args)
+            out[q] = change(out[q])
+            return out
+        return patched
+
+    for q, change, key in (
+        (1, lambda image: [image[1], image[0]] + image[2:], "commutes_with_boundary"),
+        (2, lambda image: [image[1], image[2], image[0]] + image[3:], "order_exact"),
+    ):
+        monkeypatch.setattr(hochschild, "_rotation_images", broken(q, change))
+        assert not rotation_action(C2, FiniteBimodule.regular(C2), 2, 3)[key], key
+    monkeypatch.setattr(hochschild, "_rotation_images", images)
     report = rotation_action(C2, FiniteBimodule.regular(C2), 2, 3)
-    assert report["commutes_with_boundary"] and not report["order_exact"]
+    assert report["commutes_with_boundary"] and report["order_exact"]
 
 
 def test_envelope_matrix_multiplies_each_fiber_once(monkeypatch):
@@ -906,18 +921,37 @@ def test_rotation_action_on_the_normalized_complex():
 
 
 def test_normalized_rotation_is_the_restricted_full_rotation():
-    # the column-by-column builder of the faces, given the rotation, gives
-    # the entries of the full rotation of the rebased cycle between
-    # nondegenerate basis tensors
+    # the permutation of nondegenerate basis tensors is the full rotation of
+    # the rebased cycle, built from envelope maps, between them; for every
+    # k, so a shift in the wrong direction shows on cycles with n > 2
     for cycle, degree in labelled_cycles():
         R, M, n = cycle.algebras[0], cycle.bimodules[0], cycle.n
         if cycle.algebras != (R,) * n or cycle.bimodules != (M,) * n:
             continue
-        full = rotation_matrices(cycle.unit_first(), 1, degree)
-        normal = hochschild._normalized_rotation(cycle, 1, degree)
         proj = _projections(cycle, degree)
-        for q in range(degree + 1):
-            assert normal[q] == proj[q].mul(full[q]).mul(proj[q].transpose()), (cycle, q)
+        for k in range(-1, n + 1):
+            full = rotation_matrices(cycle.unit_first(), k, degree)
+            normal = hochschild._normalized_rotation(cycle, k, degree)
+            for q in range(degree + 1):
+                assert normal[q] == proj[q].mul(full[q]).mul(proj[q].transpose()), (cycle, k, q)
+
+
+def test_the_rotation_multiplies_nothing(monkeypatch):
+    # the rotation permutes basis tensors: building it needs no product of
+    # labels, while the faces of the same complex do
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return multiply_sequence(*args)
+
+    monkeypatch.setattr(hochschild, "multiply_sequence", counted)
+    C2 = group_algebra_c2(QQ)
+    cycle = LabelledCycle.uniform(C2, None, 3)
+    hochschild._normalized_rotation(cycle, 1, 3)
+    assert calls == []
+    normalized_bar_complex(cycle, 3)
+    assert calls
 
 
 def test_rotation_eliminates_only_where_homology_lives(monkeypatch):
@@ -1082,6 +1116,43 @@ def test_rotation_is_the_identity_on_homology_for_regular_labels():
             assert action == IntMatrix.identity(R.field, report["homology_dims"][q]).to_lists(), (R.name, n, q)
         checked += 1
     assert checked == 15
+
+
+def _det(field, rows):
+    """Determinant by expansion along the first row."""
+    if not rows:
+        return field.one()
+    total, sign = field.zero(), field.one()
+    for j, a in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        total = field.add(total, field.mul(sign, field.mul(a, _det(field, minor))))
+        sign = field.neg(sign)
+    return total
+
+
+def test_rotation_is_the_tensor_power_of_the_twist_for_twisted_labels():
+    # For M = R_sigma, sigma an automorphism of order dividing n, the
+    # n-cycle has the homology of HH(R; R) by the trace property, and the
+    # rotation acts there as sigma^(x)(q+1) does on the one-cycle: the same
+    # trace and determinant in each degree.  These actions are not the
+    # identity, so a rotation by -1 in place of 1 (sigma^-1) would show.
+    F7 = PrimeField(7)
+    for field, d, c, n, degree in ((QQ, 2, -1, 2, 3), (QQ, 3, -1, 2, 3), (F7, 2, 2, 3, 3), (F7, 3, 2, 3, 2)):
+        R = FiniteAlgebra.poly_quotient(field, (field.zero(),) * d + (field.one(),))
+        sigma = IntMatrix(field, d, d, {(i, i): field.from_int(c ** i) for i in range(d)})
+        M = FiniteBimodule.through_hom(R, R, sigma.transpose().to_lists())
+        report = rotation_action(R, M, n, degree)
+        assert report["commutes_with_boundary"] and report["order_exact"]
+        one_cycle = bar_complex(LabelledCycle.one_cycle(R, FiniteBimodule.regular(R)), degree)
+        assert report["homology_dims"] == homology(one_cycle)
+        for q, action in enumerate(report["homology_action"]):
+            expected = induced_homology_matrix(one_cycle, _tensor_power(sigma, q + 1), q).to_lists()
+            for invariant in (lambda m: field.sum(row[i] for i, row in enumerate(m)), partial(_det, field)):
+                assert invariant(action) == invariant(expected), (field, d, n, q)
+    # on H_0 = R the twist itself: x -> 2x on F7[x]/(x^2)
+    R = FiniteAlgebra.poly_quotient(F7, (0, 0, 1))
+    M = FiniteBimodule.through_hom(R, R, [(1, 0), (0, 2)])
+    assert rotation_action(R, M, 3, 1)["homology_action"][0] == [[1, 0], [0, 2]]
 
 
 def test_contraction_needs_a_free_edge():
