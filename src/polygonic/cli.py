@@ -509,7 +509,11 @@ def transfer_sum_cmd(family, **window_module):
     fam = []
     for item in family.split(";"):
         n_text, coords = _pair("--family", item, "=", "n=c1,c2,...")
-        fam.append((rings.ZZ.parse(n_text), _ints(coords)))
+        n, x = rings.ZZ.parse(n_text), _ints(coords)
+        # the library refuses levels outside the window or below 2 first
+        if n in M.window and n >= 2 and len(x) != M.group(n).ngens:
+            raise ValueError(f"--family level {n} needs {M.group(n).ngens} coordinates; got {len(x)}")
+        fam.append((n, x))
     total = mackey.infinite_transfer_sum(M, fam)
     return {"element": total}
 
@@ -520,6 +524,8 @@ def transfer_sum_cmd(family, **window_module):
 @click.option("--action", required=True, help="semicolon rows of the matrix")
 @click.option("--order", type=int, required=True)
 def coinvariants(ngens, relations, action, order):
+    if ngens < 0:
+        raise ValueError("--ngens must be >= 0")
     if order < 1:
         raise ValueError("order must be >= 1")
     if order > WINDOW_GUARD:
@@ -531,6 +537,8 @@ def coinvariants(ngens, relations, action, order):
         else rings.IntMatrix.zeros(rings.ZZ, 0, ngens)
     )
     act = rings.IntMatrix.from_rows(rings.ZZ, [_ints(r) for r in action.split(";")])
+    if (act.rows, act.cols) != (ngens, ngens):
+        raise ValueError(f"--action must be {ngens}x{ngens}; got {act.rows}x{act.cols}")
     G = mackey.GroupWithAction(mackey.FPGroup(ngens, rel), act, order)
     if not G.validate():
         raise ValueError(f"the action must preserve the relations and have order dividing {order}")

@@ -692,8 +692,8 @@ def bar_complex(cycle: LabelledCycle, degree_bound):
 # column, then put back in the order of bar_complex: in column order the
 # echelon forms over Q fill in with fractions, and eliminating the Q[C2]
 # 3-cycle at degree 3 took about six times as long.  A rotation multiplies
-# nothing: it moves blocks and keeps columns, so it permutes those tuples
-# (_rotation_images).
+# nothing: it moves blocks and keeps columns, so on the bar index it moves
+# block digits and permutes the nondegenerate tensors (_rotation_images).
 
 
 def _column_tuples(cycle, j):
@@ -807,15 +807,11 @@ def _column_positions(cycle, q):
     return positions
 
 
-def homology(complex_: ChainComplex, upto=None):
-    """Homology dimensions in degrees 0..upto (default top-1)."""
+def homology(complex_: ChainComplex):
+    """Homology dimensions in degrees 0..top-1."""
     if not complex_.ring.is_field:
         raise NonFieldRing("homology needs field coefficients")
-    if upto is None:
-        upto = complex_.top - 1
-    if upto > complex_.top - 1:
-        raise ValueError("top degree is boundary-incomplete")
-    return [complex_.homology_dim(q) for q in range(upto + 1)]
+    return [complex_.homology_dim(q) for q in range(complex_.top)]
 
 
 def integral_homology_one_cycle(R: FiniteAlgebra, M: FiniteBimodule, degree_bound):
@@ -986,36 +982,25 @@ def _rotation_images(cycle: LabelledCycle, k, degree_bound):
     invariant under it (not checked here), as one index list per level:
     basis tensor j goes to basis tensor images[q][j] with coefficient 1.
 
-    Block a of the image is block a + k of the source and columns stay, so
-    each column's tuples are shifted cyclically; the all-unit tuple shifts
-    to itself, so the nondegenerate tensors are permuted.
+    A bar index is block-major, block a of size dim M_{a-1} (dim R_a)^q.
+    Block a of the image is block a + k of the source, so the first k block
+    digits move to the end; columns stay, so nondegenerate tensors go to
+    nondegenerate tensors.
     """
     cycle, k = cycle.unit_first(), k % cycle.n
-    shifts = []  # per column kind (edge, vertex): the shifted tuple's rank
-    for tuples in (_column_tuples(cycle, 0), _column_tuples(cycle, 1)):
-        rank = {t: r for r, t in enumerate(tuples)}
-        shifts.append([rank[t[k:] + t[:k]] for t in tuples])
-    images, in_columns = {}, shifts[0]  # in_columns: the level in column order
+    images = {}
     for q in range(degree_bound + 1):
-        if q:
-            in_columns = [i * len(shifts[1]) + r for i in in_columns for r in shifts[1]]
-        order, image = _bar_order(cycle, q), [0] * len(in_columns)
-        for s, t in enumerate(in_columns):
-            image[order[s]] = order[t]
-        images[q] = image
+        sizes = [cycle.bimodules[a - 1].dim * cycle.algebras[a].dim ** q for a in range(cycle.n)]
+        high, low = prod(sizes[:k]), prod(sizes[k:])
+        positions = normalized_positions(cycle, q)
+        rank = {p: i for i, p in enumerate(positions)}
+        images[q] = [rank[(p % low) * high + p // low] for p in positions]
     return images
 
 
 def _permutation_matrix(field, image):
     one = field.one()
     return IntMatrix.from_columns(field, len(image), [{i: one} for i in image])
-
-
-def _normalized_rotation(cycle: LabelledCycle, k, degree_bound):
-    """rotation_matrices of cycle.unit_first() on normalized_bar_complex, for
-    labels invariant under the rotation (not checked here): the permutation
-    matrices of _rotation_images."""
-    return {q: _permutation_matrix(cycle.field, image) for q, image in _rotation_images(cycle, k, degree_bound).items()}
 
 
 def induced_homology_matrix(complex_, chain_map_q, q):

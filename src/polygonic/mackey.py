@@ -223,38 +223,6 @@ class MackeyWindow:
             "tr": {f"{n}|{m}": mat.to_lists() for (n, m), mat in self.tr.items()},
         }
 
-    @classmethod
-    def from_json(cls, data):
-        window = TruncationSet(tuple(data["window"]))
-        groups = {}
-        weyl = {}
-        for key, lev in data["levels"].items():
-            n = int(key)
-            ngens = lev["ngens"]
-            rel_rows = lev["relations"]
-            rel = (
-                IntMatrix.from_rows(ZZ, rel_rows)
-                if rel_rows
-                else IntMatrix.zeros(ZZ, 0, ngens)
-            )
-            groups[n] = FPGroup(ngens, rel)
-            weyl[n] = IntMatrix.from_rows(ZZ, lev["weyl"]) if ngens else IntMatrix.zeros(ZZ, 0, 0)
-        res = {}
-        tr = {}
-        for key, rows in data["res"].items():
-            n, m = (int(x) for x in key.split("|"))
-            res[(n, m)] = _matrix_from_lists(rows, groups[m].ngens, groups[n].ngens)
-        for key, rows in data["tr"].items():
-            n, m = (int(x) for x in key.split("|"))
-            tr[(n, m)] = _matrix_from_lists(rows, groups[n].ngens, groups[m].ngens)
-        return cls(window, groups, weyl, res, tr)
-
-
-def _matrix_from_lists(rows, nrows, ncols):
-    if not rows:
-        return IntMatrix.zeros(ZZ, nrows, ncols)
-    return IntMatrix.from_rows(ZZ, rows)
-
 
 def evaluate_span(M: MackeyWindow, span: SpanMorphism):
     """The homomorphism A(target level) -> A(source level) of a span.
@@ -544,37 +512,19 @@ def burnside_representable(m, window):
     index = {n: {key: i for i, key in enumerate(bases[n])} for n in window}
     groups = {n: FPGroup.free(len(bases[n])) for n in window}
 
-    def basis_span(n, key):
-        l, t = key
-        return SpanMorphism.single(n, l, m, 0, t)
-
-    weyl = {}
-    res = {}
-    tr = {}
-    for n in window:
+    def precompose(n, k, span):
+        """Each basis span Z/n <- Z/l -> Z/m after span: Z/k <- . -> Z/n, as
+        the columns of a map from level n to level k."""
         cols = []
-        for key in bases[n]:
-            # Generator action: precompose with the shift span at level n.
-            shift = SpanMorphism.single(n, n, n, (-1) % n, 0)
-            composed = compose_spans(basis_span(n, key), shift)
-            cols.append(_span_class_vector(n, m, window, index[n], composed.orbit_data()))
-        weyl[n] = IntMatrix.from_columns(ZZ, len(bases[n]), cols)
-    for n in window:
-        for k in window:
-            if k % n != 0 or k == n:
-                continue
-            # F from level n to level k: precompose with Z/k <- Z/k -> Z/n.
-            f_span = SpanMorphism.single(k, k, n, 0, 0)
-            cols = []
-            for key in bases[n]:
-                composed = compose_spans(basis_span(n, key), f_span)
-                cols.append(_span_class_vector(k, m, window, index[k], composed.orbit_data()))
-            res[(n, k)] = IntMatrix.from_columns(ZZ, len(bases[k]), cols)
-            # V from level k to level n: precompose with Z/n <- Z/k -> Z/k.
-            v_span = SpanMorphism.single(n, k, k, 0, 0)
-            cols = []
-            for key in bases[k]:
-                composed = compose_spans(basis_span(k, key), v_span)
-                cols.append(_span_class_vector(n, m, window, index[n], composed.orbit_data()))
-            tr[(n, k)] = IntMatrix.from_columns(ZZ, len(bases[n]), cols)
+        for l, t in bases[n]:
+            composed = compose_spans(SpanMorphism.single(n, l, m, 0, t), span)
+            cols.append(_span_class_vector(k, m, window, index[k], composed.orbit_data()))
+        return IntMatrix.from_columns(ZZ, len(bases[k]), cols)
+
+    # The generator precomposes with the shift span at level n, F from n to
+    # k with Z/k <- Z/k -> Z/n, and V from k to n with Z/n <- Z/k -> Z/k.
+    weyl = {n: precompose(n, n, SpanMorphism.single(n, n, n, (-1) % n, 0)) for n in window}
+    pairs = [(n, k) for n in window for k in window if k % n == 0 and k != n]
+    res = {(n, k): precompose(n, k, SpanMorphism.single(k, k, n)) for n, k in pairs}
+    tr = {(n, k): precompose(k, n, SpanMorphism.single(n, k, k)) for n, k in pairs}
     return MackeyWindow(window, groups, weyl, res, tr)

@@ -71,14 +71,6 @@ class QFinSet:
                 f"declared infinite family reaches into the window (bound {window_bound})"
             )
 
-    def to_json(self):
-        return {"orbits": list(self.orbits), "tail": list(self.tail) if self.tail else None}
-
-    @classmethod
-    def from_json(cls, data):
-        tail = data.get("tail")
-        return cls(tuple(data["orbits"]), tuple(tail) if tail else None)
-
 
 @dataclass(frozen=True)
 class QFinMap:
@@ -283,14 +275,13 @@ class SpanMorphism:
     def canonical(self):
         """Normalize apex orbits up to automorphism, sort, for comparison.
 
-        The work is the apex's element count; a composite's apex is a
-        pullback, which PULLBACK_GUARD bounds."""
+        An apex orbit Z/l shifts both legs by the same c; as a and b divide
+        l, the least pair of leg shifts is (0, (s2 - s1) mod gcd(a, b))."""
         rows = []
         for (l, j1, s1, j2, s2) in self.orbit_data():
             a = self.source.orbits[j1]
             b = self.target.orbits[j2]
-            best = min(((s1 + c) % a, (s2 + c) % b) for c in range(l))
-            rows.append((l, j1, best[0], j2, best[1]))
+            rows.append((l, j1, 0, j2, (s2 - s1) % gcd(a, b)))
         return tuple(sorted(rows)), self.source.canonical().orbits, self.target.canonical().orbits
 
 

@@ -577,20 +577,6 @@ class IntMatrix:
     def is_zero(self):
         return not any(self._cols)
 
-    def to_json(self):
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "ring": self.ring.to_json(),
-            "entries": sorted([[i, j, self.ring.show(v)] for (i, j), v in self.items()]),
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        ring = ring_from_json(data["ring"])
-        entries = {(i, j): ring.parse(v) for i, j, v in data["entries"]}
-        return cls(ring, data["rows"], data["cols"], entries)
-
     def __repr__(self):
         return f"IntMatrix({self.ring!r}, {self.rows}x{self.cols})"
 

@@ -338,6 +338,21 @@ def test_malformed_list_items_name_the_option_and_the_form(runner):
         assert json.loads(result.output) == {"error": message, "kind": "validation"}
 
 
+def test_wrongly_sized_mackey_inputs_name_the_option_and_the_size(runner):
+    for argv, message in (
+        (["mackey", "transfer-sum", "--window", "1,2,4", "--family", "4=1;2=0"],
+         "--family level 2 needs 2 coordinates; got 1"),
+        (["mackey", "coinvariants", "--ngens", "2", "--action", "1,0", "--order", "1"], "--action must be 2x2; got 1x2"),
+        (["mackey", "coinvariants", "--ngens", "-1", "--action", "1,0", "--order", "1"], "--ngens must be >= 0"),
+    ):
+        result = run(runner, argv)
+        assert result.exit_code == 2, argv
+        assert result.output.count("\n") == 1, argv
+        assert json.loads(result.output) == {"error": message, "kind": "validation"}
+    result = run(runner, ["mackey", "transfer-sum", "--window", "1,2,4", "--family", "4=1;2=0,1"])
+    assert result.exit_code == 0
+
+
 def test_window_bounds_are_one_guard(runner):
     error = {"error": "window bound is 64", "kind": "guard"}
     for argv in (

@@ -375,7 +375,7 @@ def test_h0_equals_thh_pi0_random():
         C = bar_complex(LabelledCycle.one_cycle(A, M), 2)
         assert C.validate()
         dim, _ = thh_pi0(A, M)
-        assert homology(C, 1)[0] == dim
+        assert homology(C)[0] == dim
 
 
 # -------------------------------------------------------------- contraction
@@ -930,10 +930,27 @@ def test_normalized_rotation_is_the_restricted_full_rotation():
             continue
         proj = _projections(cycle, degree)
         for k in range(-1, n + 1):
-            full = rotation_matrices(cycle.unit_first(), k, degree)
-            normal = hochschild._normalized_rotation(cycle, k, degree)
-            for q in range(degree + 1):
-                assert normal[q] == proj[q].mul(full[q]).mul(proj[q].transpose()), (cycle, k, q)
+            _check_rotation_images(cycle, k, degree, proj)
+
+
+def _check_rotation_images(cycle, k, degree, proj):
+    full = rotation_matrices(cycle.unit_first(), k, degree)
+    for q, image in hochschild._rotation_images(cycle, k, degree).items():
+        normal = IntMatrix.from_columns(cycle.field, len(image), [{i: cycle.field.one()} for i in image])
+        assert normal == proj[q].mul(full[q]).mul(proj[q].transpose()), (cycle, k, q)
+
+
+def test_rotation_images_on_a_non_uniform_cycle():
+    # blocks of two sizes: F3 and F3[C2] alternate, with M: F3 -> F3[C2]
+    # through the unit and N: F3[C2] -> F3 through g -> -1; the rotation by 2
+    # keeps the labels, so its digits move by whole pairs of blocks
+    A, B = ground(F3), group_algebra_c2(F3)
+    M = FiniteBimodule.through_hom(A, B, [B.unit])
+    N = FiniteBimodule.through_hom(B, A, [(1,), (2,)])
+    cycle = LabelledCycle((A, B, A, B), (M, N, M, N))
+    proj = _projections(cycle, 2)
+    for k in (-2, 0, 2, 4):
+        _check_rotation_images(cycle, k, 2, proj)
 
 
 def test_the_rotation_multiplies_nothing(monkeypatch):
@@ -948,7 +965,7 @@ def test_the_rotation_multiplies_nothing(monkeypatch):
     monkeypatch.setattr(hochschild, "multiply_sequence", counted)
     C2 = group_algebra_c2(QQ)
     cycle = LabelledCycle.uniform(C2, None, 3)
-    hochschild._normalized_rotation(cycle, 1, 3)
+    hochschild._rotation_images(cycle, 1, 3)
     assert calls == []
     normalized_bar_complex(cycle, 3)
     assert calls

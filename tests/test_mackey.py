@@ -287,15 +287,6 @@ def test_coinvariants_examples():
     assert coinvariants(A).invariants() == ([], 1)
 
 
-def test_window_json_roundtrip():
-    M = witt_as_mackey(ModularRing(4), 4)
-    M2 = MackeyWindow.from_json(M.to_json())
-    assert M2.window == M.window
-    for n in M.window:
-        assert M2.group(n).invariants() == M.group(n).invariants()
-    assert check_mackey_axioms(M2, trials=20, seed=2).ok
-
-
 def test_weyl_powers_match_repeated_products():
     # Two windows on the same levels with different actions: each keeps its
     # own table of powers, read here out of order.

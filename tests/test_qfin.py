@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd, lcm
 
@@ -169,6 +170,22 @@ def test_tail_markers():
         S.check_tail_window(150)
 
 
-def test_json_roundtrip():
-    S = QFinSet((2, 3, 3, 6), tail=None)
-    assert QFinSet.from_json(S.to_json()) == S
+def test_canonical_is_the_least_pair_of_leg_shifts():
+    # canonical() reads the least (left, right) leg shifts over the apex
+    # orbit off a closed form; here the least is found by trying every shift
+    # of every composite of single-orbit spans Z/a <- Z/l -> Z/b -> ... Z/c
+    # with a, b, c <= 8 and apexes up to 24
+    sizes = range(1, 9)
+
+    def apexes(a, b):
+        return range(lcm(a, b), 25, lcm(a, b))
+
+    for a, b, c in itertools.product(sizes, sizes, sizes):
+        for l1, l2 in itertools.product(apexes(a, b), apexes(b, c)):
+            for t in range(b):
+                composite = compose_spans(SpanMorphism.single(b, l2, c, 0, 1), SpanMorphism.single(a, l1, b, 1, t))
+                rows = []
+                for l, j1, s1, j2, s2 in composite.orbit_data():
+                    least = min(((s1 + x) % a, (s2 + x) % c) for x in range(l))
+                    rows.append((l, j1, least[0], j2, least[1]))
+                assert composite.canonical()[0] == tuple(sorted(rows)), (a, l1, b, l2, c, t)

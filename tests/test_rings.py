@@ -407,13 +407,6 @@ def test_lattice_contains_rank_deficient_and_empty():
     assert lattice_contains([[]], [[], []], 0)
 
 
-def test_matrix_json_roundtrip():
-    A = mat([[1, 0, -2], [0, 5, 0]])
-    B = IntMatrix.from_json(A.to_json())
-    assert A == B
-    assert A.to_json()["entries"] == [[0, 0, "1"], [0, 2, "-2"], [1, 1, "5"]]
-
-
 def test_int_matrix_matches_dense_lists():
     """Each matrix operation against dense list arithmetic over the ring."""
     rng = random.Random(17)
