@@ -531,12 +531,19 @@ def coinvariants(ngens, relations, action, order):
     if order > WINDOW_GUARD:
         raise SizeGuard(f"order is above {WINDOW_GUARD}")
     rows = [_ints(r) for r in relations.split(";") if r.strip()]
+    for t, row in enumerate(rows, 1):
+        if len(row) != ngens:
+            raise ValueError(f"--relations rows need {ngens} entries; row {t} has {len(row)}")
     rel = (
         rings.IntMatrix.from_rows(rings.ZZ, rows)
         if rows
         else rings.IntMatrix.zeros(rings.ZZ, 0, ngens)
     )
-    act = rings.IntMatrix.from_rows(rings.ZZ, [_ints(r) for r in action.split(";")])
+    grid = [_ints(r) for r in action.split(";")]
+    if len({len(row) for row in grid}) > 1:
+        t, row = next((t, row) for t, row in enumerate(grid, 1) if len(row) != ngens)
+        raise ValueError(f"--action must be {ngens}x{ngens}; row {t} has {len(row)} entries")
+    act = rings.IntMatrix.from_rows(rings.ZZ, grid)
     if (act.rows, act.cols) != (ngens, ngens):
         raise ValueError(f"--action must be {ngens}x{ngens}; got {act.rows}x{act.cols}")
     G = mackey.GroupWithAction(mackey.FPGroup(ngens, rel), act, order)

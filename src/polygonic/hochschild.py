@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache, partial
 from itertools import product
 from math import prod
 
@@ -21,7 +22,6 @@ from .rings import (
     IntMatrix,
     NonFieldRing,
     QQ,
-    _add_multiple,
     _json_fields,
     invariant_factors_of_rows,
     kernel_basis,
@@ -591,33 +591,85 @@ def multiply_sequence(cycle, target_path, factors):
 
 
 def envelope_matrix(cycle, env: EnvelopeMorphism, target_paths, target_dims):
-    """Matrix of the multilinear map induced by an envelope morphism.
+    """Matrix of the multilinear map induced by an envelope morphism, built by
+    _add_envelope with one unit per element: source basis indices run over
+    the product of the source colour dimensions in element order; likewise
+    for the target."""
+    source = _element_basis(map(cycle.label_dim, env.source.colours))
+    columns = [{} for _ in source[1]]
+    _add_envelope(cycle, env, target_paths, source, _element_basis(target_dims), cycle.field.one(), columns, {})
+    return IntMatrix.from_columns(cycle.field, prod(target_dims), columns)
 
-    Source basis indices run over the product of the source colour dimensions
-    in element order; likewise for the target.  The map is the tensor product,
-    over target elements, of the multiplications of their fibers.  So the
-    matrix is the Kronecker product of one small matrix per fiber, whose
-    columns are the products of the basis tensors of the fiber's labels; a
-    fiber column sits at the source strides of the fiber's own elements.  The
-    fibers partition the source, so each (row, col) comes from one term only.
+
+def _basis(units, order=None):
+    """Basis tensors with one digit tuple per unit (elements, digit tuples),
+    indexed row-major: (units with their strides, order), where order[index]
+    is the tensor's place in a matrix (the index itself if None)."""
+    strided, size = [], 1
+    for elements, digits in reversed(units):
+        strided.append((elements, digits, size))
+        size *= len(digits)
+    return strided[::-1], list(range(size)) if order is None else order
+
+
+def _element_basis(dims):
+    return _basis([((x,), [(i,) for i in range(d)]) for x, d in enumerate(dims)])
+
+
+def _add_envelope(cycle, env, paths, source, target, sign, columns, products):
+    """Add sign times the matrix of env, into the labels of paths, to the
+    sparse columns of a matrix from the basis source to the basis target.
+
+    It is the tensor product, over target elements, of the multiplications
+    of their fibers, so each source unit must feed one target unit.  A
+    target unit whose elements each have one element of their own colour as
+    fiber, together a source unit, passes through and copies its digits.
+    The other units are merged into one small Kronecker block, placed at
+    every pass-through offset, its rows and columns put in the bases' orders
+    as added.  products memoizes multiply_sequence.
     """
-    field = cycle.field
-    colours = env.source.colours
-    src_dims = [cycle.label_dim(c) for c in colours]
-    strides = [prod(src_dims[x + 1:]) for x in range(len(src_dims))]
-    entries = {(0, 0): field.one()}
-    for path, d, fiber in zip(target_paths, target_dims, env.fiber_orders):
-        block = []  # (row, col offset, entry) of the fiber matrix
-        for combo in product(*[range(src_dims[x]) for x in fiber]):
-            col = sum(i * strides[x] for x, i in zip(fiber, combo))
-            factors = [(colours[x], i) for x, i in zip(fiber, combo)]
-            block.extend((k, col, e) for k, e in multiply_sequence(cycle, path, factors).items())
-        entries = {
-            (row * d + k, col + c): field.mul(v, e)
-            for (row, col), v in entries.items()
-            for k, c, e in block
-        }
-    return IntMatrix(field, prod(target_dims), prod(src_dims), entries)
+    field, one = cycle.field, cycle.field.one()
+    colours, fibers = env.source.colours, env.fiber_orders
+    (units, hi), (target_units, lo) = source, target
+    unit_of = {x: u for u, (elements, _, _) in enumerate(units) for x in elements}
+    offsets, block = [(0, 0)], [(0, {0: sign})]  # block: (column, {row: entry}) of the merged units
+    for ys, tuples, stride in target_units:
+        xs = tuple(fibers[y][0] for y in ys if len(fibers[y]) == 1 and colours[fibers[y][0]] == paths[y])
+        if len(xs) == len(ys) and units[unit_of[xs[0]]][0] == xs:
+            step = units[unit_of[xs[0]]][2]
+            offsets = [(r + k * stride, c + k * step) for r, c in offsets for k in range(len(tuples))]
+            continue
+        rank = {t: r * stride for r, t in enumerate(tuples)}
+        feeding = [units[u] for u in sorted({unit_of[x] for y in ys for x in fibers[y]})]
+        memos = [products.setdefault((paths[y], tuple(colours[x] for x in fibers[y])), {}) for y in ys]
+        small = []
+        for combo in product(*(enumerate(digits) for _, digits, _ in feeding)):
+            digit = {x: i for (elements, _, _), (_, t) in zip(feeding, combo) for x, i in zip(elements, t)}
+            image = {(): one}
+            for y, memo in zip(ys, memos):
+                key = tuple(digit[x] for x in fibers[y])
+                if key not in memo:
+                    memo[key] = multiply_sequence(cycle, paths[y], [(colours[x], digit[x]) for x in fibers[y]])
+                image = {t + (k,): field.mul(a, e) for t, a in image.items() for k, e in memo[key].items()}
+            image = {rank[t]: e for t, e in image.items() if t in rank}
+            if image:
+                small.append((sum(r * s for (_, _, s), (r, _) in zip(feeding, combo)), image))
+        block = [
+            (c + c2, {r + r2: field.mul(a, b) for r, a in im.items() for r2, b in im2.items()})
+            for c, im in block for c2, im2 in small
+        ]
+    add, is_zero = field.add, field.is_zero
+    for r0, c0 in offsets:
+        for c, image in block:
+            column = columns[hi[c0 + c]]
+            for r, e in image.items():
+                i = lo[r0 + r]
+                if (w := column.get(i)) is None:
+                    column[i] = e
+                elif is_zero(w := add(w, e)):  # signed faces cancel
+                    del column[i]
+                else:
+                    column[i] = w
 
 
 BAR_DIMENSION_GUARD = 20000
@@ -658,24 +710,33 @@ def bar_complex(cycle: LabelledCycle, degree_bound):
     Level q is the tensor product of the labels of the level-q cut set; the
     boundary is the alternating sum of the face maps.
     """
-    dims = bar_dims(cycle, degree_bound)
-    field = cycle.field
-    n = cycle.n
-    boundaries = {}
+    bar_dims(cycle, degree_bound)
+    return _complex(cycle, degree_bound, lambda q: _element_basis(
+        map(cycle.label_dim, CutSet(q, cycle.n).colours())))
+
+
+_FACE_CACHE = 128  # cut faces kept; a pass of a benchmark workload uses 27 to 35
+
+
+@lru_cache(maxsize=_FACE_CACHE)
+def _face(q, n, i):
+    """cut_face(CutSet(q, n), i), built and validated once."""
+    return cut_face(CutSet(q, n), i)
+
+
+def _complex(cycle, degree_bound, basis):
+    """The complex with basis(q) as level q, its boundary the signed faces
+    added into one list of sparse columns per level."""
+    field, products, boundaries = cycle.field, {}, {}
+    bases = [basis(q) for q in range(degree_bound + 1)]
     for q in range(1, degree_bound + 1):
-        cut = CutSet(q, n)
-        lo = CutSet(q - 1, n)
-        target_paths = [lo.colour(e) for e in range(lo.size)]
-        target_dims = [cycle.label_dim(p) for p in target_paths]
-        # the signed faces summed as sparse vectors keyed by (row, col)
-        entries = {}
-        sign = field.one()
+        columns, sign = [{} for _ in bases[q][1]], field.one()
         for i in range(q + 1):
-            env = cut_face(cut, i)
-            _add_multiple(field, entries, sign, envelope_matrix(cycle, env, target_paths, target_dims))
+            env = _face(q, cycle.n, i)
+            _add_envelope(cycle, env, env.target.colours, bases[q], bases[q - 1], sign, columns, products)
             sign = field.neg(sign)
-        boundaries[q] = IntMatrix(field, dims[q - 1], dims[q], entries)
-    return ChainComplex(field, dims, boundaries)
+        boundaries[q] = IntMatrix.from_columns(field, len(bases[q - 1][1]), columns)
+    return ChainComplex(field, tuple(len(order) for _, order in bases), boundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -687,13 +748,13 @@ def bar_complex(cycle: LabelledCycle, degree_bound):
 # unit basis vector 0, the degenerate subcomplex is spanned by the basis
 # tensors with some vertex column all units.  It is acyclic, over Z as over a
 # field (Loday, Cyclic Homology, 1.1), and the quotient is free on the other
-# basis tensors.  Its faces are built column by column, a column's tuples of
-# block indices ranked row-major without the all-unit tuple of a vertex
-# column, then put back in the order of bar_complex: in column order the
-# echelon forms over Q fill in with fractions, and eliminating the Q[C2]
-# 3-cycle at degree 3 took about six times as long.  A rotation multiplies
-# nothing: it moves blocks and keeps columns, so on the bar index it moves
-# block digits and permutes the nondegenerate tensors (_rotation_images).
+# basis tensors.  _add_envelope builds its faces with one unit per column,
+# its digits the tuples of block indices but the all-unit one of a vertex
+# column: a face merges two columns and passes the rest through.  Tensors go
+# in the order of bar_complex, as in column order the echelon forms over Q
+# fill in with fractions (the Q[C2] 3-cycle at degree 3 took six times as
+# long).  A rotation multiplies nothing: it moves blocks and keeps columns,
+# so it moves block digits of the bar index (_rotation_images).
 
 
 def _column_tuples(cycle, j):
@@ -705,62 +766,14 @@ def _column_tuples(cycle, j):
     return list(product(*map(range, dims)))[j > 0:]
 
 
-def _normalized_matrix(cycle, env):
-    """Entries, in column order, of a face (as an envelope morphism) between
-    normalized levels.
-
-    Each target column takes its fibers from whole source columns, so the
-    matrix is the Kronecker product, over target columns, of one small matrix
-    per column, from the nondegenerate tuples of its source columns to those
-    of the column itself; as in envelope_matrix, a column matrix's columns
-    sit at the source strides of its own columns.
-    """
-    field, n = cycle.field, cycle.n
-    colours, paths = env.source.colours, env.target.colours
-    width, target_width = len(colours) // n, len(paths) // n
-    src_tuples = [_column_tuples(cycle, j) for j in range(width)]
-    strides = [prod(len(t) for t in src_tuples[j + 1:]) for j in range(width)]
-    entries = {(0, 0): field.one()}
-    products = {}  # (target, fiber indices) -> product, as each recurs
-    for c in range(target_width):
-        targets = [a * target_width + c for a in range(n)]
-        fibers = [env.fiber_orders[y] for y in targets]
-        columns = sorted({x % width for fiber in fibers for x in fiber})
-        rank = {t: r for r, t in enumerate(_column_tuples(cycle, c))}
-        block = []  # (row, col offset, entry) of the column matrix
-        for combo in product(*[enumerate(src_tuples[j]) for j in columns]):
-            index = {}
-            for j, (_, digits) in zip(columns, combo):
-                for a, i in enumerate(digits):
-                    index[a * width + j] = i
-            image = {(): field.one()}  # block index tuple -> coefficient
-            for y, fiber in zip(targets, fibers):
-                key = (y,) + tuple(index[x] for x in fiber)
-                if key not in products:
-                    products[key] = multiply_sequence(cycle, paths[y], [(colours[x], index[x]) for x in fiber])
-                value = products[key]
-                image = {t + (k,): field.mul(v, e) for t, v in image.items() for k, e in value.items()}
-            col = sum(r * strides[j] for j, (r, _) in zip(columns, combo))
-            block.extend((rank[t], col, e) for t, e in image.items() if t in rank)
-        d = len(rank)
-        entries = {
-            (row * d + k, col + c0): field.mul(v, e)
-            for (row, col), v in entries.items()
-            for k, c0, e in block
-        }
-    return entries
-
-
-def _in_bar_order(field, entries, lo, hi):
-    """Column-order entries as a matrix, rows and columns put in the orders lo and hi of _bar_order."""
-    return IntMatrix(field, len(lo), len(hi), {(lo[r], hi[c]): v for (r, c), v in entries.items()})
-
-
-def _bar_order(cycle, q):
-    """The index in normalized_positions(cycle, q) of each of _column_positions(cycle, q)."""
+def _normalized_basis(cycle, q):
+    """Level q of normalized_bar_complex: one unit per column, its elements in
+    block order and its digits the nondegenerate tuples; each tensor goes to
+    its index in normalized_positions."""
     positions = _column_positions(cycle, q)
     rank = {p: i for i, p in enumerate(sorted(positions))}
-    return [rank[p] for p in positions]
+    units = [(tuple(range(j, (q + 1) * cycle.n, q + 1)), _column_tuples(cycle, j)) for j in range(q + 1)]
+    return _basis(units, [rank[p] for p in positions])
 
 
 def normalized_bar_complex(cycle: LabelledCycle, degree_bound):
@@ -773,17 +786,7 @@ def normalized_bar_complex(cycle: LabelledCycle, degree_bound):
     """
     bar_dims(cycle, degree_bound)
     cycle = cycle.unit_first()
-    field, n = cycle.field, cycle.n
-    order = [_bar_order(cycle, q) for q in range(degree_bound + 1)]
-    boundaries = {}
-    for q in range(1, degree_bound + 1):
-        entries = {}
-        sign = field.one()
-        for i in range(q + 1):
-            _add_multiple(field, entries, sign, _normalized_matrix(cycle, cut_face(CutSet(q, n), i)))
-            sign = field.neg(sign)
-        boundaries[q] = _in_bar_order(field, entries, order[q - 1], order[q])
-    return ChainComplex(field, tuple(map(len, order)), boundaries)
+    return _complex(cycle, degree_bound, partial(_normalized_basis, cycle))
 
 
 def normalized_positions(cycle: LabelledCycle, q):
@@ -799,10 +802,7 @@ def _column_positions(cycle, q):
     strides = [prod(dims[e + 1:]) for e in range(len(dims))]
     positions = [0]
     for j in range(q + 1):
-        offsets = [
-            sum(i * strides[a * (q + 1) + j] for a, i in enumerate(t))
-            for t in _column_tuples(cycle, j)
-        ]
+        offsets = [sum(i * strides[a * (q + 1) + j] for a, i in enumerate(t)) for t in _column_tuples(cycle, j)]
         positions = [p + o for p in positions for o in offsets]
     return positions
 

@@ -344,6 +344,10 @@ def test_wrongly_sized_mackey_inputs_name_the_option_and_the_size(runner):
          "--family level 2 needs 2 coordinates; got 1"),
         (["mackey", "coinvariants", "--ngens", "2", "--action", "1,0", "--order", "1"], "--action must be 2x2; got 1x2"),
         (["mackey", "coinvariants", "--ngens", "-1", "--action", "1,0", "--order", "1"], "--ngens must be >= 0"),
+        (["mackey", "coinvariants", "--ngens", "1", "--relations", "1,2", "--action", "1", "--order", "1"],
+         "--relations rows need 1 entries; row 1 has 2"),
+        (["mackey", "coinvariants", "--ngens", "2", "--action", "0,1;1", "--order", "2"],
+         "--action must be 2x2; row 2 has 1 entries"),
     ):
         result = run(runner, argv)
         assert result.exit_code == 2, argv

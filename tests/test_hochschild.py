@@ -778,7 +778,8 @@ def test_chain_checks_fail_on_broken_input(monkeypatch):
 
 def test_envelope_matrix_multiplies_each_fiber_once(monkeypatch):
     # The matrix is the Kronecker product of the fiber multiplications:
-    # each fiber multiplies each basis tensor of its own labels once.
+    # each merged fiber multiplies each basis tensor of its own labels once,
+    # and a fiber of one element of the target's colour multiplies nothing.
     calls = []
 
     def counted(cycle, target_path, factors):
@@ -794,8 +795,13 @@ def test_envelope_matrix_multiplies_each_fiber_once(monkeypatch):
         calls.clear()
         target_paths = list(env.target.colours)
         envelope_matrix(X, env, target_paths, [X.label_dim(p) for p in target_paths])
-        dims = [X.label_dim(c) for c in env.source.colours]
-        assert len(calls) == sum(prod(dims[x] for x in fiber) for fiber in env.fiber_orders)
+        colours, dims = env.source.colours, [X.label_dim(c) for c in env.source.colours]
+        merged = [
+            fiber for fiber, path in zip(env.fiber_orders, target_paths)
+            if len(fiber) != 1 or colours[fiber[0]] != path
+        ]
+        assert merged and len(merged) < env.target.size
+        assert len(calls) == sum(prod(dims[x] for x in fiber) for fiber in merged)
         # once per source basis tensor and target element would be more
         assert len(calls) < prod(dims) * env.target.size
 
@@ -895,6 +901,81 @@ def test_trace_normalized_and_direct_routes_agree():
         proj = _projections(cycle, degree)
         assert is_chain_map(rebased, normal, proj)
         assert all(homology_map_is_iso(rebased, normal, proj, q) for q in range(degree))
+
+
+def _reference_columns(cycle, env):
+    """The columns of env's matrix by the definition: every fiber of each
+    source basis tensor multiplied by multiply_sequence (once per distinct
+    product), the results tensored in target element order."""
+    field, colours, paths = cycle.field, env.source.colours, env.target.colours
+    dims, products, columns = [cycle.label_dim(p) for p in paths], {}, []
+    for digits in product(*(range(cycle.label_dim(c)) for c in colours)):
+        image = {0: field.one()}
+        for path, d, fiber in zip(paths, dims, env.fiber_orders):
+            factors = tuple((colours[x], digits[x]) for x in fiber)
+            if (path, factors) not in products:
+                products[path, factors] = multiply_sequence(cycle, path, list(factors))
+            image = {r * d + k: field.mul(a, e) for r, a in image.items() for k, e in products[path, factors].items()}
+        columns.append(image)
+    return columns
+
+
+def _reference_boundary(cycle, q):
+    """The alternating sum of the reference faces, and how many entries of the
+    faces cancelled in it."""
+    field, sums, entries = cycle.field, None, 0
+    for i in range(q + 1):
+        sign = field.from_int((-1) ** i)
+        columns = _reference_columns(cycle, cut_face(CutSet(q, cycle.n), i))
+        sums = sums or [{} for _ in columns]
+        for total, column in zip(sums, columns):
+            entries += len(column)
+            for r, v in column.items():
+                total[r] = field.add(total.get(r, field.zero()), field.mul(sign, v))
+    sums = [{r: v for r, v in total.items() if not field.is_zero(v)} for total in sums]
+    d = IntMatrix.from_columns(field, bar_dims(cycle, q)[q - 1], sums)
+    return d, entries - sum(map(len, sums))
+
+
+def test_faces_and_comparisons_match_the_definition():
+    # the pass-through and merged assembly against the fiber-by-fiber
+    # definition: full and normalized boundaries, and every contraction
+    cancelled = {}
+    for cycle, degree in labelled_cycles():
+        degree = min(degree, 3)
+        full, normal = bar_complex(cycle, degree), normalized_bar_complex(cycle, degree)
+        rebased = cycle.unit_first()
+        for q in range(1, degree + 1):
+            d, cancelled[cycle, q] = _reference_boundary(cycle, q)
+            assert full.boundary(q) == d, (cycle, q)
+            d = d if rebased is cycle else _reference_boundary(rebased, q)[0]
+            lo, hi = normalized_positions(cycle, q - 1), normalized_positions(cycle, q)
+            rank = {p: i for i, p in enumerate(lo)}
+            restricted = [{rank[r]: v for r, v in d.columns()[p].items() if r in rank} for p in hi]
+            assert normal.boundary(q) == IntMatrix.from_columns(cycle.field, len(lo), restricted), (cycle, q)
+        for a in range(cycle.n if cycle.n > 1 else 0):
+            f = CyclicMap.contraction(cycle.n, a)
+            for q, m in hochschild._cyclic_maps(cycle, f, degree).items():
+                env, _ = cut_envelope_cyclic(CutSet(q, cycle.n), f)
+                assert m == IntMatrix.from_columns(cycle.field, m.rows, _reference_columns(cycle, env)), (cycle, a, q)
+    # signed faces cancel, over Q and in characteristic 2 on M2(F2)
+    M2F2 = LabelledCycle.uniform(FiniteAlgebra.matrix_algebra(F2, 2), None, 2)
+    assert cancelled[M2F2, 2] and cancelled[LabelledCycle.uniform(ground(), None, 1), 1]
+
+
+def test_each_face_is_built_once(monkeypatch):
+    # one cut face per (q, n, i), whichever complex asks for it
+    calls = []
+
+    def counted(cut, i):
+        calls.append((cut, i))
+        return cut_face(cut, i)
+
+    monkeypatch.setattr(hochschild, "cut_face", counted)
+    hochschild._face.cache_clear()
+    for field in (QQ, F3):
+        normalized_bar_complex(LabelledCycle.uniform(group_algebra_c2(field), None, 3), 3)
+    assert len(calls) == 2 + 3 + 4
 
 
 def test_rotation_action_on_the_normalized_complex():
