@@ -664,7 +664,7 @@ def equalizer(box, **ring_support):
     ring, supp = _ring_support(**ring_support)
     if box > 50 or len(supp) > 6:
         raise SizeGuard("equalizer enumeration guard: box <= 50, |T| <= 6")
-    return witt.equalizer_report(witt.GhostFlow(ring or rings.ZZ, {}, supp), box)
+    return witt.equalizer_report(ring or rings.ZZ, supp, box)
 
 
 @witt_group.command(name="as-mackey")

@@ -494,6 +494,8 @@ class ChainComplex:
     ring: object
     dims: tuple
     boundaries: dict
+    # the level bases (_basis) of a complex built by _complex, else empty
+    bases: tuple = dataclass_field(default=(), repr=False, compare=False)
     # q -> echelon of the image of d_q (ranks, reduction modulo boundaries),
     # and q -> basis of ker d_q (read only where homology is nonzero); each
     # is built once, when first read.
@@ -736,7 +738,7 @@ def _complex(cycle, degree_bound, basis):
             _add_envelope(cycle, env, env.target.colours, bases[q], bases[q - 1], sign, columns, products)
             sign = field.neg(sign)
         boundaries[q] = IntMatrix.from_columns(field, len(bases[q - 1][1]), columns)
-    return ChainComplex(field, tuple(len(order) for _, order in bases), boundaries)
+    return ChainComplex(field, tuple(len(order) for _, order in bases), boundaries, tuple(bases))
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +756,7 @@ def _complex(cycle, degree_bound, basis):
 # in the order of bar_complex, as in column order the echelon forms over Q
 # fill in with fractions (the Q[C2] 3-cycle at degree 3 took six times as
 # long).  A rotation multiplies nothing: it moves blocks and keeps columns,
-# so it moves block digits of the bar index (_rotation_images).
+# so it turns the digit tuple of each column (_rotation_images).
 
 
 def _column_tuples(cycle, j):
@@ -977,24 +979,27 @@ def rotation_matrices(cycle: LabelledCycle, k, degree_bound):
     return _cyclic_maps(cycle, rotation, degree_bound)
 
 
-def _rotation_images(cycle: LabelledCycle, k, degree_bound):
-    """The rotation by k of normalized_bar_complex(cycle), for labels
-    invariant under it (not checked here), as one index list per level:
-    basis tensor j goes to basis tensor images[q][j] with coefficient 1.
+def _rotation_images(bases, n, k):
+    """The rotation by k of a normalized complex of an n-cycle, read off its
+    level bases (_normalized_basis), for labels invariant under it (not
+    checked here), as one index list per level: basis tensor j goes to basis
+    tensor images[q][j] with coefficient 1.
 
-    A bar index is block-major, block a of size dim M_{a-1} (dim R_a)^q.
-    Block a of the image is block a + k of the source, so the first k block
-    digits move to the end; columns stay, so nondegenerate tensors go to
-    nondegenerate tensors.
+    Block a of the image is block a + k of the source and columns stay, so
+    the digit tuple of each column, one block index per block, turns by k
+    places; a nondegenerate tuple stays nondegenerate.
     """
-    cycle, k = cycle.unit_first(), k % cycle.n
+    k %= n
     images = {}
-    for q in range(degree_bound + 1):
-        sizes = [cycle.bimodules[a - 1].dim * cycle.algebras[a].dim ** q for a in range(cycle.n)]
-        high, low = prod(sizes[:k]), prod(sizes[k:])
-        positions = normalized_positions(cycle, q)
-        rank = {p: i for i, p in enumerate(positions)}
-        images[q] = [rank[(p % low) * high + p // low] for p in positions]
+    for q, (units, order) in enumerate(bases):
+        turned = [0]  # the row-major index of the image of each tensor
+        for _, digits, stride in units:
+            offset = {t: i * stride for i, t in enumerate(digits)}
+            moved = [offset[t[k:] + t[:k]] for t in digits]
+            turned = [r + o for r in turned for o in moved]
+        images[q] = image = [0] * len(order)
+        for j, r in zip(order, turned):
+            image[j] = order[r]
     return images
 
 
@@ -1050,7 +1055,7 @@ def rotation_action(R: FiniteAlgebra, M: FiniteBimodule, n, degree_bound):
     """
     cycle = LabelledCycle((R,) * n, (M,) * n)
     complex_ = normalized_bar_complex(cycle, degree_bound)
-    images = _rotation_images(cycle, 1, degree_bound)
+    images = _rotation_images(complex_.bases, n, 1)
     maps = {q: _permutation_matrix(complex_.ring, image) for q, image in images.items()}
     # rho d e_j = d rho e_j: the rows of column j of d relabelled by rho are
     # the column rho(j) of d

@@ -20,13 +20,12 @@ without materializing the universal polynomials.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .cyclic import SizeGuard
 from .mackey import FPGroup, MackeyWindow
-from .rings import ZZ, IntMatrix, _json_fields, is_prime, ring_from_json
+from .rings import ZZ, IntMatrix, _json_fields, ring_from_json
 from .truncation import TruncationSet
 
 
@@ -431,7 +430,7 @@ def recover_base(ring, n):
 
     Returns a report with the invariant factors of the quotient and whether
     they match the additive group of the coefficient ring; the comparison
-    map is the first-coordinate projection, whose additivity is spot-checked.
+    map is the first-coordinate projection, additive since a_1 = w_1.
     """
     if n < 1:
         raise ValueError("N must be >= 1")
@@ -446,22 +445,12 @@ def recover_base(ring, n):
         expected = ([], 1)
     else:
         expected = ([ring.modulus], 0)
-    rng = random.Random(11)
-    additive = True
-    for _ in range(20):
-        a = WittVector(ring, support, tuple(ring.from_int(rng.randrange(-9, 10)) for _ in support))
-        b = WittVector(ring, support, tuple(ring.from_int(rng.randrange(-9, 10)) for _ in support))
-        lhs = add(a, b).coeff(1)
-        rhs = ring.add(a.coeff(1), b.coeff(1))
-        if not ring.eq(lhs, rhs):
-            additive = False
     return {
         "ring": repr(ring),
         "N": n,
         "invariant_factors": torsion,
         "free_rank": free,
         "matches_base": (torsion, free) == expected,
-        "projection_additive": additive,
     }
 
 
@@ -503,169 +492,107 @@ def witt_as_mackey(ring, n):
 
 
 # ---------------------------------------------------------------------------
-# The coordinatewise flow model of the restriction maps.
-
-
-def mod_p_equal(ring, x, y, p):
-    """x == y modulo the ideal p*ring."""
-    diff = ring.sub(x, y)
-    if ring.kind == "integers":
-        return diff % p == 0
-    if ring.kind in ("integers-mod-m", "prime-field"):
-        return diff % gcd(p, ring.modulus) == 0
-    if ring.kind == "rationals":
-        return True
-    if ring.kind == "univariate-polynomial-quotient":
-        return all(mod_p_equal(ring.base, c, ring.base.zero(), p) for c in diff)
-    raise UnsupportedEnumerationRing(f"no mod-p test for {ring}")
-
-
-def _primes_upto(n):
-    return [p for p in range(2, n + 1) if is_prime(p)]
-
-
-@dataclass(frozen=True)
-class GhostFlow:
-    """Coefficient ring with one endomorphism per prime and a support.
-
-    Each endomorphism must reduce to the p-th power map modulo p, and they
-    must commute; both are checked on the supplied generators.
-    """
-
-    ring: object
-    lifts: dict
-    support: TruncationSet
-
-    def lift(self, p):
-        return self.lifts.get(p, lambda x: x)
-
-    def validate(self, generators=None):
-        ring = self.ring
-        if generators is None:
-            generators = [ring.one(), ring.from_int(2), ring.from_int(3)]
-        failures = []
-        primes = _primes_upto(self.support.max())
-        for p in primes:
-            phi = self.lift(p)
-            for g in generators:
-                if not mod_p_equal(ring, phi(g), ring.pow(g, p), p):
-                    failures.append(f"lift at {p} is not a Frobenius lift on {ring.show(g)}")
-        for p in primes:
-            for q in primes:
-                if p < q:
-                    pq = self.lift(p)
-                    qq = self.lift(q)
-                    for g in generators:
-                        if not ring.eq(pq(qq(g)), qq(pq(g))):
-                            failures.append(f"lifts at {p} and {q} do not commute")
-        return failures
-
-
-def equalizer_membership(flow: GhostFlow, values):
-    """Does the family (w_t) satisfy phi_p(w_t) = w_{pt} mod p throughout?"""
-    support = flow.support
-    w = dict(zip(support.elements, values))
-    for p in _primes_upto(support.max()):
-        phi = flow.lift(p)
-        for t in support:
-            if p * t in support:
-                if not mod_p_equal(flow.ring, phi(w[t]), w[p * t], p):
-                    return False
-    return True
+# The equalizer of the identity Frobenius lifts, against the ghost image.
 
 
 EQUALIZER_GUARD = 2 ** 20
 
 
-def equalizer_enumerate(flow: GhostFlow, box):
-    """All members with integer coordinates in [-box, box] (or the full
-    space for modular coefficients), in lexicographic order.
+def _prime_powers(t):
+    """[(p, p^v_p(t))] for the primes p dividing t, in increasing order."""
+    out, p = [], 2
+    while t > 1:
+        q = 1
+        while t % p == 0:
+            t, q = t // p, q * p
+        if q > 1:
+            out.append((p, q))
+        p += 1
+    return out
 
-    Members are grown one support index at a time.  Each step tests every
-    member so far with every value, so before it starts the count of those
-    tests is known; past EQUALIZER_GUARD it raises SizeGuard.
-    """
-    ring = flow.ring
-    support = flow.support.elements
+
+def _listed_range(ring, box):
+    """(m, low, size): m = 0 over Z and the modulus over Z/m, and the
+    integers listed, [-box, box] over Z and [0, m) over Z/m."""
     if ring.kind == "integers":
-        domain = range(-box, box + 1)
-    elif ring.kind in ("integers-mod-m", "prime-field"):
-        domain = range(ring.modulus)
-    else:
-        raise UnsupportedEnumerationRing(f"cannot enumerate over {ring}")
-    size = max(domain.stop - domain.start, 0)  # len() overflows on huge moduli
-    # built only when the first index may test them all
-    values = [(v, ring.from_int(v)) for v in domain] if size <= EQUALIZER_GUARD else []
-    members = [()]
-    for idx, t in enumerate(support):
-        requested = len(members) * size
-        if requested > EQUALIZER_GUARD:
-            raise SizeGuard(
-                f"equalizer enumeration is limited to {EQUALIZER_GUARD} tests per index; "
-                f"index {t} needs {requested}"
-            )
-        # w_t must be congruent to phi_p(w_{t/p}) modulo p for each prime p | t
-        conditions = [(p, flow.lift(p), support.index(t // p)) for p in _primes_upto(t) if t % p == 0]
-        grown = []
-        for partial in members:
-            targets = [(p, lift(ring.from_int(partial[j]))) for p, lift, j in conditions]
-            grown.extend(
-                partial + (v,) for v, x in values
-                if all(mod_p_equal(ring, y, x, p) for p, y in targets)
-            )
-        members = grown
-    return members
+        return 0, -box, max(2 * box + 1, 0)
+    if ring.kind in ("integers-mod-m", "prime-field"):
+        return ring.modulus, 0, ring.modulus
+    raise UnsupportedEnumerationRing(f"cannot enumerate over {ring}")
 
 
-def ghost_section(values, support):
-    """Integer Witt coordinates with the given ghost values, or None.
+def _crt(conditions):
+    """x = w_j mod n_j for each (j, n_j), the n_j pairwise coprime, as one
+    class: its modulus N and weights (j, e_j), e_j = 1 mod n_j and 0 mod the
+    other n_i, so that x = sum e_j w_j mod N."""
+    modulus = prod(n for _, n in conditions)
+    return modulus, [(j, modulus // n * pow(modulus // n, -1, n)) for j, n in conditions]
 
-    Triangular back-substitution: a_t = (w_t - sum_{d|t, d<t} d a_d^{t/d})/t
-    must stay integral at every level.
+
+def equalizer_membership(ring, support, values):
+    """Does the family (w_t) satisfy w_t = w_{t/p} mod p (mod gcd(p, m) over
+    Z/m) for every prime p | t?"""
+    m = _listed_range(ring, 0)[0]
+    w = dict(zip(support.elements, values))
+    return all((w[t] - w[t // p]) % gcd(p, m) == 0 for t in support for p, _ in _prime_powers(t))
+
+
+def equalizer_report(ring, support, box):
+    """List the equalizer in a box and compare it with the ghost image.
+
+    With identity Frobenius lifts a member is a family (w_t) with
+    w_t = w_{t/p} mod gcd(p, m) for each prime p | t (m = 0 over Z), so once
+    the earlier coordinates are fixed, w_t runs through one residue class
+    modulo M_t, the product of the primes p | t with p | m.  The members
+    form a subgroup.  By Dwork's lemma a family of integers is a ghost
+    vector of W(Z) exactly when w_t = w_{t/p} mod p^v_p(t) throughout, one
+    class modulo t; over Z/m that is asked of the representatives in
+    [0, m).  Members are listed in lexicographic order and counted, not
+    stored.  The product over t of ceil(size / M_t) bounds the count (over
+    Z/m it is the count); past EQUALIZER_GUARD it raises SizeGuard before
+    any member is listed.
     """
-    coeffs = {}
+    m, low, size = _listed_range(ring, box)
+    levels = []
+    bound = 1
     for t in support:
-        acc = values[support.elements.index(t)]
-        for d in support:
-            if d < t and t % d == 0:
-                acc -= d * coeffs[d] ** (t // d)
-        if acc % t != 0:
-            return None
-        coeffs[t] = acc // t
-    return coeffs
+        conditions = [(support.elements.index(t // p), p, q) for p, q in _prime_powers(t)]
+        member = _crt([(j, p) for j, p, _ in conditions if m % p == 0])
+        levels.append((member, _crt([(j, q) for j, _, q in conditions])))
+        bound *= -(-size // member[0])
+    if bound > EQUALIZER_GUARD:
+        raise SizeGuard(
+            f"equalizer listing is limited to {EQUALIZER_GUARD} members; "
+            f"support {support.to_json()} and box {box} allow up to {bound}"
+        )
+    w = [0] * len(levels)
+    members = ghosts = 0
+    strict = []
 
+    def walk(i, ghostly):
+        nonlocal members, ghosts
+        if i == len(levels):
+            members += 1
+            if ghostly:
+                ghosts += 1
+            elif len(strict) < 5:
+                strict.append(list(w))
+            return
+        (modulus, weights), (t, ghost_weights) = levels[i]
+        r = sum(w[j] * e for j, e in weights)
+        g = sum(w[j] * e for j, e in ghost_weights)
+        for v in range(low + (r - low) % modulus, low + size, modulus):
+            w[i] = v
+            walk(i + 1, ghostly and (v - g) % t == 0)
 
-def _lifts_additive(flow, samples=12):
-    ring = flow.ring
-    rng = random.Random(23)
-    for p in _primes_upto(flow.support.max()):
-        phi = flow.lift(p)
-        for _ in range(samples):
-            x = ring.from_int(rng.randrange(-9, 10))
-            y = ring.from_int(rng.randrange(-9, 10))
-            if not ring.eq(phi(ring.add(x, y)), ring.add(phi(x), phi(y))):
-                return False
-    return True
-
-
-def equalizer_report(flow: GhostFlow, box):
-    """Enumerate the equalizer in a box and compare with the ghost image.
-
-    The member set is a subgroup when the lifts are additive (sampled),
-    otherwise just a subset; the report says which.
-    """
-    validation = flow.validate()
-    members = equalizer_enumerate(flow, box)
-    sections = {w: ghost_section(list(w), flow.support) for w in members}
-    ghost_members = [w for w, s in sections.items() if s is not None]
-    strict = [w for w, s in sections.items() if s is None]
+    walk(0, True)
     return {
-        "support": flow.support.to_json(),
+        "support": support.to_json(),
         "box": box,
-        "lift_validation": validation,
-        "is_subgroup": _lifts_additive(flow),
-        "equalizer_size": len(members),
-        "ghost_image_size": len(ghost_members),
-        "equals_ghost_image": len(strict) == 0,
-        "first_strict_members": [list(w) for w in strict[:5]],
+        "lift_validation": [],
+        "is_subgroup": True,
+        "equalizer_size": members,
+        "ghost_image_size": ghosts,
+        "equals_ghost_image": not strict,
+        "first_strict_members": strict,
     }

@@ -310,6 +310,19 @@ def test_witt_arithmetic_stdout_matches_the_recorded_runs(runner):
         assert (result.exit_code, result.output) == (case["exit_code"], case["stdout"]), case
 
 
+def test_witt_equalizer_stdout_matches_the_recorded_runs(runner):
+    # Recorded while members were still found by trial: every truncation set
+    # in {1..12} with at most 6 elements at boxes 0-2 over Z and over Z/4 and
+    # Z/6, over Z/9 those with at most 9^4 residue tuples, larger boxes,
+    # F2, F3, F5, Z/8, Z/12 and Z/16, in JSON and in TSV, plus exit 2 and
+    # the command's own exit 3 cases.
+    recorded = json.loads((Path(__file__).parent / "data" / "witt_equalizer_golden_stdout.json").read_text())
+    assert len(recorded) == 640
+    for case in recorded:
+        result = run(runner, case["argv"])
+        assert (result.exit_code, result.output) == (case["exit_code"], case["stdout"]), case
+
+
 def test_unreadable_coefficients_name_the_token_and_the_ring(runner):
     for argv, message in (
         (["witt", "ghost", "--ring", "Z/4", "--support", "1", "--vec", "1:1/2"], "'1/2' is not an element of Z/4"),
@@ -612,8 +625,9 @@ def test_witt_indices_outside_the_support_are_validation_errors(runner):
 
 
 def test_equalizer_guard_edge(runner):
-    # Over Z/1025 on {1, 2} the second index tests 1025^2 = 1050625 pairs,
-    # past the limit of 2^20 = 1048576; the run stops before testing any.
+    # Over Z/1025 on {1, 2} no condition binds (gcd(2, 1025) = 1), so all
+    # 1025^2 = 1050625 pairs are members, past the limit of 2^20 = 1048576;
+    # the run stops before listing any.
     base = ["witt", "equalizer", "--support", "1,2", "--box", "0"]
     result = run(runner, base + ["--ring", "Z/1025"])
     assert result.exit_code == 3

@@ -5,8 +5,9 @@ Every subcommand gets argv drawn from a small grammar: boundary integers
 too, which click refuses before any command runs), empty and repeated lists,
 and well-formed and malformed input files.  Each run must exit 0, 2 or 3 with
 one JSON object on stdout and no traceback, within a time cap.
-`witt equalizer` is kept far from its guard, where it would enumerate for a
-long time.
+`witt equalizer` draws boxes and supports up to one past the command's own
+bounds (box 50, |T| 6); its member bound refuses before anything is listed,
+so no draw lists more than 2^20 members.
 """
 
 import json
@@ -131,7 +132,8 @@ def _grammar(cycles):
         ("witt", "sum-v"): (dict(witt, **{"--family": ["2=1:1", "2=1:1;3=1:1", "2=", "0=1:1", "x", ""]}), ring),
         ("witt", "recover"): ({"--ring": RINGS, "--N": WINDOW}, {}),
         ("witt", "equalizer"): (
-            {"--support": ["1", "1,2", "2", "", "x"], "--box": [-1, 0, 1, 2, "x"]},
+            {"--support": ["1", "1,2", "2", "", "x", "1,2,3,6", "1,2,3,4,5,6", "1,2,3,4,5,6,7"],
+             "--box": [-1, 0, 1, 2, 50, 51, "x"]},
             {"--ring": ["Z", "Z/4", "F3", "Q", "x"]},
         ),
         ("witt", "as-mackey"): ({"--ring": RINGS, "--N": WINDOW}, {}),

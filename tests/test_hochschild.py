@@ -1016,7 +1016,8 @@ def test_normalized_rotation_is_the_restricted_full_rotation():
 
 def _check_rotation_images(cycle, k, degree, proj):
     full = rotation_matrices(cycle.unit_first(), k, degree)
-    for q, image in hochschild._rotation_images(cycle, k, degree).items():
+    bases = normalized_bar_complex(cycle, degree).bases
+    for q, image in hochschild._rotation_images(bases, cycle.n, k).items():
         normal = IntMatrix.from_columns(cycle.field, len(image), [{i: cycle.field.one()} for i in image])
         assert normal == proj[q].mul(full[q]).mul(proj[q].transpose()), (cycle, k, q)
 
@@ -1045,11 +1046,11 @@ def test_the_rotation_multiplies_nothing(monkeypatch):
 
     monkeypatch.setattr(hochschild, "multiply_sequence", counted)
     C2 = group_algebra_c2(QQ)
-    cycle = LabelledCycle.uniform(C2, None, 3)
-    hochschild._rotation_images(cycle, 1, 3)
-    assert calls == []
-    normalized_bar_complex(cycle, 3)
+    complex_ = normalized_bar_complex(LabelledCycle.uniform(C2, None, 3), 3)
     assert calls
+    calls.clear()
+    hochschild._rotation_images(complex_.bases, 3, 1)
+    assert calls == []
 
 
 def test_rotation_eliminates_only_where_homology_lives(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -7,22 +8,19 @@ from polygonic.cyclic import SizeGuard
 from polygonic.mackey import check_mackey_axioms, evaluate_span
 from polygonic.qfin import SpanMorphism, compose_spans
 from polygonic.rings import QQ, ZZ, ModularRing, PrimeField, QuotientPolynomialRing
-from polygonic.truncation import TruncationSet, interval_truncation
+from polygonic.truncation import TruncationSet, interval_truncation, is_truncation_set
 from polygonic.witt import (
-    GhostFlow,
     NotSummable,
     SupportMismatch,
     UnsupportedEnumerationRing,
     WittVector,
     add,
-    equalizer_enumerate,
     equalizer_membership,
     equalizer_report,
     frobenius,
     from_series,
     ghost,
     ghost_oracle,
-    ghost_section,
     infinite_verschiebung,
     int_multiple,
     multiply,
@@ -40,6 +38,8 @@ from polygonic.witt import (
     witt_as_mackey,
     zero_vector,
 )
+
+from equalizer_oracle import ghost_section, oracle_report, trial_members
 
 T2 = interval_truncation(2)
 T3 = interval_truncation(3)
@@ -383,45 +383,54 @@ def test_witt_window_axioms():
 
 
 def test_equalizer_examples():
-    flow = GhostFlow(ZZ, {}, TruncationSet((1,)))
-    assert equalizer_membership(flow, (17,))
-    members = equalizer_enumerate(flow, 3)
-    assert len(members) == 7
+    assert equalizer_membership(ZZ, TruncationSet((1,)), (17,))
+    assert equalizer_report(ZZ, TruncationSet((1,)), 3)["equalizer_size"] == 7
 
-    flow6 = GhostFlow(ZZ, {}, TruncationSet.divisors(6))
-    assert flow6.validate() == []
-    report = equalizer_report(flow6, 6)
+    report = equalizer_report(ZZ, TruncationSet.divisors(6), 6)
     assert report["equals_ghost_image"]
 
-    flow4 = GhostFlow(ZZ, {}, T4)
-    report4 = equalizer_report(flow4, 4)
+    report4 = equalizer_report(ZZ, T4, 4)
     assert not report4["equals_ghost_image"]
-    assert equalizer_membership(flow4, (0, 0, 0, 2))
+    assert equalizer_membership(ZZ, T4, (0, 0, 0, 2))
     assert ghost_section([0, 0, 0, 2], T4) is None
     # every ghost vector is in the equalizer
     rng = random.Random(10)
     for _ in range(30):
         v = rand_vec(rng, ZZ, T4, -3, 3)
-        assert equalizer_membership(flow4, ghost(v).values)
+        assert equalizer_membership(ZZ, T4, ghost(v).values)
 
 
 def test_equalizer_modular():
-    flow = GhostFlow(ModularRing(4), {}, T4)
-    members = equalizer_enumerate(flow, 0)
-    assert members
+    members = trial_members(ModularRing(4), T4, 0)
+    assert equalizer_report(ModularRing(4), T4, 0)["equalizer_size"] == len(members) > 0
     for w in members:
-        assert equalizer_membership(flow, tuple(w))
+        assert equalizer_membership(ModularRing(4), T4, w)
     with pytest.raises(UnsupportedEnumerationRing):
-        equalizer_enumerate(GhostFlow(QQ, {}, T4), 2)
+        equalizer_report(QQ, T4, 2)
+    with pytest.raises(UnsupportedEnumerationRing):
+        equalizer_report(QuotientPolynomialRing(ZZ, (1, 0, 1)), T4, 2)
 
 
-def test_nontrivial_frobenius_lift_validation():
-    # x -> x + p is also a lift of Frobenius on Z for generators 0,1 mod p;
-    # x -> x + 1 is not
-    flow = GhostFlow(ZZ, {2: lambda x: x + 2}, T2)
-    assert flow.validate() == []
-    bad = GhostFlow(ZZ, {2: lambda x: x + 1}, T2)
-    assert bad.validate() != []
+def _truncation_sets(top, size):
+    return [TruncationSet(c) for k in range(1, size + 1) for c in combinations(range(1, top + 1), k)
+            if is_truncation_set(c)]
+
+
+def test_equalizer_matches_trial_enumeration_and_back_substitution():
+    # The residue classes and Dwork's congruences against the old trial
+    # enumeration and ghost_section: every truncation set in {1..12} with at
+    # most 6 elements, at boxes 0-4 over Z, and over Z/4, Z/6 and Z/8 (over
+    # Z/8 the sets with at most 8^4 residue tuples; the other 15 hold 2.8
+    # million members between them).
+    sets = _truncation_sets(12, 6)
+    assert len(sets) == 110
+    cases = [(ZZ, T, box) for T in sets for box in range(5)]
+    cases += [(ModularRing(m), T, 0) for m in (4, 6) for T in sets]
+    cases += [(ModularRing(8), T, 0) for T in sets
+              if 8 ** len(T) // 2 ** sum(t % 2 == 0 for t in T) <= 8 ** 4]
+    assert len(cases) == 550 + 220 + 45
+    for ring, T, box in cases:
+        assert equalizer_report(ring, T, box) == oracle_report(ring, T, box), (ring, T, box)
 
 
 def test_json_roundtrip():
@@ -439,26 +448,33 @@ def test_from_dict_rejects_indices_outside_the_support():
 
 
 def test_equalizer_enumeration_limit_edge(monkeypatch):
-    # The last index of {1, 2, 3, 6} tests every member on {1, 2, 3} with
-    # each of the 2 * box + 1 values: a limit of exactly that many passes.
-    flow = GhostFlow(ZZ, {}, TruncationSet.divisors(6))
-    prefix = GhostFlow(ZZ, {}, TruncationSet((1, 2, 3)))
-    requested = len(equalizer_enumerate(prefix, 5)) * 11
-    members = equalizer_enumerate(flow, 5)
-    monkeypatch.setattr(witt, "EQUALIZER_GUARD", requested)
-    assert equalizer_enumerate(flow, 5) == members
-    monkeypatch.setattr(witt, "EQUALIZER_GUARD", requested - 1)
-    with pytest.raises(SizeGuard, match=f"limited to {requested - 1} .* needs {requested}"):
-        equalizer_enumerate(flow, 5)
+    # On {1, 2, 3, 6} at box 5 each w_t runs through one class modulo
+    # rad(t) = 1, 2, 3, 6 among 11 integers, so at most 11 * 6 * 4 * 2 = 528
+    # members are listed: a limit of exactly that many passes.
+    support = TruncationSet.divisors(6)
+    report = equalizer_report(ZZ, support, 5)
+    assert report == oracle_report(ZZ, support, 5)
+    assert report["equalizer_size"] == 425 <= 528
+    monkeypatch.setattr(witt, "EQUALIZER_GUARD", 528)
+    assert equalizer_report(ZZ, support, 5) == report
+    monkeypatch.setattr(witt, "EQUALIZER_GUARD", 527)
+    with pytest.raises(SizeGuard, match=r"limited to 527 members; support \[1, 2, 3, 6\] and box 5 allow up to 528$"):
+        equalizer_report(ZZ, support, 5)
 
 
-def test_equalizer_refuses_a_huge_modulus_before_listing_its_residues(monkeypatch):
-    # Over Z/2^64 the first index alone would test 2^64 residues.
-    flow = GhostFlow(ModularRing(2 ** 64), {}, TruncationSet((1,)))
+def test_equalizer_refuses_a_huge_modulus_before_listing_its_residues():
+    # Over Z/2^64 the one index of {1} runs through all 2^64 residues; the
+    # refusal comes before the walk, which would not end.
+    with pytest.raises(SizeGuard, match=f"allow up to {2 ** 64}$"):
+        equalizer_report(ModularRing(2 ** 64), TruncationSet((1,)), 0)
 
-    def listed(v):
-        raise AssertionError("a residue was listed")
 
-    monkeypatch.setattr(flow.ring, "from_int", listed)
-    with pytest.raises(SizeGuard, match=f"needs {2 ** 64}"):
-        equalizer_enumerate(flow, 0)
+def test_equalizer_guard_opens_where_classes_are_listed():
+    # The old limit of 2^20 tests per index refused {1, 2, 3, 6} at box 30:
+    # its last index tested the 37861 members on {1, 2, 3} with 61 values
+    # each.  At most 61 * 31 * 21 * 11 = 436821 members are listed now.  The
+    # support is squarefree, so the equalizer is the ghost image.
+    report = equalizer_report(ZZ, TruncationSet.divisors(6), 30)
+    assert report["equalizer_size"] == report["ghost_image_size"] == 385241
+    assert report["equals_ghost_image"] and report["first_strict_members"] == []
+    assert len(trial_members(ZZ, TruncationSet((1, 2, 3)), 30)) * 61 > 2 ** 20
