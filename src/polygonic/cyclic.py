@@ -17,7 +17,6 @@ in position steps.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -39,17 +38,25 @@ def _check_sizes(*sizes):
 # Paths.
 
 
-@dataclass(frozen=True, order=True)
 class Path:
-    """Class of (start/n, (start+length)/n); length 0 means a vertex."""
+    """Class of (start/n, (start+length)/n); length 0 means a vertex.  Paths
+    compare, hash and sort as (n, start, length)."""
 
-    n: int
-    start: int
-    length: int
+    __slots__ = ("n", "start", "length")
 
-    def __post_init__(self):
-        if not (1 <= self.n and 0 <= self.start < self.n and 0 <= self.length <= self.n):
-            raise ValueError(f"bad path ({self.n}, {self.start}, {self.length})")
+    def __init__(self, n, start, length):
+        if not (1 <= n and 0 <= start < n and 0 <= length <= n):
+            raise ValueError(f"bad path ({n}, {start}, {length})")
+        self.n, self.start, self.length = n, start, length
+
+    def __eq__(self, other):
+        return type(other) is Path and (self.n, self.start, self.length) == (other.n, other.start, other.length)
+
+    def __hash__(self):
+        return hash((self.n, self.start, self.length))
+
+    def __lt__(self, other):
+        return (self.n, self.start, self.length) < (other.n, other.start, other.length)
 
     @classmethod
     def vertex(cls, n, a):
@@ -138,7 +145,6 @@ def is_admissible(seq, target):
 # Cyclic maps.
 
 
-@dataclass(frozen=True)
 class CyclicMap:
     """Nondecreasing equivariant map between subdivided circles.
 
@@ -146,24 +152,29 @@ class CyclicMap:
     subdivision; canonical form has 0 <= vals[0] < target_n.
     """
 
-    source_n: int
-    target_n: int
-    vals: tuple
+    __slots__ = ("source_n", "target_n", "vals")
 
-    def __post_init__(self):
-        _check_sizes(self.source_n, self.target_n)
-        vals = tuple(self.vals)
-        if len(vals) != self.source_n:
+    def __init__(self, source_n, target_n, vals):
+        _check_sizes(source_n, target_n)
+        vals = tuple(vals)
+        if len(vals) != source_n:
             raise ValueError("vals length must equal source_n")
-        shift = vals[0] // self.target_n
+        shift = vals[0] // target_n
         if shift:
-            vals = tuple(v - shift * self.target_n for v in vals)
-        object.__setattr__(self, "vals", vals)
+            vals = tuple(v - shift * target_n for v in vals)
         for a in range(len(vals) - 1):
             if vals[a] > vals[a + 1]:
                 raise ValueError("map is not nondecreasing")
-        if vals[-1] > vals[0] + self.target_n:
+        if vals[-1] > vals[0] + target_n:
             raise ValueError("map exceeds one period")
+        self.source_n, self.target_n, self.vals = source_n, target_n, vals
+
+    def __eq__(self, other):
+        return type(other) is CyclicMap and (self.source_n, self.target_n, self.vals) == (
+            other.source_n, other.target_n, other.vals)
+
+    def __hash__(self):
+        return hash((self.source_n, self.target_n, self.vals))
 
     @classmethod
     def identity(cls, n):
@@ -284,7 +295,6 @@ def automorphisms(n):
 # increasing position order, is an admissible sequence.
 
 
-@dataclass(frozen=True)
 class CutSet:
     """Coloured cut set of the q-simplex level over the n-cycle.
 
@@ -292,17 +302,22 @@ class CutSet:
     p*n) and the set carries a free action of order p over the plain set.
     """
 
-    q: int
-    n: int
-    p: int | None = None
+    __slots__ = ("q", "n", "p")
 
-    def __post_init__(self):
-        if self.q < 0:
+    def __init__(self, q, n, p=None):
+        if q < 0:
             raise EmptyOrder("the indexing order must be nonempty")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.p is not None and self.p < 1:
+        if p is not None and p < 1:
             raise ValueError("p must be >= 1")
+        self.q, self.n, self.p = q, n, p
+
+    def __eq__(self, other):
+        return type(other) is CutSet and (self.q, self.n, self.p) == (other.q, other.n, other.p)
+
+    def __hash__(self):
+        return hash((self.q, self.n, self.p))
 
     @property
     def cycle_n(self):

@@ -10,7 +10,6 @@ maps, so every boundary identity reduces to cut-set combinatorics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache, partial
 from itertools import product
 from math import prod
@@ -123,17 +122,14 @@ def _has_shape(table, shape):
 # Algebras and bimodules.
 
 
-@dataclass(frozen=True)
 class FiniteAlgebra:
-    """Associative unital algebra by structure constants on a fixed basis."""
+    """Associative unital algebra by structure constants on a fixed basis:
+    mult[i][j] is the vector of e_i e_j."""
 
-    field: object
-    dim: int
-    mult: tuple        # mult[i][j] = vector of e_i e_j
-    unit: tuple
-    name: str = ""
+    __slots__ = ("field", "dim", "mult", "unit", "name")
 
-    def __post_init__(self):
+    def __init__(self, field, dim, mult, unit, name=""):
+        self.field, self.dim, self.mult, self.unit, self.name = field, dim, mult, unit, name
         if not self.field.is_field:
             raise NonFieldRing("algebras need field coefficients")
         if not isinstance(self.dim, int) or self.dim < 1:
@@ -149,6 +145,13 @@ class FiniteAlgebra:
             e = self._basis(i)
             if self.mul_vec(self.unit, e) != e or self.mul_vec(e, self.unit) != e:
                 raise ValueError("unit axiom fails")
+
+    def __eq__(self, other):
+        return type(other) is FiniteAlgebra and (self.field, self.dim, self.mult, self.unit, self.name) == (
+            other.field, other.dim, other.mult, other.unit, other.name)
+
+    def __hash__(self):
+        return hash((self.field, self.dim, self.mult, self.unit, self.name))
 
     def _basis(self, i):
         return list(_unit_vector(self.field, self.dim, i))
@@ -209,18 +212,15 @@ class FiniteAlgebra:
         return cls(field, dim, _json_table(field, mult, 3), _json_table(field, unit, 1), data.get("name", ""))
 
 
-@dataclass(frozen=True)
 class FiniteBimodule:
-    """left-right bimodule by action tensors on a fixed basis."""
+    """left-right bimodule by action tensors on a fixed basis: left[i][m] is
+    the vector of e_i . f_m and right[m][j] that of f_m . e_j."""
 
-    left_algebra: FiniteAlgebra
-    right_algebra: FiniteAlgebra
-    dim: int
-    left: tuple        # left[i][m] = vector of e_i . f_m
-    right: tuple       # right[m][j] = vector of f_m . e_j
-    name: str = ""
+    __slots__ = ("left_algebra", "right_algebra", "dim", "left", "right", "name")
 
-    def __post_init__(self):
+    def __init__(self, left_algebra, right_algebra, dim, left, right, name=""):
+        self.left_algebra, self.right_algebra, self.dim = left_algebra, right_algebra, dim
+        self.left, self.right, self.name = left, right, name
         A, B = self.left_algebra, self.right_algebra
         if not _has_shape(self.left, (A.dim, self.dim, self.dim)):
             raise ValueError(f"left action must be {A.dim}x{self.dim}x{self.dim}")
@@ -243,6 +243,14 @@ class FiniteBimodule:
         ):
             if _associative(self.field, dims, *tables) is not None:
                 raise ValueError(message)
+
+    def __eq__(self, other):
+        return type(other) is FiniteBimodule and (
+            self.left_algebra, self.right_algebra, self.dim, self.left, self.right, self.name
+        ) == (other.left_algebra, other.right_algebra, other.dim, other.left, other.right, other.name)
+
+    def __hash__(self):
+        return hash((self.left_algebra, self.right_algebra, self.dim, self.left, self.right, self.name))
 
     @property
     def field(self):
@@ -372,22 +380,26 @@ def relative_tensor(M: FiniteBimodule, N: FiniteBimodule):
 # Labelled cycles and their bar complexes.
 
 
-@dataclass(frozen=True)
 class LabelledCycle:
-    algebras: tuple
-    bimodules: tuple
-    # fused(a) by a, and the rebased unit_first(), built on first use.
-    _fused: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
-    _unit_first: list = dataclass_field(default_factory=list, init=False, repr=False, compare=False)
+    __slots__ = ("algebras", "bimodules", "_fused", "_unit_first")
 
-    def __post_init__(self):
-        n = len(self.algebras)
-        if n < 1 or len(self.bimodules) != n:
+    def __init__(self, algebras, bimodules):
+        n = len(algebras)
+        if n < 1 or len(bimodules) != n:
             raise ValueError("need one algebra and one bimodule per slot")
         for a in range(n):
-            M = self.bimodules[a]
-            if M.left_algebra != self.algebras[a] or M.right_algebra != self.algebras[(a + 1) % n]:
+            M = bimodules[a]
+            if M.left_algebra != algebras[a] or M.right_algebra != algebras[(a + 1) % n]:
                 raise AlgebraMismatch(f"edge {a} does not match its endpoint algebras")
+        self.algebras, self.bimodules = algebras, bimodules
+        # fused(a) by a, and the rebased unit_first(), built on first use.
+        self._fused, self._unit_first = {}, []
+
+    def __eq__(self, other):
+        return type(other) is LabelledCycle and (self.algebras, self.bimodules) == (other.algebras, other.bimodules)
+
+    def __hash__(self):
+        return hash((self.algebras, self.bimodules))
 
     @property
     def n(self):
@@ -487,20 +499,25 @@ class LabelledCycle:
         )
 
 
-@dataclass(frozen=True)
 class ChainComplex:
-    """Nonnegatively graded complex with boundaries d_q : C_q -> C_{q-1}."""
+    """Nonnegatively graded complex with boundaries d_q : C_q -> C_{q-1}.
 
-    ring: object
-    dims: tuple
-    boundaries: dict
-    # the level bases (_basis) of a complex built by _complex, else empty
-    bases: tuple = dataclass_field(default=(), repr=False, compare=False)
-    # q -> echelon of the image of d_q (ranks, reduction modulo boundaries),
-    # and q -> basis of ker d_q (read only where homology is nonzero); each
-    # is built once, when first read.
-    _image: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
-    _kernel: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+    bases holds the level bases (_basis) of a complex built by _complex, else
+    it is empty; it is not compared.
+    """
+
+    __slots__ = ("ring", "dims", "boundaries", "bases", "_image", "_kernel")
+
+    def __init__(self, ring, dims, boundaries, bases=()):
+        self.ring, self.dims, self.boundaries, self.bases = ring, dims, boundaries, bases
+        # q -> echelon of the image of d_q (ranks, reduction modulo boundaries),
+        # and q -> basis of ker d_q (read only where homology is nonzero); each
+        # is built once, when first read.
+        self._image, self._kernel = {}, {}
+
+    def __eq__(self, other):
+        return type(other) is ChainComplex and (self.ring, self.dims, self.boundaries) == (
+            other.ring, other.dims, other.boundaries)
 
     @property
     def top(self):

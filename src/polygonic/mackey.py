@@ -9,7 +9,6 @@ statements are window-exact: levels beyond the window are treated as zero.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .qfin import QFinSet, SpanMorphism, compose_spans
@@ -25,16 +24,21 @@ class LevelOutsideWindow(ValueError):
 # Finitely presented abelian groups and their homomorphisms.
 
 
-@dataclass(frozen=True)
 class FPGroup:
     """Z^ngens modulo the row span of the presentation matrix."""
 
-    ngens: int
-    relations: IntMatrix
+    __slots__ = ("ngens", "relations")
 
-    def __post_init__(self):
-        if self.relations.cols != self.ngens:
+    def __init__(self, ngens, relations):
+        if relations.cols != ngens:
             raise ValueError("presentation width must equal ngens")
+        self.ngens, self.relations = ngens, relations
+
+    def __eq__(self, other):
+        return type(other) is FPGroup and (self.ngens, self.relations) == (other.ngens, other.relations)
+
+    def __hash__(self):
+        return hash((self.ngens, self.relations))
 
     @classmethod
     def free(cls, ngens):
@@ -77,17 +81,21 @@ class FPGroup:
         return FPGroup(self.ngens, IntMatrix(ZZ, top + len(rows), self.ngens, entries))
 
 
-@dataclass(frozen=True)
 class Hom:
     """Homomorphism of presented groups, a matrix on generators."""
 
-    dom: FPGroup
-    cod: FPGroup
-    matrix: IntMatrix
+    __slots__ = ("dom", "cod", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.rows != self.cod.ngens or self.matrix.cols != self.dom.ngens:
+    def __init__(self, dom, cod, matrix):
+        if matrix.rows != cod.ngens or matrix.cols != dom.ngens:
             raise ValueError("hom matrix shape mismatch")
+        self.dom, self.cod, self.matrix = dom, cod, matrix
+
+    def __eq__(self, other):
+        return type(other) is Hom and (self.dom, self.cod, self.matrix) == (other.dom, other.cod, other.matrix)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.matrix))
 
     @classmethod
     def identity(cls, G):
@@ -127,11 +135,18 @@ class Hom:
         return [self.matrix.col(j) for j in range(self.matrix.cols)]
 
 
-@dataclass(frozen=True)
 class GroupWithAction:
-    group: FPGroup
-    action: IntMatrix
-    order: int
+    __slots__ = ("group", "action", "order")
+
+    def __init__(self, group, action, order):
+        self.group, self.action, self.order = group, action, order
+
+    def __eq__(self, other):
+        return type(other) is GroupWithAction and (self.group, self.action, self.order) == (
+            other.group, other.action, other.order)
+
+    def __hash__(self):
+        return hash((self.group, self.action, self.order))
 
     def action_hom(self):
         return Hom(self.group, self.group, self.action)
@@ -154,7 +169,6 @@ def coinvariants(A: GroupWithAction):
 # Mackey windows.
 
 
-@dataclass(frozen=True)
 class MackeyWindow:
     """Level groups with restriction, transfer, and level automorphisms.
 
@@ -162,18 +176,19 @@ class MackeyWindow:
     pair n | m in the window; weyl[n] generates the order-n action on A(n).
     """
 
-    window: TruncationSet
-    groups: dict
-    weyl: dict
-    res: dict
-    tr: dict
-    # level n -> [weyl^0, weyl^1, ...], grown up to the highest power read
-    _weyl_powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("window", "groups", "weyl", "res", "tr", "_weyl_powers")
 
-    def __post_init__(self):
-        for n in self.window:
-            if n not in self.groups or n not in self.weyl:
+    def __init__(self, window, groups, weyl, res, tr):
+        for n in window:
+            if n not in groups or n not in weyl:
                 raise ValueError(f"level {n} lacks group or action data")
+        self.window, self.groups, self.weyl, self.res, self.tr = window, groups, weyl, res, tr
+        # level n -> [weyl^0, weyl^1, ...], grown up to the highest power read
+        self._weyl_powers = {}
+
+    def __eq__(self, other):
+        return type(other) is MackeyWindow and (self.window, self.groups, self.weyl, self.res, self.tr) == (
+            other.window, other.groups, other.weyl, other.res, other.tr)
 
     def group(self, n):
         if n not in self.window:
@@ -253,11 +268,16 @@ def evaluate_span(M: MackeyWindow, span: SpanMorphism):
 # Axioms.
 
 
-@dataclass
 class AxiomReport:
-    ok: bool = True
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("ok", "checked", "failures")
+
+    def __init__(self, ok=True, checked=0, failures=None):
+        self.ok, self.checked = ok, checked
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        return type(other) is AxiomReport and (self.ok, self.checked, self.failures) == (
+            other.ok, other.checked, other.failures)
 
     def record(self, ok, message):
         self.checked += 1

@@ -8,7 +8,6 @@ itself are recorded as sets of permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .cyclic import (
@@ -46,15 +45,20 @@ def mul_set(seq, target):
     return out
 
 
-@dataclass(frozen=True)
 class ColouredSet:
-    n: int
-    colours: tuple
+    __slots__ = ("n", "colours")
 
-    def __post_init__(self):
-        for c in self.colours:
-            if not isinstance(c, Path) or c.n != self.n:
-                raise ValueError(f"colour {c} does not live on the {self.n}-cycle")
+    def __init__(self, n, colours):
+        for c in colours:
+            if not isinstance(c, Path) or c.n != n:
+                raise ValueError(f"colour {c} does not live on the {n}-cycle")
+        self.n, self.colours = n, colours
+
+    def __eq__(self, other):
+        return type(other) is ColouredSet and (self.n, self.colours) == (other.n, other.colours)
+
+    def __hash__(self):
+        return hash((self.n, self.colours))
 
     @property
     def size(self):
@@ -65,7 +69,6 @@ class ColouredSet:
         return cls(cut.cycle_n, cut.colours())
 
 
-@dataclass(frozen=True)
 class EnvelopeMorphism:
     """Map of coloured sets with ordered fibers.
 
@@ -74,29 +77,34 @@ class EnvelopeMorphism:
     for the colour of y.
     """
 
-    source: ColouredSet
-    target: ColouredSet
-    f: tuple
-    fiber_orders: tuple
+    __slots__ = ("source", "target", "f", "fiber_orders")
 
-    def __post_init__(self):
-        if len(self.f) != self.source.size or len(self.fiber_orders) != self.target.size:
+    def __init__(self, source, target, f, fiber_orders):
+        if len(f) != source.size or len(fiber_orders) != target.size:
             raise ValueError("morphism data does not match the sets")
         seen = set()
-        for y, fiber in enumerate(self.fiber_orders):
+        for y, fiber in enumerate(fiber_orders):
             for x in fiber:
-                if self.f[x] != y or x in seen:
+                if f[x] != y or x in seen:
                     raise ValueError("fiber orders do not partition the source")
                 seen.add(x)
-        if len(seen) != self.source.size:
+        if len(seen) != source.size:
             raise ValueError("fiber orders do not cover the source")
-        for y, fiber in enumerate(self.fiber_orders):
-            seq = [self.source.colours[x] for x in fiber]
-            ok, _ = is_admissible(seq, self.target.colours[y])
+        for y, fiber in enumerate(fiber_orders):
+            seq = [source.colours[x] for x in fiber]
+            ok, _ = is_admissible(seq, target.colours[y])
             if not ok:
                 raise ValueError(
                     f"fiber {fiber} over element {y} carries a non-admissible colour sequence"
                 )
+        self.source, self.target, self.f, self.fiber_orders = source, target, f, fiber_orders
+
+    def __eq__(self, other):
+        return type(other) is EnvelopeMorphism and (self.source, self.target, self.f, self.fiber_orders) == (
+            other.source, other.target, other.f, other.fiber_orders)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.f, self.fiber_orders))
 
     @classmethod
     def identity(cls, X):
@@ -223,7 +231,6 @@ def tensor_handle(left, middle, right):
     return ("tensor", left, middle, right)
 
 
-@dataclass(frozen=True)
 class LabelledCycleSpec:
     """An n-cycle with vertex handles (algebras) and edge handles (bimodules).
 
@@ -231,13 +238,19 @@ class LabelledCycleSpec:
     opaque: strings or nested tensor triples produced by contraction.
     """
 
-    n: int
-    vertices: tuple
-    edges: tuple
+    __slots__ = ("n", "vertices", "edges")
 
-    def __post_init__(self):
-        if self.n < 1 or len(self.vertices) != self.n or len(self.edges) != self.n:
+    def __init__(self, n, vertices, edges):
+        if n < 1 or len(vertices) != n or len(edges) != n:
             raise ValueError("label counts must equal the cycle length")
+        self.n, self.vertices, self.edges = n, vertices, edges
+
+    def __eq__(self, other):
+        return type(other) is LabelledCycleSpec and (self.n, self.vertices, self.edges) == (
+            other.n, other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.vertices, self.edges))
 
     def label(self, path: Path):
         """The handle of a vertex, an edge, or two edges fused across the

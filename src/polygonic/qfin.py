@@ -7,9 +7,6 @@ declared tails (lists of size generators) that certify quasifiniteness but
 never materialize; all computations here are on the finite part.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .cyclic import SizeGuard
@@ -35,17 +32,22 @@ class NotQuasifinite(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class QFinSet:
     """orbits[i] is the size of the i-th orbit; tail declares conceptual
     infinite families (arithmetic generators, all beyond any active window)."""
 
-    orbits: tuple
-    tail: tuple | None = None
+    __slots__ = ("orbits", "tail")
 
-    def __post_init__(self):
-        if any(m < 1 for m in self.orbits):
+    def __init__(self, orbits, tail=None):
+        if any(m < 1 for m in orbits):
             raise ValueError("orbit sizes must be positive")
+        self.orbits, self.tail = orbits, tail
+
+    def __eq__(self, other):
+        return type(other) is QFinSet and (self.orbits, self.tail) == (other.orbits, other.tail)
+
+    def __hash__(self):
+        return hash((self.orbits, self.tail))
 
     @classmethod
     def point(cls):
@@ -72,28 +74,32 @@ class QFinSet:
             )
 
 
-@dataclass(frozen=True)
 class QFinMap:
     """Equivariant map: orbit i of the source lands on orbit assign[i][0] of
     the target, composed with the shift assign[i][1] (an element of the
     target orbit).  Needs the target orbit size to divide the source's."""
 
-    source: QFinSet
-    target: QFinSet
-    assign: tuple
+    __slots__ = ("source", "target", "assign")
 
-    def __post_init__(self):
-        if len(self.assign) != self.source.size:
+    def __init__(self, source, target, assign):
+        if len(assign) != source.size:
             raise ValueError("assignment length != number of source orbits")
-        assign = []
-        for i, (j, s) in enumerate(self.assign):
-            if not 0 <= j < self.target.size:
+        normal = []
+        for i, (j, s) in enumerate(assign):
+            if not 0 <= j < target.size:
                 raise ValueError("target orbit index out of range")
-            m, n = self.source.orbits[i], self.target.orbits[j]
+            m, n = source.orbits[i], target.orbits[j]
             if m % n != 0:
                 raise ValueError(f"orbit size {n} does not divide {m}")
-            assign.append((j, s % n))
-        object.__setattr__(self, "assign", tuple(assign))
+            normal.append((j, s % n))
+        self.source, self.target, self.assign = source, target, tuple(normal)
+
+    def __eq__(self, other):
+        return type(other) is QFinMap and (self.source, self.target, self.assign) == (
+            other.source, other.target, other.assign)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.assign))
 
     @classmethod
     def identity(cls, S):
@@ -228,16 +234,21 @@ def pullback_elementwise(f, g):
     return tuple(sorted(orbits))
 
 
-@dataclass(frozen=True)
 class SpanMorphism:
     """A span source <- apex -> target of equivariant maps."""
 
-    left: QFinMap
-    right: QFinMap
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        if self.left.source.orbits != self.right.source.orbits:
+    def __init__(self, left, right):
+        if left.source.orbits != right.source.orbits:
             raise ValueError("the two legs must share the apex")
+        self.left, self.right = left, right
+
+    def __eq__(self, other):
+        return type(other) is SpanMorphism and (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     @property
     def apex(self):

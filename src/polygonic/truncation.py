@@ -5,11 +5,6 @@ Mackey window levels).  Only finite sets are materialized; conceptually
 infinite families enter through explicit window bounds elsewhere.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
 def is_truncation_set(candidate):
     """True iff xy in the set implies both x and y are in it.
 
@@ -26,16 +21,20 @@ def is_truncation_set(candidate):
     return True
 
 
-@dataclass(frozen=True)
 class TruncationSet:
-    elements: tuple
+    __slots__ = ("elements", "_members")
 
-    def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_members", frozenset(elems))
+    def __init__(self, elements):
+        elems = tuple(sorted(set(elements)))
         if not is_truncation_set(elems):
             raise ValueError(f"{list(elems)} is not divisor-closed")
+        self.elements, self._members = elems, frozenset(elems)
+
+    def __eq__(self, other):
+        return type(other) is TruncationSet and self.elements == other.elements
+
+    def __hash__(self):
+        return hash((self.elements,))
 
     @classmethod
     def divisors(cls, n):

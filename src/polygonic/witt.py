@@ -20,7 +20,6 @@ without materializing the universal polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .cyclic import SizeGuard
@@ -114,15 +113,20 @@ def series_times_factor(ring, s, x, t, g):
 # Witt vectors.
 
 
-@dataclass(frozen=True)
 class WittVector:
-    ring: object
-    support: TruncationSet
-    coeffs: tuple
+    __slots__ = ("ring", "support", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.support):
+    def __init__(self, ring, support, coeffs):
+        if len(coeffs) != len(support):
             raise SupportMismatch("coefficient count must match the support")
+        self.ring, self.support, self.coeffs = ring, support, coeffs
+
+    def __eq__(self, other):
+        return type(other) is WittVector and (self.ring, self.support, self.coeffs) == (
+            other.ring, other.support, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.ring, self.support, self.coeffs))
 
     @classmethod
     def from_dict(cls, ring, support, values):
@@ -258,10 +262,17 @@ def ghost(a: WittVector):
     return GhostVector(a.support, tuple(values))
 
 
-@dataclass(frozen=True)
 class GhostVector:
-    support: TruncationSet
-    values: tuple
+    __slots__ = ("support", "values")
+
+    def __init__(self, support, values):
+        self.support, self.values = support, values
+
+    def __eq__(self, other):
+        return type(other) is GhostVector and (self.support, self.values) == (other.support, other.values)
+
+    def __hash__(self):
+        return hash((self.support, self.values))
 
     def as_dict(self):
         return dict(zip(self.support.elements, self.values))
@@ -515,7 +526,7 @@ def _listed_range(ring, box):
     """(m, low, size): m = 0 over Z and the modulus over Z/m, and the
     integers listed, [-box, box] over Z and [0, m) over Z/m."""
     if ring.kind == "integers":
-        return 0, -box, max(2 * box + 1, 0)
+        return 0, -box, 2 * box + 1
     if ring.kind in ("integers-mod-m", "prime-field"):
         return ring.modulus, 0, ring.modulus
     raise UnsupportedEnumerationRing(f"cannot enumerate over {ring}")
@@ -550,8 +561,10 @@ def equalizer_report(ring, support, box):
     [0, m).  Members are listed in lexicographic order and counted, not
     stored.  The product over t of ceil(size / M_t) bounds the count (over
     Z/m it is the count); past EQUALIZER_GUARD it raises SizeGuard before
-    any member is listed.
+    any member is listed.  The box is read over Z only and must be >= 0.
     """
+    if box < 0:
+        raise ValueError(f"--box must be >= 0, got {box}")
     m, low, size = _listed_range(ring, box)
     levels = []
     bound = 1

@@ -1,7 +1,10 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -728,6 +731,15 @@ def test_every_library_error_but_the_guard_is_a_value_error():
     for cls in errors - {SizeGuard}:
         assert issubclass(cls, ValueError), cls
     assert not issubclass(SizeGuard, ValueError)
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # the value types are plain classes, so start-up generates no methods;
+    # pytest imports dataclasses itself, so only a fresh process can tell
+    env = {**os.environ, "PYTHONPATH": str(Path(polygonic.__file__).parents[1])}
+    code = "import polygonic.cli, sys; print(polygonic.__file__, 'dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == [polygonic.__file__, "False"], done.stderr
 
 
 def test_pullback_guard_edge(runner):

@@ -385,6 +385,11 @@ def test_witt_window_axioms():
 def test_equalizer_examples():
     assert equalizer_membership(ZZ, TruncationSet((1,)), (17,))
     assert equalizer_report(ZZ, TruncationSet((1,)), 3)["equalizer_size"] == 7
+    assert equalizer_report(ZZ, TruncationSet((1,)), 0)["equalizer_size"] == 1
+    # an empty box would list no member, and the empty set is no subgroup
+    for ring in (ZZ, ModularRing(4)):
+        with pytest.raises(ValueError, match="^--box must be >= 0, got -1$"):
+            equalizer_report(ring, TruncationSet((1,)), -1)
 
     report = equalizer_report(ZZ, TruncationSet.divisors(6), 6)
     assert report["equals_ghost_image"]
