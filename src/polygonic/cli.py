@@ -465,7 +465,7 @@ def gfp(level, **window_module):
 @click.option("--window", required=True)
 @click.option("--burnside-m", type=int, default=1)
 def conservativity(window, burnside_m):
-    M = mackey.burnside_representable(burnside_m, _trunc(window))
+    M = _window_module(window, burnside_m, None, None)
     report = mackey.check_conservativity(M)
     payload = {
         "applicable": report["applicable"],
@@ -480,7 +480,7 @@ def conservativity(window, burnside_m):
 @click.option("--window", required=True)
 @click.option("--burnside-m", type=int, default=1)
 def proper_core(window, burnside_m):
-    M = mackey.burnside_representable(burnside_m, _trunc(window))
+    M = _window_module(window, burnside_m, None, None)
     core, trace = mackey.proper_transfer_core(M)
     report = mackey.check_conservativity(core)
     return {

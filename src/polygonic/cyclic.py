@@ -369,7 +369,7 @@ class CutSet:
         if f.source_n != self.cycle_n:
             raise ValueError("cycle size mismatch")
         if not f.is_injective():
-            raise SizeGuard("only injective circle maps induce order maps")
+            raise ValueError("only injective circle maps induce order maps")
         vals = []
         for pos in range(self.size):
             j, a = self.coords(pos)

@@ -7,8 +7,10 @@ the n-th Verschiebung substitutes tau -> tau^n, and the Teichmueller lift of
 r is the geometric series of r.  Ghost coordinates are w_n = sum over d | n
 of d * a_d^(n/d).
 
-Multiplication and Frobenius are evaluated through the decomposition
-a = sum_t V_t[a_t] and the universal identities
+Every operation that changes coordinates is one series: the product of a
+factor (1 - x tau^t)^(-g) for each g * V_t[x] it sums (_vector).
+Multiplication and Frobenius find their factors through a = sum_t V_t[a_t]
+and the universal identities
 
     V_s[x] * V_t[y] = gcd(s,t) * V_lcm(s,t)[x^(l/s) y^(l/t)]
     F_n V_t [x]     = gcd(n,t) * V_{t/g}[x^(n/g)]
@@ -20,7 +22,7 @@ without materializing the universal polynomials.
 
 from __future__ import annotations
 
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .cyclic import SizeGuard
 from .mackey import FPGroup, MackeyWindow
@@ -155,11 +157,6 @@ class WittVector:
     def is_zero(self):
         return all(self.ring.is_zero(c) for c in self.coeffs)
 
-    def restrict(self, support):
-        if not support.subset_of(self.support):
-            raise SupportMismatch("restriction target is not a subset")
-        return WittVector(self.ring, support, tuple(self.coeff(t) for t in support))
-
     def to_json(self):
         return {
             "ring": self.ring.to_json(),
@@ -193,18 +190,45 @@ def teichmuller(ring, r, support):
     return WittVector.from_dict(ring, support, {1: r} if 1 in support else {})
 
 
-def _times_vector(s, a: WittVector, g=1):
-    """s <- s * prod (1 - a_t tau^t)^(-g) in place; returns s."""
-    for t, c in zip(a.support.elements, a.coeffs):
-        series_times_factor(a.ring, s, c, t, g)
+def _factors(a: WittVector, g=1, n=1):
+    """The factors (a_t, n t, g) of g * V_n(a)."""
+    return [(c, n * t, g) for t, c in zip(a.support.elements, a.coeffs)]
+
+
+def _product(ring, n, factors):
+    """prod (1 - x tau^t)^(-g) over the factors (x, t, g), mod tau^(n+1)."""
+    s = series_one(ring, n)
+    for x, t, g in factors:
+        series_times_factor(ring, s, x, t, g)
     return s
+
+
+def _read(ring, s, target):
+    """The vector on target whose series is s, peeling s in place; degrees
+    off the target are peeled too, as they feed the higher ones."""
+    n = len(s) - 1
+    coeffs = []
+    for t in range(1, n + 1):
+        c = s[t]
+        if t in target:
+            coeffs.append(c)
+        if not ring.is_zero(c):
+            for i in range(n, t - 1, -1):
+                s[i] = ring.sub(s[i], ring.mul(c, s[i - t]))
+    return WittVector(ring, target, tuple(coeffs))
+
+
+def _vector(ring, target, factors):
+    """The vector on target whose series is prod (1 - x tau^t)^(-g) over the
+    factors (x, t, g): the one kernel of the operations below."""
+    return _read(ring, _product(ring, target.max(), factors), target)
 
 
 def to_series(a: WittVector):
     """prod (1 - a_t tau^t)^(-1) mod tau^(N+1); interval supports only."""
     if not a.support.is_interval():
         raise NonIntervalSupport(f"{a.support} is not an interval")
-    return _times_vector(series_one(a.ring, a.support.max()), a)
+    return _product(a.ring, a.support.max(), _factors(a))
 
 
 def from_series(ring, s):
@@ -212,25 +236,13 @@ def from_series(ring, s):
     n = len(s) - 1
     if n < 1 or not ring.eq(s[0], ring.one()):
         raise ValueError("series must have constant term 1 and positive length")
-    residual = list(s)
-    coeffs = []
-    for t in range(1, n + 1):
-        c = residual[t]
-        coeffs.append(c)
-        if not ring.is_zero(c):
-            # multiply by (1 - c tau^t)
-            for i in range(n, t - 1, -1):
-                residual[i] = ring.sub(residual[i], ring.mul(c, residual[i - t]))
-    return WittVector(ring, TruncationSet.interval(n), tuple(coeffs))
+    return _read(ring, list(s), TruncationSet.interval(n))
 
 
 def add(a: WittVector, b: WittVector):
     if a.ring != b.ring or a.support != b.support:
         raise SupportMismatch("addition needs matching ring and support")
-    if not a.support.elements:
-        return a
-    s = _times_vector(_times_vector(series_one(a.ring, a.support.max()), a), b)
-    return from_series(a.ring, s).restrict(a.support)
+    return _vector(a.ring, a.support, _factors(a) + _factors(b))
 
 
 def neg(a: WittVector):
@@ -238,14 +250,13 @@ def neg(a: WittVector):
 
 
 def sub(a, b):
-    return add(a, neg(b))
+    if a.ring != b.ring or a.support != b.support:
+        raise SupportMismatch("addition needs matching ring and support")
+    return _vector(a.ring, a.support, _factors(a) + _factors(b, -1))
 
 
 def int_multiple(c, a: WittVector):
-    if not a.support.elements:
-        return a
-    s = _times_vector(series_one(a.ring, a.support.max()), a, c)
-    return from_series(a.ring, s).restrict(a.support)
+    return _vector(a.ring, a.support, _factors(a, c))
 
 
 def ghost(a: WittVector):
@@ -299,24 +310,16 @@ def multiply(a: WittVector, b: WittVector):
     """Witt product via the pairwise Verschiebung expansion."""
     if a.ring != b.ring or a.support != b.support:
         raise SupportMismatch("multiplication needs matching ring and support")
-    ring = a.ring
-    if not a.support.elements:
-        return a
-    n = a.support.max()
-    da, db = a.as_dict(), b.as_dict()
-    out = series_one(ring, n)
-    for s, x in da.items():
-        if ring.is_zero(x):
-            continue
-        for t, y in db.items():
-            if ring.is_zero(y):
-                continue
-            l = lcm(s, t)
-            if l > n:
-                continue
-            c = ring.mul(ring.pow(x, l // s), ring.pow(y, l // t))
-            series_times_factor(ring, out, c, l, gcd(s, t))
-    return from_series(ring, out).restrict(a.support)
+    ring, n = a.ring, a.support.max()
+    xs, ys = ([(t, c) for t, c in zip(v.support.elements, v.coeffs) if not ring.is_zero(c)] for v in (a, b))
+    factors = []
+    for s, x in xs:
+        for t, y in ys:
+            g = gcd(s, t)
+            l = s * t // g
+            if l <= n:
+                factors.append((ring.mul(ring.pow(x, l // s), ring.pow(y, l // t)), l, g))
+    return _vector(ring, a.support, factors)
 
 
 def default_verschiebung_support(support, n):
@@ -348,19 +351,12 @@ def frobenius(a: WittVector, n):
         raise ValueError("n must be >= 1")
     ring = a.ring
     target = a.support.divide(n)
-    if not target.elements:
-        return zero_vector(ring, target)
-    m = target.max()
-    out = series_one(ring, m)
-    for t, x in a.as_dict().items():
-        if ring.is_zero(x):
-            continue
+    factors = []
+    for t, x in zip(a.support.elements, a.coeffs):
         g = gcd(n, t)
-        step = t // g
-        if step > m:
-            continue
-        series_times_factor(ring, out, ring.pow(x, n // g), step, g)
-    return from_series(ring, out).restrict(target)
+        if t // g <= target.max() and not ring.is_zero(x):
+            factors.append((ring.pow(x, n // g), t // g, g))
+    return _vector(ring, target, factors)
 
 
 def infinite_verschiebung(ring, family, support, tail=None):
@@ -373,7 +369,7 @@ def infinite_verschiebung(ring, family, support, tail=None):
     bound = support.max()
     if tail is not None and any(g <= bound for g in tail):
         raise NotSummable("declared infinite multiplicity inside the support bound")
-    total = zero_vector(ring, support)
+    factors = []
     for n, x in family:
         if n < 2:
             raise ValueError("summable families need sizes >= 2")
@@ -381,8 +377,10 @@ def infinite_verschiebung(ring, family, support, tail=None):
             continue
         if x.support != support.divide(n):
             raise SupportMismatch(f"summand at size {n} has support {x.support}")
-        total = add(total, verschiebung(x, n, support))
-    return total
+        if x.ring != ring:
+            raise SupportMismatch("addition needs matching ring and support")
+        factors += _factors(x, 1, n)
+    return _vector(ring, support, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -390,30 +388,29 @@ def infinite_verschiebung(ring, family, support, tail=None):
 # the bridge to Mackey windows.
 
 
-def _supported_rings(ring):
-    return ring.kind in ("integers", "integers-mod-m", "prime-field")
-
-
 def peel_coordinates(a: WittVector):
     """Integer coordinates of a in the generating set {V_t[1]}.
 
-    Peels levels bottom-up; at each stage the leading coordinate is additive,
-    so subtracting the integer multiple of V_t[1] clears it.  Exact for
-    integer and modular coefficients.
+    One pass over the series of a, degree by degree, as in from_series.  At
+    a degree t of the support the coefficient lifts to an integer k, and the
+    factor (1, t, -k), subtracting k * V_t[1], clears it; at any other degree
+    the factor (c, t, -1) clears the coefficient c, as V_t[c] is zero on the
+    support.  Exact for integer and modular coefficients.
     """
     ring = a.ring
-    if not _supported_rings(ring):
+    if ring.kind not in ("integers", "integers-mod-m", "prime-field"):
         raise UnsupportedEnumerationRing(f"{ring} has no canonical integer lifts")
-    current = a
+    s = _product(ring, a.support.max(), _factors(a))
     coords = []
-    for t in a.support:
-        c = current.coeff(t)
-        k = c if ring.kind == "integers" else c % ring.modulus
-        coords.append(k)
-        if k:
-            gen = verschiebung(teichmuller(ring, ring.one(), a.support.divide(t)), t, a.support)
-            current = sub(current, int_multiple(k, gen))
-    if not current.is_zero():
+    for t in range(1, len(s)):
+        c = s[t]
+        if t in a.support:
+            k = c if ring.kind == "integers" else c % ring.modulus
+            coords.append(k)
+            series_times_factor(ring, s, ring.one(), t, -k)
+        else:
+            series_times_factor(ring, s, c, t, -1)
+    if not all(ring.is_zero(c) for c in s[1:]):
         raise AssertionError("peeling did not terminate at zero")
     return coords
 
@@ -428,8 +425,7 @@ def witt_group_presentation(ring, support):
     m = ring.modulus
     rows = []
     for i, t in enumerate(support.elements):
-        gen = verschiebung(teichmuller(ring, ring.one(), support.divide(t)), t, support)
-        coords = peel_coordinates(int_multiple(m, gen))
+        coords = peel_coordinates(_vector(ring, support, [(ring.one(), t, m)]))
         row = [-c for c in coords]
         row[i] += m
         rows.append(row)

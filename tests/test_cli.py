@@ -606,12 +606,15 @@ def test_burnside_m_below_one_is_a_validation_error(runner):
         ("gfp", []),
         ("evaluate-span", ["--span", "1:2:1"]),
         ("transfer-sum", ["--family", "4=1"]),
+        ("conservativity", []),
+        ("proper-core", []),
     ):
         base = ["mackey", command, "--window", "1,2,4"] + extra
         for m in ("0", "-1"):
             result = run(runner, base + ["--burnside-m", m])
             assert result.exit_code == 2, (command, m)
-            assert json.loads(result.output)["kind"] == "validation"
+            assert json.loads(result.output) == {
+                "error": f"--burnside-m must be >= 1, got {m}", "kind": "validation"}, (command, m)
         assert run(runner, base + ["--burnside-m", "1"]).exit_code == 0
 
 

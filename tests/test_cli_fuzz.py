@@ -48,6 +48,9 @@ RINGS = ["Z", "Q", "Z/8", "F5", "F_3", "GF(7)", "F4", "Z/1", "Z/0", "Z/x", "", "
 VECTORS = ["1:1", "1:1,2:3", "", "x", "1:", ":1", "5:1", "1:1,1:2", "0:1", "-1:1", "1:x", "1:1/0", "1:1/2"]
 SPANS = ["1:1:1", "1:2:1", "2:2:1", "1:2:1:1:0", "2:4:2:1:3", "0:1:1", "1:0:1", "1:2", "x", ""]
 FAMILIES = ["4=1", "2=1;4=1,0", "1=1,0;2=1", "2=", "=1", "x", "", "3=1;3=1", "0=1"]
+# `witt sum-v` families, one series each: a repeated size and a size past
+# the support bound among them
+SUMMANDS = ["2=1:1", "2=1:1;3=1:1", "2=1:1;2=1:1", "2=1:1;5=1:1", "2=", "0=1:1", "x", ""]
 SPECS = [
     '{"n": 3, "vertices": ["A", "B", "C"], "edges": ["M", "N", "P"]}',
     '{"n": 1, "vertices": ["A"], "edges": ["M"]}',
@@ -129,7 +132,7 @@ def _grammar(cycles):
         ("witt", "ver"): (dict(witt, **{"--target": LISTS, "--n": _ints(), "--vec": VECTORS}), ring),
         ("witt", "frob"): (dict(witt, **{"--n": _ints(), "--vec": VECTORS}), ring),
         ("witt", "teich"): (dict(witt, **{"--r": ["0", "1", "-1", "1/2", "x", ""]}), ring),
-        ("witt", "sum-v"): (dict(witt, **{"--family": ["2=1:1", "2=1:1;3=1:1", "2=", "0=1:1", "x", ""]}), ring),
+        ("witt", "sum-v"): (dict(witt, **{"--family": SUMMANDS}), ring),
         ("witt", "recover"): ({"--ring": RINGS, "--N": WINDOW}, {}),
         ("witt", "equalizer"): (
             {"--support": ["1", "1,2", "2", "", "x", "1,2,3,6", "1,2,3,4,5,6", "1,2,3,4,5,6,7"],

@@ -153,6 +153,15 @@ def test_cut_examples():
         )
 
 
+def test_position_maps_need_injective_circle_maps():
+    # bad input, not a size limit: a ValueError, not the guard
+    fold = CyclicMap(2, 1, (0, 0))
+    with pytest.raises(ValueError, match="^only injective circle maps induce order maps$"):
+        CutSet(1, 2).position_map_cyclic(fold)
+    injective = CyclicMap.rotation(2, 1)
+    assert CutSet(1, 2).position_map_cyclic(injective).source_n == 4
+
+
 def test_simplicial_identities():
     for n in (1, 2, 3):
         for q in (2, 3, 4, 5):

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -36,6 +37,7 @@ from polygonic.witt import (
     to_series,
     verschiebung,
     witt_as_mackey,
+    witt_group_presentation,
     zero_vector,
 )
 
@@ -317,6 +319,47 @@ def test_peel_coordinates():
                 gen = verschiebung(teichmuller(ring, ring.one(), T4.divide(t)), t, T4)
                 rebuilt = add(rebuilt, int_multiple(c, gen))
             assert rebuilt.eq(v)
+
+
+def _reduce(v, ring):
+    return WittVector(ring, v.support, tuple(ring.from_int(c) for c in v.coeffs))
+
+
+def test_every_operation_commutes_with_reduction_mod_m():
+    # W(Z) -> W(Z/m) is a ring map that commutes with F_n and V_n, so each
+    # operation over Z/m must give the reduction of its result over Z.
+    rng = random.Random(23)
+    rings = (ModularRing(8), ModularRing(9), PrimeField(5))
+    checks = 0
+    for support in (interval_truncation(12), TruncationSet.divisors(36)):
+        bound = support.max()
+        for _ in range(3):
+            a, b = rand_vec(rng, ZZ, support), rand_vec(rng, ZZ, support)
+            # a repeated size, and a size past the bound that adds nothing
+            family = [(n, rand_vec(rng, ZZ, support.divide(n))) for n in (2, 3, 2, bound + 1)]
+
+            def results(lift):
+                x, y = lift(a), lift(b)
+                out = [add(x, y), sub(x, y), neg(x), int_multiple(-3, x), multiply(x, y)]
+                out += [frobenius(x, n) for n in (2, 3, 5)]
+                out.append(infinite_verschiebung(x.ring, [(n, lift(v)) for n, v in family], support))
+                return out
+
+            over_z = results(lambda v: v)
+            for ring in rings:
+                assert results(lambda v: _reduce(v, ring)) == [_reduce(v, ring) for v in over_z], ring
+                checks += len(over_z)
+    assert checks == 162
+
+
+def test_presentations_have_m_to_the_size_elements():
+    # W_T(Z/m) has m^|T| elements: no free part, torsion of that order.
+    sets = _truncation_sets(12, 6)
+    assert len(sets) == 110
+    for ring in (ModularRing(4), ModularRing(6), ModularRing(8), ModularRing(9), PrimeField(5)):
+        for T in sets:
+            torsion, free = witt_group_presentation(ring, T).invariants()
+            assert free == 0 and prod(torsion) == ring.modulus ** len(T), (ring, T)
 
 
 def test_recover_base():
