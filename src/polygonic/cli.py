@@ -132,12 +132,17 @@ def _witt_vector(ring, support, text, option):
             )
         return vec
     ring = ring or rings.ZZ
+    return witt.WittVector.from_dict(ring, support, _witt_values(ring, text, option))
+
+
+def _witt_values(ring, text, option):
+    """The t:v pairs of text, given by option, as a dict t -> value in ring."""
     values = {}
     if text.strip():
         for item in text.split(","):
             t, v = _pair(option, item, ":", "t:v")
             values[rings.ZZ.parse(t)] = ring.parse(v)
-    return witt.WittVector.from_dict(ring, support, values)
+    return values
 
 
 class _Root(click.Group):
@@ -643,7 +648,15 @@ def sum_v(family, **ring_support):
     for item in family.split(";"):
         n_text, coeffs = _pair("--family", item, "=", "n=t:v,...")
         n = rings.ZZ.parse(n_text)
-        fam.append((n, _witt_vector(ring, supp.divide(n), coeffs, "--family")))
+        if n > supp.max() and not coeffs.startswith("@"):
+            # past the support's bound V_n adds nothing, and
+            # infinite_verschiebung drops the summand: its pairs are parsed
+            _witt_values(ring, coeffs, "--family")
+            continue
+        try:
+            fam.append((n, _witt_vector(ring, supp.divide(n), coeffs, "--family")))
+        except witt.SupportMismatch as exc:
+            raise ValueError(f"--family size {n}: {exc}") from None
     out = witt.infinite_verschiebung(ring, fam, supp)
     return out.to_json()
 

@@ -12,7 +12,16 @@ import random
 from math import gcd, lcm
 
 from .qfin import QFinSet, SpanMorphism, compose_spans
-from .rings import ZZ, DimensionMismatch, IntMatrix, invariant_factors, lattice_contains
+from .rings import (
+    ZZ,
+    DimensionMismatch,
+    IntMatrix,
+    _add_multiple,
+    _int_rows,
+    invariant_factors,
+    invariant_factors_of_rows,
+    lattice_contains,
+)
 from .truncation import TruncationSet
 
 
@@ -27,12 +36,13 @@ class LevelOutsideWindow(ValueError):
 class FPGroup:
     """Z^ngens modulo the row span of the presentation matrix."""
 
-    __slots__ = ("ngens", "relations")
+    __slots__ = ("ngens", "relations", "_invariants")
 
     def __init__(self, ngens, relations):
         if relations.cols != ngens:
             raise ValueError("presentation width must equal ngens")
         self.ngens, self.relations = ngens, relations
+        self._invariants = None  # invariant_factors(relations), once read
 
     def __eq__(self, other):
         return type(other) is FPGroup and (self.ngens, self.relations) == (other.ngens, other.relations)
@@ -57,15 +67,29 @@ class FPGroup:
 
     def invariants(self):
         """(torsion factors > 1, free rank)."""
-        return invariant_factors(self.relations)
+        if self._invariants is None:
+            self._invariants = invariant_factors(self.relations)
+        torsion, free = self._invariants
+        return list(torsion), free
 
     def is_zero_group(self):
         torsion, free = self.invariants()
         return not torsion and free == 0
 
     def are_zero(self, elements):
-        """Does every element (a coefficient vector) vanish in the group?"""
-        return lattice_contains(self.relation_columns(), elements, self.ngens)
+        """Does every element (a coefficient vector) vanish in the group?
+
+        The group maps onto its quotient by the elements; a surjection
+        between isomorphic finitely generated abelian groups is injective, so
+        the elements vanish exactly when the quotient has the group's
+        invariants (as in lattice_contains, with the group's side memoized).
+        """
+        rows = _int_rows(self.relations)
+        for x in elements:
+            if len(x) != self.ngens:
+                raise DimensionMismatch(f"lattice vectors must have length {self.ngens}")
+            rows.append({j: v for j, v in enumerate(x) if v})
+        return invariant_factors_of_rows(rows, self.ngens) == self.invariants()
 
     def is_zero_element(self, x):
         return self.are_zero([list(x)])
@@ -176,7 +200,7 @@ class MackeyWindow:
     pair n | m in the window; weyl[n] generates the order-n action on A(n).
     """
 
-    __slots__ = ("window", "groups", "weyl", "res", "tr", "_weyl_powers")
+    __slots__ = ("window", "groups", "weyl", "res", "tr", "_weyl_powers", "_up", "_down")
 
     def __init__(self, window, groups, weyl, res, tr):
         for n in window:
@@ -185,6 +209,9 @@ class MackeyWindow:
         self.window, self.groups, self.weyl, self.res, self.tr = window, groups, weyl, res, tr
         # level n -> [weyl^0, weyl^1, ...], grown up to the highest power read
         self._weyl_powers = {}
+        # the matrices of up_leg and down_leg, keyed (b, l, t mod b) and
+        # (l, a, s mod a)
+        self._up, self._down = {}, {}
 
     def __eq__(self, other):
         return type(other) is MackeyWindow and (self.window, self.groups, self.weyl, self.res, self.tr) == (
@@ -220,6 +247,22 @@ class MackeyWindow:
             return Hom.identity(self.group(n))
         return Hom(self.group(m), self.group(n), self.tr[(n, m)])
 
+    def up_leg(self, b, l, t):
+        """The matrix of F from level b to level l after weyl_b^t."""
+        key = (b, l, t % b)
+        leg = self._up.get(key)
+        if leg is None:
+            leg = self._up[key] = self.res_hom(b, l).matrix.mul(self.weyl_hom(b, t).matrix)
+        return leg
+
+    def down_leg(self, l, a, s):
+        """The matrix of weyl_a^(-s) after V from level l down to level a."""
+        key = (l, a, s % a)
+        leg = self._down.get(key)
+        if leg is None:
+            leg = self._down[key] = self.weyl_hom(a, -s).matrix.mul(self.tr_hom(l, a).matrix)
+        return leg
+
     def proper_multiples(self, n):
         return tuple(m for m in self.window if m % n == 0 and m != n)
 
@@ -245,7 +288,9 @@ def evaluate_span(M: MackeyWindow, span: SpanMorphism):
     Per apex orbit Z/l with leg shifts (s, t): twist by the level-b action t
     times, restrict to level l, transfer to level a, and untwist by the
     level-a action s times; orbits are summed.  Spans compose contravariantly
-    into composition of these maps.
+    into composition of these maps.  Each term is the product of its two
+    memoized legs, down_leg(l, a, s) after up_leg(b, l, t), added straight
+    into the columns of the sum.
     """
     if span.source.size != 1 or span.target.size != 1:
         raise ValueError("evaluate_span needs single-orbit ends")
@@ -254,14 +299,14 @@ def evaluate_span(M: MackeyWindow, span: SpanMorphism):
     for level in (a, b) + span.apex.orbits:
         if level not in M.window:
             raise LevelOutsideWindow(f"orbit size {level} is outside the window")
-    total = Hom.zero(M.group(b), M.group(a))
+    dom, cod = M.group(b), M.group(a)
+    columns = [{} for _ in range(dom.ngens)]
     for (l, _, s, _, t) in span.orbit_data():
-        term = M.weyl_hom(b, t)
-        term = M.res_hom(b, l).after(term)
-        term = M.tr_hom(l, a).after(term)
-        term = M.weyl_hom(a, (-s) % a).after(term)
-        total = total.add(term)
-    return total
+        down = M.down_leg(l, a, s).columns()
+        for column, up in zip(columns, M.up_leg(b, l, t).columns()):
+            for k, c in up.items():
+                _add_multiple(ZZ, column, c, down[k])
+    return Hom(dom, cod, IntMatrix.from_columns(ZZ, cod.ngens, columns))
 
 
 # ---------------------------------------------------------------------------

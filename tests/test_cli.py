@@ -626,8 +626,25 @@ def test_witt_indices_outside_the_support_are_validation_errors(runner):
         "error": "indices [5] lie outside the support [1, 2, 3]", "kind": "validation",
     }
     assert run(runner, base + ["--b", "3:1"]).exit_code == 0
-    result = run(runner, ["witt", "sum-v", "--support", "1,2,3,4", "--family", "2=1:1,3:1"])
-    assert result.exit_code == 2
+    sum_v = ["witt", "sum-v", "--support", "1,2,3,4", "--family"]
+    for family, size, outside in (("2=1:1,3:1", 2, "[3] lie outside the support [1, 2]"),
+                                  ("2=1:1;3=2:1", 3, "[2] lie outside the support [1]")):
+        result = run(runner, sum_v + [family])
+        assert result.exit_code == 2
+        assert json.loads(result.output) == {
+            "error": f"--family size {size}: indices {outside}", "kind": "validation",
+        }
+    # A size past the support bound adds nothing, as in
+    # witt.infinite_verschiebung, but its pairs must still parse.
+    alone = run(runner, sum_v + ["2=1:1"])
+    assert alone.exit_code == 0
+    for family in ("2=1:1;5=1:1", "2=1:1;5=1:0,7:3", "5=9:9;2=1:1", "2=1:1;5="):
+        assert run(runner, sum_v + [family]).output == alone.output, family
+    for family, error in (("2=1:1;5=1", "each --family item is t:v; got '1'"),
+                          ("2=1:1;5=1:x", "'x' is not an element of Z")):
+        result = run(runner, sum_v + [family])
+        assert result.exit_code == 2
+        assert json.loads(result.output) == {"error": error, "kind": "validation"}
 
 
 def test_equalizer_guard_edge(runner):

@@ -1,4 +1,6 @@
 import random
+from itertools import product
+from math import lcm
 
 import pytest
 
@@ -20,7 +22,7 @@ from polygonic.mackey import (
     scale_restrict,
 )
 from polygonic.qfin import QFinSet, SpanMorphism, compose_spans
-from polygonic.rings import ZZ, IntMatrix
+from polygonic.rings import ZZ, DimensionMismatch, IntMatrix, invariant_factors, lattice_contains
 from polygonic.truncation import TruncationSet
 from polygonic.witt import witt_as_mackey
 from polygonic.rings import ModularRing
@@ -100,7 +102,11 @@ def test_axioms_burnside_12():
 
 
 def test_axioms_detect_corruption():
+    # The clean window is checked first, so that its memoized span legs are
+    # filled; the corrupted window shares every matrix but one and must not
+    # read them.
     B = burnside_representable(1, W6)
+    assert check_mackey_axioms(B, trials=60, seed=3).ok
     tr = dict(B.tr)
     bad = tr[(1, 2)]
     tr[(1, 2)] = bad.add(IntMatrix(ZZ, bad.rows, bad.cols, {(0, 0): 1}))
@@ -122,7 +128,6 @@ def test_evaluate_span_functor_random():
     levels = list(W12)
     checked = 0
     while checked < 100:
-        from math import lcm
         a, b, c = (rng.choice(levels) for _ in range(3))
         l1 = [l for l in levels if l % lcm(a, b) == 0]
         l2 = [l for l in levels if l % lcm(b, c) == 0]
@@ -137,6 +142,97 @@ def test_evaluate_span_functor_random():
         rhs = evaluate_span(B, s1).after(evaluate_span(B, s2))
         assert lhs.equal(rhs)
         checked += 1
+
+
+def test_actions_of_higher_order_respect_apex_automorphisms():
+    # On B_3, B_4 and B_6 the level actions have orders 3, 4 and 6, so
+    # untwisting by W_a^s in place of W_a^(-s) gives another map.  A shift
+    # of the apex Z/l by c sends the leg shifts (s, t) to (s + c, t + c)
+    # and must leave the span's map alone: 28596 pairs (c = 1, ..., l - 1),
+    # each span evaluated once.
+    pairs = 0
+    for m in (3, 4, 6):
+        M = burnside_representable(m, W12)
+        for a, b, l in product(W12, W12, W12):
+            if l % lcm(a, b):
+                continue
+            h = {(s, t): evaluate_span(M, SpanMorphism.single(a, l, b, s, t)).matrix
+                 for s in range(a) for t in range(b)}
+            for (s, t), matrix in h.items():
+                for c in range(1, l):
+                    assert h[((s + c) % a, (t + c) % b)] == matrix, (m, a, l, b, s, t, c)
+                    pairs += 1
+        report = check_mackey_axioms(M, trials=100, seed=m)
+        assert report.ok, report.failures[:3]
+    assert pairs == 28596
+
+
+def _four_factor(powers, M, a, l, b, s, t):
+    """weyl_a^(-s) V_{l->a} F_{b->l} weyl_b^t, each factor built afresh."""
+    return powers[a][(-s) % a].after(M.tr_hom(l, a)).after(M.res_hom(b, l)).after(powers[b][t])
+
+
+def test_evaluate_span_matches_the_four_factor_product():
+    # Every single-orbit span Z/a <- Z/l -> Z/b, on a window with a cold
+    # memo (a new window on the same data each time) and on one whose memo
+    # fills as it goes, then again once it is warm.
+    windows = (
+        burnside_representable(1, W12),
+        burnside_representable(4, W12),
+        witt_as_mackey(ModularRing(8), 12),
+        witt_as_mackey(ZZ, 12),
+    )
+    for M in windows:
+        powers = {}
+        for n in M.window:
+            w, power = Hom(M.group(n), M.group(n), M.weyl[n]), Hom.identity(M.group(n))
+            powers[n] = []
+            for _ in range(n):
+                powers[n].append(power)
+                power = w.after(power)
+        expected = {}
+        for a, b, l in product(M.window, M.window, M.window):
+            if l % lcm(a, b) == 0:
+                for s, t in product(range(a), range(b)):
+                    expected[(a, l, b, s, t)] = _four_factor(powers, M, a, l, b, s, t)
+        warm = MackeyWindow(M.window, M.groups, M.weyl, M.res, M.tr)
+        for key, h in expected.items():
+            cold = MackeyWindow(M.window, M.groups, M.weyl, M.res, M.tr)
+            assert evaluate_span(cold, SpanMorphism.single(*key)) == h, key
+            assert evaluate_span(warm, SpanMorphism.single(*key)) == h, key
+        for key, h in expected.items():
+            assert evaluate_span(warm, SpanMorphism.single(*key)) == h, key
+
+
+def test_are_zero_matches_lattice_contains():
+    # Seeded groups, 32 of the 60 with torsion, each asked several times,
+    # so that its memoized invariants are read warm; half the vectors are
+    # combinations of the relations plus a small perturbation.
+    rng = random.Random(24)
+    outcomes, torsion_groups = [], 0
+    for _ in range(60):
+        ngens = rng.randrange(1, 5)
+        relations = [[rng.randrange(-6, 7) for _ in range(ngens)] for _ in range(rng.randrange(1, 5))]
+        G = FPGroup(ngens, IntMatrix.from_rows(ZZ, relations))
+        for _ in range(5):
+            elements = []
+            for _ in range(rng.randrange(0, 4)):
+                x = [sum(rng.randrange(-3, 4) * r[j] for r in relations) for j in range(ngens)]
+                if rng.random() < 0.5:
+                    x[rng.randrange(ngens)] += rng.randrange(-2, 3)
+                elements.append(x)
+            expected = lattice_contains(G.relation_columns(), elements, ngens)
+            assert G.are_zero(elements) == expected, (relations, elements)
+            outcomes.append(expected)
+        torsion, free = G.invariants()
+        torsion_groups += bool(torsion)
+        torsion.append(0)
+        assert G.invariants() == invariant_factors(G.relations)
+    assert torsion_groups == 32 and outcomes.count(True) > 100 and outcomes.count(False) > 100
+    G = FPGroup(2, IntMatrix.from_rows(ZZ, [[0, 4]]))
+    for elements in ([[1, 0, 0]], [[0, 0], [1]]):
+        with pytest.raises(DimensionMismatch, match="^lattice vectors must have length 2$"):
+            G.are_zero(elements)
 
 
 def test_infinite_transfer_sum():

@@ -183,7 +183,14 @@ def test_caches_stay_out_of_the_value():
     fields = CASES[MackeyWindow][0]
     window = MackeyWindow(**fields)
     window.weyl_hom(1, 0)
+    window.up_leg(1, 1, 0)
+    window.down_leg(1, 1, 0)
     assert window == MackeyWindow(**fields)
+
+    fields = CASES[FPGroup][0]
+    group = FPGroup(**fields)
+    assert group.invariants() == ([4], 0) and group.are_zero([[8]])
+    assert group == FPGroup(**fields) and hash(group) == hash(FPGroup(**fields))
 
 
 def test_paths_sort_by_size_start_and_length():
