@@ -544,7 +544,7 @@ def coinvariants(ngens, relations, action, order):
         if rows
         else rings.IntMatrix.zeros(rings.ZZ, 0, ngens)
     )
-    grid = [_ints(r) for r in action.split(";")]
+    grid = [_ints(r) for r in action.split(";") if r.strip()]
     if len({len(row) for row in grid}) > 1:
         t, row = next((t, row) for t, row in enumerate(grid, 1) if len(row) != ngens)
         raise ValueError(f"--action must be {ngens}x{ngens}; row {t} has {len(row)} entries")
@@ -648,6 +648,8 @@ def sum_v(family, **ring_support):
     for item in family.split(";"):
         n_text, coeffs = _pair("--family", item, "=", "n=t:v,...")
         n = rings.ZZ.parse(n_text)
+        if n < 2:
+            raise ValueError(f"--family size {n}: summable families need sizes >= 2")
         if n > supp.max() and not coeffs.startswith("@"):
             # past the support's bound V_n adds nothing, and
             # infinite_verschiebung drops the summand: its pairs are parsed

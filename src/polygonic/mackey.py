@@ -20,7 +20,6 @@ from .rings import (
     _int_rows,
     invariant_factors,
     invariant_factors_of_rows,
-    lattice_contains,
 )
 from .truncation import TruncationSet
 
@@ -62,8 +61,9 @@ class FPGroup:
     def cyclic(cls, m):
         return cls(1, IntMatrix(ZZ, 1, 1, {(0, 0): m}))
 
-    def relation_columns(self):
-        return [self.relations.row(i) for i in range(self.relations.rows)]
+    def relation_rows(self):
+        """The relations as fresh sparse rows (dicts generator -> nonzero int)."""
+        return _int_rows(self.relations)
 
     def invariants(self):
         """(torsion factors > 1, free rank)."""
@@ -76,33 +76,32 @@ class FPGroup:
         torsion, free = self.invariants()
         return not torsion and free == 0
 
+    def _rows_with(self, elements):
+        """The relation rows followed by copies of the elements, which
+        elimination may then change in place."""
+        rows = self.relation_rows()
+        for x in elements:
+            for j in x:
+                if not 0 <= j < self.ngens:
+                    raise DimensionMismatch(f"element index {j} is outside range({self.ngens})")
+            rows.append({j: v for j, v in x.items() if v})
+        return rows
+
     def are_zero(self, elements):
-        """Does every element (a coefficient vector) vanish in the group?
+        """Does every element (a sparse vector, dict generator -> int) vanish?
 
         The group maps onto its quotient by the elements; a surjection
         between isomorphic finitely generated abelian groups is injective, so
         the elements vanish exactly when the quotient has the group's
-        invariants (as in lattice_contains, with the group's side memoized).
+        invariants, which are memoized.
         """
-        rows = _int_rows(self.relations)
-        for x in elements:
-            if len(x) != self.ngens:
-                raise DimensionMismatch(f"lattice vectors must have length {self.ngens}")
-            rows.append({j: v for j, v in enumerate(x) if v})
-        return invariant_factors_of_rows(rows, self.ngens) == self.invariants()
+        return invariant_factors_of_rows(self._rows_with(elements), self.ngens) == self.invariants()
 
-    def is_zero_element(self, x):
-        return self.are_zero([list(x)])
-
-    def quotient_by(self, subgroup_columns):
-        """The quotient by the subgroup the coefficient vectors generate."""
-        rows = [list(c) for c in subgroup_columns]
-        if any(len(row) != self.ngens for row in rows):
-            raise DimensionMismatch("subgroup generator length != ngens")
-        top = self.relations.rows
-        entries = dict(self.relations.items())
-        entries.update({(top + i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
-        return FPGroup(self.ngens, IntMatrix(ZZ, top + len(rows), self.ngens, entries))
+    def quotient_by(self, elements):
+        """The quotient by the subgroup the elements (sparse vectors) generate."""
+        rows = self._rows_with(elements)
+        entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+        return FPGroup(self.ngens, IntMatrix(ZZ, len(rows), self.ngens, entries))
 
 
 class Hom:
@@ -130,10 +129,7 @@ class Hom:
         return cls(dom, cod, IntMatrix.zeros(ZZ, cod.ngens, dom.ngens))
 
     def is_well_defined(self):
-        return self.cod.are_zero([self.matrix.mul_vec(rel) for rel in self.dom.relation_columns()])
-
-    def apply(self, x):
-        return self.matrix.mul_vec(list(x))
+        return self.cod.are_zero([self.matrix.apply(rel) for rel in self.dom.relation_rows()])
 
     def after(self, other):
         if other.cod.ngens != self.dom.ngens:
@@ -152,11 +148,7 @@ class Hom:
     def equal(self, other):
         if self.matrix == other.matrix:
             return True
-        diff = self.matrix.sub(other.matrix)
-        return self.cod.are_zero([diff.col(j) for j in range(diff.cols)])
-
-    def image_columns(self):
-        return [self.matrix.col(j) for j in range(self.matrix.cols)]
+        return self.cod.are_zero(self.matrix.sub(other.matrix).columns())
 
 
 class GroupWithAction:
@@ -184,9 +176,7 @@ class GroupWithAction:
 
 def coinvariants(A: GroupWithAction):
     """Quotient by all differences x - (action)x."""
-    diff = IntMatrix.identity(ZZ, A.group.ngens).sub(A.action)
-    cols = [diff.col(j) for j in range(diff.cols)]
-    return A.group.quotient_by(cols)
+    return A.group.quotient_by(IntMatrix.identity(ZZ, A.group.ngens).sub(A.action).columns())
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +411,9 @@ def infinite_transfer_sum(M: MackeyWindow, family, tail=None):
             raise LevelOutsideWindow(f"family level {n} is outside the window")
         if n < 2:
             raise ValueError("transfer family levels must be >= 2")
-        v = M.tr_hom(n, 1).apply(x)
+        v = M.tr_hom(n, 1).matrix.mul_vec(x)
         total = [p + q for p, q in zip(total, v)]
     return total
-
-
-def proper_transfer_columns(M: MackeyWindow, n):
-    cols = []
-    for m in M.proper_multiples(n):
-        cols.extend(M.tr_hom(m, n).image_columns())
-    return cols
 
 
 def geometric_fixed_points(M: MackeyWindow, n):
@@ -440,7 +423,8 @@ def geometric_fixed_points(M: MackeyWindow, n):
     """
     if n not in M.window:
         raise LevelOutsideWindow(f"level {n} is outside the window")
-    quotient = M.group(n).quotient_by(proper_transfer_columns(M, n))
+    quotient = M.group(n).quotient_by(
+        x for m in M.proper_multiples(n) for x in M.tr_hom(m, n).matrix.columns())
     return GroupWithAction(quotient, M.weyl[n], n)
 
 
@@ -493,32 +477,30 @@ def proper_transfer_core(M: MackeyWindow):
 
     Iterates L <- (relations + proper-transfer images of L) from the full
     module downwards until stable; within a finite window the chains fall
-    off the top of the window, so the core collapses to zero.  Returns the
-    iteration trace and the resulting window (zero at every level).
+    off the top of the window, so the core collapses to zero.  Level n's
+    lattice L is held as the group Z^ngens / L, whose relation rows generate
+    L, and the core's rank there is the free rank of A(n) less that of
+    Z^ngens / L.  Returns the iteration trace and the resulting window (zero
+    at every level).
     """
-    lattices = {}
-    for n in M.window:
-        full = [[1 if i == j else 0 for i in range(M.group(n).ngens)] for j in range(M.group(n).ngens)]
-        lattices[n] = [list(c) for c in full] + M.group(n).relation_columns()
+    quotients = {n: M.group(n).quotient_by({i: 1} for i in range(M.group(n).ngens)) for n in M.window}
     trace = []
     while True:
-        new = {}
-        for n in M.window:
-            cols = list(M.group(n).relation_columns())
-            for m in M.proper_multiples(n):
-                V = M.tr_hom(m, n)
-                for c in lattices[m]:
-                    cols.append(V.matrix.mul_vec(c))
-            new[n] = cols
-        trace.append({n: _lattice_rank(M, n, new[n]) for n in M.window})
-        # new[n] lies in lattices[n]: the first lattices are everything, and
-        # each step applies the same maps to smaller lattices.  So the two
-        # are equal when new[n] contains lattices[n].
-        if all(lattice_contains(new[n], lattices[n], M.group(n).ngens) for n in M.window):
+        new = {
+            n: M.group(n).quotient_by(
+                M.tr_hom(m, n).matrix.apply(r) for m in M.proper_multiples(n) for r in quotients[m].relation_rows()
+            )
+            for n in M.window
+        }
+        trace.append({n: M.group(n).invariants()[1] - new[n].invariants()[1] for n in M.window})
+        # The new lattices lie in the old: the first old ones are everything,
+        # and each step applies the same maps to smaller lattices.  So the
+        # two are equal when the old generators vanish in the new quotient.
+        if all(new[n].are_zero(quotients[n].relation_rows()) for n in M.window):
             break
-        lattices = new
+        quotients = new
     # The core is zero at n when its lattice lies in the relations.
-    if not all(M.group(n).are_zero(lattices[n]) for n in M.window):
+    if not all(M.group(n).are_zero(quotients[n].relation_rows()) for n in M.window):
         raise AssertionError("proper-transfer core did not collapse; window is not finite-exact")
     zero = FPGroup.zero()
     zmat = IntMatrix.zeros(ZZ, 0, 0)
@@ -530,12 +512,6 @@ def proper_transfer_core(M: MackeyWindow):
         {(n, m): zmat for n in window for m in window if m % n == 0 and m != n},
         {(n, m): zmat for n in window for m in window if m % n == 0 and m != n},
     ), trace
-
-
-def _lattice_rank(M, n, cols):
-    """Rank of the core at level n: generators of L modulo the relations."""
-    group = M.group(n)
-    return group.invariants()[1] - group.quotient_by(cols).invariants()[1]
 
 
 # ---------------------------------------------------------------------------

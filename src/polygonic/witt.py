@@ -443,10 +443,7 @@ def recover_base(ring, n):
         raise ValueError("N must be >= 1")
     support = TruncationSet.interval(n)
     group = witt_group_presentation(ring, support)
-    killed = []
-    for i, t in enumerate(support.elements):
-        if t >= 2:
-            killed.append([1 if j == i else 0 for j in range(group.ngens)])
+    killed = [{i: 1} for i, t in enumerate(support.elements) if t >= 2]
     torsion, free = group.quotient_by(killed).invariants()
     if ring.kind == "integers":
         expected = ([], 1)

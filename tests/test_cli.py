@@ -445,6 +445,12 @@ def test_coinvariants_checks_its_action(runner):
         assert json.loads(result.output)["kind"] == ("validation" if code == 2 else "guard")
     result = run(runner, base + ["--relations", "4,0;0,4", "--order", "4"])
     assert json.loads(result.output) == {"free_rank": 0, "torsion": [4]}
+    # --action rows are read as --relations rows are, empty ones dropped, so
+    # the group on no generators takes the empty action.
+    for argv, out in ((["--ngens", "0", "--action", "", "--order", "1"], {"free_rank": 0, "torsion": []}),
+                      (["--ngens", "1", "--action", "1;", "--order", "1"], {"free_rank": 1, "torsion": []})):
+        result = run(runner, ["mackey", "coinvariants"] + argv)
+        assert (result.exit_code, json.loads(result.output)) == (0, out), argv
 
 
 def test_cycle_sizes_below_one_are_validation_errors(runner):
@@ -645,6 +651,16 @@ def test_witt_indices_outside_the_support_are_validation_errors(runner):
         result = run(runner, sum_v + [family])
         assert result.exit_code == 2
         assert json.loads(result.output) == {"error": error, "kind": "validation"}
+
+
+def test_witt_sum_v_sizes_below_two_name_the_option_and_the_size(runner):
+    sum_v = ["witt", "sum-v", "--support", "1,2,3,4", "--family"]
+    for family, size in (("0=1:1", 0), ("1=1:1", 1), ("-1=1:1", -1), ("-7=1:x", -7), ("2=1:1;1=1:1", 1)):
+        result = run(runner, sum_v + [family])
+        assert result.exit_code == 2, family
+        assert json.loads(result.output) == {
+            "error": f"--family size {size}: summable families need sizes >= 2", "kind": "validation",
+        }
 
 
 def test_equalizer_guard_edge(runner):

@@ -25,7 +25,12 @@ from polygonic.qfin import QFinSet, SpanMorphism, compose_spans
 from polygonic.rings import ZZ, DimensionMismatch, IntMatrix, invariant_factors, lattice_contains
 from polygonic.truncation import TruncationSet
 from polygonic.witt import witt_as_mackey
-from polygonic.rings import ModularRing
+from polygonic.rings import ModularRing, PrimeField
+
+
+def sparse(x):
+    """The dense coordinate list x as a group element (dict index -> entry)."""
+    return {i: v for i, v in enumerate(x) if v}
 
 
 W6 = TruncationSet.divisors(6)
@@ -221,8 +226,8 @@ def test_are_zero_matches_lattice_contains():
                 if rng.random() < 0.5:
                     x[rng.randrange(ngens)] += rng.randrange(-2, 3)
                 elements.append(x)
-            expected = lattice_contains(G.relation_columns(), elements, ngens)
-            assert G.are_zero(elements) == expected, (relations, elements)
+            expected = lattice_contains(G.relations.to_lists(), elements, ngens)
+            assert G.are_zero([sparse(x) for x in elements]) == expected, (relations, elements)
             outcomes.append(expected)
         torsion, free = G.invariants()
         torsion_groups += bool(torsion)
@@ -230,9 +235,10 @@ def test_are_zero_matches_lattice_contains():
         assert G.invariants() == invariant_factors(G.relations)
     assert torsion_groups == 32 and outcomes.count(True) > 100 and outcomes.count(False) > 100
     G = FPGroup(2, IntMatrix.from_rows(ZZ, [[0, 4]]))
-    for elements in ([[1, 0, 0]], [[0, 0], [1]]):
-        with pytest.raises(DimensionMismatch, match="^lattice vectors must have length 2$"):
-            G.are_zero(elements)
+    for elements, index in (([{2: 1}], 2), ([{}, {0: 1, -1: 3}], -1), ([{1: 1}, {5: 0}], 5)):
+        for ask in (G.are_zero, G.quotient_by):
+            with pytest.raises(DimensionMismatch, match=rf"^element index {index} is outside range\(2\)$"):
+                ask(elements)
 
 
 def test_infinite_transfer_sum():
@@ -240,7 +246,7 @@ def test_infinite_transfer_sum():
     assert infinite_transfer_sum(M, []) == [0, 0, 0, 0]
     x = [1, 0]
     single = infinite_transfer_sum(M, [(2, x)])
-    assert single == list(M.tr_hom(2, 1).apply(x))
+    assert sparse(single) == M.tr_hom(2, 1).matrix.apply(sparse(x))
     with pytest.raises(LevelOutsideWindow):
         infinite_transfer_sum(M, [(5, [1])])
     from polygonic.qfin import NotQuasifinite
@@ -291,8 +297,8 @@ def test_witt_transfer_sum_dies_in_gfp():
     M = witt_as_mackey(ZZ, 6)
     family = [(i, [1] + [0] * (M.group(i).ngens - 1)) for i in range(2, 7)]
     total = infinite_transfer_sum(M, family)
-    assert geometric_fixed_points(M, 1).group.is_zero_element(total)
-    assert not M.group(1).is_zero_element(total)
+    assert geometric_fixed_points(M, 1).group.are_zero([sparse(total)])
+    assert not M.group(1).are_zero([sparse(total)])
 
 
 def test_hom_checks_compare_modulo_the_relations():
@@ -330,12 +336,14 @@ def test_hom_checks_compare_modulo_the_relations():
 
 def test_group_elements_are_zero_modulo_the_relations():
     G = FPGroup(2, IntMatrix.from_rows(ZZ, [[0, 4], [6, 2]]))
-    assert G.are_zero([[0, 0], [0, 8], [6, -2], [6, 6]])
-    assert not G.are_zero([[0, 4], [0, 2]])
-    assert not G.is_zero_element([3, 1])
+    assert G.are_zero([{}, {1: 8}, {0: 6, 1: -2}, {0: 6, 1: 6}])
+    assert not G.are_zero([{1: 4}, {1: 2}])
+    assert not G.are_zero([{0: 3, 1: 1}])
+    # an entry given as 0 is no entry
+    assert G.are_zero([{0: 0, 1: 8}]) and not G.are_zero([{0: 3, 1: 0}])
     assert G.are_zero([])
-    assert FPGroup.zero().are_zero([[]]) and FPGroup.zero().is_zero_group()
-    assert not FPGroup.free(1).is_zero_element([1])
+    assert FPGroup.zero().are_zero([{}]) and FPGroup.zero().is_zero_group()
+    assert not FPGroup.free(1).are_zero([{0: 1}])
 
 
 def test_conservativity_zero_module():
@@ -367,6 +375,40 @@ def test_proper_transfer_core_collapses():
     assert trace[-1] == {n: 0 for n in core.window}
     report = check_conservativity(core)
     assert report["applicable"] and report["transfer_generated"]
+
+
+def test_proper_transfer_core_on_witt_windows():
+    # Witt windows carry relations over Z/m, unlike the free Burnside ones.
+    # The core ranks over Z, by level, per pass; every pass over a finite
+    # ring reads 0, as the levels there have free rank 0.
+    over_z = {
+        4: [[3, 1, 0, 0], [1, 0, 0, 0], [0] * 4, [0] * 4],
+        6: [[5, 2, 1, 0, 0, 0], [2, 0, 0, 0, 0, 0], [0] * 6, [0] * 6],
+        12: [[11, 5, 3, 2, 1, 1] + [0] * 6, [6, 2, 1] + [0] * 9, [2] + [0] * 11, [0] * 12, [0] * 12],
+    }
+    for ring in (ZZ, ModularRing(4), ModularRing(8), ModularRing(9), PrimeField(5)):
+        for n, ranks in over_z.items():
+            M = witt_as_mackey(ring, n)
+            core, trace = proper_transfer_core(M)
+            if ring != ZZ:
+                ranks = [[0] * n for _ in ranks]
+            assert trace == [dict(zip(M.window, row)) for row in ranks], (ring, n)
+            assert all(core.group(k).is_zero_group() for k in core.window)
+
+
+def test_lattice_questions_leave_their_elements_alone():
+    # are_zero and quotient_by eliminate copies: handed a window's own
+    # transfer columns into a level, they leave the window's matrices as
+    # they were.  Transfers from several levels hit the same generator, so
+    # an elimination of the columns themselves would empty some of them.
+    for M in (witt_as_mackey(ModularRing(8), 12), burnside_representable(1, W12)):
+        fresh = {key: IntMatrix.from_rows(ZZ, mat.to_lists()) for key, mat in M.tr.items()}
+        for n in M.window:
+            columns = [x for m in M.proper_multiples(n) for x in M.tr[(n, m)].columns()]
+            M.group(n).are_zero(columns)
+            M.group(n).quotient_by(columns).invariants()
+            geometric_fixed_points(M, n).group.invariants()
+            assert M.tr == fresh, n
 
 
 def test_coinvariants_examples():

@@ -324,13 +324,13 @@ def test_presented_group_quotient():
     from polygonic.mackey import FPGroup
 
     # Z^2 / <(0,1)> = Z
-    assert FPGroup.free(2).quotient_by([[0, 1]]).invariants() == ([], 1)
+    assert FPGroup.free(2).quotient_by([{1: 1}]).invariants() == ([], 1)
     # (Z/4) / <2> = Z/2
-    assert FPGroup.cyclic(4).quotient_by([[2]]).invariants() == ([2], 0)
+    assert FPGroup.cyclic(4).quotient_by([{0: 2}]).invariants() == ([2], 0)
     # Z / <> = Z
     assert FPGroup.free(1).quotient_by([]).invariants() == ([], 1)
     with pytest.raises(DimensionMismatch):
-        FPGroup.cyclic(4).quotient_by([[1, 0]])
+        FPGroup.cyclic(4).quotient_by([{1: 1}])
 
 
 def test_solve_and_membership():

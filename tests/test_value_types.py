@@ -189,7 +189,7 @@ def test_caches_stay_out_of_the_value():
 
     fields = CASES[FPGroup][0]
     group = FPGroup(**fields)
-    assert group.invariants() == ([4], 0) and group.are_zero([[8]])
+    assert group.invariants() == ([4], 0) and group.are_zero([{0: 8}])
     assert group == FPGroup(**fields) and hash(group) == hash(FPGroup(**fields))
 
 
