@@ -568,45 +568,60 @@ def multiply_sequence(cycle, target_path, factors):
     """Value of one fiber: multiply labelled factors along the target path.
 
     factors is the admissible sequence [(path, basis index), ...]; returns a
-    dict index -> coefficient in cycle.label(target_path).
+    dict index -> coefficient in cycle.label(target_path).  It is the one
+    digit key case of _fiber_table.
     """
-    field = cycle.field
-    one = field.one()
-    target = cycle.label(target_path)
-    if target_path.is_vertex:
-        acc = {i: c for i, c in enumerate(target.unit) if not field.is_zero(c)}
-        for p, idx in factors:
-            acc = _combo_mul(field, acc, {idx: one}, target.mult)
-        return acc
-    # Edge target: group factors into edge values with algebra actions.
-    edges = []           # (module, value) per covered edge
-    pending = None       # algebra combination waiting to act
-    for p, idx in factors:
-        if p.is_vertex:
-            A = cycle.label(p)
-            pending = {idx: one} if pending is None else _combo_mul(field, pending, {idx: one}, A.mult)
-        else:
-            if p.length != 1:
-                raise ValueError("fiber factors must be vertices or single edges")
-            M = cycle.label(p)
-            value = {idx: one}
-            if pending is not None:
-                value = _combo_mul(field, pending, value, M.left)
-                pending = None
-            edges.append((M, value))
-    if pending is not None:
-        # Trailing algebra acts on the last edge from the right.
-        M, value = edges[-1]
-        edges[-1] = (M, _combo_mul(field, value, pending, M.right))
-    if len(edges) != target_path.length:
+    key = tuple(i for _, i in factors)
+    return _fiber_table(cycle, target_path, tuple(p for p, _ in factors), {}, [(i,) for i in key]).get(key, {})
+
+
+def _extend(cycle, path, colour, state, digits):
+    """One fold step: a prefix's state (edges, pending) times basis element i
+    of colour's label, for i in digits, as {i: state} where not 0.  edges
+    has (module, value) per edge factor, acted on by the algebra factors
+    before it; pending multiplies the later ones (from the unit at a vertex)."""
+    field, one, (edges, pending), out = cycle.field, cycle.field.one(), state, {}
+    label, edge = cycle.label(path if path.is_vertex else colour), not (path.is_vertex or colour.is_vertex)
+    table = label.left if edge else label.mult
+    for i in digits:
+        if value := {i: one} if pending is None else _combo_mul(field, pending, {i: one}, table):
+            out[i] = (edges + ((label, value),), None) if edge else (edges, value)
+    return out
+
+
+def _fiber_table(cycle, path, colours, memo, digits=None):
+    """{digit key: value} of the products of factors of these colours along
+    path that are not 0, over every basis index of factor k (or digits[k]).
+    It folds _extend on from the longest prefix in memo and keeps each
+    prefix's states there; a prefix whose product is 0 is never extended."""
+    target, field = cycle.label(path), cycle.field
+    if not path.is_vertex and any(not p.is_vertex and p.length != 1 for p in colours):
+        raise ValueError("fiber factors must be vertices or single edges")
+    if not path.is_vertex and sum(not p.is_vertex for p in colours) != path.length:
         raise ValueError("edge count does not cover the target path")
-    if target_path.length == 1:
-        return edges[0][1]
-    # Two fused edges: the plain tensor of the edge values, then project.
-    (_, u), (N, v) = edges
-    return cycle.fused(target_path.start)[1]({
-        i * N.dim + k: field.mul(c, e) for i, c in u.items() for k, e in v.items()
-    })
+    start = (), {i: c for i, c in enumerate(target.unit) if not field.is_zero(c)} if path.is_vertex else None
+    k = next((k for k in range(len(colours), 0, -1) if (path, colours[:k]) in memo), 0)
+    states = memo.setdefault((path, colours[:k]), {(): start})
+    for k in range(k, len(colours)):
+        choices = range(cycle.label_dim(colours[k])) if digits is None else digits[k]
+        states = memo[path, colours[:k + 1]] = {
+            t + (i,): s for t, state in states.items()
+            for i, s in _extend(cycle, path, colours[k], state, choices).items()
+        }
+    table = {}
+    for t, (edges, value) in states.items():
+        if not path.is_vertex:
+            if value is not None:  # trailing algebra acts on the last edge from the right
+                M, v = edges[-1]
+                edges = edges[:-1] + ((M, _combo_mul(field, v, value, M.right)),)
+            value = edges[0][1]
+            if len(edges) == 2:  # two fused edges: the plain tensor of the edge values, then project
+                (_, u), (N, v) = edges
+                value = cycle.fused(path.start)[1]({
+                    i * N.dim + j: field.mul(c, e) for i, c in u.items() for j, e in v.items()})
+        if value:
+            table[t] = value
+    return table
 
 
 def envelope_matrix(cycle, env: EnvelopeMorphism, target_paths, target_dims):
@@ -614,9 +629,13 @@ def envelope_matrix(cycle, env: EnvelopeMorphism, target_paths, target_dims):
     _add_envelope with one unit per element: source basis indices run over
     the product of the source colour dimensions in element order; likewise
     for the target."""
+    return _envelope_matrix(cycle, env, target_paths, target_dims, {})
+
+
+def _envelope_matrix(cycle, env, target_paths, target_dims, memo):
     source = _element_basis(map(cycle.label_dim, env.source.colours))
     columns = [{} for _ in source[1]]
-    _add_envelope(cycle, env, target_paths, source, _element_basis(target_dims), cycle.field.one(), columns, {})
+    _add_envelope(cycle, env, target_paths, source, _element_basis(target_dims), cycle.field.one(), columns, memo)
     return IntMatrix.from_columns(cycle.field, prod(target_dims), columns)
 
 
@@ -632,10 +651,33 @@ def _basis(units, order=None):
 
 
 def _element_basis(dims):
-    return _basis([((x,), [(i,) for i in range(d)]) for x, d in enumerate(dims)])
+    return _basis([((x,), tuple((i,) for i in range(d))) for x, d in enumerate(dims)])
 
 
-def _add_envelope(cycle, env, paths, source, target, sign, columns, products):
+def _merged_block(cycle, fibers, feeding, tuples, memo):
+    """A merged target unit's block, memoized by its shape with no strides:
+    the Kronecker product of its elements' fiber tables ((path, colours) of
+    each in fibers), restricted to its tuples and to those of the feeding
+    units ((tuples, (element, place in its fiber) per digit) of each in
+    feeding), as (index of each feeding tuple, {target tuple index: entry})."""
+    if (fibers, feeding, tuples) not in memo:
+        field, one = cycle.field, cycle.field.one()
+        index = [{t: r for r, t in enumerate(digits)} for digits, _ in feeding]
+        rank, block = {t: r for r, t in enumerate(tuples)}, []
+        for entries in product(*(_fiber_table(cycle, path, colours, memo).items() for path, colours in fibers)):
+            rs = tuple(r.get(tuple(entries[j][0][p] for j, p in where)) for r, (_, where) in zip(index, feeding))
+            if None in rs:
+                continue
+            image = {(): one}
+            for _, value in entries:
+                image = {t + (k,): field.mul(a, e) for t, a in image.items() for k, e in value.items()}
+            if image := {rank[t]: e for t, e in image.items() if t in rank}:
+                block.append((rs, image))
+        memo[fibers, feeding, tuples] = block
+    return memo[fibers, feeding, tuples]
+
+
+def _add_envelope(cycle, env, paths, source, target, sign, columns, memo):
     """Add sign times the matrix of env, into the labels of paths, to the
     sparse columns of a matrix from the basis source to the basis target.
 
@@ -643,11 +685,11 @@ def _add_envelope(cycle, env, paths, source, target, sign, columns, products):
     of their fibers, so each source unit must feed one target unit.  A
     target unit whose elements each have one element of their own colour as
     fiber, together a source unit, passes through and copies its digits.
-    The other units are merged into one small Kronecker block, placed at
-    every pass-through offset, its rows and columns put in the bases' orders
-    as added.  products memoizes multiply_sequence.
+    The other units' blocks (_merged_block, memoized in the build's memo)
+    make one Kronecker block with their strides, placed at every
+    pass-through offset, its rows and columns put in the bases' orders.
     """
-    field, one = cycle.field, cycle.field.one()
+    field = cycle.field
     colours, fibers = env.source.colours, env.fiber_orders
     (units, hi), (target_units, lo) = source, target
     unit_of = {x: u for u, (elements, _, _) in enumerate(units) for x in elements}
@@ -658,24 +700,15 @@ def _add_envelope(cycle, env, paths, source, target, sign, columns, products):
             step = units[unit_of[xs[0]]][2]
             offsets = [(r + k * stride, c + k * step) for r, c in offsets for k in range(len(tuples))]
             continue
-        rank = {t: r * stride for r, t in enumerate(tuples)}
-        feeding = [units[u] for u in sorted({unit_of[x] for y in ys for x in fibers[y]})]
-        memos = [products.setdefault((paths[y], tuple(colours[x] for x in fibers[y])), {}) for y in ys]
-        small = []
-        for combo in product(*(enumerate(digits) for _, digits, _ in feeding)):
-            digit = {x: i for (elements, _, _), (_, t) in zip(feeding, combo) for x, i in zip(elements, t)}
-            image = {(): one}
-            for y, memo in zip(ys, memos):
-                key = tuple(digit[x] for x in fibers[y])
-                if key not in memo:
-                    memo[key] = multiply_sequence(cycle, paths[y], [(colours[x], digit[x]) for x in fibers[y]])
-                image = {t + (k,): field.mul(a, e) for t, a in image.items() for k, e in memo[key].items()}
-            image = {rank[t]: e for t, e in image.items() if t in rank}
-            if image:
-                small.append((sum(r * s for (_, _, s), (r, _) in zip(feeding, combo)), image))
+        feeding = sorted({unit_of[x] for y in ys for x in fibers[y]})
+        where = {x: (j, p) for j, y in enumerate(ys) for p, x in enumerate(fibers[y])}
+        small = _merged_block(
+            cycle, tuple((paths[y], tuple(colours[x] for x in fibers[y])) for y in ys),
+            tuple((units[u][1], tuple(map(where.get, units[u][0]))) for u in feeding), tuples, memo)
         block = [
-            (c + c2, {r + r2: field.mul(a, b) for r, a in im.items() for r2, b in im2.items()})
-            for c, im in block for c2, im2 in small
+            (c + sum(r * units[u][2] for r, u in zip(rs, feeding)),
+             {r + r2 * stride: field.mul(a, b) for r, a in im.items() for r2, b in im2.items()})
+            for c, im in block for rs, im2 in small
         ]
     add, is_zero = field.add, field.is_zero
     for r0, c0 in offsets:
@@ -734,7 +767,7 @@ def bar_complex(cycle: LabelledCycle, degree_bound):
         map(cycle.label_dim, CutSet(q, cycle.n).colours())))
 
 
-_FACE_CACHE = 128  # cut faces kept; a pass of a benchmark workload uses 27 to 35
+_FACE_CACHE = 128  # cut faces (and comparisons) kept; a benchmark pass uses 27 to 35 faces
 
 
 @lru_cache(maxsize=_FACE_CACHE)
@@ -746,13 +779,13 @@ def _face(q, n, i):
 def _complex(cycle, degree_bound, basis):
     """The complex with basis(q) as level q, its boundary the signed faces
     added into one list of sparse columns per level."""
-    field, products, boundaries = cycle.field, {}, {}
+    field, memo, boundaries = cycle.field, {}, {}
     bases = [basis(q) for q in range(degree_bound + 1)]
     for q in range(1, degree_bound + 1):
         columns, sign = [{} for _ in bases[q][1]], field.one()
         for i in range(q + 1):
             env = _face(q, cycle.n, i)
-            _add_envelope(cycle, env, env.target.colours, bases[q], bases[q - 1], sign, columns, products)
+            _add_envelope(cycle, env, env.target.colours, bases[q], bases[q - 1], sign, columns, memo)
             sign = field.neg(sign)
         boundaries[q] = IntMatrix.from_columns(field, len(bases[q - 1][1]), columns)
     return ChainComplex(field, tuple(len(order) for _, order in bases), boundaries, tuple(bases))
@@ -782,7 +815,7 @@ def _column_tuples(cycle, j):
         dims = [cycle.bimodules[a - 1].dim for a in range(cycle.n)]
     else:
         dims = [A.dim for A in cycle.algebras]
-    return list(product(*map(range, dims)))[j > 0:]
+    return tuple(product(*map(range, dims)))[j > 0:]
 
 
 def _normalized_basis(cycle, q):
@@ -928,14 +961,21 @@ def _cyclic_maps(cycle: LabelledCycle, f, degree_bound):
 
     The target colours are paths on the cycle pushed forward along f: a
     vertex, an edge, or two edges that f fuses, so their labels are those of
-    cycle.pull_back(f).
+    cycle.pull_back(f).  The degrees share one memo, so the fused edge's
+    fiber at degree q starts from the prefix states of degree q - 1.
     """
-    maps = {}
+    maps, memo = {}, {}
     for q in range(degree_bound + 1):
-        env, _ = cut_envelope_cyclic(CutSet(q, cycle.n), f)
+        env = _comparison(q, f)
         paths = env.target.colours
-        maps[q] = envelope_matrix(cycle, env, paths, [cycle.label_dim(p) for p in paths])
+        maps[q] = _envelope_matrix(cycle, env, paths, [cycle.label_dim(p) for p in paths], memo)
     return maps
+
+
+@lru_cache(maxsize=_FACE_CACHE)
+def _comparison(q, f):
+    """cut_envelope_cyclic(CutSet(q, f.target_n), f)[0], built once, as _face."""
+    return cut_envelope_cyclic(CutSet(q, f.target_n), f)[0]
 
 
 def is_chain_map(src, dst, maps):

@@ -776,34 +776,70 @@ def test_chain_checks_fail_on_broken_input(monkeypatch):
     assert report["commutes_with_boundary"] and report["order_exact"]
 
 
+def _count_fold(monkeypatch):
+    """Record the fiber tables built and the prefix states extended."""
+    tables, steps = [], []
+    table, extend = hochschild._fiber_table, hochschild._extend
+
+    def counted_table(cycle, path, colours, memo, digits=None):
+        tables.append((path, colours))
+        return table(cycle, path, colours, memo, digits)
+
+    def counted_extend(cycle, path, colour, state, digits):
+        steps.append((state, colour))
+        return extend(cycle, path, colour, state, digits)
+
+    monkeypatch.setattr(hochschild, "_fiber_table", counted_table)
+    monkeypatch.setattr(hochschild, "_extend", counted_extend)
+    return tables, steps
+
+
+def _extended_once(steps):
+    """Did the fold extend no prefix whose product is 0 (an edge value or the
+    pending product vanishes), and no prefix twice by the same colour?"""
+    nonzero = all(pending != {} and all(value for _, value in edges) for (edges, pending), _ in steps)
+    return nonzero and len({(id(state), colour) for state, colour in steps}) == len(steps)
+
+
 def test_envelope_matrix_multiplies_each_fiber_once(monkeypatch):
-    # The matrix is the Kronecker product of the fiber multiplications:
-    # each merged fiber multiplies each basis tensor of its own labels once,
-    # and a fiber of one element of the target's colour multiplies nothing.
-    calls = []
-
-    def counted(cycle, target_path, factors):
-        calls.append(factors)
-        return multiply_sequence(cycle, target_path, factors)
-
-    monkeypatch.setattr(hochschild, "multiply_sequence", counted)
+    # The matrix is the Kronecker product of the fiber tables: each merged
+    # fiber's table is built once per build, and a fiber of one element of
+    # the target's colour builds none.  A fold step extends a prefix whose
+    # product is not 0 by one factor, and no prefix twice by the same one,
+    # so on the Morita cycle, where most products of matrix units vanish,
+    # the steps are far fewer than the digit keys of the merged fibers.
+    tables, steps = _count_fold(monkeypatch)
     X = morita_cycle()
     cut = CutSet(2, 2)
     envs = [cut_face(cut, i) for i in range(3)]
     envs += [cut_envelope_cyclic(cut, CyclicMap.contraction(2, a))[0] for a in (0, 1)]
     for env in envs:
-        calls.clear()
+        tables.clear(), steps.clear()
         target_paths = list(env.target.colours)
         envelope_matrix(X, env, target_paths, [X.label_dim(p) for p in target_paths])
-        colours, dims = env.source.colours, [X.label_dim(c) for c in env.source.colours]
+        colours = env.source.colours
         merged = [
-            fiber for fiber, path in zip(env.fiber_orders, target_paths)
+            (path, tuple(colours[x] for x in fiber)) for fiber, path in zip(env.fiber_orders, target_paths)
             if len(fiber) != 1 or colours[fiber[0]] != path
         ]
         assert merged and len(merged) < env.target.size
-        assert len(calls) == sum(prod(dims[x] for x in fiber) for fiber in merged)
-        # once per source basis tensor and target element would be more
-        assert len(calls) < prod(dims) * env.target.size
+        assert sorted(tables) == sorted(merged)
+        assert _extended_once(steps)
+    # One build of the comparison maps along the contraction of edge 0.  The
+    # fused edge's fiber (rows, M2^q, cols) at degree q starts from the
+    # prefix states of degree q - 1.  Its nonzero prefixes (rows, M2^k) number
+    # 2 and 4 * 2^k (k >= 1): a product of matrix units is 0 unless they
+    # chain.  Each is extended by M2 for the next degree and by cols for its
+    # own, the last (k = 4) by cols alone; the empty prefix by rows, once.
+    tables.clear(), steps.clear()
+    hochschild._cyclic_maps(X, CyclicMap.contraction(2, 0), 4)
+    assert len(set(tables)) == len(tables) == 5
+    assert _extended_once(steps) and len(steps) == 1 + 2 * (2 + 8 + 16 + 32) + 64
+    assert len(steps) < sum(prod(map(X.label_dim, colours)) for _, colours in tables) == 1364
+    # and in a whole complex each merged fiber's table is built once
+    tables.clear(), steps.clear()
+    bar_complex(X, 4)
+    assert tables and len(set(tables)) == len(tables) and _extended_once(steps)
 
 
 def test_cycle_json_roundtrip():
@@ -963,6 +999,45 @@ def test_faces_and_comparisons_match_the_definition():
     assert cancelled[M2F2, 2] and cancelled[LabelledCycle.uniform(ground(), None, 1), 1]
 
 
+def test_where_most_products_vanish_the_tables_match_the_definition():
+    # Matrix units multiply to 0 unless they chain, so most fiber products on
+    # M2(F2) vanish and the fiber tables leave them out: the comparison maps
+    # of the Morita cycle along both edges, and the boundaries of the M2(F2)
+    # one-cycle, against the reference products one combination at a time
+    X = morita_cycle()
+    for a in (0, 1):
+        f = CyclicMap.contraction(2, a)
+        for q, m in hochschild._cyclic_maps(X, f, 5).items():
+            env, _ = cut_envelope_cyclic(CutSet(q, 2), f)
+            assert m == IntMatrix.from_columns(F2, m.rows, _reference_columns(X, env)), (a, q)
+    M2 = LabelledCycle.uniform(FiniteAlgebra.matrix_algebra(F2, 2), None, 1)
+    full = bar_complex(M2, 5)
+    for q in range(1, 6):
+        assert full.boundary(q) == _reference_boundary(M2, q)[0], q
+
+
+def test_one_memo_tells_bases_apart():
+    # A merged block is memoized by its digit tuples too.  On a one-cycle a
+    # column of the normalized basis is one element, as in the full basis,
+    # with the same fibers but without the unit's digit; faces of both,
+    # built with one memo, each match the definition.
+    X = LabelledCycle.uniform(dual_numbers(F3), None, 1)
+    memo, full, normal = {}, bar_complex(X, 3), normalized_bar_complex(X, 3)
+    for q in range(1, 4):
+        lo, hi = normalized_positions(X, q - 1), normalized_positions(X, q)
+        rank = {p: i for i, p in enumerate(lo)}
+        for i in range(q + 1):
+            env = cut_face(CutSet(q, 1), i)
+            expected = _reference_columns(X, env)
+            for complex_, positions in ((full, None), (normal, hi)):
+                source, target = complex_.bases[q], complex_.bases[q - 1]
+                columns = [{} for _ in source[1]]
+                hochschild._add_envelope(X, env, env.target.colours, source, target, F3.one(), columns, memo)
+                if positions is not None:
+                    expected = [{rank[r]: v for r, v in expected[p].items() if r in rank} for p in positions]
+                assert columns == expected, (q, i, positions is None)
+
+
 def test_each_face_is_built_once(monkeypatch):
     # one cut face per (q, n, i), whichever complex asks for it
     calls = []
@@ -1036,21 +1111,15 @@ def test_rotation_images_on_a_non_uniform_cycle():
 
 
 def test_the_rotation_multiplies_nothing(monkeypatch):
-    # the rotation permutes basis tensors: building it needs no product of
-    # labels, while the faces of the same complex do
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return multiply_sequence(*args)
-
-    monkeypatch.setattr(hochschild, "multiply_sequence", counted)
+    # the rotation permutes basis tensors: building it takes no fold step,
+    # while the faces of the same complex do
+    _, steps = _count_fold(monkeypatch)
     C2 = group_algebra_c2(QQ)
     complex_ = normalized_bar_complex(LabelledCycle.uniform(C2, None, 3), 3)
-    assert calls
-    calls.clear()
+    assert steps
+    steps.clear()
     hochschild._rotation_images(complex_.bases, 3, 1)
-    assert calls == []
+    assert steps == []
 
 
 def test_rotation_eliminates_only_where_homology_lives(monkeypatch):
