@@ -677,8 +677,6 @@ def recover(ring, n):
 @click.option("--box", type=int, default=10)
 def equalizer(box, **ring_support):
     ring, supp = _ring_support(**ring_support)
-    if box > 50 or len(supp) > 6:
-        raise SizeGuard("equalizer enumeration guard: box <= 50, |T| <= 6")
     return witt.equalizer_report(ring or rings.ZZ, supp, box)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 
 class SizeGuard(Exception):
@@ -29,6 +30,24 @@ class EmptyOrder(ValueError):
     pass
 
 
+class Value:
+    """Base of the value types: a value equals another of its own class
+    whose fields agree, and hashes as its fields.  The fields are the
+    __slots__ not starting with "_", in slot order; the others are caches."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = attrgetter(*(s for s in cls.__slots__ if not s.startswith("_")))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(type(self)._fields(self))  # faster than self._fields on 3.11
+
+
 def _check_sizes(*sizes):
     if min(sizes) < 1:
         raise ValueError(f"cycle sizes must be >= 1, got {', '.join(map(str, sizes))}")
@@ -38,7 +57,7 @@ def _check_sizes(*sizes):
 # Paths.
 
 
-class Path:
+class Path(Value):
     """Class of (start/n, (start+length)/n); length 0 means a vertex.  Paths
     compare, hash and sort as (n, start, length)."""
 
@@ -48,12 +67,6 @@ class Path:
         if not (1 <= n and 0 <= start < n and 0 <= length <= n):
             raise ValueError(f"bad path ({n}, {start}, {length})")
         self.n, self.start, self.length = n, start, length
-
-    def __eq__(self, other):
-        return type(other) is Path and (self.n, self.start, self.length) == (other.n, other.start, other.length)
-
-    def __hash__(self):
-        return hash((self.n, self.start, self.length))
 
     def __lt__(self, other):
         return (self.n, self.start, self.length) < (other.n, other.start, other.length)
@@ -145,7 +158,7 @@ def is_admissible(seq, target):
 # Cyclic maps.
 
 
-class CyclicMap:
+class CyclicMap(Value):
     """Nondecreasing equivariant map between subdivided circles.
 
     vals[a] is the image position of a for 0 <= a < source_n, over the target
@@ -168,13 +181,6 @@ class CyclicMap:
         if vals[-1] > vals[0] + target_n:
             raise ValueError("map exceeds one period")
         self.source_n, self.target_n, self.vals = source_n, target_n, vals
-
-    def __eq__(self, other):
-        return type(other) is CyclicMap and (self.source_n, self.target_n, self.vals) == (
-            other.source_n, other.target_n, other.vals)
-
-    def __hash__(self):
-        return hash((self.source_n, self.target_n, self.vals))
 
     @classmethod
     def identity(cls, n):
@@ -295,7 +301,7 @@ def automorphisms(n):
 # increasing position order, is an admissible sequence.
 
 
-class CutSet:
+class CutSet(Value):
     """Coloured cut set of the q-simplex level over the n-cycle.
 
     With the prime p set, the underlying cycle is the p-fold cover (index
@@ -312,12 +318,6 @@ class CutSet:
         if p is not None and p < 1:
             raise ValueError("p must be >= 1")
         self.q, self.n, self.p = q, n, p
-
-    def __eq__(self, other):
-        return type(other) is CutSet and (self.q, self.n, self.p) == (other.q, other.n, other.p)
-
-    def __hash__(self):
-        return hash((self.q, self.n, self.p))
 
     @property
     def cycle_n(self):

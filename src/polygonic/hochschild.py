@@ -14,7 +14,7 @@ from functools import lru_cache, partial
 from itertools import product
 from math import prod
 
-from .cyclic import CutSet, CyclicMap, Path, SizeGuard, pull_back_labels
+from .cyclic import CutSet, CyclicMap, Path, SizeGuard, Value, pull_back_labels
 from .operad import EnvelopeMorphism, cut_envelope_cyclic, cut_face
 from .rings import (
     Echelon,
@@ -122,7 +122,7 @@ def _has_shape(table, shape):
 # Algebras and bimodules.
 
 
-class FiniteAlgebra:
+class FiniteAlgebra(Value):
     """Associative unital algebra by structure constants on a fixed basis:
     mult[i][j] is the vector of e_i e_j."""
 
@@ -145,13 +145,6 @@ class FiniteAlgebra:
             e = self._basis(i)
             if self.mul_vec(self.unit, e) != e or self.mul_vec(e, self.unit) != e:
                 raise ValueError("unit axiom fails")
-
-    def __eq__(self, other):
-        return type(other) is FiniteAlgebra and (self.field, self.dim, self.mult, self.unit, self.name) == (
-            other.field, other.dim, other.mult, other.unit, other.name)
-
-    def __hash__(self):
-        return hash((self.field, self.dim, self.mult, self.unit, self.name))
 
     def _basis(self, i):
         return list(_unit_vector(self.field, self.dim, i))
@@ -212,7 +205,7 @@ class FiniteAlgebra:
         return cls(field, dim, _json_table(field, mult, 3), _json_table(field, unit, 1), data.get("name", ""))
 
 
-class FiniteBimodule:
+class FiniteBimodule(Value):
     """left-right bimodule by action tensors on a fixed basis: left[i][m] is
     the vector of e_i . f_m and right[m][j] that of f_m . e_j."""
 
@@ -243,14 +236,6 @@ class FiniteBimodule:
         ):
             if _associative(self.field, dims, *tables) is not None:
                 raise ValueError(message)
-
-    def __eq__(self, other):
-        return type(other) is FiniteBimodule and (
-            self.left_algebra, self.right_algebra, self.dim, self.left, self.right, self.name
-        ) == (other.left_algebra, other.right_algebra, other.dim, other.left, other.right, other.name)
-
-    def __hash__(self):
-        return hash((self.left_algebra, self.right_algebra, self.dim, self.left, self.right, self.name))
 
     @property
     def field(self):
@@ -380,7 +365,7 @@ def relative_tensor(M: FiniteBimodule, N: FiniteBimodule):
 # Labelled cycles and their bar complexes.
 
 
-class LabelledCycle:
+class LabelledCycle(Value):
     __slots__ = ("algebras", "bimodules", "_fused", "_unit_first")
 
     def __init__(self, algebras, bimodules):
@@ -394,12 +379,6 @@ class LabelledCycle:
         self.algebras, self.bimodules = algebras, bimodules
         # fused(a) by a, and the rebased unit_first(), built on first use.
         self._fused, self._unit_first = {}, []
-
-    def __eq__(self, other):
-        return type(other) is LabelledCycle and (self.algebras, self.bimodules) == (other.algebras, other.bimodules)
-
-    def __hash__(self):
-        return hash((self.algebras, self.bimodules))
 
     @property
     def n(self):
@@ -628,15 +607,21 @@ def envelope_matrix(cycle, env: EnvelopeMorphism, target_paths, target_dims):
     """Matrix of the multilinear map induced by an envelope morphism, built by
     _add_envelope with one unit per element: source basis indices run over
     the product of the source colour dimensions in element order; likewise
-    for the target."""
-    return _envelope_matrix(cycle, env, target_paths, target_dims, {})
+    for the target.  target_paths and target_dims must be the colours of
+    env's target and their label dimensions."""
+    if list(target_paths) != list(env.target.colours):
+        raise ValueError("target paths are not the colours of the morphism's target")
+    if list(target_dims) != [cycle.label_dim(p) for p in target_paths]:
+        raise ValueError("target dims are not the label dimensions of the target paths")
+    return _envelope_matrix(cycle, env, {})
 
 
-def _envelope_matrix(cycle, env, target_paths, target_dims, memo):
+def _envelope_matrix(cycle, env, memo):
     source = _element_basis(map(cycle.label_dim, env.source.colours))
+    dims = [cycle.label_dim(p) for p in env.target.colours]
     columns = [{} for _ in source[1]]
-    _add_envelope(cycle, env, target_paths, source, _element_basis(target_dims), cycle.field.one(), columns, memo)
-    return IntMatrix.from_columns(cycle.field, prod(target_dims), columns)
+    _add_envelope(cycle, env, source, _element_basis(dims), cycle.field.one(), columns, memo)
+    return IntMatrix.from_columns(cycle.field, prod(dims), columns)
 
 
 def _basis(units, order=None):
@@ -660,7 +645,8 @@ def _merged_block(cycle, fibers, feeding, tuples, memo):
     each in fibers), restricted to its tuples and to those of the feeding
     units ((tuples, (element, place in its fiber) per digit) of each in
     feeding), as (index of each feeding tuple, {target tuple index: entry})."""
-    if (fibers, feeding, tuples) not in memo:
+    key = fibers, feeding, tuples  # looked up once: its paths hash and compare in Python
+    if (block := memo.get(key)) is None:
         field, one = cycle.field, cycle.field.one()
         index = [{t: r for r, t in enumerate(digits)} for digits, _ in feeding]
         rank, block = {t: r for r, t in enumerate(tuples)}, []
@@ -673,29 +659,31 @@ def _merged_block(cycle, fibers, feeding, tuples, memo):
                 image = {t + (k,): field.mul(a, e) for t, a in image.items() for k, e in value.items()}
             if image := {rank[t]: e for t, e in image.items() if t in rank}:
                 block.append((rs, image))
-        memo[fibers, feeding, tuples] = block
-    return memo[fibers, feeding, tuples]
+        memo[key] = block
+    return block
 
 
-def _add_envelope(cycle, env, paths, source, target, sign, columns, memo):
-    """Add sign times the matrix of env, into the labels of paths, to the
-    sparse columns of a matrix from the basis source to the basis target.
+def _add_envelope(cycle, env, source, target, sign, columns, memo):
+    """Add sign times the matrix of env, into the labels of its target's
+    colours, to the sparse columns of a matrix from the basis source to the
+    basis target.
 
     It is the tensor product, over target elements, of the multiplications
     of their fibers, so each source unit must feed one target unit.  A
-    target unit whose elements each have one element of their own colour as
-    fiber, together a source unit, passes through and copies its digits.
+    target unit whose elements each have a fiber of one element, together a
+    source unit, passes through and copies its digits: admissibility makes
+    that element's colour its target's.
     The other units' blocks (_merged_block, memoized in the build's memo)
     make one Kronecker block with their strides, placed at every
     pass-through offset, its rows and columns put in the bases' orders.
     """
     field = cycle.field
-    colours, fibers = env.source.colours, env.fiber_orders
+    colours, paths, fibers = env.source.colours, env.target.colours, env.fiber_orders
     (units, hi), (target_units, lo) = source, target
     unit_of = {x: u for u, (elements, _, _) in enumerate(units) for x in elements}
     offsets, block = [(0, 0)], [(0, {0: sign})]  # block: (column, {row: entry}) of the merged units
     for ys, tuples, stride in target_units:
-        xs = tuple(fibers[y][0] for y in ys if len(fibers[y]) == 1 and colours[fibers[y][0]] == paths[y])
+        xs = tuple(fibers[y][0] for y in ys if len(fibers[y]) == 1)
         if len(xs) == len(ys) and units[unit_of[xs[0]]][0] == xs:
             step = units[unit_of[xs[0]]][2]
             offsets = [(r + k * stride, c + k * step) for r, c in offsets for k in range(len(tuples))]
@@ -785,7 +773,7 @@ def _complex(cycle, degree_bound, basis):
         columns, sign = [{} for _ in bases[q][1]], field.one()
         for i in range(q + 1):
             env = _face(q, cycle.n, i)
-            _add_envelope(cycle, env, env.target.colours, bases[q], bases[q - 1], sign, columns, memo)
+            _add_envelope(cycle, env, bases[q], bases[q - 1], sign, columns, memo)
             sign = field.neg(sign)
         boundaries[q] = IntMatrix.from_columns(field, len(bases[q - 1][1]), columns)
     return ChainComplex(field, tuple(len(order) for _, order in bases), boundaries, tuple(bases))
@@ -966,9 +954,7 @@ def _cyclic_maps(cycle: LabelledCycle, f, degree_bound):
     """
     maps, memo = {}, {}
     for q in range(degree_bound + 1):
-        env = _comparison(q, f)
-        paths = env.target.colours
-        maps[q] = _envelope_matrix(cycle, env, paths, [cycle.label_dim(p) for p in paths], memo)
+        maps[q] = _envelope_matrix(cycle, _comparison(q, f), memo)
     return maps
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from math import gcd, lcm
 
+from .cyclic import Value
 from .qfin import QFinSet, SpanMorphism, compose_spans
 from .rings import (
     ZZ,
@@ -32,7 +33,7 @@ class LevelOutsideWindow(ValueError):
 # Finitely presented abelian groups and their homomorphisms.
 
 
-class FPGroup:
+class FPGroup(Value):
     """Z^ngens modulo the row span of the presentation matrix."""
 
     __slots__ = ("ngens", "relations", "_invariants")
@@ -42,12 +43,6 @@ class FPGroup:
             raise ValueError("presentation width must equal ngens")
         self.ngens, self.relations = ngens, relations
         self._invariants = None  # invariant_factors(relations), once read
-
-    def __eq__(self, other):
-        return type(other) is FPGroup and (self.ngens, self.relations) == (other.ngens, other.relations)
-
-    def __hash__(self):
-        return hash((self.ngens, self.relations))
 
     @classmethod
     def free(cls, ngens):
@@ -104,7 +99,7 @@ class FPGroup:
         return FPGroup(self.ngens, IntMatrix(ZZ, len(rows), self.ngens, entries))
 
 
-class Hom:
+class Hom(Value):
     """Homomorphism of presented groups, a matrix on generators."""
 
     __slots__ = ("dom", "cod", "matrix")
@@ -113,12 +108,6 @@ class Hom:
         if matrix.rows != cod.ngens or matrix.cols != dom.ngens:
             raise ValueError("hom matrix shape mismatch")
         self.dom, self.cod, self.matrix = dom, cod, matrix
-
-    def __eq__(self, other):
-        return type(other) is Hom and (self.dom, self.cod, self.matrix) == (other.dom, other.cod, other.matrix)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.matrix))
 
     @classmethod
     def identity(cls, G):
@@ -151,18 +140,11 @@ class Hom:
         return self.cod.are_zero(self.matrix.sub(other.matrix).columns())
 
 
-class GroupWithAction:
+class GroupWithAction(Value):
     __slots__ = ("group", "action", "order")
 
     def __init__(self, group, action, order):
         self.group, self.action, self.order = group, action, order
-
-    def __eq__(self, other):
-        return type(other) is GroupWithAction and (self.group, self.action, self.order) == (
-            other.group, other.action, other.order)
-
-    def __hash__(self):
-        return hash((self.group, self.action, self.order))
 
     def action_hom(self):
         return Hom(self.group, self.group, self.action)
@@ -183,7 +165,7 @@ def coinvariants(A: GroupWithAction):
 # Mackey windows.
 
 
-class MackeyWindow:
+class MackeyWindow(Value):
     """Level groups with restriction, transfer, and level automorphisms.
 
     res[(n, m)] : A(n) -> A(m) and tr[(n, m)] : A(m) -> A(n) for each divisor
@@ -191,6 +173,7 @@ class MackeyWindow:
     """
 
     __slots__ = ("window", "groups", "weyl", "res", "tr", "_weyl_powers", "_up", "_down")
+    __hash__ = None  # its fields are dicts
 
     def __init__(self, window, groups, weyl, res, tr):
         for n in window:
@@ -202,10 +185,6 @@ class MackeyWindow:
         # the matrices of up_leg and down_leg, keyed (b, l, t mod b) and
         # (l, a, s mod a)
         self._up, self._down = {}, {}
-
-    def __eq__(self, other):
-        return type(other) is MackeyWindow and (self.window, self.groups, self.weyl, self.res, self.tr) == (
-            other.window, other.groups, other.weyl, other.res, other.tr)
 
     def group(self, n):
         if n not in self.window:
@@ -303,16 +282,13 @@ def evaluate_span(M: MackeyWindow, span: SpanMorphism):
 # Axioms.
 
 
-class AxiomReport:
+class AxiomReport(Value):
     __slots__ = ("ok", "checked", "failures")
+    __hash__ = None  # failures is a list, and record changes the report
 
     def __init__(self, ok=True, checked=0, failures=None):
         self.ok, self.checked = ok, checked
         self.failures = [] if failures is None else failures
-
-    def __eq__(self, other):
-        return type(other) is AxiomReport and (self.ok, self.checked, self.failures) == (
-            other.ok, other.checked, other.failures)
 
     def record(self, ok, message):
         self.checked += 1

@@ -15,6 +15,7 @@ from .cyclic import (
     CyclicMap,
     Path,
     SizeGuard,
+    Value,
     dual_fibers,
     is_admissible,
     path_pushforward,
@@ -45,7 +46,7 @@ def mul_set(seq, target):
     return out
 
 
-class ColouredSet:
+class ColouredSet(Value):
     __slots__ = ("n", "colours")
 
     def __init__(self, n, colours):
@@ -53,12 +54,6 @@ class ColouredSet:
             if not isinstance(c, Path) or c.n != n:
                 raise ValueError(f"colour {c} does not live on the {n}-cycle")
         self.n, self.colours = n, colours
-
-    def __eq__(self, other):
-        return type(other) is ColouredSet and (self.n, self.colours) == (other.n, other.colours)
-
-    def __hash__(self):
-        return hash((self.n, self.colours))
 
     @property
     def size(self):
@@ -69,7 +64,7 @@ class ColouredSet:
         return cls(cut.cycle_n, cut.colours())
 
 
-class EnvelopeMorphism:
+class EnvelopeMorphism(Value):
     """Map of coloured sets with ordered fibers.
 
     f[x] is the target index of source element x; fiber_orders[y] lists
@@ -98,13 +93,6 @@ class EnvelopeMorphism:
                     f"fiber {fiber} over element {y} carries a non-admissible colour sequence"
                 )
         self.source, self.target, self.f, self.fiber_orders = source, target, f, fiber_orders
-
-    def __eq__(self, other):
-        return type(other) is EnvelopeMorphism and (self.source, self.target, self.f, self.fiber_orders) == (
-            other.source, other.target, other.f, other.fiber_orders)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.f, self.fiber_orders))
 
     @classmethod
     def identity(cls, X):
@@ -231,7 +219,7 @@ def tensor_handle(left, middle, right):
     return ("tensor", left, middle, right)
 
 
-class LabelledCycleSpec:
+class LabelledCycleSpec(Value):
     """An n-cycle with vertex handles (algebras) and edge handles (bimodules).
 
     Edge a runs from vertex a to vertex a+1 (indices mod n).  Handles are
@@ -244,13 +232,6 @@ class LabelledCycleSpec:
         if n < 1 or len(vertices) != n or len(edges) != n:
             raise ValueError("label counts must equal the cycle length")
         self.n, self.vertices, self.edges = n, vertices, edges
-
-    def __eq__(self, other):
-        return type(other) is LabelledCycleSpec and (self.n, self.vertices, self.edges) == (
-            other.n, other.vertices, other.edges)
-
-    def __hash__(self):
-        return hash((self.n, self.vertices, self.edges))
 
     def label(self, path: Path):
         """The handle of a vertex, an edge, or two edges fused across the

@@ -9,7 +9,7 @@ never materialize; all computations here are on the finite part.
 
 from math import gcd, lcm
 
-from .cyclic import SizeGuard
+from .cyclic import SizeGuard, Value
 from .rings import is_prime
 
 
@@ -32,7 +32,7 @@ class NotQuasifinite(ValueError):
     pass
 
 
-class QFinSet:
+class QFinSet(Value):
     """orbits[i] is the size of the i-th orbit; tail declares conceptual
     infinite families (arithmetic generators, all beyond any active window)."""
 
@@ -42,12 +42,6 @@ class QFinSet:
         if any(m < 1 for m in orbits):
             raise ValueError("orbit sizes must be positive")
         self.orbits, self.tail = orbits, tail
-
-    def __eq__(self, other):
-        return type(other) is QFinSet and (self.orbits, self.tail) == (other.orbits, other.tail)
-
-    def __hash__(self):
-        return hash((self.orbits, self.tail))
 
     @classmethod
     def point(cls):
@@ -74,7 +68,7 @@ class QFinSet:
             )
 
 
-class QFinMap:
+class QFinMap(Value):
     """Equivariant map: orbit i of the source lands on orbit assign[i][0] of
     the target, composed with the shift assign[i][1] (an element of the
     target orbit).  Needs the target orbit size to divide the source's."""
@@ -93,13 +87,6 @@ class QFinMap:
                 raise ValueError(f"orbit size {n} does not divide {m}")
             normal.append((j, s % n))
         self.source, self.target, self.assign = source, target, tuple(normal)
-
-    def __eq__(self, other):
-        return type(other) is QFinMap and (self.source, self.target, self.assign) == (
-            other.source, other.target, other.assign)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.assign))
 
     @classmethod
     def identity(cls, S):
@@ -234,7 +221,7 @@ def pullback_elementwise(f, g):
     return tuple(sorted(orbits))
 
 
-class SpanMorphism:
+class SpanMorphism(Value):
     """A span source <- apex -> target of equivariant maps."""
 
     __slots__ = ("left", "right")
@@ -243,12 +230,6 @@ class SpanMorphism:
         if left.source.orbits != right.source.orbits:
             raise ValueError("the two legs must share the apex")
         self.left, self.right = left, right
-
-    def __eq__(self, other):
-        return type(other) is SpanMorphism and (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
 
     @property
     def apex(self):

@@ -5,6 +5,9 @@ Mackey window levels).  Only finite sets are materialized; conceptually
 infinite families enter through explicit window bounds elsewhere.
 """
 
+from .cyclic import Value
+
+
 def is_truncation_set(candidate):
     """True iff xy in the set implies both x and y are in it.
 
@@ -21,7 +24,7 @@ def is_truncation_set(candidate):
     return True
 
 
-class TruncationSet:
+class TruncationSet(Value):
     __slots__ = ("elements", "_members")
 
     def __init__(self, elements):
@@ -29,12 +32,6 @@ class TruncationSet:
         if not is_truncation_set(elems):
             raise ValueError(f"{list(elems)} is not divisor-closed")
         self.elements, self._members = elems, frozenset(elems)
-
-    def __eq__(self, other):
-        return type(other) is TruncationSet and self.elements == other.elements
-
-    def __hash__(self):
-        return hash((self.elements,))
 
     @classmethod
     def divisors(cls, n):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from .cyclic import SizeGuard
+from .cyclic import SizeGuard, Value
 from .mackey import FPGroup, MackeyWindow
 from .rings import ZZ, IntMatrix, _json_fields, ring_from_json
 from .truncation import TruncationSet
@@ -115,20 +115,13 @@ def series_times_factor(ring, s, x, t, g):
 # Witt vectors.
 
 
-class WittVector:
+class WittVector(Value):
     __slots__ = ("ring", "support", "coeffs")
 
     def __init__(self, ring, support, coeffs):
         if len(coeffs) != len(support):
             raise SupportMismatch("coefficient count must match the support")
         self.ring, self.support, self.coeffs = ring, support, coeffs
-
-    def __eq__(self, other):
-        return type(other) is WittVector and (self.ring, self.support, self.coeffs) == (
-            other.ring, other.support, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.ring, self.support, self.coeffs))
 
     @classmethod
     def from_dict(cls, ring, support, values):
@@ -273,17 +266,11 @@ def ghost(a: WittVector):
     return GhostVector(a.support, tuple(values))
 
 
-class GhostVector:
+class GhostVector(Value):
     __slots__ = ("support", "values")
 
     def __init__(self, support, values):
         self.support, self.values = support, values
-
-    def __eq__(self, other):
-        return type(other) is GhostVector and (self.support, self.values) == (other.support, other.values)
-
-    def __hash__(self):
-        return hash((self.support, self.values))
 
     def as_dict(self):
         return dict(zip(self.support.elements, self.values))

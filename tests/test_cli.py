@@ -318,7 +318,8 @@ def test_witt_equalizer_stdout_matches_the_recorded_runs(runner):
     # in {1..12} with at most 6 elements at boxes 0-2 over Z and over Z/4 and
     # Z/6, over Z/9 those with at most 9^4 residue tuples, larger boxes,
     # F2, F3, F5, Z/8, Z/12 and Z/16, in JSON and in TSV, plus exit 2 and
-    # the command's own exit 3 cases.
+    # exit 3 cases.  The five runs past box 50 or |T| 6, which a guard of the
+    # command refused when they were recorded, list their members now.
     recorded = json.loads((Path(__file__).parent / "data" / "witt_equalizer_golden_stdout.json").read_text())
     assert len(recorded) == 640
     for case in recorded:
@@ -676,6 +677,29 @@ def test_equalizer_guard_edge(runner):
     result = run(runner, base + ["--ring", "Z/9"])
     assert result.exit_code == 0
     assert json.loads(result.output)["equalizer_size"] == 81
+
+
+def test_equalizer_box_is_bounded_by_the_members_listed(runner):
+    # The member bound is the command's one guard: on {1} the box lists
+    # 2 * box + 1 integers, so box 524287 lists 2^20 - 1 members and box
+    # 524288 is refused, at 2^20 + 1, before any is listed.
+    base = ["witt", "equalizer", "--support", "1", "--box"]
+    result = run(runner, base + ["524287"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["equalizer_size"] == 1048575
+    result = run(runner, base + ["524288"])
+    assert result.exit_code == 3
+    assert json.loads(result.output) == {
+        "error": "equalizer listing is limited to 1048576 members; support [1] and box 524288 allow up to 1048577",
+        "kind": "guard",
+    }
+    # boxes above 50 and supports above 6 elements are no longer refused
+    result = run(runner, ["witt", "equalizer", "--support", "1,2", "--box", "51"])
+    assert (result.exit_code, json.loads(result.output)["equalizer_size"]) == (0, 5305)
+    result = run(runner, ["witt", "equalizer", "--support", "1,2,3,4,5,6,7", "--box", "1"])
+    assert result.exit_code == 0
+    # w_1 = 0 forces every w_t = 0; w_1 = +-1 leaves w_2, w_4 in {-1, 1}
+    assert json.loads(result.output)["equalizer_size"] == 1 + 2 * 4
 
 
 def test_bar_degree_and_cut_set_guard_edges(runner, tmp_path):

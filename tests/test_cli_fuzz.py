@@ -5,9 +5,9 @@ Every subcommand gets argv drawn from a small grammar: boundary integers
 too, which click refuses before any command runs), empty and repeated lists,
 and well-formed and malformed input files.  Each run must exit 0, 2 or 3 with
 one JSON object on stdout and no traceback, within a time cap.
-`witt equalizer` draws boxes and supports up to one past the command's own
-bounds (box 50, |T| 6); its member bound refuses before anything is listed,
-so no draw lists more than 2^20 members.
+`witt equalizer` draws boxes up to 51 and supports of up to 7 elements; its
+one guard, the member bound, refuses before anything is listed, so no draw
+lists more than 2^20 members.
 """
 
 import json

@@ -277,6 +277,21 @@ def test_bar_degree_one_faces_match_displayed_formulas():
     assert d1 == expected_left
 
 
+def test_envelope_matrix_takes_the_target_colours_only():
+    # the target paths and dims are the morphism's own; any others are refused
+    X = twisted_cycle()
+    env = cut_face(CutSet(1, 2), 0)
+    paths = list(env.target.colours)
+    dims = [X.label_dim(p) for p in paths]
+    assert envelope_matrix(X, env, tuple(paths), tuple(dims)) == envelope_matrix(X, env, paths, dims)
+    with pytest.raises(ValueError, match="^target paths are not the colours of the morphism's target$"):
+        envelope_matrix(X, env, paths[::-1], dims)
+    with pytest.raises(ValueError, match="^target paths are not the colours of the morphism's target$"):
+        envelope_matrix(X, env, paths[:-1], dims[:-1])
+    with pytest.raises(ValueError, match="^target dims are not the label dimensions of the target paths$"):
+        envelope_matrix(X, env, paths, [d + 1 for d in dims])
+
+
 def test_bar_group_algebra():
     Rg = group_algebra_c2(QQ)
     C = bar_complex(LabelledCycle.one_cycle(Rg, FiniteBimodule.regular(Rg)), 3)
@@ -803,11 +818,12 @@ def _extended_once(steps):
 
 def test_envelope_matrix_multiplies_each_fiber_once(monkeypatch):
     # The matrix is the Kronecker product of the fiber tables: each merged
-    # fiber's table is built once per build, and a fiber of one element of
-    # the target's colour builds none.  A fold step extends a prefix whose
-    # product is not 0 by one factor, and no prefix twice by the same one,
-    # so on the Morita cycle, where most products of matrix units vanish,
-    # the steps are far fewer than the digit keys of the merged fibers.
+    # fiber's table is built once per build, and a fiber of one element
+    # (of its target's colour, by admissibility) builds none.  A fold step
+    # extends a prefix whose product is not 0 by one factor, and no prefix
+    # twice by the same one, so on the Morita cycle, where most products of
+    # matrix units vanish, the steps are far fewer than the digit keys of
+    # the merged fibers.
     tables, steps = _count_fold(monkeypatch)
     X = morita_cycle()
     cut = CutSet(2, 2)
@@ -820,7 +836,7 @@ def test_envelope_matrix_multiplies_each_fiber_once(monkeypatch):
         colours = env.source.colours
         merged = [
             (path, tuple(colours[x] for x in fiber)) for fiber, path in zip(env.fiber_orders, target_paths)
-            if len(fiber) != 1 or colours[fiber[0]] != path
+            if len(fiber) != 1
         ]
         assert merged and len(merged) < env.target.size
         assert sorted(tables) == sorted(merged)
@@ -1032,7 +1048,7 @@ def test_one_memo_tells_bases_apart():
             for complex_, positions in ((full, None), (normal, hi)):
                 source, target = complex_.bases[q], complex_.bases[q - 1]
                 columns = [{} for _ in source[1]]
-                hochschild._add_envelope(X, env, env.target.colours, source, target, F3.one(), columns, memo)
+                hochschild._add_envelope(X, env, source, target, F3.one(), columns, memo)
                 if positions is not None:
                     expected = [{rank[r]: v for r, v in expected[p].items() if r in rank} for p in positions]
                 assert columns == expected, (q, i, positions is None)

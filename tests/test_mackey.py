@@ -22,10 +22,12 @@ from polygonic.mackey import (
     scale_restrict,
 )
 from polygonic.qfin import QFinSet, SpanMorphism, compose_spans
-from polygonic.rings import ZZ, DimensionMismatch, IntMatrix, invariant_factors, lattice_contains
+from polygonic.rings import ZZ, DimensionMismatch, IntMatrix, invariant_factors
 from polygonic.truncation import TruncationSet
 from polygonic.witt import witt_as_mackey
 from polygonic.rings import ModularRing, PrimeField
+
+from lattice_oracle import lattice_contains
 
 
 def sparse(x):

@@ -21,11 +21,12 @@ from polygonic.rings import (
     invariant_factors,
     is_prime,
     kernel_basis,
-    lattice_contains,
     rank_of,
     ring_from_string,
     smith_normal_form,
 )
+
+from lattice_oracle import lattice_contains
 
 
 def mat(rows, ring=ZZ):

@@ -2,7 +2,8 @@
 
 Each class is built positionally and by keyword; equal values compare equal
 and, where the class is hashable, hash equal; changing one field breaks
-equality; caches that are not part of the value do not change it.  Every
+equality; caches that are not part of the value do not change it.  All but
+ChainComplex take their equality and hash from one base, `Value`.  Every
 constructor check is pinned by exception type and message, and so is every
 repr that can reach a command-line message.
 """
@@ -13,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from polygonic.cli import main
-from polygonic.cyclic import CutSet, CyclicMap, EmptyOrder, Path
+from polygonic.cyclic import CutSet, CyclicMap, EmptyOrder, Path, Value
 from polygonic.hochschild import (
     AlgebraMismatch,
     ChainComplex,
@@ -146,6 +147,22 @@ def test_equal_values_compare_and_hash_equal(cls):
         changed = dict(zip(names, values)) if isinstance(names, tuple) else {names: values}
         other = cls(**{**fields, **changed})
         assert a != other and not a == other, names
+
+
+def test_equality_comes_from_one_base():
+    # ChainComplex keeps its own __eq__: its bases field is not compared
+    for cls, (_, _, hashable) in CASES.items():
+        if cls is ChainComplex:
+            assert not issubclass(cls, Value) and "__eq__" in vars(cls)
+            continue
+        assert issubclass(cls, Value) and cls.__eq__ is Value.__eq__, cls
+        assert cls.__hash__ is (Value.__hash__ if hashable else None), cls
+
+
+def test_values_of_two_classes_differ_where_their_fields_agree():
+    assert Path(3, 1, 2) != CutSet(3, 1, 2) and not Path(3, 1, 2) == CutSet(3, 1, 2)
+    assert CutSet(3, 1, 2) != Path(3, 1, 2)
+    assert len({Path(3, 1, 2), CutSet(3, 1, 2)}) == 2
 
 
 def test_defaults():
