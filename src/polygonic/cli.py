@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
+from itertools import accumulate
 
 import click
 
@@ -237,8 +239,12 @@ def paths(n):
 @click.option("--seq", required=True, help="comma list, e.g. v:0,e:0:1")
 @click.option("--target", required=True)
 def admissible(n, seq, target):
-    ok, wit = cyclic.is_admissible(_paths(n, seq), cyclic.Path.deserialize(n, target))
-    return {"admissible": ok, "witness": [str(x) for x in wit] if wit else None}
+    seq, target = _paths(n, seq), cyclic.Path.deserialize(n, target)
+    if not cyclic.is_admissible(seq, target):
+        return {"admissible": False, "witness": None}
+    # the forced chain x_0 = target.start, x_i = x_{i-1} + seq[i].length, over n
+    chain = accumulate((p.length for p in seq), initial=target.start)
+    return {"admissible": True, "witness": [str(Fraction(x, n)) for x in chain]}
 
 
 @cyclic_group.command()
@@ -472,13 +478,8 @@ def gfp(level, **window_module):
 def conservativity(window, burnside_m):
     M = _window_module(window, burnside_m, None, None)
     report = mackey.check_conservativity(M)
-    payload = {
-        "applicable": report["applicable"],
-        "nonzero_levels": report["nonzero_levels"],
-    }
-    if report["applicable"]:
-        payload["transfer_generated"] = report["transfer_generated"]
-    return payload
+    # never applicable: level m's identity span is no proper transfer, so Phi(m) != 0
+    return {"applicable": report["applicable"], "nonzero_levels": report["nonzero_levels"]}
 
 
 @mackey_group.command(name="proper-core")

@@ -17,7 +17,6 @@ in position steps.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from operator import attrgetter
 
 
@@ -132,26 +131,35 @@ def path_set(n):
 
 
 def is_admissible(seq, target):
-    """Decide whether seq is target-admissible; return (flag, witness).
+    """Is seq target-admissible?
 
-    A witness is a chain x_0 <= ... <= x_k <= x_0 + 1 with (x_0, x_k) in the
-    class of target and (x_{i-1}, x_i) in the class of seq[i].  Normalizing
-    x_0 to target's start makes each subsequent lift forced, so the search is
-    a single deterministic propagation.
+    That is, is there a chain x_0 <= ... <= x_k <= x_0 + 1 with (x_0, x_k)
+    in the class of target and (x_{i-1}, x_i) in the class of seq[i]?
+    Normalizing x_0 to target's start makes each subsequent lift forced, so
+    the search is a single deterministic propagation.
     """
     n = target.n
     if any(p.n != n for p in seq):
         raise ValueError("paths live on different objects")
     x = target.start
-    witness = [Fraction(x, n)]
     for p in seq:
         if p.start != x % n:
-            return False, None
+            return False
         x += p.length
-        witness.append(Fraction(x, n))
-    if x != target.start + target.length:
-        return False, None
-    return True, tuple(witness)
+    return x == target.start + target.length
+
+
+def path_label(path, vertices, edges, fuse):
+    """The label of a vertex (vertices[a]), an edge (edges[a]) or two edges
+    fused across the vertex between them (fuse(a)), a the path's start."""
+    a = path.start
+    if path.is_vertex:
+        return vertices[a]
+    if path.length == 1:
+        return edges[a]
+    if path.length == 2:
+        return fuse(a)
+    raise ValueError(f"labels cover at most two edges, not {path.length}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,25 +225,28 @@ class CyclicMap(Value):
 
     def dual(self):
         """The map b -> min{a : self(a) >= b}, canonicalized."""
-        out = []
-        for b in range(self.target_n):
-            best = None
-            for r in range(self.source_n):
-                # least k with vals[r] + k*target_n >= b
-                k = -((self.vals[r] - b) // self.target_n)
-                cand = r + k * self.source_n
-                if best is None or cand < best:
-                    best = cand
-            out.append(best)
-        # out is the value list of the dual on positions 0..target_n-1, but it
-        # may fail to start in canonical range; the constructor renormalizes.
-        return CyclicMap(self.target_n, self.source_n, tuple(out))
+        out = [None] * self.target_n
+        for a, p in _walk(self):
+            q, b = divmod(p, self.target_n)
+            out[b] = a - q * self.source_n
+        return CyclicMap(self.target_n, self.source_n, out)
 
     def serialize(self):
         return list(self.vals)
 
     def __repr__(self):
         return f"CyclicMap({self.source_n}->{self.target_n}, {list(self.vals)})"
+
+
+def _walk(g):
+    """The pairs (a, p) with 0 <= a < g.source_n and g(a-1) < p <= g(a), in
+    increasing p: each class of target positions once, and a = min{a : g(a)
+    >= p}, since g is nondecreasing within one period."""
+    lo = g.vals[-1] - g.target_n
+    for a, hi in enumerate(g.vals):
+        for p in range(lo + 1, hi + 1):
+            yield a, p
+        lo = hi
 
 
 def path_pushforward(f, p):
@@ -285,7 +296,9 @@ def hom_set(n, m):
 
 
 def automorphisms(n):
-    return [f for f in hom_set(n, n) if f.is_injective()]
+    """The n rotations: an injective map [n] -> [n] is a bijection."""
+    _check_sizes(n)
+    return [CyclicMap.rotation(n, k) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,25 +369,15 @@ class CutSet(Value):
         j, a = self.coords(e)
         return CutSet(self.q, self.n).element(j, a % self.n)
 
-    def position_map_delta(self, alpha, q_hi):
-        """The order map (alpha x id) from this level to level q_hi."""
-        vals = []
-        for pos in range(self.size):
-            j, a = self.coords(pos)
-            vals.append(a * (q_hi + 1) + alpha[j])
-        return CyclicMap(self.size, (q_hi + 1) * self.cycle_n, tuple(vals))
-
-    def position_map_cyclic(self, f):
-        """The order map (id x f) from this level over f's source circle."""
+    def position_map(self, alpha, f, q_hi):
+        """The product order map (alpha x f) from this level to level q_hi
+        over f's target circle: (j, a) goes to f(a)*(q_hi+1) + alpha[j]."""
         if f.source_n != self.cycle_n:
             raise ValueError("cycle size mismatch")
         if not f.is_injective():
             raise ValueError("only injective circle maps induce order maps")
-        vals = []
-        for pos in range(self.size):
-            j, a = self.coords(pos)
-            vals.append(f(a) * (self.q + 1) + j)
-        return CyclicMap(self.size, (self.q + 1) * f.target_n, tuple(vals))
+        vals = [f(a) * (q_hi + 1) + alpha[j] for j, a in map(self.coords, range(self.size))]
+        return CyclicMap(self.size, (q_hi + 1) * f.target_n, vals)
 
 
 def dual_fibers(g):
@@ -385,21 +388,11 @@ def dual_fibers(g):
     (g(a-1), g(a)], listed in increasing position order; with the cut-set
     colouring that order is the one whose colour sequences are admissible.
     """
-    ns, nt = g.source_n, g.target_n
-    fibers = []
-    for a in range(ns):
-        fibers.append(tuple(p % nt for p in range(g(a - 1) + 1, g(a) + 1)))
-    f = {}
-    for a, fib in enumerate(fibers):
-        for b in fib:
-            if b in f:
-                raise ValueError("dual fibers do not partition one period")
-        for b in fib:
-            f[b] = a
-    if len(f) != nt:
-        raise ValueError("dual fibers do not cover one period")
-    underlying = tuple(f[b] for b in range(nt))
-    return underlying, tuple(fibers)
+    underlying, fibers = [None] * g.target_n, [[] for _ in range(g.source_n)]
+    for a, p in _walk(g):
+        underlying[p % g.target_n] = a
+        fibers[a].append(p % g.target_n)
+    return tuple(underlying), tuple(map(tuple, fibers))
 
 
 def delta_face(q, i):

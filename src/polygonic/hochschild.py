@@ -14,7 +14,7 @@ from functools import lru_cache, partial
 from itertools import product
 from math import prod
 
-from .cyclic import CutSet, CyclicMap, Path, SizeGuard, Value, pull_back_labels
+from .cyclic import CutSet, CyclicMap, Path, SizeGuard, Value, path_label, pull_back_labels
 from .operad import EnvelopeMorphism, cut_envelope_cyclic, cut_face
 from .rings import (
     Echelon,
@@ -24,6 +24,8 @@ from .rings import (
     _json_fields,
     invariant_factors_of_rows,
     kernel_basis,
+    monic,
+    poly_reduce,
     ring_from_json,
 )
 
@@ -109,13 +111,15 @@ def _json_table(field, table, depth):
     return tuple(_json_table(field, row, depth - 1) for row in table)
 
 
-def _has_shape(table, shape):
-    """Is table nested tuples/lists with the given lengths, outermost first?"""
-    return not shape or (
-        isinstance(table, (tuple, list))
-        and len(table) == shape[0]
-        and all(_has_shape(row, shape[1:]) for row in table)
-    )
+def _frozen(table, shape, message):
+    """table as nested tuples with the given lengths, outermost first, so it
+    hashes and compares as its tuple twin; ValueError(message) unless it is
+    nested tuples/lists of that shape."""
+    if not shape:
+        return table
+    if not isinstance(table, (tuple, list)) or len(table) != shape[0]:
+        raise ValueError(message)
+    return tuple(_frozen(row, shape[1:], message) for row in table)
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +133,13 @@ class FiniteAlgebra(Value):
     __slots__ = ("field", "dim", "mult", "unit", "name")
 
     def __init__(self, field, dim, mult, unit, name=""):
-        self.field, self.dim, self.mult, self.unit, self.name = field, dim, mult, unit, name
-        if not self.field.is_field:
+        if not field.is_field:
             raise NonFieldRing("algebras need field coefficients")
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"algebra dimension must be an integer >= 1, got {self.dim!r}")
-        if not _has_shape(self.mult, (self.dim,) * 3):
-            raise ValueError(f"multiplication table must be {self.dim}x{self.dim}x{self.dim}")
-        if not _has_shape(self.unit, (self.dim,)):
-            raise ValueError(f"unit must have {self.dim} coordinates")
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"algebra dimension must be an integer >= 1, got {dim!r}")
+        self.field, self.dim, self.name = field, dim, name
+        self.mult = _frozen(mult, (dim,) * 3, f"multiplication table must be {dim}x{dim}x{dim}")
+        self.unit = _frozen(unit, (dim,), f"unit must have {dim} coordinates")
         bad = _associative(self.field, (self.dim,) * 3, self.mult, self.mult, self.mult, self.mult)
         if bad is not None:
             raise ValueError("associativity fails at basis ({},{},{})".format(*bad))
@@ -171,21 +173,10 @@ class FiniteAlgebra(Value):
     @classmethod
     def poly_quotient(cls, field, modulus, name=""):
         """field[x]/(modulus), modulus monic of degree d, basis 1, x, ..."""
+        modulus = monic(field, modulus)
         d = len(modulus) - 1
-        if d < 1 or not field.eq(modulus[-1], field.one()):
-            raise ValueError("modulus must be monic of degree >= 1")
-
-        def reduce(raw):
-            raw = list(raw)
-            for i in range(len(raw) - 1, d - 1, -1):
-                c = raw[i]
-                if field.is_zero(c):
-                    continue
-                for j in range(d + 1):
-                    raw[i - d + j] = field.sub(raw[i - d + j], field.mul(c, modulus[j]))
-            return tuple(raw[:d])
-
-        mult = tuple(tuple(reduce(_unit_vector(field, 2 * d, i + j)) for j in range(d)) for i in range(d))
+        mult = tuple(
+            tuple(poly_reduce(field, modulus, _unit_vector(field, 2 * d, i + j)) for j in range(d)) for i in range(d))
         return cls(field, d, mult, _unit_vector(field, d, 0), name=name or "k[x]/(f)")
 
     def to_json(self):
@@ -212,13 +203,10 @@ class FiniteBimodule(Value):
     __slots__ = ("left_algebra", "right_algebra", "dim", "left", "right", "name")
 
     def __init__(self, left_algebra, right_algebra, dim, left, right, name=""):
-        self.left_algebra, self.right_algebra, self.dim = left_algebra, right_algebra, dim
-        self.left, self.right, self.name = left, right, name
-        A, B = self.left_algebra, self.right_algebra
-        if not _has_shape(self.left, (A.dim, self.dim, self.dim)):
-            raise ValueError(f"left action must be {A.dim}x{self.dim}x{self.dim}")
-        if not _has_shape(self.right, (self.dim, B.dim, self.dim)):
-            raise ValueError(f"right action must be {self.dim}x{B.dim}x{self.dim}")
+        A, B = self.left_algebra, self.right_algebra = left_algebra, right_algebra
+        self.dim, self.name = dim, name
+        self.left = _frozen(left, (A.dim, dim, dim), f"left action must be {A.dim}x{dim}x{dim}")
+        self.right = _frozen(right, (dim, B.dim, dim), f"right action must be {dim}x{B.dim}x{dim}")
         for m in range(self.dim):
             fm = self._basis(m)
             if self.left_act(list(A.unit), fm) != fm:
@@ -253,9 +241,7 @@ class FiniteBimodule(Value):
     @classmethod
     def regular(cls, A):
         """A over itself."""
-        left = tuple(tuple(A.mult[i][m] for m in range(A.dim)) for i in range(A.dim))
-        right = tuple(tuple(A.mult[m][j] for j in range(A.dim)) for m in range(A.dim))
-        return cls(A, A, A.dim, left, right, name=A.name)
+        return cls(A, A, A.dim, A.mult, A.mult, name=A.name)
 
     @classmethod
     def row_vectors(cls, field, n):
@@ -291,8 +277,7 @@ class FiniteBimodule(Value):
             tuple(tuple(B.mul_vec(list(phi_matrix[i]), B._basis(m))) for m in range(B.dim))
             for i in range(A.dim)
         )
-        right = tuple(tuple(B.mult[m][j] for j in range(B.dim)) for m in range(B.dim))
-        return cls(A, B, B.dim, left, right, name=name or "B_phi")
+        return cls(A, B, B.dim, left, B.mult, name=name or "B_phi")
 
     def to_json(self):
         f = self.field
@@ -432,13 +417,7 @@ class LabelledCycle(Value):
     def label(self, path: Path):
         """The label of a vertex (an algebra), an edge (a bimodule) or two
         edges fused across the vertex between them."""
-        if path.is_vertex:
-            return self.algebras[path.start]
-        if path.length == 1:
-            return self.bimodules[path.start]
-        if path.length == 2:
-            return self.fused(path.start)[0]
-        raise ValueError(f"labels cover at most two edges, not {path.length}")
+        return path_label(path, self.algebras, self.bimodules, lambda a: self.fused(a)[0])
 
     def label_dim(self, path: Path):
         return self.label(path).dim
@@ -543,49 +522,40 @@ class ChainComplex:
         return True
 
 
-def multiply_sequence(cycle, target_path, factors):
-    """Value of one fiber: multiply labelled factors along the target path.
-
-    factors is the admissible sequence [(path, basis index), ...]; returns a
-    dict index -> coefficient in cycle.label(target_path).  It is the one
-    digit key case of _fiber_table.
-    """
-    key = tuple(i for _, i in factors)
-    return _fiber_table(cycle, target_path, tuple(p for p, _ in factors), {}, [(i,) for i in key]).get(key, {})
-
-
-def _extend(cycle, path, colour, state, digits):
-    """One fold step: a prefix's state (edges, pending) times basis element i
-    of colour's label, for i in digits, as {i: state} where not 0.  edges
-    has (module, value) per edge factor, acted on by the algebra factors
-    before it; pending multiplies the later ones (from the unit at a vertex)."""
+def _extend(cycle, path, colour, state):
+    """One fold step: a prefix's state (edges, pending) times each basis
+    element i of colour's label, as {i: state} where not 0.  edges has
+    (module, value) per edge factor, acted on by the algebra factors before
+    it; pending multiplies the later ones (from the unit at a vertex)."""
     field, one, (edges, pending), out = cycle.field, cycle.field.one(), state, {}
     label, edge = cycle.label(path if path.is_vertex else colour), not (path.is_vertex or colour.is_vertex)
     table = label.left if edge else label.mult
-    for i in digits:
+    for i in range(label.dim):
         if value := {i: one} if pending is None else _combo_mul(field, pending, {i: one}, table):
             out[i] = (edges + ((label, value),), None) if edge else (edges, value)
     return out
 
 
-def _fiber_table(cycle, path, colours, memo, digits=None):
+def _fiber_table(cycle, path, colours, memo):
     """{digit key: value} of the products of factors of these colours along
-    path that are not 0, over every basis index of factor k (or digits[k]).
-    It folds _extend on from the longest prefix in memo and keeps each
-    prefix's states there; a prefix whose product is 0 is never extended."""
+    path that are not 0, over every basis index of each factor.  It folds
+    _extend on from the longest prefix in memo, found with one lookup per
+    length, and keeps each prefix's states there; a prefix whose product is
+    0 is never extended."""
     target, field = cycle.label(path), cycle.field
     if not path.is_vertex and any(not p.is_vertex and p.length != 1 for p in colours):
         raise ValueError("fiber factors must be vertices or single edges")
     if not path.is_vertex and sum(not p.is_vertex for p in colours) != path.length:
         raise ValueError("edge count does not cover the target path")
-    start = (), {i: c for i, c in enumerate(target.unit) if not field.is_zero(c)} if path.is_vertex else None
-    k = next((k for k in range(len(colours), 0, -1) if (path, colours[:k]) in memo), 0)
-    states = memo.setdefault((path, colours[:k]), {(): start})
+    k = len(colours)
+    while k and (states := memo.get((path, colours[:k]))) is None:
+        k -= 1
+    if not k:
+        pending = {i: c for i, c in enumerate(target.unit) if not field.is_zero(c)} if path.is_vertex else None
+        states = {(): ((), pending)}
     for k in range(k, len(colours)):
-        choices = range(cycle.label_dim(colours[k])) if digits is None else digits[k]
         states = memo[path, colours[:k + 1]] = {
-            t + (i,): s for t, state in states.items()
-            for i, s in _extend(cycle, path, colours[k], state, choices).items()
+            t + (i,): s for t, state in states.items() for i, s in _extend(cycle, path, colours[k], state).items()
         }
     table = {}
     for t, (edges, value) in states.items():

@@ -16,8 +16,11 @@ from .cyclic import (
     Path,
     SizeGuard,
     Value,
+    delta_degeneracy,
+    delta_face,
     dual_fibers,
     is_admissible,
+    path_label,
     path_pushforward,
     pull_back_labels,
 )
@@ -40,8 +43,7 @@ def mul_set(seq, target):
         raise SizeGuard(f"operation arity is guarded at {MUL_ARITY_GUARD}")
     out = []
     for sigma in permutations(range(len(seq))):
-        ok, _ = is_admissible([seq[i] for i in sigma], target)
-        if ok:
+        if is_admissible([seq[i] for i in sigma], target):
             out.append(sigma)
     return out
 
@@ -87,8 +89,7 @@ class EnvelopeMorphism(Value):
             raise ValueError("fiber orders do not cover the source")
         for y, fiber in enumerate(fiber_orders):
             seq = [source.colours[x] for x in fiber]
-            ok, _ = is_admissible(seq, target.colours[y])
-            if not ok:
+            if not is_admissible(seq, target.colours[y]):
                 raise ValueError(
                     f"fiber {fiber} over element {y} carries a non-admissible colour sequence"
                 )
@@ -139,24 +140,17 @@ def cut_envelope_delta(cut: CutSet, alpha, q_lo):
     if len(alpha) != q_lo + 1 or any(alpha[i] > alpha[i + 1] for i in range(q_lo)):
         raise ValueError("alpha must be a monotone value tuple")
     lo = CutSet(q_lo, cut.n, cut.p)
-    g = lo.position_map_delta(alpha, cut.q)
-    underlying, fibers = dual_fibers(g)
-    return EnvelopeMorphism(
-        ColouredSet.from_cut(cut), ColouredSet.from_cut(lo), underlying, fibers
-    )
+    underlying, fibers = dual_fibers(lo.position_map(alpha, CyclicMap.identity(cut.cycle_n), cut.q))
+    return EnvelopeMorphism(ColouredSet.from_cut(cut), ColouredSet.from_cut(lo), underlying, fibers)
 
 
 def cut_face(cut: CutSet, i):
     """The i-th face, 0 <= i <= q."""
-    from .cyclic import delta_face
-
     return cut_envelope_delta(cut, delta_face(cut.q, i), cut.q - 1)
 
 
 def cut_degeneracy(cut: CutSet, i):
     """The i-th degeneracy, 0 <= i <= q."""
-    from .cyclic import delta_degeneracy
-
     return cut_envelope_delta(cut, delta_degeneracy(cut.q, i), cut.q + 1)
 
 
@@ -171,11 +165,9 @@ def cut_envelope_cyclic(cut: CutSet, f: CyclicMap):
     if f.target_n != cut.cycle_n:
         raise ValueError("map does not land on the cut set's cycle")
     lo = CutSet(cut.q, f.source_n)
-    g = lo.position_map_cyclic(f)
-    underlying, fibers = dual_fibers(g)
+    underlying, fibers = dual_fibers(lo.position_map(range(cut.q + 1), f, cut.q))
     pushed = pushforward(f, ColouredSet.from_cut(lo))
-    morphism = EnvelopeMorphism(ColouredSet.from_cut(cut), pushed, underlying, fibers)
-    return morphism, lo
+    return EnvelopeMorphism(ColouredSet.from_cut(cut), pushed, underlying, fibers), lo
 
 
 def cut_quotient_check(cover: CutSet):
@@ -236,14 +228,9 @@ class LabelledCycleSpec(Value):
     def label(self, path: Path):
         """The handle of a vertex, an edge, or two edges fused across the
         vertex between them."""
-        a = path.start
-        if path.is_vertex:
-            return self.vertices[a]
-        if path.length == 1:
-            return self.edges[a]
-        if path.length == 2:
-            return tensor_handle(self.edges[a], self.vertices[(a + 1) % self.n], self.edges[(a + 1) % self.n])
-        raise ValueError(f"labels cover at most two edges, not {path.length}")
+        n, vertices, edges = self.n, self.vertices, self.edges
+        return path_label(
+            path, vertices, edges, lambda a: tensor_handle(edges[a], vertices[(a + 1) % n], edges[(a + 1) % n]))
 
     def pull_back(self, f: CyclicMap):
         """The spec on f's source labelled by pull_back_labels."""

@@ -246,6 +246,29 @@ class PrimeField(ModularRing):
         return {"kind": self.kind, "p": self.modulus}
 
 
+def monic(base, modulus):
+    """modulus as a coefficient tuple, lowest degree first; ValueError unless
+    it is monic of degree >= 1."""
+    modulus = tuple(modulus)
+    if len(modulus) < 2 or not base.eq(modulus[-1], base.one()):
+        raise ValueError("modulus must be monic of degree >= 1")
+    return modulus
+
+
+def poly_reduce(base, modulus, coeffs):
+    """A coefficient list (lowest degree first, any length) modulo a monic
+    modulus of degree d, as a tuple of d coefficients."""
+    d = len(modulus) - 1
+    coeffs = list(coeffs) + [base.zero()] * (d - len(coeffs))
+    for i in range(len(coeffs) - 1, d - 1, -1):
+        lead = coeffs[i]
+        if base.is_zero(lead):
+            continue
+        for j in range(d + 1):
+            coeffs[i - d + j] = base.sub(coeffs[i - d + j], base.mul(lead, modulus[j]))
+    return tuple(coeffs[:d])
+
+
 class QuotientPolynomialRing(CoefficientRing):
     """base[x] / (modulus), modulus monic; elements are coefficient tuples.
 
@@ -259,11 +282,8 @@ class QuotientPolynomialRing(CoefficientRing):
     def __init__(self, base, modulus, var="x"):
         if not isinstance(base, CoefficientRing):
             raise TypeError("base must be a CoefficientRing")
-        modulus = tuple(modulus)
-        if len(modulus) < 2 or not base.eq(modulus[-1], base.one()):
-            raise ValueError("modulus must be monic of degree >= 1")
         self.base = base
-        self.modulus = modulus
+        self.modulus = modulus = monic(base, modulus)
         self.deg = len(modulus) - 1
         self.var = var
         self.is_field = bool(base.is_field and self._irreducible())
@@ -293,21 +313,6 @@ class QuotientPolynomialRing(CoefficientRing):
     def neg(self, a):
         return tuple(self.base.neg(x) for x in a)
 
-    def _reduce(self, coeffs):
-        # Reduce a raw coefficient list (any length) modulo the monic modulus.
-        coeffs = list(coeffs)
-        for i in range(len(coeffs) - 1, self.deg - 1, -1):
-            lead = coeffs[i]
-            if self.base.is_zero(lead):
-                continue
-            for j in range(self.deg + 1):
-                coeffs[i - self.deg + j] = self.base.sub(
-                    coeffs[i - self.deg + j], self.base.mul(lead, self.modulus[j])
-                )
-        while len(coeffs) < self.deg:
-            coeffs.append(self.base.zero())
-        return tuple(coeffs[: self.deg])
-
     def mul(self, a, b):
         raw = [self.base.zero()] * (2 * self.deg)
         for i, x in enumerate(a):
@@ -315,13 +320,13 @@ class QuotientPolynomialRing(CoefficientRing):
                 continue
             for j, y in enumerate(b):
                 raw[i + j] = self.base.add(raw[i + j], self.base.mul(x, y))
-        return self._reduce(raw)
+        return poly_reduce(self.base, self.modulus, raw)
 
     def gen(self):
         """The class of the variable."""
         coeffs = [self.base.zero()] * self.deg
         if self.deg == 1:
-            return self._reduce([self.base.zero(), self.base.one()])
+            return poly_reduce(self.base, self.modulus, [self.base.zero(), self.base.one()])
         coeffs[1] = self.base.one()
         return tuple(coeffs)
 
@@ -353,7 +358,7 @@ class QuotientPolynomialRing(CoefficientRing):
         if degree(r1) < 0:
             raise ZeroDivisionError("element is not invertible")
         c = self.base.inv(r1[degree(r1)])
-        return self._reduce([self.base.mul(c, x) for x in s1])
+        return poly_reduce(self.base, self.modulus, [self.base.mul(c, x) for x in s1])
 
     def elements(self):
         from itertools import product

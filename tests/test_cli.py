@@ -83,6 +83,22 @@ def test_tsv_format(runner):
     assert lines["matches_base"] == "True"
 
 
+def test_cyclic_cut_of_a_cover_and_dualize(runner):
+    # the 2-fold cover of the 2-cycle at level 1: the deck action turns the
+    # blocks by n, the quotient map forgets the sheet
+    result = run(runner, ["cyclic", "cut", "--q", "1", "--n", "2", "--p", "2"])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {
+        "action": [4, 5, 6, 7, 0, 1, 2, 3],
+        "colours": ["e:3:0", "v:0", "e:0:1", "v:1", "e:1:2", "v:2", "e:2:3", "v:3"],
+        "cover_checks": {"free": True, "order_p": True, "square_commutes": True},
+        "quotient": [0, 1, 2, 3, 0, 1, 2, 3],
+        "size": 8,
+    }
+    result = run(runner, ["cyclic", "dualize", "--n", "2", "--m", "3", "--vals", "0,2"])
+    assert (result.exit_code, json.loads(result.output)) == (0, {"dual": [0, 1, 1]})
+
+
 def test_more_module_examples(runner):
     result = run(runner, ["cyclic", "admissible", "--n", "2",
                           "--seq", "e:0:1,v:1", "--target", "e:0:1"])

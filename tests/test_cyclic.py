@@ -1,8 +1,10 @@
+import json
 import random
-from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from polygonic.cli import main
 from polygonic.cyclic import (
     CutSet,
     CyclicMap,
@@ -42,20 +44,24 @@ def test_path_set_sizes():
     assert len(path_set(5)) == 30
 
 
+def _witness(n, seq, target):
+    """The witness that `cyclic admissible` prints, or None."""
+    argv = ["cyclic", "admissible", "--n", str(n), "--seq", ",".join(p.serialize() for p in seq),
+            "--target", target.serialize()]
+    return json.loads(CliRunner().invoke(main, argv).output)["witness"]
+
+
 def test_admissible_examples():
     v = lambda n, a: Path.vertex(n, a)
     e = lambda n, a, b: Path.edge(n, a, b)
-    ok, wit = is_admissible(
-        [v(3, 0), e(3, 0, 1), v(3, 1), e(3, 1, 2), v(3, 2)], e(3, 0, 2)
-    )
-    assert ok and wit is not None
-    ok, _ = is_admissible([v(3, 0), e(3, 0, 2), v(3, 2)], e(3, 0, 2))
-    assert ok
-    ok, wit = is_admissible([v(2, 1), e(2, 0, 1)], e(2, 0, 1))
-    assert not ok and wit is None
-    ok, wit = is_admissible([e(2, 0, 1), v(2, 1)], e(2, 0, 1))
-    assert ok
-    assert wit == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
+    seq = [v(3, 0), e(3, 0, 1), v(3, 1), e(3, 1, 2), v(3, 2)]
+    assert is_admissible(seq, e(3, 0, 2)) is True
+    assert _witness(3, seq, e(3, 0, 2)) == ["0", "0", "1/3", "1/3", "2/3", "2/3"]
+    assert is_admissible([v(3, 0), e(3, 0, 2), v(3, 2)], e(3, 0, 2))
+    assert is_admissible([v(2, 1), e(2, 0, 1)], e(2, 0, 1)) is False
+    assert _witness(2, [v(2, 1), e(2, 0, 1)], e(2, 0, 1)) is None
+    assert is_admissible([e(2, 0, 1), v(2, 1)], e(2, 0, 1))
+    assert _witness(2, [e(2, 0, 1), v(2, 1)], e(2, 0, 1)) == ["0", "1/2", "1/2"]
 
 
 def test_admissible_rotation_invariance():
@@ -65,10 +71,10 @@ def test_admissible_rotation_invariance():
         for _ in range(80):
             seq = [rng.choice(paths) for _ in range(rng.randrange(1, 4))]
             target = rng.choice(paths)
-            base, _ = is_admissible(seq, target)
+            base = is_admissible(seq, target)
             for k in range(n):
                 tau = CyclicMap.rotation(n, k)
-                rotated, _ = is_admissible(
+                rotated = is_admissible(
                     [path_pushforward(tau, p) for p in seq], path_pushforward(tau, target)
                 )
                 assert rotated == base
@@ -128,6 +134,27 @@ def test_hom_set_counts():
         hom_set(7, 2)
 
 
+def test_dual_is_the_least_preimage():
+    # the definition b -> min{a : f(a) >= b}, searched over (-n, n], on
+    # every map with n, m <= 5
+    for n in range(1, 6):
+        for m in range(1, 6):
+            for f in hom_set(n, m):
+                least = [min(a for a in range(-n + 1, n + 1) if f(a) >= b) for b in range(m)]
+                assert f.dual() == CyclicMap(m, n, least), f
+
+
+def test_automorphisms_are_the_rotations():
+    # the injective self-maps, in hom_set's order, and none is enumerated:
+    # n = 7 is past hom_set's guard
+    for n in range(1, 7):
+        assert automorphisms(n) == [f for f in hom_set(n, n) if f.is_injective()]
+    assert automorphisms(7) == [CyclicMap.rotation(7, k) for k in range(7)]
+    assert all(f.is_injective() for f in automorphisms(7))
+    with pytest.raises(ValueError):
+        automorphisms(0)
+
+
 def test_composition_associative():
     for n in (1, 2, 3):
         for m in (1, 2, 3):
@@ -157,9 +184,14 @@ def test_position_maps_need_injective_circle_maps():
     # bad input, not a size limit: a ValueError, not the guard
     fold = CyclicMap(2, 1, (0, 0))
     with pytest.raises(ValueError, match="^only injective circle maps induce order maps$"):
-        CutSet(1, 2).position_map_cyclic(fold)
+        CutSet(1, 2).position_map(range(2), fold, 1)
+    with pytest.raises(ValueError, match="^cycle size mismatch$"):
+        CutSet(1, 2).position_map(range(2), CyclicMap.identity(3), 1)
     injective = CyclicMap.rotation(2, 1)
-    assert CutSet(1, 2).position_map_cyclic(injective).source_n == 4
+    assert CutSet(1, 2).position_map(range(2), injective, 1).source_n == 4
+    # a face's map: (j, a) goes to a * (q_hi + 1) + alpha[j] on the identity
+    g = CutSet(1, 2).position_map((0, 2), CyclicMap.identity(2), 2)
+    assert (g.target_n, g.vals) == (6, (0, 2, 3, 5))
 
 
 def test_simplicial_identities():
@@ -219,17 +251,19 @@ def test_cover_equivariance_of_faces():
 
 
 def test_dual_fibers_partition():
-    rng = random.Random(4)
-    for _ in range(50):
-        n = rng.randrange(1, 5)
-        m = rng.randrange(1, 5)
-        maps = hom_set(n, m)
-        g = rng.choice(maps)
-        underlying, fibers = dual_fibers(g)
-        assert sorted(x for fib in fibers for x in fib) == list(range(m))
-        for a, fib in enumerate(fibers):
-            for b in fib:
-                assert underlying[b] == a
+    # on every map with n, m <= 5 the fibers, read over a = 0, 1, ..., are
+    # the classes of the positions g(-1) + 1, ..., g(n - 1) in turn: they
+    # tile one period, and the class map is the dual's
+    for n in range(1, 6):
+        for m in range(1, 6):
+            for g in hom_set(n, m):
+                underlying, fibers = dual_fibers(g)
+                assert sorted(x for fib in fibers for x in fib) == list(range(m))
+                assert [b for fib in fibers for b in fib] == [p % m for p in range(g(-1) + 1, g(n - 1) + 1)]
+                for a, fib in enumerate(fibers):
+                    for b in fib:
+                        assert underlying[b] == a
+                assert underlying == tuple(v % n for v in g.dual().vals)
 
 
 def test_path_serialization_roundtrip():

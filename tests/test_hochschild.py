@@ -29,7 +29,6 @@ from polygonic.hochschild import (
     induced_homology_matrix,
     integral_homology_one_cycle,
     is_chain_map,
-    multiply_sequence,
     normalized_bar_complex,
     normalized_positions,
     relative_tensor,
@@ -524,7 +523,7 @@ def test_labels_cover_at_most_two_edges():
     with pytest.raises(ValueError, match="at most two edges, not 3"):
         X.label_dim(Path(3, 0, 3))
     with pytest.raises(ValueError, match="at most two edges, not 3"):
-        multiply_sequence(X, Path(3, 0, 3), [(Path(3, a, 1), 0) for a in range(3)])
+        hochschild._fiber_table(X, Path(3, 0, 3), tuple(Path(3, a, 1) for a in range(3)), {})
 
 
 def test_pull_back_is_functorial_on_labelled_cycles():
@@ -796,13 +795,13 @@ def _count_fold(monkeypatch):
     tables, steps = [], []
     table, extend = hochschild._fiber_table, hochschild._extend
 
-    def counted_table(cycle, path, colours, memo, digits=None):
+    def counted_table(cycle, path, colours, memo):
         tables.append((path, colours))
-        return table(cycle, path, colours, memo, digits)
+        return table(cycle, path, colours, memo)
 
-    def counted_extend(cycle, path, colour, state, digits):
+    def counted_extend(cycle, path, colour, state):
         steps.append((state, colour))
-        return extend(cycle, path, colour, state, digits)
+        return extend(cycle, path, colour, state)
 
     monkeypatch.setattr(hochschild, "_fiber_table", counted_table)
     monkeypatch.setattr(hochschild, "_extend", counted_extend)
@@ -955,9 +954,42 @@ def test_trace_normalized_and_direct_routes_agree():
         assert all(homology_map_is_iso(rebased, normal, proj, q) for q in range(degree))
 
 
+def _fiber_product(cycle, path, factors):
+    """One fiber product by the definition, as sparse coordinates in the
+    label of path: at a vertex the factors multiply in order, from the unit;
+    along edges the algebra factors before the first edge act on it from
+    the left, later ones on the edge before them from the right, and two
+    edges are tensored and projected to their fused label."""
+    field = cycle.field
+    if path.is_vertex:
+        A = cycle.label(path)
+        value = list(A.unit)
+        for _, i in factors:
+            value = A.mul_vec(value, A._basis(i))
+    else:
+        before, edges = [], []
+        for colour, i in factors:
+            label = cycle.label(colour)
+            if not colour.is_vertex:
+                edges.append((label, label._basis(i)))
+            elif edges:
+                M, v = edges[-1]
+                edges[-1] = M, M.right_act(v, label._basis(i))
+            else:
+                before.append(label._basis(i))
+        M, value = edges[0]
+        for x in reversed(before):
+            value = M.left_act(x, value)
+        if len(edges) == 2:
+            (_, u), (N, v) = edges
+            return cycle.fused(path.start)[1](
+                {i * N.dim + j: field.mul(c, e) for i, c in enumerate(u) for j, e in enumerate(v)})
+    return {k: c for k, c in enumerate(value) if not field.is_zero(c)}
+
+
 def _reference_columns(cycle, env):
     """The columns of env's matrix by the definition: every fiber of each
-    source basis tensor multiplied by multiply_sequence (once per distinct
+    source basis tensor multiplied by _fiber_product (once per distinct
     product), the results tensored in target element order."""
     field, colours, paths = cycle.field, env.source.colours, env.target.colours
     dims, products, columns = [cycle.label_dim(p) for p in paths], {}, []
@@ -966,7 +998,7 @@ def _reference_columns(cycle, env):
         for path, d, fiber in zip(paths, dims, env.fiber_orders):
             factors = tuple((colours[x], digits[x]) for x in fiber)
             if (path, factors) not in products:
-                products[path, factors] = multiply_sequence(cycle, path, list(factors))
+                products[path, factors] = _fiber_product(cycle, path, factors)
             image = {r * d + k: field.mul(a, e) for r, a in image.items() for k, e in products[path, factors].items()}
         columns.append(image)
     return columns
@@ -1368,3 +1400,53 @@ def test_normalized_complex_rebases_the_unit_first():
     assert normalized_bar_complex(Y, 6).dims[-1] == 4 * 3 ** 6
     with pytest.raises(SizeGuard, match="bar complex dimension 65536 exceeds 20000"):
         normalized_bar_complex(Y, 7)
+
+
+def _lists(table):
+    return [_lists(row) for row in table] if isinstance(table, tuple) else table
+
+
+def test_tables_given_as_lists_are_stored_as_tuples():
+    # A table given as nested lists is frozen while its shape is checked:
+    # the algebra hashes, equals its tuple twin (so the two mix in one
+    # cycle), and its regular bimodule's actions are its own table, so the
+    # free edges of a list-built cycle are found and contracted.
+    M2 = FiniteAlgebra.matrix_algebra(F2, 2)
+    listed = FiniteAlgebra(F2, 4, _lists(M2.mult), _lists(M2.unit), M2.name)
+    assert listed == M2 and hash(listed) == hash(M2)
+    assert FiniteBimodule.regular(listed).right == listed.mult
+    one_cycle = LabelledCycle.one_cycle(listed, FiniteBimodule.regular(listed))
+    assert hh_complex(one_cycle, 4) == hh_complex(LabelledCycle.uniform(M2, None, 1), 4)
+    C2 = group_algebra_c2(F3)
+    C2_listed = FiniteAlgebra(F3, 2, _lists(C2.mult), _lists(C2.unit), C2.name)
+    regular = FiniteBimodule(C2_listed, C2_listed, 2, _lists(C2.mult), _lists(C2.mult), C2.name)
+    assert regular == FiniteBimodule.regular(C2)
+    assert contract_free(LabelledCycle.uniform(C2_listed, regular, 3)).n == 1
+    mixed = LabelledCycle((C2, C2_listed), (FiniteBimodule.regular(C2_listed), FiniteBimodule.regular(C2)))
+    assert homology(hh_complex(mixed, 3)) == homology(hh_complex(LabelledCycle.uniform(C2, None, 2), 3))
+    with pytest.raises(ValueError, match="^multiplication table must be 2x2x2$"):
+        FiniteAlgebra(F3, 2, _lists(C2.mult)[:1], _lists(C2.unit))
+    with pytest.raises(ValueError, match="^right action must be 2x2x2$"):
+        FiniteBimodule(C2, C2, 2, C2.mult, [[[1, 0]] * 2, [[0, 1]]])
+
+
+def test_one_polynomial_reduction_serves_the_ring_and_the_algebra():
+    # x^k modulo a monic f, by the recurrence x^d = -(f_0 + ... + f_{d-1}
+    # x^{d-1}): the reduction itself, products in the quotient ring, and the
+    # structure constants of the quotient algebra
+    for base, modulus in ((PrimeField(5), (2, 0, 3, 1)), (QQ, (Fraction(-1, 4), 0, 1)), (QQ, (0, 0, 0, 1))):
+        d = len(modulus) - 1
+        powers, power = [], [base.one()] + [base.zero()] * (d - 1)
+        for _ in range(2 * d - 1):
+            powers.append(tuple(power))
+            top, power = power[-1], [base.zero()] + power[:-1]
+            power = [base.sub(c, base.mul(top, m)) for c, m in zip(power, modulus)]
+        ring, algebra = rings.QuotientPolynomialRing(base, modulus), FiniteAlgebra.poly_quotient(base, modulus)
+        for i, j in product(range(d), repeat=2):
+            assert rings.poly_reduce(base, modulus, [base.zero()] * (i + j) + [base.one()]) == powers[i + j]
+            assert ring.mul(powers[i], powers[j]) == powers[i + j]
+            assert algebra.mult[i][j] == powers[i + j]
+    for bad in ((), (1,), (1, 2), (0, 0, 2)):
+        for make in (rings.QuotientPolynomialRing, FiniteAlgebra.poly_quotient):
+            with pytest.raises(ValueError, match="^modulus must be monic of degree >= 1$"):
+                make(QQ, bad)

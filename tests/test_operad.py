@@ -1,9 +1,8 @@
 import random
-from itertools import permutations
 
 import pytest
 
-from polygonic.cyclic import CutSet, CyclicMap, Path, SizeGuard, delta_face, is_admissible, path_set
+from polygonic.cyclic import CutSet, CyclicMap, Path, SizeGuard, delta_face, path_set
 from polygonic.operad import (
     ColouredSet,
     EnvelopeMorphism,
@@ -39,10 +38,6 @@ def _factorial(k):
     for i in range(2, k + 1):
         out *= i
     return out
-
-
-def _admissible_orders(seq, target):
-    return [s for s in permutations(range(len(seq))) if is_admissible([seq[i] for i in s], target)[0]]
 
 
 def test_mul_set_closed_under_substitution():

@@ -208,6 +208,26 @@ def test_multiplicative_unit_and_teichmuller():
         assert lhs.eq(teichmuller(R9, (r * s) % 9, T4))
 
 
+def test_verschiebung_defaults_to_the_least_support_that_divides_back():
+    # without a support, V_n lands on the divisors of n*t for t in the
+    # support: the least truncation set whose n-division is the support
+    rng = random.Random(11)
+    for ring in (ZZ, ModularRing(8)):
+        for support, n, expected in (
+            (T4, 2, (1, 2, 3, 4, 6, 8)),
+            (T3, 3, (1, 2, 3, 6, 9)),
+            (TruncationSet((1, 2, 4)), 1, (1, 2, 4)),
+            (TruncationSet(()), 5, ()),
+        ):
+            x = rand_vec(rng, ring, support) if support.elements else zero_vector(ring, support)
+            v = verschiebung(x, n)
+            assert v.support.elements == expected
+            assert v.support.divide(n) == support
+            assert v.eq(verschiebung(x, n, v.support))
+            coeffs = x.as_dict()
+            assert v.as_dict() == {u: coeffs[u // n] if u % n == 0 else ring.zero() for u in expected}
+
+
 def test_verschiebung_frobenius_identities():
     rng = random.Random(4)
     # V_1 = id, F_1 = id
