@@ -417,7 +417,10 @@ class LabelledCycle(Value):
     def label(self, path: Path):
         """The label of a vertex (an algebra), an edge (a bimodule) or two
         edges fused across the vertex between them."""
-        return path_label(path, self.algebras, self.bimodules, lambda a: self.fused(a)[0])
+        return path_label(path, self.algebras, self.bimodules, self.fused_bimodule)
+
+    def fused_bimodule(self, a):
+        return self.fused(a)[0]
 
     def label_dim(self, path: Path):
         return self.label(path).dim

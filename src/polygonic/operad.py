@@ -171,7 +171,9 @@ def cut_envelope_cyclic(cut: CutSet, f: CyclicMap):
 
 
 def cut_quotient_check(cover: CutSet):
-    """Verify the covering square: free action, order p, colour-compatible.
+    """Verify the covering square: free action (every orbit has exactly p
+    elements), order p (the p-th iterate of the action is the identity),
+    colour-compatible.
 
     Returns a report dict; raises nothing.
     """
@@ -179,15 +181,17 @@ def cut_quotient_check(cover: CutSet):
     plain = CutSet(cover.q, cover.n)
     report = {"free": True, "order_p": True, "square_commutes": True}
     for e in range(cover.size):
-        orbit = [e]
-        x = cover.action(e)
-        while x != e:
+        orbit, x = [], e
+        while x not in orbit:
             orbit.append(x)
             x = cover.action(x)
         if len(orbit) != p:
-            report["order_p"] = False
-        if any(y == e for y in orbit[1:]):
             report["free"] = False
+        x = e
+        for _ in range(p):
+            x = cover.action(x)
+        if x != e:
+            report["order_p"] = False
         if len(set(cover.quotient_element(y) for y in orbit)) != 1:
             report["square_commutes"] = False
         q_elt = cover.quotient_element(e)

@@ -80,25 +80,40 @@ def series_inv(ring, s):
 
 
 def series_times_factor(ring, s, x, t, g):
-    """s <- s * (1 - x tau^t)^(-g) in place, truncated at degree len(s) - 1.
+    """s <- s * (1 - x tau^t)^(-g) in place, truncated at degree n = len(s) - 1.
 
-    The coefficients of (1 - y)^(-g) are a_0 = 1, a_j = a_(j-1) (g + j - 1) / j,
-    exact integers for every integer g (and 0 from j = 1 - g on when g <= 0).
-    Degrees are updated from the top down so each step reads old values; the
-    cost is O(n * n/t) whatever g is.
+    Of two exact walks the one with fewer steps runs.  The unit walk makes
+    |g| passes: s_i += x s_(i-t) bottom-up divides by 1 - x tau^t, and
+    s_i -= x s_(i-t) top-down multiplies by it.  The binomial walk makes one
+    top-down pass with the k terms a_j x^j tau^(jt) of (1 - x tau^t)^(-g) up
+    to degree n, a_j = a_(j-1) (g + j - 1) / j, exact integers; k = n/t, or
+    min(|g|, n/t) when g < 0, as a_j = 0 from j = 1 - g on.  The cost is
+    O((n - t + 1) min(|g|, n/t)) ring steps.
     """
     n = len(s) - 1
     if t > n or g == 0 or ring.is_zero(x):
         return
+    k = n // t if g > 0 else min(n // t, -g)
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    if abs(g) * (n - t + 1) <= k * (n + 1) - t * k * (k + 1) // 2:
+        # g = 1 or -1 always walks here
+        if g < 0:
+            x, steps = ring.neg(x), range(n, t - 1, -1)
+        else:
+            steps = range(t, n + 1)
+        for _ in range(abs(g)):
+            for i in steps:
+                y = s[i - t]
+                if not is_zero(y):
+                    s[i] = add(s[i], mul(x, y))
+        return
     terms = []
     a, power = 1, ring.one()
-    for j in range(1, n // t + 1):
+    for j in range(1, k + 1):
         a = a * (g + j - 1) // j
-        if a == 0:
-            break
-        power = ring.mul(power, x)
-        c = ring.mul(ring.from_int(a), power)
-        if not ring.is_zero(c):
+        power = mul(power, x)
+        c = mul(ring.from_int(a), power)
+        if not is_zero(c):
             terms.append((j * t, c))
     for i in range(n, t - 1, -1):
         acc = s[i]
@@ -106,8 +121,8 @@ def series_times_factor(ring, s, x, t, g):
             if shift > i:
                 break
             y = s[i - shift]
-            if not ring.is_zero(y):
-                acc = ring.add(acc, ring.mul(c, y))
+            if not is_zero(y):
+                acc = add(acc, mul(c, y))
         s[i] = acc
 
 
@@ -199,15 +214,12 @@ def _product(ring, n, factors):
 def _read(ring, s, target):
     """The vector on target whose series is s, peeling s in place; degrees
     off the target are peeled too, as they feed the higher ones."""
-    n = len(s) - 1
     coeffs = []
-    for t in range(1, n + 1):
+    for t in range(1, len(s)):
         c = s[t]
         if t in target:
             coeffs.append(c)
-        if not ring.is_zero(c):
-            for i in range(n, t - 1, -1):
-                s[i] = ring.sub(s[i], ring.mul(c, s[i - t]))
+        series_times_factor(ring, s, c, t, -1)
     return WittVector(ring, target, tuple(coeffs))
 
 

@@ -230,6 +230,23 @@ def test_free_cover():
                 assert all(report.values()), (p, n, q, report)
 
 
+def test_cover_checks_see_fixed_points_and_the_order():
+    class FixesOneOrbit(CutSet):
+        # the deck action, except that e = 0 and its image are fixed
+        def action(self, e):
+            return e if e in (0, super().action(0)) else super().action(e)
+
+    class StepsTwoColours(CutSet):
+        # shifts by two colours: orbits of size / 2 elements
+        def action(self, e):
+            return (e + 2) % self.size
+
+    report = cut_quotient_check(FixesOneOrbit(1, 2, 2))
+    assert report == {"free": False, "order_p": True, "square_commutes": True}
+    report = cut_quotient_check(StepsTwoColours(1, 2, 2))
+    assert not report["free"] and not report["order_p"]
+
+
 def test_cover_equivariance_of_faces():
     # faces commute with the deck action and descend to the plain faces
     for p in (2, 3):

@@ -85,6 +85,8 @@ def series_int_power(ring, s, c):
 
 
 def test_series_times_factor_matches_dense_product():
+    # n = 36 with every t and |g| up to 6 crosses the step count at which the
+    # kernel leaves the unit walk for the binomial walk; +-100003 is past it.
     rng = random.Random(4)
     gaussian = QuotientPolynomialRing(ZZ, (1, 0, 1))  # Z[i]
     cases = (
@@ -94,10 +96,10 @@ def test_series_times_factor_matches_dense_product():
         (PrimeField(5), lambda: rng.randrange(5)),
         (gaussian, lambda: (rng.randrange(-3, 4), rng.randrange(-3, 4))),
     )
-    n = 7
+    n = 36
     for ring, draw in cases:
         for t in range(1, n + 1):
-            for g in list(range(-4, 7)) + [100003]:
+            for g in list(range(-6, 7)) + [100003, -100003]:
                 s = [ring.one()] + [draw() for _ in range(n)]
                 x = draw()
                 want = series_mul(ring, s, series_int_power(ring, series_geometric(ring, x, t, n), g))
@@ -108,6 +110,61 @@ def test_series_times_factor_matches_dense_product():
     s = [1, 2, 3]
     series_times_factor(ZZ, s, 5, 3, 2)
     assert s == [1, 2, 3]
+
+
+class _CountingRing:
+    """A ring that counts its multiplications."""
+
+    def __init__(self, ring):
+        self.ring, self.muls = ring, 0
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)
+
+    def mul(self, a, b):
+        self.muls += 1
+        return self.ring.mul(a, b)
+
+
+def test_series_times_factor_takes_the_shorter_walk():
+    n = 36
+    for base in (ZZ, ModularRing(9)):
+        def dense():
+            return [base.one()] + [base.from_int(k % 7 + 1) for k in range(n)]
+
+        # (1 - x tau)^(-+1): one pass, one product per degree.
+        for g in (1, -1):
+            ring = _CountingRing(base)
+            series_times_factor(ring, dense(), base.from_int(2), 1, g)
+            assert 0 < ring.muls <= n, (base, g, ring.muls)
+        # A large multiplicity: no more products than the binomial walk's n/t
+        # terms (two products each) and its steps.
+        for t in (1, 2, 5, 36):
+            ring = _CountingRing(base)
+            series_times_factor(ring, dense(), base.from_int(2), t, 100003)
+            k = n // t
+            assert ring.muls <= 2 * k + sum(n + 1 - j * t for j in range(1, k + 1)), (base, t, ring.muls)
+
+
+def test_largest_workload_supports_against_the_ghost_oracle():
+    # divisors(36) is no interval, so the oracle reads each vector padded
+    # with zeros to [max]: w_t for t | 36 sees only the degrees dividing t.
+    D = TruncationSet.divisors(36)
+
+    def oracle(v):
+        padded = WittVector.from_dict(ZZ, interval_truncation(v.support.max()), v.as_dict())
+        return dict(zip(v.support.elements, (ghost_oracle(padded).as_dict()[t] for t in v.support)))
+
+    rng = random.Random(36)
+    for _ in range(3):
+        a, b = rand_vec(rng, ZZ, D), rand_vec(rng, ZZ, D)
+        wa, wb = oracle(a), oracle(b)
+        assert oracle(add(a, b)) == {t: wa[t] + wb[t] for t in D}
+        assert oracle(multiply(a, b)) == {t: wa[t] * wb[t] for t in D}
+        for n in (2, 3):
+            f = frobenius(a, n)
+            assert f.support == D.divide(n)
+            assert oracle(f) == {t: wa[n * t] for t in f.support}
 
 
 def test_multiples_of_the_characteristic_over_z_mod_p():
