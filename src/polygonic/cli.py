@@ -377,7 +377,7 @@ def is_proper_cmd(pairs):
     T = qfin.QFinSet(tuple(sorted(set(n for _, n in sizes))))
     assign = tuple((T.orbits.index(n), 0) for _, n in sizes)
     f = qfin.QFinMap(S, T, assign)
-    return {"proper": qfin.is_proper(f)}
+    return {"proper": f.is_proper()}
 
 
 def _parse_span(text):

@@ -397,7 +397,7 @@ class LabelledCycle(Value):
             f, bases = self.field, {}  # algebra -> (rebased algebra, new basis in old coordinates)
             for A in set(self.algebras):
                 u = list(A.unit)
-                i = min(range(A.dim), key=lambda j: (not f.eq(f.mul(u[j], u[j]), f.one()), f.is_zero(u[j]), j))
+                i = min(range(A.dim), key=lambda j: (f.mul(u[j], u[j]) != f.one(), f.is_zero(u[j]), j))
                 basis = [u] + [A._basis(j) for j in range(A.dim) if j != i]
 
                 def coordinates(v):

@@ -504,19 +504,6 @@ def burnside_basis(n, m, window):
     return out
 
 
-def _span_class_vector(level, base, window, basis_index, orbit_rows):
-    """Reduce the apex orbits of a composed span to basis coordinates, as a
-    sparse vector (dict basis index -> count)."""
-    vec = {}
-    for (l, _, s, _, t) in orbit_rows:
-        if l not in window:
-            continue
-        t_norm = (t - s) % base if base > 0 else 0
-        i = basis_index[(l, t_norm % gcd(level, base))]
-        vec[i] = vec.get(i, 0) + 1
-    return vec
-
-
 def burnside_representable(m, window):
     """The window of span classes into Z/m, free at every level.
 
@@ -531,11 +518,18 @@ def burnside_representable(m, window):
 
     def precompose(n, k, span):
         """Each basis span Z/n <- Z/l -> Z/m after span: Z/k <- . -> Z/n, as
-        the columns of a map from level n to level k."""
+        the columns of a map from level n to level k.  An apex orbit Z/l'
+        with leg shifts s and t is the basis span (l', (t - s) mod gcd(k, m))."""
         cols = []
+        g = gcd(k, m)
         for l, t in bases[n]:
             composed = compose_spans(SpanMorphism.single(n, l, m, 0, t), span)
-            cols.append(_span_class_vector(k, m, window, index[k], composed.orbit_data()))
+            col = {}
+            for (apex, _, s1, _, s2) in composed.orbit_data():
+                if apex in window:
+                    i = index[k][(apex, (s2 - s1) % g)]
+                    col[i] = col.get(i, 0) + 1
+            cols.append(col)
         return IntMatrix.from_columns(ZZ, len(bases[k]), cols)
 
     # The generator precomposes with the shift span at level n, F from n to

@@ -130,10 +130,6 @@ def fixed_points(S, k):
     return QFinSet(tuple(m for m in S.orbits if k % m == 0))
 
 
-def is_proper(f):
-    return f.is_proper()
-
-
 def scale(S, n):
     """Multiply every orbit size by n (restriction along multiplication by n)."""
     if n < 1:
@@ -152,42 +148,29 @@ def pullback(f, g):
     if f.target.orbits != g.target.orbits:
         raise TargetMismatch("pullback needs a common target")
     U = f.target
-    elements = sum(
-        a * b // U.orbits[i]
-        for a, (i, _) in zip(f.source.orbits, f.assign)
-        for b, (j, _) in zip(g.source.orbits, g.assign)
-        if i == j
-    )
+    # the matched orbit pairs (i, j, u), by U's orbit, then i, then j
+    pairs = [
+        (i, j, U.orbits[u_idx])
+        for u_idx in range(U.size)
+        for i, (fi, _) in enumerate(f.assign) if fi == u_idx
+        for j, (gj, _) in enumerate(g.assign) if gj == u_idx
+    ]
+    elements = sum(f.source.orbits[i] * g.source.orbits[j] // u for i, j, u in pairs)
     if elements > PULLBACK_GUARD:
         raise SizeGuard(f"pullback is limited to {PULLBACK_GUARD} elements; {elements} requested")
-    orbits = []
-    p_assign = []
-    q_assign = []
-    for u_idx in range(U.size):
-        u = U.orbits[u_idx]
-        for i in range(f.source.size):
-            if f.assign[i][0] != u_idx:
-                continue
-            a = f.source.orbits[i]
-            sf = f.assign[i][1]
-            for j in range(g.source.size):
-                if g.assign[j][0] != u_idx:
-                    continue
-                b = g.source.orbits[j]
-                sg = g.assign[j][1]
-                size = lcm(a, b)
-                # Solutions (x, y) of x + sf = y + sg mod u with x = 0:
-                # y = (sf - sg) + u*r; orbit reps are distinct mod gcd(a, b).
-                y0 = (sf - sg) % u
-                for r in range(gcd(a, b) // u):
-                    y = y0 + u * r
-                    orbits.append(size)
-                    p_assign.append((i, 0))
-                    q_assign.append((j, y % b))
+    orbits, p_assign, q_assign = [], [], []
+    for i, j, u in pairs:
+        a, b = f.source.orbits[i], g.source.orbits[j]
+        size = lcm(a, b)
+        # Solutions (x, y) of x + sf = y + sg mod u with x = 0:
+        # y = (sf - sg) + u*r; orbit reps are distinct mod gcd(a, b).
+        y0 = (f.assign[i][1] - g.assign[j][1]) % u
+        for r in range(gcd(a, b) // u):
+            orbits.append(size)
+            p_assign.append((i, 0))
+            q_assign.append((j, (y0 + u * r) % b))
     W = QFinSet(tuple(orbits))
-    p = QFinMap(W, f.source, tuple(p_assign))
-    q = QFinMap(W, g.source, tuple(q_assign))
-    return W, p, q
+    return W, QFinMap(W, f.source, tuple(p_assign)), QFinMap(W, g.source, tuple(q_assign))
 
 
 def pullback_elementwise(f, g):

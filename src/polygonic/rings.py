@@ -78,11 +78,8 @@ class CoefficientRing:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def eq(self, a, b):
-        return a == b
-
     def is_zero(self, a):
-        return self.eq(a, self.zero())
+        return a == self.zero()
 
     def pow(self, a, n):
         if n < 0:
@@ -250,7 +247,7 @@ def monic(base, modulus):
     """modulus as a coefficient tuple, lowest degree first; ValueError unless
     it is monic of degree >= 1."""
     modulus = tuple(modulus)
-    if len(modulus) < 2 or not base.eq(modulus[-1], base.one()):
+    if len(modulus) < 2 or modulus[-1] != base.one():
         raise ValueError("modulus must be monic of degree >= 1")
     return modulus
 
@@ -286,7 +283,7 @@ class QuotientPolynomialRing(CoefficientRing):
         self.modulus = modulus = monic(base, modulus)
         self.deg = len(modulus) - 1
         self.var = var
-        self.is_field = bool(base.is_field and self._irreducible())
+        self.is_field = base.is_field and (self.deg == 1 or self._irreducible())
 
     def _irreducible(self):
         # Brute-force root search, only meaningful over small prime fields.

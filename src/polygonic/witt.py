@@ -155,13 +155,6 @@ class WittVector(Value):
     def as_dict(self):
         return dict(zip(self.support.elements, self.coeffs))
 
-    def eq(self, other):
-        return (
-            self.ring == other.ring
-            and self.support == other.support
-            and all(self.ring.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
-
     def is_zero(self):
         return all(self.ring.is_zero(c) for c in self.coeffs)
 
@@ -239,7 +232,7 @@ def to_series(a: WittVector):
 def from_series(ring, s):
     """Invert to_series by peeling one coefficient per degree."""
     n = len(s) - 1
-    if n < 1 or not ring.eq(s[0], ring.one()):
+    if n < 1 or s[0] != ring.one():
         raise ValueError("series must have constant term 1 and positive length")
     return _read(ring, list(s), TruncationSet.interval(n))
 
@@ -387,23 +380,20 @@ def infinite_verschiebung(ring, family, support, tail=None):
 # the bridge to Mackey windows.
 
 
-def peel_coordinates(a: WittVector):
-    """Integer coordinates of a in the generating set {V_t[1]}.
+def _peel(ring, s, support):
+    """Integer coordinates, in the generators V_t[1], of the vector on
+    support whose series is s; peels s in place.
 
-    One pass over the series of a, degree by degree, as in from_series.  At
-    a degree t of the support the coefficient lifts to an integer k, and the
-    factor (1, t, -k), subtracting k * V_t[1], clears it; at any other degree
-    the factor (c, t, -1) clears the coefficient c, as V_t[c] is zero on the
-    support.  Exact for integer and modular coefficients.
+    One pass, degree by degree, as in from_series.  At a degree t of the
+    support the coefficient lifts to an integer k, and the factor (1, t, -k),
+    subtracting k * V_t[1], clears it; at any other degree the factor
+    (c, t, -1) clears the coefficient c, as V_t[c] is zero on the support.
+    Exact for integer and modular coefficients.
     """
-    ring = a.ring
-    if ring.kind not in ("integers", "integers-mod-m", "prime-field"):
-        raise UnsupportedEnumerationRing(f"{ring} has no canonical integer lifts")
-    s = _product(ring, a.support.max(), _factors(a))
     coords = []
     for t in range(1, len(s)):
         c = s[t]
-        if t in a.support:
+        if t in support:
             k = c if ring.kind == "integers" else c % ring.modulus
             coords.append(k)
             series_times_factor(ring, s, ring.one(), t, -k)
@@ -414,8 +404,17 @@ def peel_coordinates(a: WittVector):
     return coords
 
 
+def peel_coordinates(a: WittVector):
+    """Integer coordinates of a in the generating set {V_t[1]}."""
+    ring = a.ring
+    if ring.kind not in ("integers", "integers-mod-m", "prime-field"):
+        raise UnsupportedEnumerationRing(f"{ring} has no canonical integer lifts")
+    return _peel(ring, _product(ring, a.support.max(), _factors(a)), a.support)
+
+
 def witt_group_presentation(ring, support):
-    """Presentation of (W_support(ring), +) on the generators V_t[1]."""
+    """Presentation of (W_support(ring), +) on the generators V_t[1]; the
+    relation of t peels the series of m * V_t[1]."""
     ngens = len(support)
     if ring.kind == "integers":
         return FPGroup.free(ngens)
@@ -424,7 +423,7 @@ def witt_group_presentation(ring, support):
     m = ring.modulus
     rows = []
     for i, t in enumerate(support.elements):
-        coords = peel_coordinates(_vector(ring, support, [(ring.one(), t, m)]))
+        coords = _peel(ring, _product(ring, support.max(), [(ring.one(), t, m)]), support)
         row = [-c for c in coords]
         row[i] += m
         rows.append(row)

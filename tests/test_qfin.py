@@ -13,7 +13,6 @@ from polygonic.qfin import (
     TargetMismatch,
     compose_spans,
     fixed_points,
-    is_proper,
     pullback,
     pullback_elementwise,
     scale,
@@ -69,6 +68,34 @@ def test_pullback_element_count_law():
                     x = p.apply(k, 0)
                     y = q.apply(k, 0)
                     assert f.apply(*x) == g.apply(*y)
+
+
+def test_pullback_of_multi_orbit_maps_with_shifts():
+    # Sources of several orbits over a two-orbit U, shifts nonzero: the
+    # orbits against the element-level oracle, and every element of W lands
+    # on a matching pair.
+    rng = random.Random(30)
+    U = QFinSet((2, 3))
+
+    def rand_map():
+        assign = [(rng.randrange(U.size), 0) for _ in range(rng.randrange(1, 4))]
+        orbits = tuple(U.orbits[j] * rng.randrange(1, 4) for j, _ in assign)
+        return QFinMap(QFinSet(orbits), U, tuple((j, rng.randrange(1, U.orbits[j] + 1)) for j, _ in assign))
+
+    for _ in range(100):
+        f, g = rand_map(), rand_map()
+        W, p, q = pullback(f, g)
+        assert tuple(sorted(W.orbits)) == pullback_elementwise(f, g)
+        for k, size in enumerate(W.orbits):
+            for e in range(size):
+                assert f.apply(*p.apply(k, e)) == g.apply(*q.apply(k, e))
+    # The listing order: by U's orbit, then f's orbit, then g's orbit.
+    f = QFinMap(QFinSet((6, 4, 3)), U, ((1, 2), (0, 1), (1, 1)))
+    g = QFinMap(QFinSet((2, 6, 12)), U, ((0, 1), (1, 0), (0, 0)))
+    W, p, q = pullback(f, g)
+    assert W.orbits == (4, 12, 12, 6, 6, 6)
+    assert p.assign == ((1, 0), (1, 0), (1, 0), (0, 0), (0, 0), (2, 0))
+    assert q.assign == ((0, 0), (2, 1), (2, 3), (1, 2), (1, 5), (1, 1))
 
 
 def test_pullback_target_mismatch():
@@ -137,19 +164,19 @@ def test_scale_commutes_with_pullback():
 
 
 def test_is_proper():
-    assert is_proper(QFinMap(QFinSet.orbit(4), QFinSet.orbit(2), ((0, 0),)))
-    assert not is_proper(QFinMap.identity(QFinSet.orbit(2)))
+    assert QFinMap(QFinSet.orbit(4), QFinSet.orbit(2), ((0, 0),)).is_proper()
+    assert not QFinMap.identity(QFinSet.orbit(2)).is_proper()
     S = QFinSet((2, 6))
     T = QFinSet((1, 6))
     f = QFinMap(S, T, ((0, 0), (1, 0)))
-    assert not is_proper(f)
+    assert not f.is_proper()
 
 
 def test_proper_composition():
     f = QFinMap(QFinSet.orbit(12), QFinSet.orbit(4), ((0, 1),))
     g = QFinMap(QFinSet.orbit(4), QFinSet.orbit(2), ((0, 0),))
-    assert is_proper(f) and is_proper(g)
-    assert is_proper(g.after(f))
+    assert f.is_proper() and g.is_proper()
+    assert g.after(f).is_proper()
 
 
 def test_weakly_terminal():

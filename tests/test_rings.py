@@ -547,3 +547,22 @@ def test_root_search_is_bounded():
         QuotientPolynomialRing(PrimeField(65537), (1, 0, 1))
     # above degree 3 there is no search, so no guard
     assert not QuotientPolynomialRing(PrimeField(10 ** 9 + 7), (1, 0, 0, 0, 1)).is_field
+
+
+def test_degree_one_quotient_of_a_field_is_a_field():
+    from polygonic.hochschild import FiniteAlgebra, LabelledCycle, hh_complex, homology
+
+    K = QuotientPolynomialRing(PrimeField(5), (2, 1))  # F5[x]/(x + 2)
+    L = QuotientPolynomialRing(QQ, (Fraction(-3, 2), 1))  # Q[x]/(x - 3/2)
+    assert K.is_field and L.is_field
+    # a linear modulus has a root, yet the quotient is the base field: no
+    # root search, so no guard
+    assert QuotientPolynomialRing(PrimeField(10 ** 9 + 7), (1, 1)).is_field
+    nonzero = [a for a in K.elements() if not K.is_zero(a)]
+    assert len(nonzero) == 4
+    for R, elements in ((K, nonzero), (L, [L.gen(), (Fraction(-7, 3),), L.from_int(5)])):
+        for a in elements:
+            assert R.mul(a, R.inv(a)) == R.one()
+    # the k[C2] 2-cycle over it: k[C2] is separable in characteristic 5
+    C2 = FiniteAlgebra.poly_quotient(K, (K.from_int(-1), K.zero(), K.one()), name="k[C2]")
+    assert homology(hh_complex(LabelledCycle.uniform(C2, None, 2), 3)) == [2, 0, 0]
