@@ -17,6 +17,7 @@ in position steps.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from operator import attrgetter
 
 
@@ -353,7 +354,9 @@ class CutSet(Value):
         return Path.vertex(self.cycle_n, a)
 
     def colours(self):
-        return tuple(self.colour(e) for e in range(self.size))
+        """The colour of each element, as one tuple shared by every cut set
+        of this shape (_colours)."""
+        return _colours(self.q, self.n, self.p)
 
     def action(self, e):
         """Generator of the free order-p action (p-fold cover only)."""
@@ -378,6 +381,24 @@ class CutSet(Value):
             raise ValueError("only injective circle maps induce order maps")
         vals = [f(a) * (q_hi + 1) + alpha[j] for j, a in map(self.coords, range(self.size))]
         return CyclicMap(self.size, (q_hi + 1) * f.target_n, vals)
+
+
+# Entries kept in each cache of shape data: cut-set colours here, faces,
+# comparisons, level layouts and assembly plans in hochschild.py.  A
+# benchmark pass uses 27 to 35 faces.
+_FACE_CACHE = 128
+
+
+@lru_cache(maxsize=_FACE_CACHE)
+def _colours(q, n, p):
+    """CutSet(q, n, p).colours(), built once per shape.  Every level takes
+    its paths from level 1, so memo keys holding colours of several levels
+    compare by identity."""
+    cut = CutSet(q, n, p)
+    if q == 1:
+        return tuple(cut.colour(e) for e in range(cut.size))
+    ones = _colours(1, n, p)
+    return tuple(ones[2 * a + (j > 0)] for j, a in map(cut.coords, range(cut.size)))
 
 
 def dual_fibers(g):

@@ -10,11 +10,11 @@ maps, so every boundary identity reduces to cut-set combinatorics.
 from __future__ import annotations
 
 import json
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from math import prod
 
-from .cyclic import CutSet, CyclicMap, Path, SizeGuard, Value, path_label, pull_back_labels
+from .cyclic import _FACE_CACHE, CutSet, CyclicMap, Path, SizeGuard, Value, path_label, pull_back_labels
 from .operad import EnvelopeMorphism, cut_envelope_cyclic, cut_face
 from .rings import (
     Echelon,
@@ -463,8 +463,9 @@ class LabelledCycle(Value):
 class ChainComplex:
     """Nonnegatively graded complex with boundaries d_q : C_q -> C_{q-1}.
 
-    bases holds the level bases (_basis) of a complex built by _complex, else
-    it is empty; it is not compared.
+    bases holds the level layouts (_basis) of a complex built by _complex,
+    else it is empty; it is not compared.  The layouts are shared with every
+    complex of the same shape, so they are immutable.
     """
 
     __slots__ = ("ring", "dims", "boundaries", "bases", "_image", "_kernel")
@@ -586,41 +587,44 @@ def envelope_matrix(cycle, env: EnvelopeMorphism, target_paths, target_dims):
         raise ValueError("target paths are not the colours of the morphism's target")
     if list(target_dims) != [cycle.label_dim(p) for p in target_paths]:
         raise ValueError("target dims are not the label dimensions of the target paths")
-    return _envelope_matrix(cycle, env, {})
-
-
-def _envelope_matrix(cycle, env, memo):
     source = _element_basis(map(cycle.label_dim, env.source.colours))
-    dims = [cycle.label_dim(p) for p in env.target.colours]
-    columns = [{} for _ in source[1]]
-    _add_envelope(cycle, env, source, _element_basis(dims), cycle.field.one(), columns, memo)
-    return IntMatrix.from_columns(cycle.field, prod(dims), columns)
+    return _envelope_matrix(cycle, _plan(env, source, _element_basis(target_dims)), {})
+
+
+def _envelope_matrix(cycle, plan, memo):
+    *_, source, target = plan
+    columns = [{} for _ in source]
+    _add_envelope(cycle, plan, cycle.field.one(), columns, memo)
+    return IntMatrix.from_columns(cycle.field, len(target), columns)
 
 
 def _basis(units, order=None):
     """Basis tensors with one digit tuple per unit (elements, digit tuples),
     indexed row-major: (units with their strides, order), where order[index]
-    is the tensor's place in a matrix (the index itself if None)."""
+    is the tensor's place in a matrix (the index itself if None).  Both are
+    immutable, as the layout caches share them."""
     strided, size = [], 1
     for elements, digits in reversed(units):
         strided.append((elements, digits, size))
         size *= len(digits)
-    return strided[::-1], list(range(size)) if order is None else order
+    return tuple(strided[::-1]), range(size) if order is None else order
 
 
 def _element_basis(dims):
-    return _basis([((x,), tuple((i,) for i in range(d))) for x, d in enumerate(dims)])
+    dims = tuple(dims)
+    digits = {d: tuple((i,) for i in range(d)) for d in set(dims)}  # shared by the elements of one dim
+    return _basis([((x,), digits[d]) for x, d in enumerate(dims)])
 
 
-def _merged_block(cycle, fibers, feeding, tuples, memo):
-    """A merged target unit's block, memoized by its shape with no strides:
-    the Kronecker product of its elements' fiber tables ((path, colours) of
-    each in fibers), restricted to its tuples and to those of the feeding
-    units ((tuples, (element, place in its fiber) per digit) of each in
-    feeding), as (index of each feeding tuple, {target tuple index: entry})."""
-    key = fibers, feeding, tuples  # looked up once: its paths hash and compare in Python
+def _merged_block(cycle, key, memo):
+    """A merged target unit's block, memoized by its shape with no strides,
+    key = (fibers, feeding, tuples): the Kronecker product of its elements'
+    fiber tables ((path, colours) of each in fibers), restricted to its
+    tuples and to those of the feeding units ((tuples, (element, place in
+    its fiber) per digit) of each in feeding), as (index of each feeding
+    tuple, {target tuple index: entry})."""
     if (block := memo.get(key)) is None:
-        field, one = cycle.field, cycle.field.one()
+        (fibers, feeding, tuples), field, one = key, cycle.field, cycle.field.one()
         index = [{t: r for r, t in enumerate(digits)} for digits, _ in feeding]
         rank, block = {t: r for r, t in enumerate(tuples)}, []
         for entries in product(*(_fiber_table(cycle, path, colours, memo).items() for path, colours in fibers)):
@@ -636,38 +640,58 @@ def _merged_block(cycle, fibers, feeding, tuples, memo):
     return block
 
 
-def _add_envelope(cycle, env, source, target, sign, columns, memo):
-    """Add sign times the matrix of env, into the labels of its target's
-    colours, to the sparse columns of a matrix from the basis source to the
-    basis target.
+def _plan(env, source, target):
+    """How _add_envelope assembles env from the basis source to the basis
+    target, read off their shapes alone: (passes, merged, source order,
+    target order).
 
-    It is the tensor product, over target elements, of the multiplications
-    of their fibers, so each source unit must feed one target unit.  A
-    target unit whose elements each have a fiber of one element, together a
-    source unit, passes through and copies its digits: admissibility makes
-    that element's colour its target's.
-    The other units' blocks (_merged_block, memoized in the build's memo)
-    make one Kronecker block with their strides, placed at every
-    pass-through offset, its rows and columns put in the bases' orders.
+    A target unit whose elements each have a fiber of one element, together
+    a source unit, passes through and copies its digits: admissibility makes
+    that element's colour its target's.  It is (tuple count, stride, source
+    stride) in passes.  Every other target unit is (_merged_block key,
+    strides of its feeding source units, stride) in merged.
     """
-    field = cycle.field
     colours, paths, fibers = env.source.colours, env.target.colours, env.fiber_orders
     (units, hi), (target_units, lo) = source, target
     unit_of = {x: u for u, (elements, _, _) in enumerate(units) for x in elements}
-    offsets, block = [(0, 0)], [(0, {0: sign})]  # block: (column, {row: entry}) of the merged units
+    passes, merged = [], []
     for ys, tuples, stride in target_units:
         xs = tuple(fibers[y][0] for y in ys if len(fibers[y]) == 1)
         if len(xs) == len(ys) and units[unit_of[xs[0]]][0] == xs:
-            step = units[unit_of[xs[0]]][2]
-            offsets = [(r + k * stride, c + k * step) for r, c in offsets for k in range(len(tuples))]
+            passes.append((len(tuples), stride, units[unit_of[xs[0]]][2]))
             continue
         feeding = sorted({unit_of[x] for y in ys for x in fibers[y]})
         where = {x: (j, p) for j, y in enumerate(ys) for p, x in enumerate(fibers[y])}
-        small = _merged_block(
-            cycle, tuple((paths[y], tuple(colours[x] for x in fibers[y])) for y in ys),
-            tuple((units[u][1], tuple(map(where.get, units[u][0]))) for u in feeding), tuples, memo)
+        key = (
+            tuple((paths[y], tuple(colours[x] for x in fibers[y])) for y in ys),
+            tuple((units[u][1], tuple(map(where.get, units[u][0]))) for u in feeding),
+            tuples,
+        )
+        merged.append((key, tuple(units[u][2] for u in feeding), stride))
+    return tuple(passes), tuple(merged), hi, lo
+
+
+def _add_envelope(cycle, plan, sign, columns, memo):
+    """Add sign times the matrix of a _plan's morphism, into the labels of
+    its target's colours, to the sparse columns of a matrix from its source
+    basis to its target basis.
+
+    It is the tensor product, over target elements, of the multiplications
+    of their fibers, so each source unit must feed one target unit.  The
+    merged units' blocks (_merged_block, memoized in the build's memo) make
+    one Kronecker block with their strides, placed at every pass-through
+    offset, its rows and columns put in the bases' orders.
+    """
+    field = cycle.field
+    passes, merged, hi, lo = plan
+    offsets = [(0, 0)]
+    for count, stride, step in passes:
+        offsets = [(r + k * stride, c + k * step) for r, c in offsets for k in range(count)]
+    block = [(0, {0: sign})]  # (column, {row: entry}) of the merged units
+    for key, steps, stride in merged:
+        small = _merged_block(cycle, key, memo)
         block = [
-            (c + sum(r * units[u][2] for r, u in zip(rs, feeding)),
+            (c + sum(r * step for r, step in zip(rs, steps)),
              {r + r2 * stride: field.mul(a, b) for r, a in im.items() for r2, b in im2.items()})
             for c, im in block for rs, im2 in small
         ]
@@ -724,11 +748,29 @@ def bar_complex(cycle: LabelledCycle, degree_bound):
     boundary is the alternating sum of the face maps.
     """
     bar_dims(cycle, degree_bound)
-    return _complex(cycle, degree_bound, lambda q: _element_basis(
-        map(cycle.label_dim, CutSet(q, cycle.n).colours())))
+    return _complex(cycle, degree_bound, _full_layout)
 
 
-_FACE_CACHE = 128  # cut faces (and comparisons) kept; a benchmark pass uses 27 to 35 faces
+# Shape data: cut faces, comparisons, level layouts and their _plans depend
+# on the cut sets and the label dims alone, so each is built once per
+# process (each cache keeps _FACE_CACHE); fiber tables and merged blocks
+# depend on the labels, and live in one build's memo.
+
+
+def _label_dims(cycle):
+    """(vertex label dims, edge label dims): the shape of every level."""
+    return tuple(A.dim for A in cycle.algebras), tuple(M.dim for M in cycle.bimodules)
+
+
+def _cut_dims(q, vertices, edges):
+    """The label dim of each element of the level-q cut set."""
+    return tuple(vertices[a] if j else edges[a - 1] for a in range(len(vertices)) for j in range(q + 1))
+
+
+@lru_cache(maxsize=_FACE_CACHE)
+def _full_layout(q, vertices, edges):
+    """Level q of bar_complex for labels of these dims: one unit per element."""
+    return _element_basis(_cut_dims(q, vertices, edges))
 
 
 @lru_cache(maxsize=_FACE_CACHE)
@@ -737,19 +779,26 @@ def _face(q, n, i):
     return cut_face(CutSet(q, n), i)
 
 
-def _complex(cycle, degree_bound, basis):
-    """The complex with basis(q) as level q, its boundary the signed faces
-    added into one list of sparse columns per level."""
-    field, memo, boundaries = cycle.field, {}, {}
-    bases = [basis(q) for q in range(degree_bound + 1)]
+@lru_cache(maxsize=_FACE_CACHE)
+def _face_plan(layout, q, i, vertices, edges):
+    """The _plan of _face(q, n, i) from level q to level q - 1, both laid out
+    by layout(q, vertices, edges)."""
+    return _plan(_face(q, len(vertices), i), layout(q, vertices, edges), layout(q - 1, vertices, edges))
+
+
+def _complex(cycle, degree_bound, layout):
+    """The complex with level q laid out by layout(q, *_label_dims(cycle)),
+    its boundary the signed faces added into one list of sparse columns per
+    level."""
+    field, memo, boundaries, dims = cycle.field, {}, {}, _label_dims(cycle)
+    bases = tuple(layout(q, *dims) for q in range(degree_bound + 1))
     for q in range(1, degree_bound + 1):
         columns, sign = [{} for _ in bases[q][1]], field.one()
         for i in range(q + 1):
-            env = _face(q, cycle.n, i)
-            _add_envelope(cycle, env, bases[q], bases[q - 1], sign, columns, memo)
+            _add_envelope(cycle, _face_plan(layout, q, i, *dims), sign, columns, memo)
             sign = field.neg(sign)
         boundaries[q] = IntMatrix.from_columns(field, len(bases[q - 1][1]), columns)
-    return ChainComplex(field, tuple(len(order) for _, order in bases), boundaries, tuple(bases))
+    return ChainComplex(field, tuple(len(order) for _, order in bases), boundaries, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -770,23 +819,24 @@ def _complex(cycle, degree_bound, basis):
 # so it turns the digit tuple of each column (_rotation_images).
 
 
-def _column_tuples(cycle, j):
-    """The nondegenerate tuples of column j, block indices in block order."""
-    if j == 0:
-        dims = [cycle.bimodules[a - 1].dim for a in range(cycle.n)]
-    else:
-        dims = [A.dim for A in cycle.algebras]
-    return tuple(product(*map(range, dims)))[j > 0:]
+def _column_tuples(q, vertices, edges):
+    """The nondegenerate tuples of each column of level q, block indices in
+    block order; the vertex columns share theirs."""
+    vertex = tuple(product(*map(range, vertices)))[1:]
+    return (tuple(product(*(range(edges[a - 1]) for a in range(len(edges))))),) + (vertex,) * q
 
 
-def _normalized_basis(cycle, q):
-    """Level q of normalized_bar_complex: one unit per column, its elements in
-    block order and its digits the nondegenerate tuples; each tensor goes to
-    its index in normalized_positions."""
-    positions = _column_positions(cycle, q)
+@lru_cache(maxsize=_FACE_CACHE)
+def _normalized_layout(q, vertices, edges):
+    """Level q of normalized_bar_complex for labels of these dims: one unit
+    per column, its elements in block order and its digits the
+    nondegenerate tuples; each tensor goes to its index in
+    normalized_positions."""
+    tuples = _column_tuples(q, vertices, edges)
+    positions = _column_positions(q, vertices, edges, tuples)
     rank = {p: i for i, p in enumerate(sorted(positions))}
-    units = [(tuple(range(j, (q + 1) * cycle.n, q + 1)), _column_tuples(cycle, j)) for j in range(q + 1)]
-    return _basis(units, [rank[p] for p in positions])
+    units = [(tuple(range(j, (q + 1) * len(vertices), q + 1)), column) for j, column in enumerate(tuples)]
+    return _basis(units, tuple(rank[p] for p in positions))
 
 
 def normalized_bar_complex(cycle: LabelledCycle, degree_bound):
@@ -798,24 +848,24 @@ def normalized_bar_complex(cycle: LabelledCycle, degree_bound):
     refused exactly when bar_complex refuses it.
     """
     bar_dims(cycle, degree_bound)
-    cycle = cycle.unit_first()
-    return _complex(cycle, degree_bound, partial(_normalized_basis, cycle))
+    return _complex(cycle.unit_first(), degree_bound, _normalized_layout)
 
 
 def normalized_positions(cycle: LabelledCycle, q):
     """Index in level q of bar_complex(cycle.unit_first()) of each basis
     tensor of level q of normalized_bar_complex, in order."""
-    return sorted(_column_positions(cycle, q))
+    dims = _label_dims(cycle)
+    return sorted(_column_positions(q, *dims, _column_tuples(q, *dims)))
 
 
-def _column_positions(cycle, q):
+def _column_positions(q, vertices, edges, tuples):
     """Index in level q of bar_complex of each nondegenerate basis tensor,
-    in column order."""
-    dims = [cycle.label_dim(c) for c in CutSet(q, cycle.n).colours()]
+    in column order, for the _column_tuples of level q."""
+    dims = _cut_dims(q, vertices, edges)
     strides = [prod(dims[e + 1:]) for e in range(len(dims))]
     positions = [0]
-    for j in range(q + 1):
-        offsets = [sum(i * strides[a * (q + 1) + j] for a, i in enumerate(t)) for t in _column_tuples(cycle, j)]
+    for j, column in enumerate(tuples):
+        offsets = [sum(i * strides[a * (q + 1) + j] for a, i in enumerate(t)) for t in column]
         positions = [p + o for p in positions for o in offsets]
     return positions
 
@@ -925,16 +975,23 @@ def _cyclic_maps(cycle: LabelledCycle, f, degree_bound):
     cycle.pull_back(f).  The degrees share one memo, so the fused edge's
     fiber at degree q starts from the prefix states of degree q - 1.
     """
-    maps, memo = {}, {}
-    for q in range(degree_bound + 1):
-        maps[q] = _envelope_matrix(cycle, _comparison(q, f), memo)
-    return maps
+    source, target, memo = _label_dims(cycle), pull_back_labels(f, cycle.label_dim), {}
+    return {
+        q: _envelope_matrix(cycle, _comparison_plan(q, f, source, target), memo) for q in range(degree_bound + 1)
+    }
 
 
 @lru_cache(maxsize=_FACE_CACHE)
 def _comparison(q, f):
     """cut_envelope_cyclic(CutSet(q, f.target_n), f)[0], built once, as _face."""
     return cut_envelope_cyclic(CutSet(q, f.target_n), f)[0]
+
+
+@lru_cache(maxsize=_FACE_CACHE)
+def _comparison_plan(q, f, source, target):
+    """The _plan of _comparison(q, f) between the full levels q of labels
+    with dims source and target, (vertex dims, edge dims) each."""
+    return _plan(_comparison(q, f), _full_layout(q, *source), _full_layout(q, *target))
 
 
 def is_chain_map(src, dst, maps):

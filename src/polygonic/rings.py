@@ -81,6 +81,19 @@ class CoefficientRing:
     def is_zero(self, a):
         return a == self.zero()
 
+    def add_multiple(self, target, c, vec):
+        """target += c * vec, in place, on sparse vectors (dicts index ->
+        entry; c nonzero); an entry that becomes 0 leaves target.  vec may
+        hold explicit zeros."""
+        add, mul, is_zero = self.add, self.mul, self.is_zero
+        for i, v in vec.items():
+            w = target.get(i)
+            w = mul(c, v) if w is None else add(w, mul(c, v))
+            if is_zero(w):
+                target.pop(i, None)  # c * v can be 0: zero divisors, or a zero in vec
+            else:
+                target[i] = w
+
     def pow(self, a, n):
         if n < 0:
             return self.inv(self.pow(a, -n))
@@ -149,6 +162,13 @@ class IntegerRing(CoefficientRing):
     def is_zero(self, a):
         return not a
 
+    def add_multiple(self, target, c, vec):
+        for i, v in vec.items():
+            if w := target.get(i, 0) + c * v:
+                target[i] = w
+            else:
+                target.pop(i, None)
+
 
 def _integral(f):
     """A Fraction with denominator 1 as the int it equals."""
@@ -177,6 +197,8 @@ class RationalField(CoefficientRing):
 
     def is_zero(self, a):
         return not a
+
+    add_multiple = IntegerRing.add_multiple
 
     def inv(self, a):
         if a == 0:
@@ -216,6 +238,14 @@ class ModularRing(CoefficientRing):
 
     def is_zero(self, a):
         return not a
+
+    def add_multiple(self, target, c, vec):
+        m = self.modulus
+        for i, v in vec.items():
+            if w := (target.get(i, 0) + c * v) % m:
+                target[i] = w
+            else:
+                target.pop(i, None)
 
     def elements(self):
         return range(self.modulus)
@@ -540,7 +570,7 @@ class IntMatrix:
         """The image of a sparse vector (dict column -> entry), as a sparse vector."""
         out = {}
         for j, c in vec.items():
-            _add_multiple(self.ring, out, c, self._cols[j])
+            self.ring.add_multiple(out, c, self._cols[j])
         return out
 
     def add(self, other):
@@ -549,7 +579,7 @@ class IntMatrix:
         one = self.ring.one()
         out = [dict(col) for col in self._cols]
         for col, other_col in zip(out, other._cols):
-            _add_multiple(self.ring, col, one, other_col)
+            self.ring.add_multiple(col, one, other_col)
         return IntMatrix.from_columns(self.ring, self.rows, out)
 
     def neg(self):
@@ -581,22 +611,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.ring!r}, {self.rows}x{self.cols})"
-
-
-# ---------------------------------------------------------------------------
-# Sparse rows: dicts index -> coefficient, changed only by _add_multiple.
-
-
-def _add_multiple(ring, target, c, vec):
-    """target += c * vec, in place, on sparse vectors (c nonzero)."""
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-    for i, v in vec.items():
-        w = target.get(i)
-        w = mul(c, v) if w is None else add(w, mul(c, v))
-        if is_zero(w):
-            target.pop(i, None)  # c * v can be 0 over Z/m
-        else:
-            target[i] = w
 
 
 # ---------------------------------------------------------------------------
@@ -632,18 +646,18 @@ def _smith_eliminate(rows, U=None, V=None):
         heapq.heappush(queue, (_pivot_key(rows[i]), i))
 
     def add_row(src, dst, c):
-        _add_multiple(ZZ, rows[dst], c, rows[src])
+        ZZ.add_multiple(rows[dst], c, rows[src])
         for j in rows[src]:
             holders[j].add(dst)
         if U is not None:
-            _add_multiple(ZZ, U[dst], c, U[src])
+            ZZ.add_multiple(U[dst], c, U[src])
 
     def add_col(r, src, dst, c):
         # column src is zero outside row r
-        _add_multiple(ZZ, rows[r], c, {dst: rows[r][src]})
+        ZZ.add_multiple(rows[r], c, {dst: rows[r][src]})
         holders.setdefault(dst, set()).add(r)
         if V is not None:
-            _add_multiple(ZZ, V[dst], c, V[src])
+            ZZ.add_multiple(V[dst], c, V[src])
 
     def eliminate():
         while queue:
@@ -773,7 +787,7 @@ class Echelon:
         field = self.field
         out = {i: v for i, v in vec.items() if not field.is_zero(v)}
         for p in [p for p in out if p in self.rows]:
-            _add_multiple(field, out, field.neg(out[p]), self.rows[p])
+            field.add_multiple(out, field.neg(out[p]), self.rows[p])
         return out
 
     def insert(self, vec):
@@ -787,7 +801,7 @@ class Echelon:
         new = {i: field.mul(inv, v) for i, v in vec.items()}
         for row in self.rows.values():
             if p in row:
-                _add_multiple(field, row, field.neg(row[p]), new)
+                field.add_multiple(row, field.neg(row[p]), new)
         self.rows[p] = new
         return True
 

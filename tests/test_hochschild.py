@@ -8,7 +8,7 @@ from math import prod
 import pytest
 from click.testing import CliRunner
 
-from polygonic import hochschild, rings
+from polygonic import cyclic, hochschild, rings
 from polygonic.cli import main
 from polygonic.cyclic import CutSet, CyclicMap, Path, SizeGuard
 from polygonic.hochschild import (
@@ -1021,6 +1021,15 @@ def _reference_boundary(cycle, q):
     return d, entries - sum(map(len, sums))
 
 
+def _restricted(cycle, q, d):
+    """The reference boundary d_q of cycle.unit_first() restricted to the
+    normalized basis tensors of levels q and q - 1."""
+    lo, hi = normalized_positions(cycle, q - 1), normalized_positions(cycle, q)
+    rank = {p: i for i, p in enumerate(lo)}
+    restricted = [{rank[r]: v for r, v in d.columns()[p].items() if r in rank} for p in hi]
+    return IntMatrix.from_columns(cycle.field, len(lo), restricted)
+
+
 def test_faces_and_comparisons_match_the_definition():
     # the pass-through and merged assembly against the fiber-by-fiber
     # definition: full and normalized boundaries, and every contraction
@@ -1033,10 +1042,7 @@ def test_faces_and_comparisons_match_the_definition():
             d, cancelled[cycle, q] = _reference_boundary(cycle, q)
             assert full.boundary(q) == d, (cycle, q)
             d = d if rebased is cycle else _reference_boundary(rebased, q)[0]
-            lo, hi = normalized_positions(cycle, q - 1), normalized_positions(cycle, q)
-            rank = {p: i for i, p in enumerate(lo)}
-            restricted = [{rank[r]: v for r, v in d.columns()[p].items() if r in rank} for p in hi]
-            assert normal.boundary(q) == IntMatrix.from_columns(cycle.field, len(lo), restricted), (cycle, q)
+            assert normal.boundary(q) == _restricted(cycle, q, d), (cycle, q)
         for a in range(cycle.n if cycle.n > 1 else 0):
             f = CyclicMap.contraction(cycle.n, a)
             for q, m in hochschild._cyclic_maps(cycle, f, degree).items():
@@ -1080,7 +1086,7 @@ def test_one_memo_tells_bases_apart():
             for complex_, positions in ((full, None), (normal, hi)):
                 source, target = complex_.bases[q], complex_.bases[q - 1]
                 columns = [{} for _ in source[1]]
-                hochschild._add_envelope(X, env, source, target, F3.one(), columns, memo)
+                hochschild._add_envelope(X, hochschild._plan(env, source, target), F3.one(), columns, memo)
                 if positions is not None:
                     expected = [{rank[r]: v for r, v in expected[p].items() if r in rank} for p in positions]
                 assert columns == expected, (q, i, positions is None)
@@ -1099,6 +1105,80 @@ def test_each_face_is_built_once(monkeypatch):
     for field in (QQ, F3):
         normalized_bar_complex(LabelledCycle.uniform(group_algebra_c2(field), None, 3), 3)
     assert len(calls) == 2 + 3 + 4
+
+
+SHAPE_CACHES = (
+    cyclic._colours,
+    hochschild._face,
+    hochschild._face_plan,
+    hochschild._comparison,
+    hochschild._comparison_plan,
+    hochschild._full_layout,
+    hochschild._normalized_layout,
+)
+
+
+def _clear_shape_caches():
+    for cache in SHAPE_CACHES:
+        cache.cache_clear()
+
+
+def test_shape_data_is_shared_across_labels():
+    # Layouts and plans are keyed by label dims, never by labels: cycles of
+    # one shape with other labels share them in one process, and each build
+    # equals one from empty shape caches, and the definition
+    X, shared = morita_cycle(), []
+    builds = [(normalized_bar_complex, LabelledCycle.uniform(A, None, 1), 4) for A in (dual_numbers(F3), group_algebra_c2(F3))]
+    builds += [(normalized_bar_complex, LabelledCycle.uniform(group_algebra_c2(field), None, 3), 2) for field in (QQ, F3)]
+    builds += [(partial(hochschild._cyclic_maps, f=CyclicMap.contraction(2, a)), X, 4) for a in (0, 1)]
+    _clear_shape_caches()
+    shared = [build(cycle, degree_bound=degree) for build, cycle, degree in builds]
+    for (build, cycle, degree), result in zip(builds, shared):
+        _clear_shape_caches()
+        assert build(cycle, degree_bound=degree) == result, cycle
+        if build is normalized_bar_complex:
+            for q in range(1, degree + 1):
+                d = _reference_boundary(cycle.unit_first(), q)[0]
+                assert result.boundary(q) == _restricted(cycle, q, d), (cycle, q)
+        else:
+            for q, m in result.items():
+                env = cut_envelope_cyclic(CutSet(q, 2), build.keywords["f"])[0]
+                assert m == IntMatrix.from_columns(F2, m.rows, _reference_columns(X, env)), q
+
+
+def test_each_layout_and_plan_is_built_once(monkeypatch):
+    # Up a degree ladder each level layout and each face plan is built once,
+    # as shape data; the fiber tables, label data, in every build
+    calls = {"_basis": [], "_plan": [], "_fiber_table": []}
+    for name, log in calls.items():
+        def counted(*args, original=getattr(hochschild, name), log=log):
+            log.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hochschild, name, counted)
+    _clear_shape_caches()
+    R = dual_numbers(QQ)
+    for bound in range(3, 8):
+        tables = len(calls["_fiber_table"])
+        integral_homology_one_cycle(R, FiniteBimodule.regular(R), bound)
+        assert len(calls["_fiber_table"]) > tables, bound
+    assert len(calls["_basis"]) == 8  # levels 0 to 7
+    assert len(calls["_plan"]) == sum(q + 1 for q in range(1, 8))
+
+
+def _immutable(x):
+    return isinstance(x, int) or isinstance(x, (tuple, range)) and all(map(_immutable, x))
+
+
+def test_cached_layouts_are_immutable():
+    # complexes of one shape share their level layouts, so no caller can
+    # change another's through ChainComplex.bases
+    for build in (bar_complex, normalized_bar_complex):
+        first, second = (build(LabelledCycle.uniform(group_algebra_c2(field), None, 2), 3) for field in (QQ, F3))
+        assert all(a is b for a, b in zip(first.bases, second.bases, strict=True))
+        assert _immutable(first.bases)
+        with pytest.raises(TypeError):
+            first.bases[1][0][0] = first.bases[1][0][1]
 
 
 def test_rotation_action_on_the_normalized_complex():

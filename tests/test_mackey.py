@@ -120,7 +120,14 @@ def test_axioms_detect_corruption():
     corrupted = MackeyWindow(B.window, B.groups, B.weyl, B.res, tr)
     report = check_mackey_axioms(corrupted, trials=60, seed=3)
     assert not report.ok
-    assert report.failures
+    # the messages, built only for the failing trials, name both spans
+    assert report.failures == [
+        "span composition fails on [(6, 0, 4, 0, 0)] ; [(2, 0, 0, 0, 0)]",
+        "span composition fails on [(3, 0, 0, 0, 0)] ; [(2, 0, 0, 0, 1)]",
+        "span composition fails on [(6, 0, 5, 0, 0)] ; [(2, 0, 0, 0, 0)]",
+        "span composition fails on [(6, 0, 0, 0, 0)] ; [(2, 0, 0, 0, 1)]",
+        "span composition fails on [(2, 0, 1, 0, 0)] ; [(2, 0, 0, 0, 0)]",
+    ]
 
 
 def test_axioms_witt_window():

@@ -462,6 +462,44 @@ def test_int_matrix_matches_dense_lists():
     assert P.columns() == columns and P.to_lists() == grid
 
 
+def test_add_multiple_matches_dense_lists():
+    """target += c * vec on sparse vectors, by each ring's own kernel,
+    against dense list arithmetic: vec holds explicit zeros, sums cancel, and
+    over Z/4 and its quotient ring nonzero products vanish; no zero entry is
+    kept."""
+    rng = random.Random(31)
+    Z4i = QuotientPolynomialRing(ModularRing(4), (1, 0, 1))  # Z/4[x]/(x^2 + 1)
+    for ring in (ZZ, QQ, ModularRing(4), PrimeField(3), Z4i):
+        def draw():
+            if rng.random() < 0.4:
+                return ring.zero()
+            if ring is QQ:
+                return QQ.parse(f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}")
+            if ring is Z4i:
+                return (rng.randrange(4), rng.randrange(4))
+            return ring.from_int(rng.randint(-3, 3))
+
+        for _ in range(60):
+            dim = rng.randint(1, 6)
+            target, vec = [draw() for _ in range(dim)], [draw() for _ in range(dim)]
+            c = draw()
+            while ring.is_zero(c):
+                c = draw()
+            sparse = {i: x for i, x in enumerate(target) if not ring.is_zero(x)}
+            kept = {i: x for i, x in enumerate(vec) if rng.random() < 0.8}  # zeros included
+            ring.add_multiple(sparse, c, kept)
+            dense = [ring.add(t, ring.mul(c, v)) if i in kept else t for i, (t, v) in enumerate(zip(target, vec))]
+            assert sparse == {i: x for i, x in enumerate(dense) if not ring.is_zero(x)}, ring
+        one, zero = ring.one(), ring.zero()
+        for target, c, vec in (({}, one, {0: zero}), ({0: one}, ring.neg(one), {0: one, 1: zero})):
+            ring.add_multiple(target, c, vec)
+            assert target == {}, ring
+    two = ModularRing(4).from_int(2)
+    target = {0: 1}
+    ModularRing(4).add_multiple(target, two, {0: two, 1: two})
+    assert target == {0: 1}
+
+
 def test_ring_parsing():
     assert ring_from_string("Z") is ZZ
     assert ring_from_string("Q") is QQ
