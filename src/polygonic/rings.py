@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 from fractions import Fraction
+from math import isqrt, lcm
 
 from .cyclic import SizeGuard
 
@@ -296,6 +297,30 @@ def poly_reduce(base, modulus, coeffs):
     return tuple(coeffs[:d])
 
 
+def _rational_root(modulus):
+    """Has the monic quadratic or cubic over Q, lowest degree first, a rational root?"""
+    if len(modulus) == 3:  # iff its discriminant is a rational square
+        disc = Fraction(modulus[1] ** 2 - 4 * modulus[0])
+        return disc >= 0 and all(isqrt(k) ** 2 == k for k in (disc.numerator, disc.denominator))
+    # x = y / m makes it a monic integer cubic f, whose rational roots are
+    # integers within the Cauchy bound.  Bisect each stretch where f is
+    # monotone, cut at the floors of the roots (-A -+ sqrt(D)) / 3 of f'.
+    m = lcm(*(Fraction(a).denominator for a in modulus))
+    C, B, A = (int(a * m ** k) for a, k in zip(modulus, (3, 2, 1)))
+    bound, D = 1 + max(abs(A), abs(B), abs(C)), A * A - 3 * B
+    s = isqrt(max(D, 0))
+    cuts = [(-A - s - (s * s != D)) // 3, (-A + s) // 3] if D > 0 else []
+    ends = [-bound - 1, *cuts, bound]
+    for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        sign, lo = (-1 if k == 1 else 1), lo + 1  # the middle stretch falls
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if sign * (((mid + A) * mid + B) * mid + C) < 0 else (lo, mid)
+        if lo == hi and ((lo + A) * lo + B) * lo + C == 0:
+            return True
+    return False
+
+
 class QuotientPolynomialRing(CoefficientRing):
     """base[x] / (modulus), modulus monic; elements are coefficient tuples.
 
@@ -316,9 +341,11 @@ class QuotientPolynomialRing(CoefficientRing):
         self.is_field = base.is_field and (self.deg == 1 or self._irreducible())
 
     def _irreducible(self):
-        # Brute-force root search, only meaningful over small prime fields.
-        if not isinstance(self.base, PrimeField) or self.deg > 3:
+        # Degree 2 and 3 polynomials are irreducible iff they have no root.
+        if self.deg > 3 or not isinstance(self.base, (PrimeField, RationalField)):
             return False
+        if isinstance(self.base, RationalField):
+            return not _rational_root(self.modulus)
         p = self.base.modulus
         if p > ROOT_SEARCH_GUARD:
             raise SizeGuard(f"root search is limited to {ROOT_SEARCH_GUARD} residues; {p} requested")
@@ -328,7 +355,6 @@ class QuotientPolynomialRing(CoefficientRing):
                 val = self.base.add(self.base.mul(val, r), c)
             if self.base.is_zero(val):
                 return False
-        # Degree 2 and 3 polynomials are irreducible iff they have no root.
         return True
 
     def from_int(self, k):
@@ -617,104 +643,97 @@ class IntMatrix:
 # Smith normal form over the integers.
 
 
-def _pivot_key(row):
-    return min(map(abs, row.values())), len(row)
-
-
 def _smith_eliminate(rows, U=None, V=None):
     """Bring the sparse integer rows to Smith form in place.
 
     Returns the pivots (row, col), each the only entry of its row and of its
     column, ordered so that their entries d_1 | d_2 | ... are positive; all
     other rows end empty.  The pivot is the entry of least absolute value,
-    ties going to the shortest row, so that the unit entries of a sparse
-    boundary go first and fill in least.  Euclid with row operations clears
-    its column first; the column operations that then clear its row change
-    only the pivot row.  When U (rows) and V (columns) are given, as sparse
-    identity matrices, each row operation is applied to U and each column
-    operation to V, so that U*A*V is the final matrix.
+    ties going to the shortest row, then the lowest index, so that the unit
+    entries of a sparse boundary go first and fill in least.  Euclid with
+    row operations clears its column first; the column operations that then
+    clear its row change only the pivot row (with no V, a unit pivot just
+    drops the rest of it).  When U (rows) and V (columns) are given, as
+    sparse identity matrices, each row operation is applied to U and each
+    column operation to V, so that U*A*V is the final matrix.
     """
+    add, heappush = ZZ.add_multiple, heapq.heappush
     holders = {}  # col -> the rows that may have an entry there
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, set()).add(i)
-    active = {i for i, row in enumerate(rows) if row}
-    queue = []  # (pivot key, row), possibly stale
-    pivots = []
-
-    def enqueue(i):
-        heapq.heappush(queue, (_pivot_key(rows[i]), i))
-
-    def add_row(src, dst, c):
-        ZZ.add_multiple(rows[dst], c, rows[src])
-        for j in rows[src]:
-            holders[j].add(dst)
-        if U is not None:
-            ZZ.add_multiple(U[dst], c, U[src])
-
-    def add_col(r, src, dst, c):
-        # column src is zero outside row r
-        ZZ.add_multiple(rows[r], c, {dst: rows[r][src]})
-        holders.setdefault(dst, set()).add(r)
-        if V is not None:
-            ZZ.add_multiple(V[dst], c, V[src])
-
-    def eliminate():
-        while queue:
-            key, r = heapq.heappop(queue)
-            if r not in active or key != _pivot_key(rows[r]):
-                continue  # a pivot already, or queued again since it changed
-            row = rows[r]
+    # An entry (least |entry|, length, row, stamp) is current while its stamp
+    # is the row's.  A row operation bumps it, and the row is queued afresh;
+    # a pivot row has no current entry, so column operations need no bump.
+    stamp, queue, pivots = [0] * len(rows), [], []
+    dirty = range(len(rows))
+    while True:
+        for i in dirty:
+            if row := rows[i]:
+                heappush(queue, (min(map(abs, row.values())), len(row), i, stamp[i]))
+        dirty = ()
+        if not queue:
+            # While d_a does not divide the next pivot d_b, add b's column
+            # to a's and eliminate the two rows again.  Column a then holds
+            # d_a and d_b, so a pivot below d_a comes out and this stops.
+            pivots.sort(key=lambda p: rows[p[0]][p[1]])
+            bad = next(((a, b) for a, b in zip(pivots, pivots[1:])
+                        if rows[b[0]][b[1]] % rows[a[0]][a[1]]), None)
+            if bad is None:
+                return pivots
+            (ra, ca), (rb, cb) = bad
+            pivots = [p for p in pivots if p not in bad]
+            rows[rb][ca] = rows[rb][cb]
+            holders[ca].add(rb)
+            if V is not None:
+                add(V[ca], 1, V[cb])
+            dirty = (ra, rb)
+            continue
+        _, _, r, s = heapq.heappop(queue)
+        if s != stamp[r]:
+            continue
+        row, dirty = rows[r], {r}
+        while True:  # column steps leave entries below |row[c]|, so c moves on
             c = min(row, key=lambda j: (abs(row[j]), j))
-            touched = {r}
-            while True:
-                below = [i for i in holders[c] if i != r and i in active and c in rows[i]]
+            below = [i for i in holders[c] if i != r and c in rows[i]]
+            while below:
+                p = row[c]
                 for i in below:
-                    add_row(r, i, -(rows[i][c] // rows[r][c]))
-                touched.update(below)
+                    other = rows[i]
+                    q = -(other[c] // p)
+                    if not row.keys() <= other.keys():  # fill-in
+                        for j in row:
+                            holders[j].add(i)
+                    add(other, q, row)
+                    stamp[i] += 1
+                    if U is not None:
+                        add(U[i], q, U[r])
+                dirty.update(below)
                 below = [i for i in below if c in rows[i]]
                 if below:  # a smaller remainder takes over as pivot
-                    r = min(below, key=lambda i: (abs(rows[i][c]), len(rows[i]), i))
-                    continue
-                row = rows[r]
-                for j in [j for j in row if j != c]:
-                    add_col(r, c, j, -(row[j] // row[c]))
-                if len(row) == 1:
-                    break
-                c = min((j for j in row if j != c), key=lambda j: (abs(row[j]), j))
-            if row[c] < 0:
-                rows[r] = {c: -row[c]}
-                if U is not None:
-                    U[r] = {k: -v for k, v in U[r].items()}
-            pivots.append((r, c))
-            active.discard(r)
-            touched.discard(r)
-            for i in touched:
-                if rows[i]:
-                    enqueue(i)
+                    i = min(below, key=lambda i: (abs(rows[i][c]), len(rows[i]), i))
+                    below[below.index(i)] = r  # the rows that still hold c
+                    r, row = i, rows[i]
+            p = row[c]
+            if V is None and abs(p) == 1:
+                rows[r] = row = {c: p}
+                break
+            for j in [j for j in row if j != c]:
+                q = row[j] // p
+                if w := row[j] - q * p:
+                    row[j] = w
                 else:
-                    active.discard(i)
-
-    # Eliminate; then, while d_a does not divide the next pivot d_b, add b's
-    # column to a's and eliminate the two rows again.  Column a then holds
-    # d_a and d_b, so a pivot below d_a comes out and this stops.
-    for i in active:
-        enqueue(i)
-    eliminate()
-    while True:
-        pivots.sort(key=lambda p: rows[p[0]][p[1]])
-        bad = next(((a, b) for a, b in zip(pivots, pivots[1:])
-                    if rows[b[0]][b[1]] % rows[a[0]][a[1]]), None)
-        if bad is None:
-            return pivots
-        (ra, ca), (rb, cb) = bad
-        pivots.remove(bad[0])
-        pivots.remove(bad[1])
-        add_col(rb, cb, ca, 1)
-        for i in (ra, rb):
-            active.add(i)
-            enqueue(i)
-        eliminate()
+                    del row[j]
+                if V is not None:
+                    add(V[j], -q, V[c])
+            if len(row) == 1:
+                break
+        if row[c] < 0:
+            rows[r] = {c: -row[c]}
+            if U is not None:
+                U[r] = {k: -v for k, v in U[r].items()}
+        pivots.append((r, c))
+        dirty.discard(r)
 
 
 def _int_rows(A):
@@ -722,8 +741,9 @@ def _int_rows(A):
     if A.ring.kind != "integers":
         raise NonFieldRing("Smith normal form requires integer entries")
     rows = [{} for _ in range(A.rows)]
-    for (i, j), v in A.items():
-        rows[i][j] = v
+    for j, col in enumerate(A.columns()):
+        for i, v in col.items():
+            rows[i][j] = v
     return rows
 
 

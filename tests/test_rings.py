@@ -13,6 +13,7 @@ from polygonic.rings import (
     ZZ,
     DimensionMismatch,
     Echelon,
+    IntegerRing,
     IntMatrix,
     ModularRing,
     NonFieldRing,
@@ -177,6 +178,102 @@ def test_sparse_unit_matrices_with_a_planted_core():
         assert [d for d in diag if d > 1] == expected[0]
         assert diag.count(0) == expected[1]
         assert all(d >= 0 for d in diag) and diag == sorted(diag, key=lambda d: d == 0)
+
+
+def test_smith_forms_are_pinned():
+    # D, U and V pinned on three matrices: every pivot a unit; diag(2, 3),
+    # which the divisibility fix-up takes to diag(1, 6); and a rank-2
+    # matrix with two rows to spare
+    for rows, D, U, V in (
+        ([[1, 2, 0, 0], [0, 1, -1, 0], [1, 0, 1, 1], [0, -1, 1, 1]],
+         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 0, 1], [1, -1, -1, 1]],
+         [[1, -2, 0, -2], [0, 1, 0, 1], [0, 0, 0, 1], [0, 0, 1, 0]]),
+        ([[2, 0], [0, 3]], [[1, 0], [0, 6]], [[-1, 1], [-3, 2]], [[1, -3], [1, -2]]),
+        ([[2, 4, 6], [1, 2, 3], [3, 6, 9], [0, 1, 1]],
+         [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]],
+         [[0, 0, 0, 1], [0, 1, 0, -2], [1, -2, 0, 0], [0, -3, 1, 0]],
+         [[0, 1, -1], [1, 0, -1], [0, 0, 1]]),
+    ):
+        assert [M.to_lists() for M in smith_normal_form(mat(rows))] == [D, U, V]
+
+
+def test_dense_invariant_factors_take_few_row_operations(monkeypatch):
+    # the 60 dense inputs of the int-normal-form benchmark at seed 1; with
+    # no V kept, a unit pivot drops the rest of its row without column steps
+    rng = random.Random(1)
+    matrices = [mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]) for n in (5, 6, 7) for _ in range(20)]
+    calls = []
+    add_multiple = IntegerRing.add_multiple
+
+    def counted(self, target, c, vec):
+        calls.append(c)
+        add_multiple(self, target, c, vec)
+
+    monkeypatch.setattr(IntegerRing, "add_multiple", counted)
+    for A in matrices:
+        invariant_factors(A)
+    assert len(calls) <= 2021
+
+
+def _unimodular_rows(rng, n):
+    # a sparse unimodular matrix made dense by steps row i += t row j
+    rows = _sparse_unimodular(rng, n)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        t = rng.randint(-2, 2)
+        rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_transforms_are_kept_on_unit_pivots():
+    # with V kept, a unit pivot clears its row by column steps like any
+    # other: U A V = D with U and V unimodular, and D agrees with the
+    # invariant factors, which take the shortcut
+    rng = random.Random(23)
+    for k in range(16):
+        n = rng.randrange(6, 16)
+        if k % 2:
+            rows = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n - k % 3)]
+        else:
+            core = [[rng.randrange(-6, 7) for _ in range(2)] for _ in range(2)]
+            middle = mat([[int(i == j) for j in range(n)] for i in range(n - 2)]
+                         + [[0] * (n - 2) + row for row in core])
+            rows = mat(_sparse_unimodular(rng, n)).mul(middle).mul(mat(_sparse_unimodular(rng, n))).to_lists()
+        A = mat(rows)
+        D, U, V = smith_normal_form(A)
+        assert U.mul(A).mul(V) == D
+        assert det_int(U) in (1, -1) and det_int(V) in (1, -1)
+        diag = [D.get(i, i) for i in range(min(A.rows, A.cols))]
+        assert invariant_factors(A) == ([d for d in diag if d > 1], A.cols - sum(1 for d in diag if d))
+
+
+def test_are_zero_with_and_without_unit_pivots():
+    # The rows of a unimodular W are a basis of Z^n, and x W lies in the span
+    # of d_i W_i (i < k) iff d_i | x_i for i < k and x_i = 0 for i >= k.
+    # With every d_i = 1 the pivots are all units; with every d_i a multiple
+    # of g = 2 or 3 every entry stays one, and no pivot is a unit.
+    from polygonic.mackey import FPGroup
+
+    rng = random.Random(31)
+    for trial in range(24):
+        n = rng.randrange(3, 9)
+        k = rng.randrange(1, n + 1)
+        W = _unimodular_rows(rng, n)
+        g = 1 if trial % 2 else rng.choice((2, 3))
+        d = [g * rng.choice((1, 1, 2, 3)) if g > 1 else 1 for _ in range(k)]
+        gens = [[d[i] * w for w in W[i]] for i in range(k)]
+        G = FPGroup(n, mat(gens))
+        torsion, free = G.invariants()  # the quotient is Z^(n - k) + sum of Z/d_i
+        assert free == n - k and _prod(torsion) == _prod(d)
+        for _ in range(6):
+            x = [d[i] * rng.randint(-3, 3) for i in range(k)] + [0] * (n - k)
+            if rng.random() < 0.5:
+                x[rng.randrange(n)] += rng.choice((1, -1))
+            member = all(x[i] % d[i] == 0 for i in range(k)) and not any(x[k:])
+            v = [sum(x[i] * W[i][j] for i in range(n)) for j in range(n)]
+            assert G.are_zero([{j: a for j, a in enumerate(v) if a}]) == member
+            assert lattice_contains(gens, [v], n) == member
 
 
 def test_echelon_examples():
@@ -604,3 +701,32 @@ def test_degree_one_quotient_of_a_field_is_a_field():
     # the k[C2] 2-cycle over it: k[C2] is separable in characteristic 5
     C2 = FiniteAlgebra.poly_quotient(K, (K.from_int(-1), K.zero(), K.one()), name="k[C2]")
     assert homology(hh_complex(LabelledCycle.uniform(C2, None, 2), 3)) == [2, 0, 0]
+
+
+def test_quadratic_and_cubic_quotients_of_q_are_decided():
+    from polygonic.hochschild import FiniteAlgebra, LabelledCycle, hh_complex, homology
+
+    gaussian = QuotientPolynomialRing(QQ, (1, 0, 1))  # Q(i)
+    cube_root = QuotientPolynomialRing(QQ, (-2, 0, 0, 1))  # Q(2^(1/3))
+    rng = random.Random(13)
+    for R in (gaussian, cube_root):
+        assert R.is_field
+        for _ in range(20):
+            a = tuple(QQ.parse(f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}") for _ in range(R.deg))
+            if any(a):
+                assert R.mul(a, R.inv(a)) == R.one()
+    # x^2 - 4/9 and x^3 - 8/27 have the root 2/3
+    assert not QuotientPolynomialRing(QQ, (Fraction(-4, 9), 0, 1)).is_field
+    assert not QuotientPolynomialRing(QQ, (Fraction(-8, 27), 0, 0, 1)).is_field
+    # cubics with three real roots: none rational (x^3 - 3x + 1 and, by
+    # Eisenstein at 7, x^3 - 7x + 7), one rational ((x - 1/2)(x^2 - 3)) or
+    # a rational double root ((x - 1)^2 (x + 2))
+    for modulus, field in (((1, -3, 0, 1), True), ((7, -7, 0, 1), True),
+                           ((Fraction(3, 2), -3, Fraction(-1, 2), 1), False), ((2, -3, 0, 1), False)):
+        assert QuotientPolynomialRing(QQ, modulus).is_field == field, modulus
+    # from degree 4 on, a quotient of Q reads as a non-field
+    assert not QuotientPolynomialRing(QQ, (1, 0, 0, 0, 1)).is_field
+    # k[C3] over Q(w), w^2 + w + 1 = 0, is a product of three copies of Q(w)
+    K = QuotientPolynomialRing(QQ, (1, 1, 1))
+    C3 = FiniteAlgebra.poly_quotient(K, (K.from_int(-1), K.zero(), K.zero(), K.one()), name="k[C3]")
+    assert homology(hh_complex(LabelledCycle.uniform(C3, None, 1), 3)) == [3, 0, 0]
