@@ -745,7 +745,8 @@ def bar_complex(cycle: LabelledCycle, degree_bound):
     """The cyclic bar complex through the given degree.
 
     Level q is the tensor product of the labels of the level-q cut set; the
-    boundary is the alternating sum of the face maps.
+    boundary is the alternating sum of the face maps.  No library route
+    computes on it: it is the reference that tests and perfbench/ call.
     """
     bar_dims(cycle, degree_bound)
     return _complex(cycle, degree_bound, _full_layout)
@@ -1025,11 +1026,20 @@ def contraction_comparison(cycle: LabelledCycle, a, degree_bound):
     """Contract one edge and compare homology through degree_bound - 1.
 
     Returns a report: the chain-map property, per-degree homology dimensions
-    on both sides, and the quasi-isomorphism verdict.
+    on both sides, and the quasi-isomorphism verdict, on the normalized
+    complexes of the cycle and of the contraction of its unit_first rebase.
+    A comparison map is the identity on the columns [q], so it keeps the
+    degenerate subcomplexes, and _cyclic_maps restricts to their quotients.
     """
     f = CyclicMap.contraction(cycle.n, a)  # raises on a 1-cycle
-    src, dst = bar_complex(cycle, degree_bound), bar_complex(cycle.pull_back(f), degree_bound)
-    maps = _cyclic_maps(cycle, f, degree_bound)
+    src = normalized_bar_complex(cycle, degree_bound)  # guarded before any rebase
+    X = cycle.unit_first()
+    Y = X.pull_back(f)
+    dst, maps = normalized_bar_complex(Y, degree_bound), {}
+    for q, m in _cyclic_maps(X, f, degree_bound).items():
+        rank = {p: i for i, p in enumerate(normalized_positions(Y, q))}
+        maps[q] = IntMatrix.from_columns(X.field, len(rank), [
+            {rank[r]: v for r, v in m.columns()[p].items() if r in rank} for p in normalized_positions(X, q)])
     chain = is_chain_map(src, dst, maps)
     verdicts = [homology_map_is_iso(src, dst, maps, q) for q in range(degree_bound)]
     return {

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import polygonic
+from polygonic import hochschild
 from polygonic.cli import main
 from polygonic.cyclic import SizeGuard
 from polygonic.hochschild import FiniteAlgebra, FiniteBimodule, LabelledCycle
@@ -238,6 +239,29 @@ def test_bar_guard_exit(runner, tmp_path):
     path.write_text(json.dumps(X.to_json()))
     result = run(runner, ["hh", "compute", "--cycle", str(path), "--degree", "3"])
     assert result.exit_code == 3
+
+
+def test_contract_compare_guard_fires_before_any_rebase(runner, tmp_path, monkeypatch):
+    # the Morita cycle at degree 7 has 4 * 4^7 = 65536 dims: refused before
+    # its M2(F2) is rebased unit-first or any complex is built
+    F2 = PrimeField(2)
+    X = LabelledCycle(
+        (FiniteAlgebra.ground(F2), FiniteAlgebra.matrix_algebra(F2, 2)),
+        (FiniteBimodule.row_vectors(F2, 2), FiniteBimodule.column_vectors(F2, 2)),
+    )
+    path = tmp_path / "morita.json"
+    path.write_text(json.dumps(X.to_json()))
+    calls = []
+    for owner, name in ((LabelledCycle, "unit_first"), (hochschild, "_complex")):
+        def counted(*args, original=getattr(owner, name), name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    result = run(runner, ["hh", "contract-compare", "--cycle", str(path), "--edge", "0", "--degree", "7"])
+    assert result.exit_code == 3
+    assert json.loads(result.output)["kind"] == "guard"
+    assert calls == []
 
 
 def test_bar_guard_edge(runner, tmp_path):
