@@ -29,7 +29,6 @@ class DimensionMismatch(ValueError):
 # Comp. 86 (2017)).
 PRIME_TEST_BOUND = 3317044064679887385961981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-ROOT_SEARCH_GUARD = 2 ** 16
 
 
 def is_prime(n):
@@ -324,9 +323,10 @@ def _rational_root(modulus):
 class QuotientPolynomialRing(CoefficientRing):
     """base[x] / (modulus), modulus monic; elements are coefficient tuples.
 
-    The tuple has length deg(modulus), lowest degree first.  Division is
-    available when the base is a field and the modulus is irreducible there
-    (attempted via extended Euclid; a non-invertible element raises).
+    The tuple has length deg(modulus), lowest degree first.  Division is by
+    extended Euclid over a field base and raises on a non-unit.  is_field is
+    decided for degree 1, and for degree 2 and 3 over F_p (by gcd(modulus,
+    x^p - x), for every p) and Q (by a rational root); the rest read False.
     """
 
     kind = "univariate-polynomial-quotient"
@@ -346,16 +346,14 @@ class QuotientPolynomialRing(CoefficientRing):
             return False
         if isinstance(self.base, RationalField):
             return not _rational_root(self.modulus)
-        p = self.base.modulus
-        if p > ROOT_SEARCH_GUARD:
-            raise SizeGuard(f"root search is limited to {ROOT_SEARCH_GUARD} residues; {p} requested")
-        for r in range(p):
-            val = self.base.zero()
-            for c in reversed(self.modulus):
-                val = self.base.add(self.base.mul(val, r), c)
-            if self.base.is_zero(val):
-                return False
-        return True
+        # x^p - x is the product of x - r over all residues r, so the modulus
+        # has a root iff gcd(modulus, x^p - x) != 1: iff x^p - x is no unit.
+        x = self.gen()
+        try:
+            self.inv(self.sub(self.pow(x, self.base.modulus), x))
+            return True
+        except ZeroDivisionError:
+            return False
 
     def from_int(self, k):
         return (self.base.from_int(k),) + (self.base.zero(),) * (self.deg - 1)
@@ -377,11 +375,7 @@ class QuotientPolynomialRing(CoefficientRing):
 
     def gen(self):
         """The class of the variable."""
-        coeffs = [self.base.zero()] * self.deg
-        if self.deg == 1:
-            return poly_reduce(self.base, self.modulus, [self.base.zero(), self.base.one()])
-        coeffs[1] = self.base.one()
-        return tuple(coeffs)
+        return poly_reduce(self.base, self.modulus, [self.base.zero(), self.base.one()])
 
     def inv(self, a):
         if not self.base.is_field:

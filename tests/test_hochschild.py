@@ -1176,21 +1176,6 @@ def test_one_memo_tells_bases_apart():
                 assert columns == expected, (q, i, positions is None)
 
 
-def test_each_face_is_built_once(monkeypatch):
-    # one cut face per (q, n, i), whichever complex asks for it
-    calls = []
-
-    def counted(cut, i):
-        calls.append((cut, i))
-        return cut_face(cut, i)
-
-    monkeypatch.setattr(hochschild, "cut_face", counted)
-    hochschild._face.cache_clear()
-    for field in (QQ, F3):
-        normalized_bar_complex(LabelledCycle.uniform(group_algebra_c2(field), None, 3), 3)
-    assert len(calls) == 2 + 3 + 4
-
-
 SHAPE_CACHES = (
     cyclic._colours,
     hochschild._face,
@@ -1205,6 +1190,26 @@ SHAPE_CACHES = (
 def _clear_shape_caches():
     for cache in SHAPE_CACHES:
         cache.cache_clear()
+
+
+def test_each_face_is_built_once(monkeypatch):
+    # one cut face per (q, n, i), whichever complex asks for it; the
+    # complexes are built once first, so plans cached by that build (or by
+    # any earlier test) must not hide the faces from the count
+    calls = []
+
+    def counted(cut, i):
+        calls.append((cut, i))
+        return cut_face(cut, i)
+
+    cycles = [LabelledCycle.uniform(group_algebra_c2(field), None, 3) for field in (QQ, F3)]
+    for cycle in cycles:
+        normalized_bar_complex(cycle, 3)
+    monkeypatch.setattr(hochschild, "cut_face", counted)
+    _clear_shape_caches()
+    for cycle in cycles:
+        normalized_bar_complex(cycle, 3)
+    assert len(calls) == 2 + 3 + 4
 
 
 def test_shape_data_is_shared_across_labels():

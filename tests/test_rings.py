@@ -9,7 +9,6 @@ from polygonic.cyclic import SizeGuard
 from polygonic.rings import (
     PRIME_TEST_BOUND,
     QQ,
-    ROOT_SEARCH_GUARD,
     ZZ,
     DimensionMismatch,
     Echelon,
@@ -673,15 +672,66 @@ def test_miller_rabin_rejects_pseudoprimes_and_accepts_large_primes():
         PrimeField(2 ** 89 - 1)
 
 
-def test_root_search_is_bounded():
+def test_quadratic_and_cubic_quotients_of_fp_are_decided_for_every_prime():
+    from polygonic.hochschild import FiniteAlgebra, LabelledCycle, hh_complex, homology
+
     # x^2 + 1 is irreducible exactly when p = 3 mod 4
     assert QuotientPolynomialRing(PrimeField(65519), (1, 0, 1)).is_field
-    assert not QuotientPolynomialRing(PrimeField(65521), (1, 0, 1)).is_field
-    assert 65521 < ROOT_SEARCH_GUARD < 65537
-    with pytest.raises(SizeGuard, match="65537 requested"):
-        QuotientPolynomialRing(PrimeField(65537), (1, 0, 1))
-    # above degree 3 there is no search, so no guard
+    for p in (65521, 65537):
+        assert not QuotientPolynomialRing(PrimeField(p), (1, 0, 1)).is_field
+    K = QuotientPolynomialRing(PrimeField(10 ** 9 + 7), (1, 0, 1))
+    assert K.is_field
+    # the k[C2] 2-cycle over it: k[C2] is separable in odd characteristic
+    C2 = FiniteAlgebra.poly_quotient(K, (K.from_int(-1), K.zero(), K.one()), name="k[C2]")
+    assert homology(hh_complex(LabelledCycle.uniform(C2, None, 2), 3)) == [2, 0, 0]
+    # degree 4 or more is not decided, so it reads as a non-field
     assert not QuotientPolynomialRing(PrimeField(10 ** 9 + 7), (1, 0, 0, 0, 1)).is_field
+
+
+def test_gauss_counts_irreducible_quadratics_and_cubics():
+    # Over F_p there are (p^2 - p)/2 monic irreducible quadratics and
+    # (p^3 - p)/3 monic irreducible cubics, and each is one without a root,
+    # found here by evaluating at every residue
+    for p in (2, 3, 5, 7, 11, 13):
+        F = PrimeField(p)
+        for deg, count in ((2, (p * p - p) // 2), (3, (p ** 3 - p) // 3)):
+            fields = 0
+            for low in product(range(p), repeat=deg):
+                modulus = low + (1,)
+                rootless = all(sum(c * r ** k for k, c in enumerate(modulus)) % p for r in range(p))
+                assert QuotientPolynomialRing(F, modulus).is_field == rootless, (p, modulus)
+                fields += rootless
+            assert fields == count, (p, deg)
+
+
+def test_large_prime_quotients_follow_the_residue_criteria():
+    # x^2 - a has a root iff a is a square: Euler's criterion.  x^3 - a
+    # always has a root when p = 2 mod 3, since cubing is then a bijection;
+    # when p = 1 mod 3 it has one iff a^((p - 1)/3) = 1
+    rng = random.Random(34)
+    for p in (65537, 10 ** 9 + 7, 2 ** 61 - 1):
+        F = PrimeField(p)
+        verdicts = set()
+        for a in [2, 3, 5, 7] + [rng.randrange(1, p) for _ in range(12)]:
+            square = pow(a, (p - 1) // 2, p) == 1
+            cube = p % 3 == 2 or pow(a, (p - 1) // 3, p) == 1
+            quadratic = QuotientPolynomialRing(F, (p - a, 0, 1)).is_field
+            cubic = QuotientPolynomialRing(F, (p - a, 0, 0, 1)).is_field
+            assert (quadratic, cubic) == (not square, not cube), (p, a)
+            verdicts.add((quadratic, cubic))
+        # both verdicts occur for each degree, cubes only where p = 1 mod 3
+        assert {q for q, _ in verdicts} == {True, False}, p
+        assert {c for _, c in verdicts} == ({False} if p % 3 == 2 else {True, False}), p
+
+
+def test_small_extension_fields_invert_every_nonzero_element():
+    for p, modulus in ((2, (1, 1, 0, 1)), (3, (1, 0, 1)), (5, (3, 0, 1)), (3, (1, 2, 0, 1))):
+        R = QuotientPolynomialRing(PrimeField(p), modulus)  # F_8, F_9, F_25, F_27
+        assert R.is_field
+        nonzero = [a for a in R.elements() if not R.is_zero(a)]
+        assert len(nonzero) == p ** R.deg - 1
+        for a in nonzero:
+            assert R.mul(a, R.inv(a)) == R.one(), (p, modulus, a)
 
 
 def test_degree_one_quotient_of_a_field_is_a_field():
