@@ -22,12 +22,9 @@ from operator import attrgetter
 
 
 class SizeGuard(Exception):
-    """A request beyond a size limit; the message names the limit.  Every
-    other error the package raises on bad input is a ValueError."""
-
-
-class EmptyOrder(ValueError):
-    pass
+    """A request beyond a size limit; the message names the limit.  Bad
+    input raises a plain ValueError; the one subclass is witt.SupportMismatch,
+    which the command line catches by type."""
 
 
 class Value:
@@ -326,7 +323,7 @@ class CutSet(Value):
 
     def __init__(self, q, n, p=None):
         if q < 0:
-            raise EmptyOrder("the indexing order must be nonempty")
+            raise ValueError("the indexing order must be nonempty")
         if n < 1:
             raise ValueError("n must be >= 1")
         if p is not None and p < 1:

@@ -19,7 +19,6 @@ from .operad import EnvelopeMorphism, cut_envelope_cyclic, cut_face
 from .rings import (
     Echelon,
     IntMatrix,
-    NonFieldRing,
     QQ,
     _json_fields,
     invariant_factors_of_rows,
@@ -28,14 +27,6 @@ from .rings import (
     poly_reduce,
     ring_from_json,
 )
-
-
-class AlgebraMismatch(ValueError):
-    pass
-
-
-class DegreeBoundNegative(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +125,7 @@ class FiniteAlgebra(Value):
 
     def __init__(self, field, dim, mult, unit, name=""):
         if not field.is_field:
-            raise NonFieldRing("algebras need field coefficients")
+            raise ValueError("algebras need field coefficients")
         if not isinstance(dim, int) or dim < 1:
             raise ValueError(f"algebra dimension must be an integer >= 1, got {dim!r}")
         self.field, self.dim, self.name = field, dim, name
@@ -313,7 +304,7 @@ def relative_tensor(M: FiniteBimodule, N: FiniteBimodule):
     free columns of the echelon of the relations.
     """
     if M.right_algebra != N.left_algebra:
-        raise AlgebraMismatch("middle algebras differ")
+        raise ValueError("middle algebras differ")
     field, d = M.field, N.dim
     relations = []  # m b (x) n - m (x) b n for basis m, b, n
     for m, b, n in product(range(M.dim), range(N.left_algebra.dim), range(d)):
@@ -360,7 +351,7 @@ class LabelledCycle(Value):
         for a in range(n):
             M = bimodules[a]
             if M.left_algebra != algebras[a] or M.right_algebra != algebras[(a + 1) % n]:
-                raise AlgebraMismatch(f"edge {a} does not match its endpoint algebras")
+                raise ValueError(f"edge {a} does not match its endpoint algebras")
         self.algebras, self.bimodules = algebras, bimodules
         # fused(a) by a, and the rebased unit_first(), built on first use.
         self._fused, self._unit_first = {}, []
@@ -725,7 +716,7 @@ def bar_dims(cycle: LabelledCycle, degree_bound):
     first two bound the work of faces and chain maps.
     """
     if degree_bound < 0:
-        raise DegreeBoundNegative("degree bound must be >= 0")
+        raise ValueError("degree bound must be >= 0")
     if degree_bound > BAR_DEGREE_GUARD:
         raise SizeGuard(f"degree {degree_bound} exceeds {BAR_DEGREE_GUARD}")
     if cycle.n * (degree_bound + 1) > BAR_CUT_GUARD:
@@ -874,7 +865,7 @@ def _column_positions(q, vertices, edges, tuples):
 def homology(complex_: ChainComplex):
     """Homology dimensions in degrees 0..top-1."""
     if not complex_.ring.is_field:
-        raise NonFieldRing("homology needs field coefficients")
+        raise ValueError("homology needs field coefficients")
     return [complex_.homology_dim(q) for q in range(complex_.top)]
 
 
@@ -953,7 +944,7 @@ def thh_pi0(R: FiniteAlgebra, M: FiniteBimodule):
     Returns (dim, echelon of the commutator subspace).
     """
     if M.left_algebra != R or M.right_algebra != R:
-        raise AlgebraMismatch("coefficients must be a bimodule over the algebra")
+        raise ValueError("coefficients must be a bimodule over the algebra")
     field = R.field
     relations = [  # m r - r m for basis m, r
         {i: field.sub(a, b) for i, (a, b) in enumerate(zip(M.right[m][r], M.left[r][m]))}

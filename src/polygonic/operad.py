@@ -26,10 +26,6 @@ from .cyclic import (
 )
 
 
-class NonComposable(ValueError):
-    pass
-
-
 MUL_ARITY_GUARD = 8
 
 
@@ -103,7 +99,7 @@ class EnvelopeMorphism(Value):
 def envelope_compose(g, f):
     """g after f; composite fibers ordered lexicographically (outer by g)."""
     if f.target != g.source:
-        raise NonComposable("target of the first morphism != source of the second")
+        raise ValueError("target of the first morphism != source of the second")
     comp = tuple(g.f[f.f[x]] for x in range(f.source.size))
     fibers = []
     for z in range(g.target.size):

@@ -16,22 +16,6 @@ from .rings import is_prime
 PULLBACK_GUARD = 2 ** 20
 
 
-class TargetMismatch(ValueError):
-    pass
-
-
-class NoPrimeDivisorInWindow(ValueError):
-    pass
-
-
-class NonPrimeInWindow(ValueError):
-    pass
-
-
-class NotQuasifinite(ValueError):
-    pass
-
-
 class QFinSet(Value):
     """orbits[i] is the size of the i-th orbit; tail declares conceptual
     infinite families (arithmetic generators, all beyond any active window)."""
@@ -62,10 +46,13 @@ class QFinSet(Value):
         return QFinSet(tuple(sorted(self.orbits)), self.tail)
 
     def check_tail_window(self, window_bound):
-        if self.tail is not None and any(g <= window_bound for g in self.tail):
-            raise NotQuasifinite(
-                f"declared infinite family reaches into the window (bound {window_bound})"
-            )
+        _check_tail(self.tail, window_bound)
+
+
+def _check_tail(tail, window_bound):
+    """A declared infinite family must lie past the window bound."""
+    if tail is not None and any(g <= window_bound for g in tail):
+        raise ValueError(f"declared infinite family reaches into the window (bound {window_bound})")
 
 
 class QFinMap(Value):
@@ -99,7 +86,7 @@ class QFinMap(Value):
     def after(self, other):
         """self composed after other."""
         if other.target.orbits != self.source.orbits:
-            raise TargetMismatch("maps are not composable")
+            raise ValueError("maps are not composable")
         assign = []
         for i, (j, s) in enumerate(other.assign):
             k, t = self.assign[j]
@@ -146,7 +133,7 @@ def pullback(f, g):
     Returns (W, p, q) with the two projections.
     """
     if f.target.orbits != g.target.orbits:
-        raise TargetMismatch("pullback needs a common target")
+        raise ValueError("pullback needs a common target")
     U = f.target
     # the matched orbit pairs (i, j, u), by U's orbit, then i, then j
     pairs = [
@@ -177,7 +164,7 @@ def pullback_elementwise(f, g):
     """Brute-force oracle for pullback: enumerate element pairs and split
     into diagonal orbits.  Returns the orbit multiset only."""
     if f.target.orbits != g.target.orbits:
-        raise TargetMismatch("pullback needs a common target")
+        raise ValueError("pullback needs a common target")
     pairs = set()
     for i, a in enumerate(f.source.orbits):
         for x in range(a):
@@ -263,7 +250,7 @@ class SpanMorphism(Value):
 def compose_spans(s2, s1):
     """Composite span s2 after s1, apex formed by pullback."""
     if s1.target.orbits != s2.source.orbits:
-        raise TargetMismatch("middle objects of the spans differ")
+        raise ValueError("middle objects of the spans differ")
     W, p, q = pullback(s1.right, s2.left)
     return SpanMorphism(s1.left.after(p), s2.right.after(q))
 
@@ -278,7 +265,7 @@ def weakly_terminal_map(S, prime_window):
     primes = sorted(set(prime_window))
     for p in primes:
         if not is_prime(p):
-            raise NonPrimeInWindow(f"window entry {p} is not a prime")
+            raise ValueError(f"window entry {p} is not a prime")
     target = QFinSet(tuple(primes))
     assign = []
     for m in S.orbits:
@@ -288,6 +275,6 @@ def weakly_terminal_map(S, prime_window):
                 choice = p
                 break
         if choice is None:
-            raise NoPrimeDivisorInWindow(f"orbit size {m} has no prime divisor in {primes}")
+            raise ValueError(f"orbit size {m} has no prime divisor in {primes}")
         assign.append((primes.index(choice), 0))
     return QFinMap(S, target, tuple(assign))

@@ -16,14 +16,6 @@ from math import isqrt, lcm
 from .cyclic import SizeGuard
 
 
-class NonFieldRing(ValueError):
-    pass
-
-
-class DimensionMismatch(ValueError):
-    pass
-
-
 # Miller-Rabin with the first 13 primes as bases is exact below this bound,
 # the least strong pseudoprime to all of them (Sorenson and Webster, Math.
 # Comp. 86 (2017)).
@@ -113,7 +105,7 @@ class CoefficientRing:
         return total
 
     def inv(self, a):
-        raise NonFieldRing(f"no division in {self}")
+        raise ValueError(f"no division in {self}")
 
     def elements(self):
         """Iterate all elements (finite rings only)."""
@@ -379,7 +371,7 @@ class QuotientPolynomialRing(CoefficientRing):
 
     def inv(self, a):
         if not self.base.is_field:
-            raise NonFieldRing("inversion needs a field base")
+            raise ValueError("inversion needs a field base")
         # Extended Euclid in base[x] against the modulus.
         r0, r1 = list(self.modulus), list(a)
         s0, s1 = [self.base.zero()], [self.base.one()]
@@ -518,13 +510,13 @@ class IntMatrix:
             items = entries.items()
         else:
             if len(entries) != rows or any(len(r) != cols for r in entries):
-                raise DimensionMismatch("entry grid does not match shape")
+                raise ValueError("entry grid does not match shape")
             items = (((i, j), v) for i, r in enumerate(entries) for j, v in enumerate(r))
         for (i, j), v in items:
             if ring.is_zero(v):
                 continue
             if not (0 <= i < rows and 0 <= j < cols):
-                raise DimensionMismatch(f"entry index ({i},{j}) out of range")
+                raise ValueError(f"entry index ({i},{j}) out of range")
             columns[j][i] = v
         self.ring, self.rows, self.cols, self._cols = ring, rows, cols, columns
 
@@ -595,7 +587,7 @@ class IntMatrix:
 
     def add(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in add")
+            raise ValueError("shape mismatch in add")
         one = self.ring.one()
         out = [dict(col) for col in self._cols]
         for col, other_col in zip(out, other._cols):
@@ -613,12 +605,12 @@ class IntMatrix:
 
     def mul(self, other):
         if self.cols != other.rows:
-            raise DimensionMismatch("shape mismatch in mul")
+            raise ValueError("shape mismatch in mul")
         return IntMatrix.from_columns(self.ring, self.rows, [self.apply(col) for col in other._cols])
 
     def mul_vec(self, vec):
         if len(vec) != self.cols:
-            raise DimensionMismatch("vector length mismatch")
+            raise ValueError("vector length mismatch")
         ring = self.ring
         out = [ring.zero()] * self.rows
         for x, col in zip(vec, self._cols):
@@ -733,7 +725,7 @@ def _smith_eliminate(rows, U=None, V=None):
 def _int_rows(A):
     """The rows of A as sparse dicts col -> entry."""
     if A.ring.kind != "integers":
-        raise NonFieldRing("Smith normal form requires integer entries")
+        raise ValueError("Smith normal form requires integer entries")
     rows = [{} for _ in range(A.rows)]
     for j, col in enumerate(A.columns()):
         for i, v in col.items():
@@ -776,7 +768,7 @@ class Echelon:
 
     def __init__(self, field, dim, vectors=()):
         if not field.is_field:
-            raise NonFieldRing(f"{field} is not a field")
+            raise ValueError(f"{field} is not a field")
         self.field = field
         self.dim = dim
         self.rows = {}  # pivot -> row

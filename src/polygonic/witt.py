@@ -26,23 +26,12 @@ from math import gcd, prod
 
 from .cyclic import SizeGuard, Value
 from .mackey import FPGroup, MackeyWindow
+from .qfin import _check_tail
 from .rings import ZZ, IntMatrix, _json_fields, ring_from_json
 from .truncation import TruncationSet
 
 
 class SupportMismatch(ValueError):
-    pass
-
-
-class NonIntervalSupport(ValueError):
-    pass
-
-
-class NotSummable(ValueError):
-    pass
-
-
-class UnsupportedEnumerationRing(ValueError):
     pass
 
 
@@ -225,7 +214,7 @@ def _vector(ring, target, factors):
 def to_series(a: WittVector):
     """prod (1 - a_t tau^t)^(-1) mod tau^(N+1); interval supports only."""
     if not a.support.is_interval():
-        raise NonIntervalSupport(f"{a.support} is not an interval")
+        raise ValueError(f"{a.support} is not an interval")
     return _product(a.ring, a.support.max(), _factors(a))
 
 
@@ -359,8 +348,7 @@ def infinite_verschiebung(ring, family, support, tail=None):
     or below the bound is not summable.
     """
     bound = support.max()
-    if tail is not None and any(g <= bound for g in tail):
-        raise NotSummable("declared infinite multiplicity inside the support bound")
+    _check_tail(tail, bound)
     factors = []
     for n, x in family:
         if n < 2:
@@ -408,7 +396,7 @@ def peel_coordinates(a: WittVector):
     """Integer coordinates of a in the generating set {V_t[1]}."""
     ring = a.ring
     if ring.kind not in ("integers", "integers-mod-m", "prime-field"):
-        raise UnsupportedEnumerationRing(f"{ring} has no canonical integer lifts")
+        raise ValueError(f"{ring} has no canonical integer lifts")
     return _peel(ring, _product(ring, a.support.max(), _factors(a)), a.support)
 
 
@@ -419,7 +407,7 @@ def witt_group_presentation(ring, support):
     if ring.kind == "integers":
         return FPGroup.free(ngens)
     if ring.kind not in ("integers-mod-m", "prime-field"):
-        raise UnsupportedEnumerationRing(f"{ring} is not finitely presented over Z")
+        raise ValueError(f"{ring} is not finitely presented over Z")
     m = ring.modulus
     rows = []
     for i, t in enumerate(support.elements):
@@ -520,7 +508,7 @@ def _listed_range(ring, box):
         return 0, -box, 2 * box + 1
     if ring.kind in ("integers-mod-m", "prime-field"):
         return ring.modulus, 0, ring.modulus
-    raise UnsupportedEnumerationRing(f"cannot enumerate over {ring}")
+    raise ValueError(f"cannot enumerate over {ring}")
 
 
 def _crt(conditions):

@@ -4,7 +4,7 @@
 from memoized invariant factors; `test_mackey.py` checks it against this.
 """
 
-from polygonic.rings import DimensionMismatch, invariant_factors_of_rows
+from polygonic.rings import invariant_factors_of_rows
 
 
 def lattice_contains(gens, vectors, ngens):
@@ -17,7 +17,7 @@ def lattice_contains(gens, vectors, ngens):
     invariant factors and free rank.
     """
     if any(len(vec) != ngens for vec in (*gens, *vectors)):
-        raise DimensionMismatch(f"lattice vectors must have length {ngens}")
+        raise ValueError(f"lattice vectors must have length {ngens}")
 
     def quotient(vecs):
         rows = [{j: v for j, v in enumerate(vec) if v} for vec in vecs]

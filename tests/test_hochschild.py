@@ -12,8 +12,6 @@ from polygonic import cyclic, hochschild, rings
 from polygonic.cli import main
 from polygonic.cyclic import CutSet, CyclicMap, Path, SizeGuard
 from polygonic.hochschild import (
-    AlgebraMismatch,
-    DegreeBoundNegative,
     ChainComplex,
     FiniteAlgebra,
     FiniteBimodule,
@@ -37,7 +35,7 @@ from polygonic.hochschild import (
     thh_pi0,
 )
 from polygonic.operad import cut_degeneracy, cut_envelope_cyclic, cut_face
-from polygonic.rings import QQ, Echelon, IntMatrix, ModularRing, NonFieldRing, PrimeField
+from polygonic.rings import QQ, Echelon, IntMatrix, ModularRing, PrimeField
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -105,7 +103,7 @@ def test_algebra_validation():
             FiniteAlgebra(QQ, dim, mult, unit)
     with pytest.raises(ValueError):
         FiniteBimodule(A, A, 2, A.mult, A.mult[:1])
-    with pytest.raises(NonFieldRing):
+    with pytest.raises(ValueError, match="^algebras need field coefficients$"):
         from polygonic.rings import ZZ
         FiniteAlgebra.ground(ZZ)
 
@@ -199,7 +197,7 @@ def test_relative_tensor_morita():
     assert Q.dim == 4
     # dimension count: rank of the 8 -> 4 relation map is 3
     assert rows.dim * cols.dim - P.dim == 3
-    with pytest.raises(AlgebraMismatch):
+    with pytest.raises(ValueError, match="^middle algebras differ$"):
         relative_tensor(rows, rows)
 
 
@@ -299,7 +297,7 @@ def test_bar_group_algebra():
 
 
 def test_bar_guards():
-    with pytest.raises(DegreeBoundNegative):
+    with pytest.raises(ValueError, match="^degree bound must be >= 0$"):
         bar_complex(LabelledCycle.one_cycle(ground(), FiniteBimodule.regular(ground())), -1)
     M4 = FiniteAlgebra.matrix_algebra(F2, 4)
     with pytest.raises(SizeGuard):
@@ -346,7 +344,7 @@ def test_homology_edge_cases():
     assert homology(two_term) == [0]
     from polygonic.rings import ZZ
     bad = ChainComplex(ZZ, (1, 1), {1: IntMatrix.identity(ZZ, 1)})
-    with pytest.raises(NonFieldRing):
+    with pytest.raises(ValueError, match="^homology needs field coefficients$"):
         homology(bad)
 
 

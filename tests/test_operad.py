@@ -7,7 +7,6 @@ from polygonic.operad import (
     ColouredSet,
     EnvelopeMorphism,
     LabelledCycleSpec,
-    NonComposable,
     cut_envelope_delta,
     cut_face,
     envelope_compose,
@@ -96,7 +95,7 @@ def test_envelope_identity_and_compose():
     env = cut_face(cut, 0)
     ident = EnvelopeMorphism.identity(env.source)
     assert envelope_compose(env, ident) == env
-    with pytest.raises(NonComposable):
+    with pytest.raises(ValueError, match="^target of the first morphism != source of the second$"):
         envelope_compose(env, env)
 
 

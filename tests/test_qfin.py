@@ -5,12 +5,9 @@ from math import gcd, lcm
 import pytest
 
 from polygonic.qfin import (
-    NoPrimeDivisorInWindow,
-    NotQuasifinite,
     QFinMap,
     QFinSet,
     SpanMorphism,
-    TargetMismatch,
     compose_spans,
     fixed_points,
     pullback,
@@ -101,7 +98,7 @@ def test_pullback_of_multi_orbit_maps_with_shifts():
 def test_pullback_target_mismatch():
     f = QFinMap.terminal(QFinSet.orbit(2))
     g = QFinMap.identity(QFinSet.orbit(2))
-    with pytest.raises(TargetMismatch):
+    with pytest.raises(ValueError, match="^pullback needs a common target$"):
         pullback(f, g)
 
 
@@ -184,17 +181,20 @@ def test_weakly_terminal():
     assert f.target.orbits[f.assign[0][0]] == 2
     f = weakly_terminal_map(QFinSet((9,)), [2, 3, 5])
     assert f.target.orbits[f.assign[0][0]] == 3
-    with pytest.raises(NoPrimeDivisorInWindow):
-        weakly_terminal_map(QFinSet((1,)), [2, 3, 5])
-    with pytest.raises(NoPrimeDivisorInWindow):
-        weakly_terminal_map(QFinSet((49,)), [2, 3, 5])
+    for m in (1, 49):
+        with pytest.raises(ValueError, match=rf"^orbit size {m} has no prime divisor in \[2, 3, 5\]$"):
+            weakly_terminal_map(QFinSet((m,)), [2, 3, 5])
+    with pytest.raises(ValueError, match="^window entry 4 is not a prime$"):
+        weakly_terminal_map(QFinSet((12,)), [4, 6])
 
 
 def test_tail_markers():
     S = QFinSet((2, 3), tail=(100, 101))
     S.check_tail_window(50)
-    with pytest.raises(NotQuasifinite):
-        S.check_tail_window(150)
+    S.check_tail_window(99)
+    for bound in (100, 150):
+        with pytest.raises(ValueError, match=rf"^declared infinite family reaches into the window \(bound {bound}\)$"):
+            S.check_tail_window(bound)
 
 
 def test_canonical_is_the_least_pair_of_leg_shifts():

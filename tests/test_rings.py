@@ -10,12 +10,10 @@ from polygonic.rings import (
     PRIME_TEST_BOUND,
     QQ,
     ZZ,
-    DimensionMismatch,
     Echelon,
     IntegerRing,
     IntMatrix,
     ModularRing,
-    NonFieldRing,
     PrimeField,
     QuotientPolynomialRing,
     invariant_factors,
@@ -411,9 +409,9 @@ def test_rank_of_transpose():
 
 
 def test_rank_requires_field():
-    with pytest.raises(NonFieldRing):
+    with pytest.raises(ValueError, match="^Z is not a field$"):
         rank_of(mat([[2]]))
-    with pytest.raises(NonFieldRing):
+    with pytest.raises(ValueError, match="^Z is not a field$"):
         Echelon(ZZ, 1)
 
 
@@ -426,7 +424,7 @@ def test_presented_group_quotient():
     assert FPGroup.cyclic(4).quotient_by([{0: 2}]).invariants() == ([2], 0)
     # Z / <> = Z
     assert FPGroup.free(1).quotient_by([]).invariants() == ([], 1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"^element index 1 is outside range\(1\)$"):
         FPGroup.cyclic(4).quotient_by([{1: 1}])
 
 
@@ -436,7 +434,7 @@ def test_solve_and_membership():
     assert lattice_contains(gens, [[4, 9], [-2, 3], [0, 0]], 2)
     assert not lattice_contains(gens, [[1, 0]], 2)
     assert not lattice_contains(gens, [[4, 3], [1, 0]], 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="^lattice vectors must have length 2$"):
         lattice_contains(gens, [[1, 0, 0]], 2)
 
 

@@ -14,9 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 from polygonic.cli import main
-from polygonic.cyclic import CutSet, CyclicMap, EmptyOrder, Path, Value
+from polygonic.cyclic import CutSet, CyclicMap, Path, Value
 from polygonic.hochschild import (
-    AlgebraMismatch,
     ChainComplex,
     FiniteAlgebra,
     FiniteBimodule,
@@ -25,11 +24,10 @@ from polygonic.hochschild import (
 from polygonic.mackey import AxiomReport, FPGroup, GroupWithAction, Hom, MackeyWindow
 from polygonic.operad import ColouredSet, EnvelopeMorphism, LabelledCycleSpec
 from polygonic.qfin import QFinMap, QFinSet, SpanMorphism
-from polygonic.rings import QQ, ZZ, IntMatrix, ModularRing, NonFieldRing
+from polygonic.rings import QQ, ZZ, IntMatrix, ModularRing
 from polygonic.truncation import TruncationSet
 from polygonic.witt import (
     GhostVector,
-    NonIntervalSupport,
     SupportMismatch,
     WittVector,
     to_series,
@@ -224,10 +222,10 @@ CHECKS = [
     (lambda: CyclicMap(2, 2, (0,)), ValueError, "vals length must equal source_n"),
     (lambda: CyclicMap(2, 2, (1, 0)), ValueError, "map is not nondecreasing"),
     (lambda: CyclicMap(2, 2, (0, 3)), ValueError, "map exceeds one period"),
-    (lambda: CutSet(-1, 2), EmptyOrder, "the indexing order must be nonempty"),
+    (lambda: CutSet(-1, 2), ValueError, "the indexing order must be nonempty"),
     (lambda: CutSet(1, 0), ValueError, "n must be >= 1"),
     (lambda: CutSet(1, 2, 0), ValueError, "p must be >= 1"),
-    (lambda: FiniteAlgebra(ZZ, 1, (((1,),),), (1,)), NonFieldRing, "algebras need field coefficients"),
+    (lambda: FiniteAlgebra(ZZ, 1, (((1,),),), (1,)), ValueError, "algebras need field coefficients"),
     (lambda: FiniteAlgebra(QQ, 0, (), ()), ValueError, "algebra dimension must be an integer >= 1, got 0"),
     (lambda: FiniteAlgebra(QQ, 2, ((1,),), DUAL.unit), ValueError, "multiplication table must be 2x2x2"),
     (lambda: FiniteAlgebra(QQ, 2, DUAL.mult, (1,)), ValueError, "unit must have 2 coordinates"),
@@ -244,7 +242,7 @@ CHECKS = [
     (lambda: FiniteBimodule(SPLIT, SPLIT, 2, (((1, 0), (0, 1)), ((0, 1), (1, 0))), (((1, 0), (1, 0)), ((0, 1), (0, -1)))),
      ValueError, "actions do not commute"),
     (lambda: LabelledCycle((), ()), ValueError, "need one algebra and one bimodule per slot"),
-    (lambda: LabelledCycle((SPLIT,), (REGULAR,)), AlgebraMismatch, "edge 0 does not match its endpoint algebras"),
+    (lambda: LabelledCycle((SPLIT,), (REGULAR,)), ValueError, "edge 0 does not match its endpoint algebras"),
     (lambda: TruncationSet((2,)), ValueError, "[2] is not divisor-closed"),
     (lambda: WittVector(ZZ, T12, (1,)), SupportMismatch, "coefficient count must match the support"),
     (lambda: ColouredSet(3, (Path.vertex(2, 0),)), ValueError, "colour v:0 does not live on the 3-cycle"),
@@ -280,7 +278,7 @@ def test_reprs_that_reach_messages():
     assert repr(CyclicMap(2, 3, (1, 2))) == "CyclicMap(2->3, [1, 2])"
     assert repr(WittVector(ModularRing(8), T12, (3, 12))) == "W(1: 3, 2: 12)"
     assert repr(TruncationSet((1, 2, 4))) == "TruncationSet(1,2,4)"
-    with pytest.raises(NonIntervalSupport, match=r"^TruncationSet\(1,2,4\) is not an interval$"):
+    with pytest.raises(ValueError, match=r"^TruncationSet\(1,2,4\) is not an interval$"):
         to_series(WittVector(ZZ, TruncationSet((1, 2, 4)), (0, 0, 0)))
     with pytest.raises(SupportMismatch) as info:
         verschiebung(WittVector(ZZ, TruncationSet((1,)), (1,)), 2, TruncationSet((1, 2, 4)))

@@ -11,9 +11,7 @@ from polygonic.qfin import SpanMorphism, compose_spans
 from polygonic.rings import QQ, ZZ, ModularRing, PrimeField, QuotientPolynomialRing
 from polygonic.truncation import TruncationSet, interval_truncation, is_truncation_set
 from polygonic.witt import (
-    NotSummable,
     SupportMismatch,
-    UnsupportedEnumerationRing,
     WittVector,
     add,
     equalizer_membership,
@@ -371,8 +369,11 @@ def test_infinite_verschiebung():
     # sizes beyond the bound contribute nothing
     widened = family + [(9, teichmuller(ZZ, 7, T4.divide(9)))]
     assert infinite_verschiebung(ZZ, widened, T4) == got
-    with pytest.raises(NotSummable):
-        infinite_verschiebung(ZZ, family, T4, tail=(3,))
+    # the support bound is 4: a declared tail must start past it
+    assert infinite_verschiebung(ZZ, family, T4, tail=(5,)) == got
+    for tail in ((3,), (4,)):
+        with pytest.raises(ValueError, match=r"^declared infinite family reaches into the window \(bound 4\)$"):
+            infinite_verschiebung(ZZ, family, T4, tail=tail)
 
 
 def test_partial_sums_stabilize():
@@ -456,7 +457,7 @@ def test_recover_base():
     assert report["matches_base"] and report["invariant_factors"] == [5]
     report = recover_base(ZZ, 1)
     assert report["matches_base"]
-    with pytest.raises(UnsupportedEnumerationRing):
+    with pytest.raises(ValueError, match="^Q is not finitely presented over Z$"):
         recover_base(QQ, 3)
 
 
@@ -538,9 +539,9 @@ def test_equalizer_modular():
     assert equalizer_report(ModularRing(4), T4, 0)["equalizer_size"] == len(members) > 0
     for w in members:
         assert equalizer_membership(ModularRing(4), T4, w)
-    with pytest.raises(UnsupportedEnumerationRing):
+    with pytest.raises(ValueError, match="^cannot enumerate over Q$"):
         equalizer_report(QQ, T4, 2)
-    with pytest.raises(UnsupportedEnumerationRing):
+    with pytest.raises(ValueError, match=r"^cannot enumerate over Z\[x\]/\(\.\.\.\)$"):
         equalizer_report(QuotientPolynomialRing(ZZ, (1, 0, 1)), T4, 2)
 
 
