@@ -208,14 +208,14 @@ def divide(set_, n):
 @click.option("--n", type=int, required=True)
 def divisors(n):
     _window_guard(n)
-    return {"set": truncation.divisors_truncation(n).to_json()}
+    return {"set": truncation.TruncationSet.divisors(n).to_json()}
 
 
 @trunc.command()
 @click.option("--N", "--n", "n", type=int, required=True)
 def interval(n):
     _window_guard(n)
-    return {"set": truncation.interval_truncation(n).to_json()}
+    return {"set": truncation.TruncationSet.interval(n).to_json()}
 
 
 # -------------------------------------------------------------------- cyclic

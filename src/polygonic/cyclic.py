@@ -294,7 +294,8 @@ def hom_set(n, m):
 
 
 def automorphisms(n):
-    """The n rotations: an injective map [n] -> [n] is a bijection."""
+    """The n rotations: an injective map [n] -> [n] is a bijection.  No
+    command reaches it; test_cyclic checks it past hom_set's guard."""
     _check_sizes(n)
     return [CyclicMap.rotation(n, k) for k in range(n)]
 

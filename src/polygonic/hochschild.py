@@ -163,7 +163,8 @@ class FiniteAlgebra(Value):
 
     @classmethod
     def poly_quotient(cls, field, modulus, name=""):
-        """field[x]/(modulus), modulus monic of degree d, basis 1, x, ..."""
+        """field[x]/(modulus), modulus monic of degree d, basis 1, x, ...;
+        an input constructor of the tests, CI and perfbench/."""
         modulus = monic(field, modulus)
         d = len(modulus) - 1
         mult = tuple(
@@ -236,7 +237,8 @@ class FiniteBimodule(Value):
 
     @classmethod
     def row_vectors(cls, field, n):
-        """k - M_n bimodule of row vectors (dimension n)."""
+        """k - M_n bimodule of row vectors (dimension n); an input
+        constructor of the tests and CI."""
         k, Mn = FiniteAlgebra.ground(field), FiniteAlgebra.matrix_algebra(field, n)
         left = (tuple(_unit_vector(field, n, m) for m in range(n)),)
         # row e_m . E_{cd} = delta_{mc} e_d
@@ -248,7 +250,8 @@ class FiniteBimodule(Value):
 
     @classmethod
     def column_vectors(cls, field, n):
-        """M_n - k bimodule of column vectors (dimension n)."""
+        """M_n - k bimodule of column vectors (dimension n); an input
+        constructor of the tests and CI."""
         k, Mn = FiniteAlgebra.ground(field), FiniteAlgebra.matrix_algebra(field, n)
         # E_{cd} . e_m = delta_{dm} e_c
         left = tuple(
@@ -262,7 +265,8 @@ class FiniteBimodule(Value):
     def through_hom(cls, A, B, phi_matrix, name=""):
         """B as a bimodule with left A-action through an algebra map A -> B.
 
-        phi_matrix[i] is the image vector of the i-th basis element of A.
+        phi_matrix[i] is the image vector of the i-th basis element of A.  An
+        input constructor of the tests and CI.
         """
         left = tuple(
             tuple(tuple(B.mul_vec(list(phi_matrix[i]), B._basis(m))) for m in range(B.dim))
@@ -370,6 +374,8 @@ class LabelledCycle(Value):
 
     @classmethod
     def uniform(cls, R, M, n):
+        """n vertices R and n edges M (R regular when M is None); an input
+        constructor of the tests, CI and perfbench/."""
         return cls((R,) * n, (FiniteBimodule.regular(R) if M is None else M,) * n)
 
     def fused(self, a):
@@ -573,7 +579,8 @@ def envelope_matrix(cycle, env: EnvelopeMorphism, target_paths, target_dims):
     _add_envelope with one unit per element: source basis indices run over
     the product of the source colour dimensions in element order; likewise
     for the target.  target_paths and target_dims must be the colours of
-    env's target and their label dimensions."""
+    env's target and their label dimensions.  No library route calls it;
+    test_hochschild and perfbench/ do."""
     if list(target_paths) != list(env.target.colours):
         raise ValueError("target paths are not the colours of the morphism's target")
     if list(target_dims) != [cycle.label_dim(p) for p in target_paths]:
@@ -879,7 +886,8 @@ def integral_homology_one_cycle(R: FiniteAlgebra, M: FiniteBimodule, degree_boun
     The complex is normalized on the unit_first basis, unimodular when R's
     unit is integral with a coordinate +-1.  Chain groups are free, so ker d_q
     is a direct summand, and H_q has the invariant factors > 1 of d_{q+1} as
-    torsion and dims[q] - rank d_q - rank d_{q+1} as free rank.
+    torsion and dims[q] - rank d_q - rank d_{q+1} as free rank.  No library
+    route calls it; test_hochschild and perfbench/ do.
     """
     if R.field != QQ:
         raise ValueError(f"integral homology needs labels over Q, not {R.field!r}")
@@ -1045,7 +1053,8 @@ def contraction_comparison(cycle: LabelledCycle, a, degree_bound):
 def rotation_matrices(cycle: LabelledCycle, k, degree_bound):
     """Chain automorphism induced by the rotation by k slots.
 
-    The labels must be invariant under the rotation (uniform cycles).
+    The labels must be invariant under the rotation (uniform cycles).  No
+    library route calls it; test_hochschild and perfbench/ do.
     """
     rotation = CyclicMap.rotation(cycle.n, k)
     if cycle.pull_back(rotation) != cycle:

@@ -46,10 +46,6 @@ class FPGroup(Value):
     def zero(cls):
         return cls(0, IntMatrix.zeros(ZZ, 0, 0))
 
-    @classmethod
-    def cyclic(cls, m):
-        return cls(1, IntMatrix(ZZ, 1, 1, {(0, 0): m}))
-
     def relation_rows(self):
         """The relations as fresh sparse rows (dicts generator -> nonzero int)."""
         return _int_rows(self.relations)
@@ -106,10 +102,6 @@ class Hom(Value):
     @classmethod
     def identity(cls, G):
         return cls(G, G, IntMatrix.identity(ZZ, G.ngens))
-
-    @classmethod
-    def zero(cls, dom, cod):
-        return cls(dom, cod, IntMatrix.zeros(ZZ, cod.ngens, dom.ngens))
 
     def is_well_defined(self):
         return self.cod.are_zero([self.matrix.apply(rel) for rel in self.dom.relation_rows()])
@@ -394,7 +386,8 @@ def geometric_fixed_points(M: MackeyWindow, n):
 
 
 def scale_restrict(M: MackeyWindow, n):
-    """Reindex: level k of the result is level n*k of M; window divides."""
+    """Reindex: level k of the result is level n*k of M; window divides.
+    No command reaches it; test_mackey checks it against the axioms."""
     window = M.window.divide(n)
     groups = {k: M.groups[n * k] for k in window}
     weyl = {k: M.weyl[n * k] for k in window}

@@ -97,7 +97,8 @@ class EnvelopeMorphism(Value):
 
 
 def envelope_compose(g, f):
-    """g after f; composite fibers ordered lexicographically (outer by g)."""
+    """g after f; composite fibers ordered lexicographically (outer by g).
+    No command reaches it; acceptance criteria 2 and 3 and perfbench/ do."""
     if f.target != g.source:
         raise ValueError("target of the first morphism != source of the second")
     comp = tuple(g.f[f.f[x]] for x in range(f.source.size))
@@ -115,12 +116,6 @@ def pushforward(f: CyclicMap, X: ColouredSet):
     if X.n != f.source_n:
         raise ValueError("coloured set does not live on the source of the map")
     return ColouredSet(f.target_n, tuple(path_pushforward(f, c) for c in X.colours))
-
-
-def pushforward_morphism(f: CyclicMap, e: EnvelopeMorphism):
-    return EnvelopeMorphism(
-        pushforward(f, e.source), pushforward(f, e.target), e.f, e.fiber_orders
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +141,8 @@ def cut_face(cut: CutSet, i):
 
 
 def cut_degeneracy(cut: CutSet, i):
-    """The i-th degeneracy, 0 <= i <= q."""
+    """The i-th degeneracy, 0 <= i <= q.  No command reaches it; the
+    simplicial identities of test_cyclic and test_hochschild check it."""
     return cut_envelope_delta(cut, delta_degeneracy(cut.q, i), cut.q + 1)
 
 

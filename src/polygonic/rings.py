@@ -98,12 +98,6 @@ class CoefficientRing:
             n >>= 1
         return result
 
-    def sum(self, items):
-        total = self.zero()
-        for x in items:
-            total = self.add(total, x)
-        return total
-
     def inv(self, a):
         raise ValueError(f"no division in {self}")
 
@@ -736,7 +730,8 @@ def _int_rows(A):
 def smith_normal_form(A):
     """Return (D, U, V) with U*A*V = D diagonal, d_1 | d_2 | ..., d_i >= 0.
 
-    A must be an IntMatrix over the integers; U and V are unimodular.
+    A must be an IntMatrix over the integers; U and V are unimodular.  No
+    library route calls it; the tests and perfbench/ do.
     """
     m, n = A.rows, A.cols
     rows = _int_rows(A)
@@ -810,11 +805,6 @@ class Echelon:
                 field.add_multiple(row, field.neg(row[p]), new)
         self.rows[p] = new
         return True
-
-
-def rank_of(A):
-    """Rank of a matrix over a field."""
-    return Echelon(A.ring, A.rows, A.columns()).rank
 
 
 def kernel_basis(A):

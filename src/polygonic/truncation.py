@@ -68,19 +68,8 @@ class TruncationSet(Value):
     def is_interval(self):
         return self.elements == tuple(range(1, len(self.elements) + 1))
 
-    def subset_of(self, other):
-        return set(self.elements) <= set(other.elements)
-
     def to_json(self):
         return list(self.elements)
 
     def __repr__(self):
         return "TruncationSet(" + ",".join(map(str, self.elements)) + ")"
-
-
-def divisors_truncation(n):
-    return TruncationSet.divisors(n)
-
-
-def interval_truncation(n):
-    return TruncationSet.interval(n)

@@ -43,31 +43,6 @@ def series_one(ring, n):
     return [ring.one()] + [ring.zero()] * n
 
 
-def series_mul(ring, s, t):
-    n = min(len(s), len(t)) - 1
-    out = [ring.zero()] * (n + 1)
-    for i, x in enumerate(s[: n + 1]):
-        if ring.is_zero(x):
-            continue
-        for j in range(0, n + 1 - i):
-            y = t[j]
-            if not ring.is_zero(y):
-                out[i + j] = ring.add(out[i + j], ring.mul(x, y))
-    return out
-
-
-def series_inv(ring, s):
-    """Inverse of a series with constant term 1."""
-    n = len(s) - 1
-    out = [ring.one()] + [ring.zero()] * n
-    for k in range(1, n + 1):
-        acc = ring.zero()
-        for i in range(1, k + 1):
-            acc = ring.add(acc, ring.mul(s[i], out[k - i]))
-        out[k] = ring.neg(acc)
-    return out
-
-
 def series_times_factor(ring, s, x, t, g):
     """s <- s * (1 - x tau^t)^(-g) in place, truncated at degree n = len(s) - 1.
 
@@ -134,18 +109,8 @@ class WittVector(Value):
             raise SupportMismatch(f"indices {outside} lie outside the support {list(support.elements)}")
         return cls(ring, support, tuple(values.get(t, ring.zero()) for t in support))
 
-    def coeff(self, t):
-        try:
-            idx = self.support.elements.index(t)
-        except ValueError:
-            return self.ring.zero()
-        return self.coeffs[idx]
-
     def as_dict(self):
         return dict(zip(self.support.elements, self.coeffs))
-
-    def is_zero(self):
-        return all(self.ring.is_zero(c) for c in self.coeffs)
 
     def to_json(self):
         return {
@@ -169,10 +134,6 @@ class WittVector(Value):
     def __repr__(self):
         body = ", ".join(f"{t}: {self.ring.show(c)}" for t, c in self.as_dict().items())
         return f"W({body})"
-
-
-def zero_vector(ring, support):
-    return WittVector(ring, support, tuple(ring.zero() for _ in support))
 
 
 def teichmuller(ring, r, support):
@@ -212,14 +173,16 @@ def _vector(ring, target, factors):
 
 
 def to_series(a: WittVector):
-    """prod (1 - a_t tau^t)^(-1) mod tau^(N+1); interval supports only."""
+    """prod (1 - a_t tau^t)^(-1) mod tau^(N+1); interval supports only.
+    No command reaches it; acceptance criterion 6 round-trips through it."""
     if not a.support.is_interval():
         raise ValueError(f"{a.support} is not an interval")
     return _product(a.ring, a.support.max(), _factors(a))
 
 
 def from_series(ring, s):
-    """Invert to_series by peeling one coefficient per degree."""
+    """Invert to_series by peeling one coefficient per degree.  No command
+    reaches it; acceptance criterion 6 round-trips through it."""
     n = len(s) - 1
     if n < 1 or s[0] != ring.one():
         raise ValueError("series must have constant term 1 and positive length")
@@ -268,23 +231,6 @@ class GhostVector(Value):
 
     def as_dict(self):
         return dict(zip(self.support.elements, self.values))
-
-
-def ghost_oracle(a: WittVector):
-    """Independent ghost computation: coefficients of tau d/dtau log(series).
-
-    With f = prod (1 - a_t tau^t)^(-1) one has tau f'/f = sum_n w_n tau^n;
-    computed from f and f' by series division, so it never uses the
-    divisor-sum formula.  Needs a torsion-free coefficient ring to be a
-    faithful oracle, but is computable over any ring.
-    """
-    f = to_series(a)
-    ring = a.ring
-    n = len(f) - 1
-    deriv = [ring.mul(ring.from_int(k), f[k]) for k in range(n + 1)]  # tau f'
-    inv = series_inv(ring, f)
-    w = series_mul(ring, deriv, inv)
-    return GhostVector(a.support, tuple(w[t] for t in a.support))
 
 
 def multiply(a: WittVector, b: WittVector):
@@ -368,6 +314,13 @@ def infinite_verschiebung(ring, family, support, tail=None):
 # the bridge to Mackey windows.
 
 
+def _lift_modulus(ring):
+    """m over Z/m (a prime field included), 0 over Z, None over other rings."""
+    if ring.kind in ("integers-mod-m", "prime-field"):
+        return ring.modulus
+    return 0 if ring.kind == "integers" else None
+
+
 def _peel(ring, s, support):
     """Integer coordinates, in the generators V_t[1], of the vector on
     support whose series is s; peels s in place.
@@ -378,11 +331,12 @@ def _peel(ring, s, support):
     (c, t, -1) clears the coefficient c, as V_t[c] is zero on the support.
     Exact for integer and modular coefficients.
     """
+    m = _lift_modulus(ring)
     coords = []
     for t in range(1, len(s)):
         c = s[t]
         if t in support:
-            k = c if ring.kind == "integers" else c % ring.modulus
+            k = c % m if m else c
             coords.append(k)
             series_times_factor(ring, s, ring.one(), t, -k)
         else:
@@ -393,9 +347,10 @@ def _peel(ring, s, support):
 
 
 def peel_coordinates(a: WittVector):
-    """Integer coordinates of a in the generating set {V_t[1]}."""
+    """Integer coordinates of a in the generating set {V_t[1]}.  No command
+    reaches it; test_witt checks the presentations against it."""
     ring = a.ring
-    if ring.kind not in ("integers", "integers-mod-m", "prime-field"):
+    if _lift_modulus(ring) is None:
         raise ValueError(f"{ring} has no canonical integer lifts")
     return _peel(ring, _product(ring, a.support.max(), _factors(a)), a.support)
 
@@ -403,12 +358,11 @@ def peel_coordinates(a: WittVector):
 def witt_group_presentation(ring, support):
     """Presentation of (W_support(ring), +) on the generators V_t[1]; the
     relation of t peels the series of m * V_t[1]."""
-    ngens = len(support)
-    if ring.kind == "integers":
-        return FPGroup.free(ngens)
-    if ring.kind not in ("integers-mod-m", "prime-field"):
+    ngens, m = len(support), _lift_modulus(ring)
+    if m is None:
         raise ValueError(f"{ring} is not finitely presented over Z")
-    m = ring.modulus
+    if m == 0:
+        return FPGroup.free(ngens)
     rows = []
     for i, t in enumerate(support.elements):
         coords = _peel(ring, _product(ring, support.max(), [(ring.one(), t, m)]), support)
@@ -431,10 +385,8 @@ def recover_base(ring, n):
     group = witt_group_presentation(ring, support)
     killed = [{i: 1} for i, t in enumerate(support.elements) if t >= 2]
     torsion, free = group.quotient_by(killed).invariants()
-    if ring.kind == "integers":
-        expected = ([], 1)
-    else:
-        expected = ([ring.modulus], 0)
+    m = _lift_modulus(ring)
+    expected = ([m], 0) if m else ([], 1)
     return {
         "ring": repr(ring),
         "N": n,
@@ -504,11 +456,10 @@ def _prime_powers(t):
 def _listed_range(ring, box):
     """(m, low, size): m = 0 over Z and the modulus over Z/m, and the
     integers listed, [-box, box] over Z and [0, m) over Z/m."""
-    if ring.kind == "integers":
-        return 0, -box, 2 * box + 1
-    if ring.kind in ("integers-mod-m", "prime-field"):
-        return ring.modulus, 0, ring.modulus
-    raise ValueError(f"cannot enumerate over {ring}")
+    m = _lift_modulus(ring)
+    if m is None:
+        raise ValueError(f"cannot enumerate over {ring}")
+    return (m, 0, m) if m else (0, -box, 2 * box + 1)
 
 
 def _crt(conditions):
@@ -517,14 +468,6 @@ def _crt(conditions):
     other n_i, so that x = sum e_j w_j mod N."""
     modulus = prod(n for _, n in conditions)
     return modulus, [(j, modulus // n * pow(modulus // n, -1, n)) for j, n in conditions]
-
-
-def equalizer_membership(ring, support, values):
-    """Does the family (w_t) satisfy w_t = w_{t/p} mod p (mod gcd(p, m) over
-    Z/m) for every prime p | t?"""
-    m = _listed_range(ring, 0)[0]
-    w = dict(zip(support.elements, values))
-    return all((w[t] - w[t // p]) % gcd(p, m) == 0 for t in support for p, _ in _prime_powers(t))
 
 
 def equalizer_report(ring, support, box):

@@ -4,7 +4,8 @@
 every value of the box (every residue over Z/m) against every member so far.
 `ghost_section` decides the ghost image by back-substitution, not by Dwork's
 congruences.  `oracle_report` puts the two together in the shape of
-`witt.equalizer_report`.
+`witt.equalizer_report`.  `equalizer_membership` decides one family by the
+defining congruences.
 """
 
 from math import gcd
@@ -27,6 +28,14 @@ def trial_members(ring, support, box):
         ]
         members = [w + (v,) for w in members for v in domain if all((v - w[j]) % n == 0 for j, n in conditions)]
     return members
+
+
+def equalizer_membership(ring, support, values):
+    """Does the family (w_t) satisfy w_t = w_{t/p} mod p (mod gcd(p, m) over
+    Z/m) for every prime p | t?"""
+    m = 0 if ring.kind == "integers" else ring.modulus
+    w = dict(zip(support.elements, values))
+    return all((w[t] - w[t // p]) % gcd(p, m) == 0 for t in support for p in _primes_dividing(t))
 
 
 def ghost_section(values, support):

@@ -12,7 +12,6 @@ from polygonic.operad import (
     envelope_compose,
     mul_set,
     pushforward,
-    pushforward_morphism,
     tensor_handle,
 )
 
@@ -208,7 +207,8 @@ def test_pushforward_preserves_envelope_invariant():
         Z = ColouredSet(3, tuple(rng.choice(paths) for _ in range(rng.randrange(1, 3))))
         env = _random_envelope(rng, Z)
         for f in maps:
-            pushed = pushforward_morphism(f, env)
+            # the constructor checks that every pushed fiber stays admissible
+            pushed = EnvelopeMorphism(pushforward(f, env.source), pushforward(f, env.target), env.f, env.fiber_orders)
             assert pushed.source == pushforward(f, env.source)
 
 

@@ -25,9 +25,9 @@ def test_fixed_points_examples():
 
 
 def test_pullback_examples():
-    pt = QFinSet.point()
-    f = QFinMap.terminal(QFinSet.orbit(2))
-    g = QFinMap.terminal(QFinSet.orbit(3))
+    pt = QFinSet.orbit(1)
+    f = QFinMap(QFinSet.orbit(2), pt, ((0, 0),))
+    g = QFinMap(QFinSet.orbit(3), pt, ((0, 0),))
     W, _, _ = pullback(f, g)
     assert sorted(W.orbits) == [6]
 
@@ -96,7 +96,7 @@ def test_pullback_of_multi_orbit_maps_with_shifts():
 
 
 def test_pullback_target_mismatch():
-    f = QFinMap.terminal(QFinSet.orbit(2))
+    f = QFinMap(QFinSet.orbit(2), QFinSet.orbit(1), ((0, 0),))
     g = QFinMap.identity(QFinSet.orbit(2))
     with pytest.raises(ValueError, match="^pullback needs a common target$"):
         pullback(f, g)
@@ -104,7 +104,7 @@ def test_pullback_target_mismatch():
 
 def test_compose_spans_examples():
     s = SpanMorphism.single(1, 2, 1)
-    ident = SpanMorphism.identity(QFinSet.point())
+    ident = SpanMorphism.identity(QFinSet.orbit(1))
     assert compose_spans(s, ident).canonical() == s.canonical()
     assert compose_spans(ident, s).canonical() == s.canonical()
 
@@ -141,6 +141,10 @@ def test_scale():
     S = QFinSet((2, 5))
     assert scale(S, 1) == S
     assert scale(scale(S, 2), 3) == scale(S, 6)
+    # a declared tail scales with the orbits: 3 * 100 lies past the bound 150
+    tailed = scale(QFinSet((2,), tail=(100,)), 3)
+    assert tailed == QFinSet((6,), tail=(300,))
+    tailed.check_tail_window(150)
 
 
 def test_scale_commutes_with_pullback():

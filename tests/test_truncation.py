@@ -1,11 +1,6 @@
 import pytest
 
-from polygonic.truncation import (
-    TruncationSet,
-    divisors_truncation,
-    interval_truncation,
-    is_truncation_set,
-)
+from polygonic.truncation import TruncationSet, is_truncation_set
 
 
 def test_is_truncation_set():
@@ -17,16 +12,16 @@ def test_is_truncation_set():
 
 
 def test_divide_examples():
-    assert interval_truncation(4).divide(2).elements == (1, 2)
+    assert TruncationSet.interval(4).divide(2).elements == (1, 2)
     T = TruncationSet((1, 2, 3, 6))
     assert T.divide(1) == T
-    assert divisors_truncation(6).divide(2).elements == (1, 3)
+    assert TruncationSet.divisors(6).divide(2).elements == (1, 3)
 
 
 def test_named_sets():
-    assert divisors_truncation(12).elements == (1, 2, 3, 4, 6, 12)
-    assert interval_truncation(1).elements == (1,)
-    assert divisors_truncation(1).elements == (1,)
+    assert TruncationSet.divisors(12).elements == (1, 2, 3, 4, 6, 12)
+    assert TruncationSet.interval(1).elements == (1,)
+    assert TruncationSet.divisors(1).elements == (1,)
 
 
 def test_invalid_set_rejected():
@@ -48,8 +43,8 @@ def test_divide_composition_exhaustive():
     # large family; the divisor structure only sees max <= 12 sets plus the
     # standard families up to 24, which cover all shapes.
     small = [TruncationSet(tuple(s)) for s in all_truncation_sets(12)]
-    big = [interval_truncation(k) for k in range(1, 25)] + [
-        divisors_truncation(k) for k in range(1, 25)
+    big = [TruncationSet.interval(k) for k in range(1, 25)] + [
+        TruncationSet.divisors(k) for k in range(1, 25)
     ]
     for T in small + big:
         for n in range(1, 25):
@@ -61,10 +56,10 @@ def test_divide_composition_exhaustive():
 
 def test_divide_never_enlarges():
     for k in range(1, 25):
-        T = interval_truncation(k)
+        T = TruncationSet.interval(k)
         for n in range(1, 6):
-            assert T.divide(n).subset_of(T)
+            assert set(T.divide(n)) <= set(T)
 
 
 def test_json():
-    assert divisors_truncation(6).to_json() == [1, 2, 3, 6]
+    assert TruncationSet.divisors(6).to_json() == [1, 2, 3, 6]

@@ -100,12 +100,12 @@ CASES = {
     FPGroup: ({"ngens": 1, "relations": G4.relations}, {"relations": IntMatrix(ZZ, 1, 1, {(0, 0): 6})}, True),
     Hom: (
         {"dom": G4, "cod": G4, "matrix": IntMatrix(ZZ, 1, 1, {(0, 0): 3})},
-        {"dom": FPGroup.free(1), "cod": FPGroup.cyclic(8), "matrix": IntMatrix(ZZ, 1, 1, {(0, 0): 1})},
+        {"dom": FPGroup.free(1), "cod": FPGroup(1, IntMatrix(ZZ, 1, 1, {(0, 0): 8})), "matrix": IntMatrix(ZZ, 1, 1, {(0, 0): 1})},
         True,
     ),
     GroupWithAction: (
         {"group": G4, "action": IntMatrix(ZZ, 1, 1, {(0, 0): 3}), "order": 2},
-        {"group": FPGroup.cyclic(8), "action": IntMatrix(ZZ, 1, 1, {(0, 0): 1}), "order": 4},
+        {"group": FPGroup(1, IntMatrix(ZZ, 1, 1, {(0, 0): 8})), "action": IntMatrix(ZZ, 1, 1, {(0, 0): 1}), "order": 4},
         True,
     ),
     MackeyWindow: (
