@@ -72,7 +72,7 @@ def _json_errors():
         _fail(exc.format_message(), "validation", 2)
     except SizeGuard as exc:
         _fail(str(exc), "guard", 3)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         _fail(str(exc), "validation", 2)
 
 

@@ -597,42 +597,42 @@ def _envelope_matrix(cycle, plan, memo):
 
 
 def _basis(units, order=None):
-    """Basis tensors with one digit tuple per unit (elements, digit tuples),
+    """Basis tensors with one tuple per unit (elements, radices, skip),
     indexed row-major: (units with their strides, order), where order[index]
-    is the tensor's place in a matrix (the index itself if None).  Both are
-    immutable, as the layout caches share them."""
+    is the tensor's place in a matrix (the index itself if None).  Tuple r
+    of a unit is the mixed-radix number r + skip, one digit per element,
+    the first most significant, its radices the elements' label dims; skip
+    1 leaves out the number 0.  Both are immutable, as the layout caches
+    share them."""
     strided, size = [], 1
-    for elements, digits in reversed(units):
-        strided.append((elements, digits, size))
-        size *= len(digits)
+    for elements, radices, skip in reversed(units):
+        strided.append((elements, radices, skip, size))
+        size *= prod(radices) - skip
     return tuple(strided[::-1]), range(size) if order is None else order
 
 
 def _element_basis(dims):
-    dims = tuple(dims)
-    digits = {d: tuple((i,) for i in range(d)) for d in set(dims)}  # shared by the elements of one dim
-    return _basis([((x,), digits[d]) for x, d in enumerate(dims)])
+    return _basis([((x,), (d,), 0) for x, d in enumerate(dims)])
 
 
 def _merged_block(cycle, key, memo):
     """A merged target unit's block, memoized by its shape with no strides,
-    key = (fibers, feeding, tuples): the Kronecker product of its elements'
-    fiber tables ((path, colours) of each in fibers), restricted to its
-    tuples and to those of the feeding units ((tuples, (element, place in
-    its fiber) per digit) of each in feeding), as (index of each feeding
-    tuple, {target tuple index: entry})."""
+    key = (fibers, feeding, radices, skip): the Kronecker product of its
+    elements' fiber tables ((path, colours) of each in fibers), restricted
+    to its tuples and to those of the feeding units ((skip, (place value,
+    (element, place in its fiber)) per digit of radix > 1) of each in
+    feeding), as (index of each feeding tuple, {target tuple index: entry})."""
     if (block := memo.get(key)) is None:
-        (fibers, feeding, tuples), field, one = key, cycle.field, cycle.field.one()
-        index = [{t: r for r, t in enumerate(digits)} for digits, _ in feeding]
-        rank, block = {t: r for r, t in enumerate(tuples)}, []
+        (fibers, feeding, radices, skip), field, one = key, cycle.field, cycle.field.one()
+        block = []
         for entries in product(*(_fiber_table(cycle, path, colours, memo).items() for path, colours in fibers)):
-            rs = tuple(r.get(tuple(entries[j][0][p] for j, p in where)) for r, (_, where) in zip(index, feeding))
-            if None in rs:
+            rs = tuple(sum(v * entries[j][0][p] for v, (j, p) in digits) - s for s, digits in feeding)
+            if min(rs, default=0) < 0:
                 continue
-            image = {(): one}
-            for _, value in entries:
-                image = {t + (k,): field.mul(a, e) for t, a in image.items() for k, e in value.items()}
-            if image := {rank[t]: e for t, e in image.items() if t in rank}:
+            image = {0: one}
+            for (_, value), d in zip(entries, radices):
+                image = {r * d + k: field.mul(a, e) for r, a in image.items() for k, e in value.items()}
+            if image := {r - skip: e for r, e in image.items() if r >= skip}:
                 block.append((rs, image))
         memo[key] = block
     return block
@@ -646,26 +646,29 @@ def _plan(env, source, target):
     A target unit whose elements each have a fiber of one element, together
     a source unit, passes through and copies its digits: admissibility makes
     that element's colour its target's.  It is (tuple count, stride, source
-    stride) in passes.  Every other target unit is (_merged_block key,
-    strides of its feeding source units, stride) in merged.
+    stride) in passes, unless it has one tuple.  Every other target unit is
+    (_merged_block key, strides of its feeding source units, stride) in
+    merged.
     """
     colours, paths, fibers = env.source.colours, env.target.colours, env.fiber_orders
     (units, hi), (target_units, lo) = source, target
-    unit_of = {x: u for u, (elements, _, _) in enumerate(units) for x in elements}
+    unit_of = {x: u for u, (elements, *_) in enumerate(units) for x in elements}
     passes, merged = [], []
-    for ys, tuples, stride in target_units:
+    for ys, radices, skip, stride in target_units:
         xs = tuple(fibers[y][0] for y in ys if len(fibers[y]) == 1)
         if len(xs) == len(ys) and units[unit_of[xs[0]]][0] == xs:
-            passes.append((len(tuples), stride, units[unit_of[xs[0]]][2]))
+            if (count := prod(radices) - skip) != 1:
+                passes.append((count, stride, units[unit_of[xs[0]]][3]))
             continue
-        feeding = sorted({unit_of[x] for y in ys for x in fibers[y]})
+        feeding, steps = [], []
         where = {x: (j, p) for j, y in enumerate(ys) for p, x in enumerate(fibers[y])}
-        key = (
-            tuple((paths[y], tuple(colours[x] for x in fibers[y])) for y in ys),
-            tuple((units[u][1], tuple(map(where.get, units[u][0]))) for u in feeding),
-            tuples,
-        )
-        merged.append((key, tuple(units[u][2] for u in feeding), stride))
+        for u in sorted({unit_of[x] for y in ys for x in fibers[y]}):
+            elements, dims, s, step = units[u]
+            places = [prod(dims[i + 1:]) for i in range(len(dims))]
+            feeding.append((s, tuple((v, where[x]) for x, d, v in zip(elements, dims, places) if d > 1)))
+            steps.append(step)
+        key = (tuple((paths[y], tuple(colours[x] for x in fibers[y])) for y in ys), tuple(feeding), radices, skip)
+        merged.append((key, tuple(steps), stride))
     return tuple(passes), tuple(merged), hi, lo
 
 
@@ -810,31 +813,24 @@ def _complex(cycle, degree_bound, layout):
 # tensors with some vertex column all units.  It is acyclic, over Z as over a
 # field (Loday, Cyclic Homology, 1.1), and the quotient is free on the other
 # basis tensors.  _add_envelope builds its faces with one unit per column,
-# its digits the tuples of block indices but the all-unit one of a vertex
-# column: a face merges two columns and passes the rest through.  Tensors go
-# in the order of bar_complex, as in column order the echelon forms over Q
-# fill in with fractions (the Q[C2] 3-cycle at degree 3 took six times as
-# long).  A rotation multiplies nothing: it moves blocks and keeps columns,
-# so it turns the digit tuple of each column (_rotation_images).
-
-
-def _column_tuples(q, vertices, edges):
-    """The nondegenerate tuples of each column of level q, block indices in
-    block order; the vertex columns share theirs."""
-    vertex = tuple(product(*map(range, vertices)))[1:]
-    return (tuple(product(*(range(edges[a - 1]) for a in range(len(edges))))),) + (vertex,) * q
+# its radices the label dims of the column's blocks and, in a vertex column,
+# skip 1, which leaves out the all-unit tuple (number 0): a face merges two
+# columns and passes the rest through.  Tensors go in the order of
+# bar_complex, as in column order the echelon forms over Q fill in with
+# fractions (the Q[C2] 3-cycle at degree 3 took six times as long).  A
+# rotation multiplies nothing: it moves blocks and keeps columns, so it turns
+# the digits of each column's number (_rotation_images).
 
 
 @lru_cache(maxsize=_FACE_CACHE)
 def _normalized_layout(q, vertices, edges):
     """Level q of normalized_bar_complex for labels of these dims: one unit
-    per column, its elements in block order and its digits the
-    nondegenerate tuples; each tensor goes to its index in
+    per column, its elements in block order and its tuples the
+    nondegenerate ones; each tensor goes to its index in
     normalized_positions."""
-    tuples = _column_tuples(q, vertices, edges)
-    positions = _column_positions(q, vertices, edges, tuples)
+    dims, positions = _cut_dims(q, vertices, edges), _column_positions(q, vertices, edges)
     rank = {p: i for i, p in enumerate(sorted(positions))}
-    units = [(tuple(range(j, (q + 1) * len(vertices), q + 1)), column) for j, column in enumerate(tuples)]
+    units = [(tuple(range(j, len(dims), q + 1)), dims[j::q + 1], min(j, 1)) for j in range(q + 1)]
     return _basis(units, tuple(rank[p] for p in positions))
 
 
@@ -853,19 +849,21 @@ def normalized_bar_complex(cycle: LabelledCycle, degree_bound):
 def normalized_positions(cycle: LabelledCycle, q):
     """Index in level q of bar_complex(cycle.unit_first()) of each basis
     tensor of level q of normalized_bar_complex, in order."""
-    dims = _label_dims(cycle)
-    return sorted(_column_positions(q, *dims, _column_tuples(q, *dims)))
+    return sorted(_column_positions(q, *_label_dims(cycle)))
 
 
-def _column_positions(q, vertices, edges, tuples):
+def _column_positions(q, vertices, edges):
     """Index in level q of bar_complex of each nondegenerate basis tensor,
-    in column order, for the _column_tuples of level q."""
+    in column order; the digits of 1-dim blocks are 0, and add nothing."""
     dims = _cut_dims(q, vertices, edges)
     strides = [prod(dims[e + 1:]) for e in range(len(dims))]
     positions = [0]
-    for j, column in enumerate(tuples):
-        offsets = [sum(i * strides[a * (q + 1) + j] for a, i in enumerate(t)) for t in column]
-        positions = [p + o for p in positions for o in offsets]
+    for j in range(q + 1):
+        offsets = [0]
+        for x in range(j, len(dims), q + 1):
+            if dims[x] > 1:
+                offsets = [o + i * strides[x] for o in offsets for i in range(dims[x])]
+        positions = [p + o for p in positions for o in offsets[min(j, 1):]]
     return positions
 
 
@@ -1064,21 +1062,23 @@ def rotation_matrices(cycle: LabelledCycle, k, degree_bound):
 
 def _rotation_images(bases, n, k):
     """The rotation by k of a normalized complex of an n-cycle, read off its
-    level bases (_normalized_basis), for labels invariant under it (not
+    level bases (_normalized_layout), for labels invariant under it (not
     checked here), as one index list per level: basis tensor j goes to basis
     tensor images[q][j] with coefficient 1.
 
     Block a of the image is block a + k of the source and columns stay, so
-    the digit tuple of each column, one block index per block, turns by k
-    places; a nondegenerate tuple stays nondegenerate.
+    the digits of each column's number, one block index per block, turn by
+    k places: with head and tail the products of its first k radices and of
+    the rest, r goes to (r % tail) * head + r // tail.  The number 0, the
+    all-unit tuple, stays 0, so a nondegenerate tuple stays nondegenerate.
     """
     k %= n
     images = {}
     for q, (units, order) in enumerate(bases):
         turned = [0]  # the row-major index of the image of each tensor
-        for _, digits, stride in units:
-            offset = {t: i * stride for i, t in enumerate(digits)}
-            moved = [offset[t[k:] + t[:k]] for t in digits]
+        for _, radices, skip, stride in units:
+            head, tail = prod(radices[:k]), prod(radices[k:])
+            moved = [((r % tail) * head + r // tail - skip) * stride for r in range(skip, prod(radices))]
             turned = [r + o for r in turned for o in moved]
         images[q] = image = [0] * len(order)
         for j, r in zip(order, turned):

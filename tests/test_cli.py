@@ -242,6 +242,21 @@ def test_bar_guard_exit(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_an_internal_key_error_is_not_reported_as_bad_input(runner, tmp_path, monkeypatch):
+    # exit 2 says the input is bad; a KeyError raised inside the library is
+    # a fault of the program, so it is not turned into a validation object
+    path = tmp_path / "ground.json"
+    path.write_text(json.dumps(LabelledCycle.uniform(FiniteAlgebra.ground(QQ), None, 1).to_json()))
+
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(hochschild, "hh_complex", broken)
+    result = runner.invoke(main, ["hh", "compute", "--cycle", str(path), "--degree", "1"])
+    assert isinstance(result.exception, KeyError)
+    assert result.exit_code != 2 and '"validation"' not in result.output
+
+
 def test_contract_compare_guard_fires_before_any_rebase(runner, tmp_path, monkeypatch):
     # the Morita cycle at degree 7 has 4 * 4^7 = 65536 dims: refused before
     # its M2(F2) is rebased unit-first or any complex is built

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import product
@@ -1153,10 +1154,10 @@ def test_contraction_reports_match_the_full_route():
 
 
 def test_one_memo_tells_bases_apart():
-    # A merged block is memoized by its digit tuples too.  On a one-cycle a
-    # column of the normalized basis is one element, as in the full basis,
-    # with the same fibers but without the unit's digit; faces of both,
-    # built with one memo, each match the definition.
+    # A merged block is memoized by its radices and skips too.  On a
+    # one-cycle a column of the normalized basis is one element, as in the
+    # full basis, with the same fibers but without the unit's digit; faces
+    # of both, built with one memo, each match the definition.
     X = LabelledCycle.uniform(dual_numbers(F3), None, 1)
     memo, full, normal = {}, bar_complex(X, 3), normalized_bar_complex(X, 3)
     for q in range(1, 4):
@@ -1266,6 +1267,24 @@ def test_cached_layouts_are_immutable():
         assert _immutable(first.bases)
         with pytest.raises(TypeError):
             first.bases[1][0][0] = first.bases[1][0][1]
+
+
+def test_a_layout_holds_no_digit_of_a_one_dim_label():
+    # a 256-cycle at degree 0: 1-dim vertices, 14 edges of dim 2 and 242 of
+    # dim 1, so 2^14 tensors in one unit, which keeps its radices and no
+    # digit tuple per tensor, let alone a digit for every 1-dim block
+    edges = (2,) * 14 + (1,) * 242
+    _clear_shape_caches()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        units, order = hochschild._normalized_layout(0, (1,) * 256, edges)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 2 * 2 ** 20, retained
+    assert len(order) == 2 ** 14 and sorted(order) == list(range(2 ** 14))
+    assert units == ((tuple(range(256)), edges[-1:] + edges[:-1], 0, 1),)
 
 
 def test_rotation_action_on_the_normalized_complex():
