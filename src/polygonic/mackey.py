@@ -254,13 +254,14 @@ def evaluate_span(M: MackeyWindow, span: SpanMorphism):
     for level in (a, b) + span.apex.orbits:
         if level not in M.window:
             raise ValueError(f"orbit size {level} is outside the window")
-    dom, cod = M.group(b), M.group(a)
+    dom, cod = M.groups[b], M.groups[a]
     columns = [{} for _ in range(dom.ngens)]
-    for (l, _, s, _, t) in span.orbit_data():
+    add = ZZ.add_multiple
+    for l, (_, s), (_, t) in zip(span.apex.orbits, span.left.assign, span.right.assign):
         down = M.down_leg(l, a, s).columns()
         for column, up in zip(columns, M.up_leg(b, l, t).columns()):
             for k, c in up.items():
-                ZZ.add_multiple(column, c, down[k])
+                add(column, c, down[k])
     return Hom(dom, cod, IntMatrix.from_columns(ZZ, cod.ngens, columns))
 
 
@@ -283,11 +284,11 @@ class AxiomReport(Value):
             self.failures.append(message)
 
 
-def _random_span(rng, window, src=None, tgt=None):
-    levels = list(window)
+def _random_span(rng, levels, src=None, tgt=None):
     a = src if src is not None else rng.choice(levels)
     b = tgt if tgt is not None else rng.choice(levels)
-    multiples = [l for l in levels if l % lcm(a, b) == 0]
+    m = lcm(a, b)
+    multiples = [l for l in levels if l % m == 0]
     if not multiples:
         return None
     l = rng.choice(multiples)
@@ -337,8 +338,8 @@ def check_mackey_axioms(M: MackeyWindow, trials=100, seed=0):
 
     for _ in range(trials):
         mid = rng.choice(levels)
-        s1 = _random_span(rng, M.window, tgt=mid)
-        s2 = _random_span(rng, M.window, src=mid)
+        s1 = _random_span(rng, levels, tgt=mid)
+        s2 = _random_span(rng, levels, src=mid)
         if s1 is None or s2 is None:
             continue
         composite = compose_spans(s2, s1)

@@ -86,6 +86,30 @@ class CoefficientRing:
             else:
                 target[i] = w
 
+    def unit_walk_pass(self, s, x, t, steps):
+        """s[i] += x * s[i - t] for i in steps, in that order, in place: one
+        pass of the unit walk of witt.series_times_factor."""
+        add, mul, is_zero = self.add, self.mul, self.is_zero
+        for i in steps:
+            y = s[i - t]
+            if not is_zero(y):
+                s[i] = add(s[i], mul(x, y))
+
+    def binomial_walk_pass(self, s, terms, t):
+        """s[i] += the sum of c * s[i - shift] over the terms (shift, c) with
+        shift <= i, for i from the top degree down to t, in place: the
+        binomial walk of witt.series_times_factor.  The shifts increase."""
+        add, mul, is_zero = self.add, self.mul, self.is_zero
+        for i in range(len(s) - 1, t - 1, -1):
+            acc = s[i]
+            for shift, c in terms:
+                if shift > i:
+                    break
+                y = s[i - shift]
+                if not is_zero(y):
+                    acc = add(acc, mul(c, y))
+            s[i] = acc
+
     def pow(self, a, n):
         if n < 0:
             return self.inv(self.pow(a, -n))
@@ -121,6 +145,8 @@ class CoefficientRing:
         return {"kind": self.kind}
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, CoefficientRing) and self.to_json() == other.to_json()
 
     def __hash__(self):
@@ -155,6 +181,25 @@ class IntegerRing(CoefficientRing):
             else:
                 target.pop(i, None)
 
+    def unit_walk_pass(self, s, x, t, steps):
+        for i in steps:
+            if y := s[i - t]:
+                s[i] += x * y
+
+    def binomial_walk_pass(self, s, terms, t):
+        for i in range(len(s) - 1, t - 1, -1):
+            acc = s[i]
+            for shift, c in terms:
+                if shift > i:
+                    break
+                if y := s[i - shift]:
+                    acc += c * y
+            s[i] = acc
+
+    def pow(self, a, n):
+        # a ** 0 of a Fraction is Fraction(1), and a ** -n of an int a float
+        return a ** n if n > 0 else CoefficientRing.pow(self, a, n)
+
 
 def _integral(f):
     """A Fraction with denominator 1 as the int it equals."""
@@ -185,6 +230,9 @@ class RationalField(CoefficientRing):
         return not a
 
     add_multiple = IntegerRing.add_multiple
+    unit_walk_pass = IntegerRing.unit_walk_pass
+    binomial_walk_pass = IntegerRing.binomial_walk_pass
+    pow = IntegerRing.pow
 
     def inv(self, a):
         if a == 0:
@@ -232,6 +280,26 @@ class ModularRing(CoefficientRing):
                 target[i] = w
             else:
                 target.pop(i, None)
+
+    def unit_walk_pass(self, s, x, t, steps):
+        m = self.modulus
+        for i in steps:
+            if y := s[i - t]:
+                s[i] = (s[i] + x * y) % m
+
+    def binomial_walk_pass(self, s, terms, t):
+        m = self.modulus
+        for i in range(len(s) - 1, t - 1, -1):
+            acc = s[i]
+            for shift, c in terms:
+                if shift > i:
+                    break
+                if y := s[i - shift]:
+                    acc += c * y
+            s[i] = acc % m
+
+    def pow(self, a, n):
+        return pow(a, n, self.modulus) if n >= 0 else CoefficientRing.pow(self, a, n)
 
     def elements(self):
         return range(self.modulus)
@@ -565,7 +633,9 @@ class IntMatrix:
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        if self.ring is not other.ring and self.ring != other.ring:
             return False
         return self._cols == other._cols
 

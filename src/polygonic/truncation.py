@@ -6,22 +6,42 @@ infinite families enter through explicit window bounds elsewhere.
 """
 
 from .cyclic import Value
+from .rings import is_prime
 
 
 def is_truncation_set(candidate):
     """True iff xy in the set implies both x and y are in it.
 
     For a finite set of positive integers this is equivalent to being closed
-    under divisors.
+    under divisors, and so to holding 1 and t/p for each element t and each
+    prime p | t.  Such a set holds every prime factor of its elements, so
+    its primes are its atoms: the elements > 1 that no smaller element > 1
+    divides.  Each element is divided by the atoms up to the square root of
+    what is left of it, and what is left past them must be 1, itself (a new
+    atom) or an atom of the set.  The atoms are tested for primality last,
+    deterministically: one at or above rings.PRIME_TEST_BOUND raises
+    SizeGuard.
     """
-    elems = set(candidate)
-    if any(x < 1 for x in elems):
+    elems = sorted(set(candidate))
+    if elems and elems[0] != 1:
         return False
-    for t in elems:
-        for d in range(1, t + 1):
-            if t % d == 0 and d not in elems:
-                return False
-    return True
+    members, atoms = set(elems), []
+    for t in elems[1:]:
+        rest = t
+        for p in atoms:
+            if p * p > rest:
+                break
+            if rest % p == 0:
+                if t // p not in members:
+                    return False
+                rest //= p
+                while rest % p == 0:
+                    rest //= p
+        if rest == t:
+            atoms.append(t)
+        elif rest > 1 and (rest not in members or t // rest not in members):
+            return False
+    return all(map(is_prime, atoms))
 
 
 class TruncationSet(Value):

@@ -52,13 +52,13 @@ def series_times_factor(ring, s, x, t, g):
     top-down pass with the k terms a_j x^j tau^(jt) of (1 - x tau^t)^(-g) up
     to degree n, a_j = a_(j-1) (g + j - 1) / j, exact integers; k = n/t, or
     min(|g|, n/t) when g < 0, as a_j = 0 from j = 1 - g on.  The cost is
-    O((n - t + 1) min(|g|, n/t)) ring steps.
+    O((n - t + 1) min(|g|, n/t)) ring steps.  The ring runs either walk:
+    unit_walk_pass is one pass, binomial_walk_pass the whole binomial walk.
     """
     n = len(s) - 1
     if t > n or g == 0 or ring.is_zero(x):
         return
     k = n // t if g > 0 else min(n // t, -g)
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
     if abs(g) * (n - t + 1) <= k * (n + 1) - t * k * (k + 1) // 2:
         # g = 1 or -1 always walks here
         if g < 0:
@@ -66,28 +66,17 @@ def series_times_factor(ring, s, x, t, g):
         else:
             steps = range(t, n + 1)
         for _ in range(abs(g)):
-            for i in steps:
-                y = s[i - t]
-                if not is_zero(y):
-                    s[i] = add(s[i], mul(x, y))
+            ring.unit_walk_pass(s, x, t, steps)
         return
     terms = []
     a, power = 1, ring.one()
     for j in range(1, k + 1):
         a = a * (g + j - 1) // j
-        power = mul(power, x)
-        c = mul(ring.from_int(a), power)
-        if not is_zero(c):
+        power = ring.mul(power, x)
+        c = ring.mul(ring.from_int(a), power)
+        if not ring.is_zero(c):
             terms.append((j * t, c))
-    for i in range(n, t - 1, -1):
-        acc = s[i]
-        for shift, c in terms:
-            if shift > i:
-                break
-            y = s[i - shift]
-            if not is_zero(y):
-                acc = add(acc, mul(c, y))
-        s[i] = acc
+    ring.binomial_walk_pass(s, terms, t)
 
 
 # ---------------------------------------------------------------------------

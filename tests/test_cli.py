@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
 import time
@@ -34,6 +35,25 @@ def test_truncation_divide_example(runner):
     result = run(runner, ["truncation", "divide", "--set", "1,2,3,4", "--n", "2"])
     assert result.exit_code == 0
     assert json.loads(result.output) == {"set": [1, 2]}
+
+
+def test_trunc_check_decides_a_large_prime_at_once(runner):
+    # divisor closure was once decided by trying every d <= t; an alarm ends
+    # the run after 1 s, so such a walk fails here in place of hanging
+    def stop(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        result = run(runner, ["trunc", "check", "--set", "1,1000000007"])
+    except TimeoutError:
+        result = None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result is not None, "trunc check ran for 1 s"
+    assert (result.exit_code, json.loads(result.output)) == (0, {"is_truncation_set": True})
 
 
 def test_cyclic_paths_example(runner):

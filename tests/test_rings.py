@@ -11,6 +11,7 @@ from polygonic.rings import (
     PRIME_TEST_BOUND,
     QQ,
     ZZ,
+    CoefficientRing,
     Echelon,
     IntegerRing,
     IntMatrix,
@@ -23,6 +24,8 @@ from polygonic.rings import (
     ring_from_string,
     smith_normal_form,
 )
+
+from polygonic.witt import series_times_factor
 
 from lattice_oracle import lattice_contains
 
@@ -601,6 +604,79 @@ def test_add_multiple_matches_dense_lists():
     target = {0: 1}
     ModularRing(4).add_multiple(target, two, {0: two, 1: two})
     assert target == {0: 1}
+
+
+class _GenericWalks:
+    """A ring whose series walks are the base class's generic loops."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)
+
+    unit_walk_pass = CoefficientRing.unit_walk_pass
+    binomial_walk_pass = CoefficientRing.binomial_walk_pass
+
+
+def _kernel_rings(rng):
+    """(ring, draw) for every ring kind, draw giving a random element that
+    is zero two times in five; QQ draws Fractions."""
+    Zi = QuotientPolynomialRing(ZZ, (1, 0, 1))
+    F4 = QuotientPolynomialRing(PrimeField(2), (1, 1, 1))
+    values = {
+        ZZ: lambda: rng.randint(-4, 4),
+        QQ: lambda: QQ.parse(f"{rng.randint(-4, 4)}/{rng.randint(1, 4)}"),
+        ModularRing(8): lambda: rng.randrange(8),
+        ModularRing(9): lambda: rng.randrange(9),
+        PrimeField(5): lambda: rng.randrange(5),
+        Zi: lambda: (rng.randint(-3, 3), rng.randint(-3, 3)),
+        F4: lambda: (rng.randrange(2), rng.randrange(2)),
+    }
+    return [(ring, lambda draw=draw, ring=ring: ring.zero() if rng.random() < 0.4 else draw())
+            for ring, draw in values.items()]
+
+
+def _outcome(f, *args):
+    """f(*args) with its type, or the type of what it raised."""
+    try:
+        value = f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return "raises", type(exc)
+    return value, type(value)
+
+
+def test_each_rings_pow_matches_the_generic_pow():
+    """A ring's own pow against CoefficientRing.pow: for n >= 0, and for
+    n < 0 over fields (both invert) and other rings (both refuse).  No
+    result is a float, and each has the generic result's type."""
+    rng = random.Random(39)
+    for ring, draw in _kernel_rings(rng):
+        for a in [ring.zero(), ring.one()] + [draw() for _ in range(6)]:
+            for n in range(-6, 41):
+                got, want = _outcome(ring.pow, a, n), _outcome(CoefficientRing.pow, ring, a, n)
+                assert got == want and got[1] is not float, (ring, a, n)
+
+
+def test_each_rings_series_walks_match_the_generic_walks():
+    """series_times_factor on a ring's own walk kernels against the base
+    class's generic walks, for every step t <= 36 and multiplicities on
+    both sides of the walk choice, on series holding explicit zeros."""
+    rng = random.Random(39)
+    n = 36
+    for ring, draw in _kernel_rings(rng):
+        generic = _GenericWalks(ring)
+        for t in range(1, n + 1):
+            for g in list(range(-6, 7)) + [100003, -100003]:
+                s = [ring.one()] + [draw() for _ in range(n)]
+                x = draw()
+                while ring.is_zero(x):  # a zero factor leaves s alone
+                    x = draw()
+                got, want = list(s), list(s)
+                series_times_factor(ring, got, x, t, g)
+                series_times_factor(generic, want, x, t, g)
+                assert got == want, (ring, t, g)
+                assert [type(v) for v in got] == [type(v) for v in want], (ring, t, g)
 
 
 def test_ring_parsing():

@@ -1,5 +1,6 @@
 import pytest
 
+from polygonic.cyclic import SizeGuard
 from polygonic.truncation import TruncationSet, is_truncation_set
 
 
@@ -9,6 +10,27 @@ def test_is_truncation_set():
     assert is_truncation_set({1, 2, 3, 6})
     assert is_truncation_set(set())
     assert not is_truncation_set({0, 1})
+
+
+def test_is_truncation_set_matches_the_definition():
+    # every subset of [1..14] against "each element's divisors are in it";
+    # with 0 or a negative entry no set is one
+    for mask in range(1 << 14):
+        s = {t for t in range(1, 15) if mask >> (t - 1) & 1}
+        assert is_truncation_set(s) == all(d in s for t in s for d in range(1, t + 1) if t % d == 0), s
+        for bad in (0, -1, -4):
+            assert not is_truncation_set(s | {bad}), (s, bad)
+
+
+def test_is_truncation_set_needs_no_walk_up_to_its_elements():
+    assert is_truncation_set({1, 1000000007})
+    assert is_truncation_set({1, 3, 1000000007, 3000000021})
+    assert not is_truncation_set({1, 3, 3000000021})
+    assert not is_truncation_set({1, 2, 4, 8, 2 ** 90})  # 2^89 is missing
+    assert not is_truncation_set({1, 1000000007 ** 2})  # an atom that is no prime
+    # a prime atom past the deterministic primality bound is refused
+    with pytest.raises(SizeGuard):
+        is_truncation_set({1, 2 ** 89 - 1})
 
 
 def test_divide_examples():

@@ -8,7 +8,7 @@ from polygonic import witt
 from polygonic.cyclic import SizeGuard
 from polygonic.mackey import check_mackey_axioms, evaluate_span
 from polygonic.qfin import SpanMorphism, compose_spans
-from polygonic.rings import QQ, ZZ, ModularRing, PrimeField, QuotientPolynomialRing
+from polygonic.rings import QQ, ZZ, CoefficientRing, ModularRing, PrimeField, QuotientPolynomialRing
 from polygonic.truncation import TruncationSet, is_truncation_set
 from polygonic.witt import (
     SupportMismatch,
@@ -107,7 +107,9 @@ def test_series_times_factor_matches_dense_product():
 
 
 class _CountingRing:
-    """A ring that counts its multiplications."""
+    """A ring that counts its multiplications.  Its series walks are the
+    base class's, run through its own mul, so every product the walks take
+    is counted too."""
 
     def __init__(self, ring):
         self.ring, self.muls = ring, 0
@@ -118,6 +120,9 @@ class _CountingRing:
     def mul(self, a, b):
         self.muls += 1
         return self.ring.mul(a, b)
+
+    unit_walk_pass = CoefficientRing.unit_walk_pass
+    binomial_walk_pass = CoefficientRing.binomial_walk_pass
 
 
 def test_series_times_factor_takes_the_shorter_walk():
