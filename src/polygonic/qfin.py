@@ -28,6 +28,14 @@ class QFinSet(Value):
         self.orbits, self.tail = orbits, tail
 
     @classmethod
+    def _trusted(cls, orbits):
+        """The set of these orbit sizes, with no tail, unchecked: the caller
+        vouches that they are positive."""
+        S = cls.__new__(cls)
+        S.orbits, S.tail = orbits, None
+        return S
+
+    @classmethod
     def orbit(cls, m):
         return cls((m,))
 
@@ -73,18 +81,27 @@ class QFinMap(Value):
         self.source, self.target, self.assign = source, target, tuple(normal)
 
     @classmethod
+    def _trusted(cls, source, target, assign):
+        """The map with this assignment, kept and unchecked: the caller
+        vouches that it has one entry per source orbit, that each target
+        orbit size divides its source's, and that each shift is reduced."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.assign = source, target, assign
+        return f
+
+    @classmethod
     def identity(cls, S):
         return cls(S, S, tuple((i, 0) for i in range(S.size)))
 
     def after(self, other):
-        """self composed after other."""
+        """self composed after other; valid by construction, so built unchecked."""
         if other.target.orbits != self.source.orbits:
             raise ValueError("maps are not composable")
         assign = []
         for i, (j, s) in enumerate(other.assign):
             k, t = self.assign[j]
             assign.append((k, (s + t) % self.target.orbits[k]))
-        return QFinMap(other.source, self.target, tuple(assign))
+        return QFinMap._trusted(other.source, self.target, tuple(assign))
 
     def apply(self, orbit_index, element):
         """Image of the element (orbit index, residue) under the map."""
@@ -124,7 +141,8 @@ def pullback(f, g):
     Over each orbit Z/u of U, a pair of preimage orbits of sizes a and b
     contributes gcd(a, b)/u orbits of size lcm(a, b), so a*b/u elements; above
     PULLBACK_GUARD elements in all it raises SizeGuard before listing any.
-    Returns (W, p, q) with the two projections.
+    Returns (W, p, q) with the two projections, valid by construction and
+    so built unchecked.
     """
     if f.target.orbits != g.target.orbits:
         raise ValueError("pullback needs a common target")
@@ -150,8 +168,8 @@ def pullback(f, g):
             orbits.append(size)
             p_assign.append((i, 0))
             q_assign.append((j, (y0 + u * r) % b))
-    W = QFinSet(tuple(orbits))
-    return W, QFinMap(W, f.source, tuple(p_assign)), QFinMap(W, g.source, tuple(q_assign))
+    W = QFinSet._trusted(tuple(orbits))
+    return W, QFinMap._trusted(W, f.source, tuple(p_assign)), QFinMap._trusted(W, g.source, tuple(q_assign))
 
 
 def pullback_elementwise(f, g):
@@ -214,10 +232,18 @@ class SpanMorphism(Value):
 
     @classmethod
     def single(cls, a, l, b, left_shift=0, right_shift=0):
-        """Span Z/a <- Z/l -> Z/b between single orbits."""
-        apex = QFinSet.orbit(l)
-        left = QFinMap(apex, QFinSet.orbit(a), ((0, left_shift),))
-        right = QFinMap(apex, QFinSet.orbit(b), ((0, right_shift),))
+        """Span Z/a <- Z/l -> Z/b between single orbits.  The sizes are
+        checked here, once, in the order the constructors would check them."""
+        if l < 1:
+            raise ValueError("orbit sizes must be positive")
+        for n in (a, b):
+            if n < 1:
+                raise ValueError("orbit sizes must be positive")
+            if l % n != 0:
+                raise ValueError(f"orbit size {n} does not divide {l}")
+        apex = QFinSet._trusted((l,))
+        left = QFinMap._trusted(apex, QFinSet._trusted((a,)), ((0, left_shift % a),))
+        right = QFinMap._trusted(apex, QFinSet._trusted((b,)), ((0, right_shift % b),))
         return cls(left, right)
 
     def orbit_data(self):

@@ -54,6 +54,14 @@ class TruncationSet(Value):
         self.elements, self._members = elems, frozenset(elems)
 
     @classmethod
+    def _trusted(cls, elems):
+        """The set of these elements, unchecked: the caller vouches that they
+        are sorted, distinct and divisor-closed."""
+        T = cls.__new__(cls)
+        T.elements, T._members = elems, frozenset(elems)
+        return T
+
+    @classmethod
     def divisors(cls, n):
         """The set of divisors of n."""
         if n < 1:
@@ -68,10 +76,11 @@ class TruncationSet(Value):
         return cls(tuple(range(1, n + 1)))
 
     def divide(self, n):
-        """{t in T : n*t in T}; again a truncation set."""
+        """{t in T : n*t in T}; again a truncation set, so built unchecked:
+        if n*t is in T and d | t, then n*d | n*t is in T."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        return TruncationSet(tuple(t for t in self.elements if n * t in self))
+        return TruncationSet._trusted(tuple(t for t in self.elements if n * t in self._members))
 
     def __contains__(self, t):
         return t in self._members

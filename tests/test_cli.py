@@ -701,6 +701,19 @@ def test_burnside_m_below_one_is_a_validation_error(runner):
         assert run(runner, base + ["--burnside-m", "1"]).exit_code == 0
 
 
+def test_bad_spans_are_validation_errors(runner):
+    # SpanMorphism.single checks its sizes itself, with the messages the
+    # map and set constructors give
+    for first, message in (
+        ("3:4:2", "orbit size 3 does not divide 4"),
+        ("2:0:2", "orbit sizes must be positive"),
+        ("0:4:2", "orbit sizes must be positive"),
+    ):
+        result = run(runner, ["qfin", "compose-spans", "--first", first, "--second", "2:2:2"])
+        assert result.exit_code == 2, first
+        assert json.loads(result.output) == {"error": message, "kind": "validation"}, first
+
+
 def test_witt_indices_outside_the_support_are_validation_errors(runner):
     base = ["witt", "add", "--ring", "Z", "--support", "1,2,3", "--a", "1:1"]
     result = run(runner, base + ["--b", "5:1"])

@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+from polygonic import mackey
 from polygonic.mackey import (
     FPGroup,
     GroupWithAction,
@@ -133,6 +134,54 @@ def test_axioms_witt_window():
     M = witt_as_mackey(ModularRing(8), 6)
     report = check_mackey_axioms(M, trials=60, seed=5)
     assert report.ok, report.failures[:3]
+
+
+def test_axioms_locate_maps_that_break_the_relations(monkeypatch):
+    # On W(Z/8) over [6], res 1->2 also sends V_5 (order 8) to V_1 at level
+    # 2 (order 16), and tr 6->3 sends V_1 to V_1 + V_2 at level 3 (V_1 of
+    # order 16): neither respects the relations.  Levels 2 and 3 also
+    # receive sound maps (their weyl, tr 4->2, res 1->3), so a level that
+    # fails is searched map by map.
+    M = witt_as_mackey(ModularRing(8), 6)
+    res, tr = dict(M.res), dict(M.tr)
+    res[(1, 2)] = res[(1, 2)].add(IntMatrix(ZZ, 3, 6, {(0, 4): 1}))
+    tr[(3, 6)] = tr[(3, 6)].add(IntMatrix(ZZ, 2, 1, {(0, 0): 1}))
+    bad = MackeyWindow(M.window, M.groups, M.weyl, res, tr)
+    report = check_mackey_axioms(bad, trials=30, seed=5)
+    # each map tested alone, in the report's order
+    alone = []
+    for n in bad.window:
+        if not Hom(bad.group(n), bad.group(n), bad.weyl[n]).is_well_defined():
+            alone.append(f"weyl at level {n} not well defined")
+    for n in bad.window:
+        for m in bad.proper_multiples(n):
+            if not bad.res_hom(n, m).is_well_defined():
+                alone.append(f"res {n}->{m} not well defined")
+            if not bad.tr_hom(m, n).is_well_defined():
+                alone.append(f"tr {m}->{n} not well defined")
+    assert alone == ["res 1->2 not well defined", "tr 6->3 not well defined"]
+    assert not report.ok
+    assert [f for f in report.failures if f.endswith(" not well defined")] == alone
+    # and the whole report is the one made with every level tested map by map
+    monkeypatch.setattr(mackey, "_sound_levels", lambda M, weyl, legs: set())
+    assert check_mackey_axioms(bad, trials=30, seed=5) == report
+
+
+def test_axioms_decide_well_definedness_once_per_level(monkeypatch):
+    # one elimination per level of a sound window with relations, and none
+    # on a Burnside window, whose levels are free; the maps of both windows
+    # commute on the nose, so no Hom.equal eliminates either
+    calls = []
+    eliminate = mackey.invariant_factors_of_rows
+    monkeypatch.setattr(mackey, "invariant_factors_of_rows", lambda rows, n: calls.append(n) or eliminate(rows, n))
+    report = check_mackey_axioms(witt_as_mackey(ModularRing(8), 12), trials=20, seed=0)
+    assert (report.ok, report.checked, len(calls)) == (True, 151, 12)
+    calls.clear()
+    assert check_mackey_axioms(burnside_representable(1, W12), trials=20, seed=0).ok
+    assert calls == []
+    # with no nonzero element there is nothing to eliminate
+    G = FPGroup(2, IntMatrix.from_rows(ZZ, [[0, 4]]))
+    assert G.are_zero([]) and G.are_zero([{}, {0: 0, 1: 0}]) and calls == []
 
 
 def test_evaluate_span_functor_random():

@@ -220,3 +220,52 @@ def test_canonical_is_the_least_pair_of_leg_shifts():
                     least = min(((s1 + x) % a, (s2 + x) % c) for x in range(l))
                     rows.append((l, j1, least[0], j2, least[1]))
                 assert composite.canonical()[0] == tuple(sorted(rows)), (a, l1, b, l2, c, t)
+
+
+def _checked(f):
+    """f built again through the checking constructors, from its data."""
+    return QFinMap(QFinSet(f.source.orbits, f.source.tail), QFinSet(f.target.orbits, f.target.tail), f.assign)
+
+
+def _single_checked(a, l, b, s, t):
+    """SpanMorphism.single through the checking constructors."""
+    apex = QFinSet.orbit(l)
+    return SpanMorphism(QFinMap(apex, QFinSet.orbit(a), ((0, s),)), QFinMap(apex, QFinSet.orbit(b), ((0, t),)))
+
+
+def test_unchecked_builds_match_the_checking_constructors():
+    # pullback, after, compose_spans and single build their maps unchecked,
+    # as valid by construction; each is built again here through the
+    # checking constructors, over all single orbits a, b, u <= 12 with every
+    # shift, and must come out equal (a constructor raises on bad data and
+    # reduces every shift)
+    sizes = range(1, 13)
+    for u, a, b in itertools.product(sizes, sizes, sizes):
+        if a % u or b % u:
+            continue
+        U = QFinSet.orbit(u)
+        for sf, sg in itertools.product(range(u), range(u)):
+            f = QFinMap(QFinSet.orbit(a), U, ((0, sf),))
+            g = QFinMap(QFinSet.orbit(b), U, ((0, sg),))
+            W, p, q = pullback(f, g)
+            assert W == QFinSet(W.orbits) and p == _checked(p) and q == _checked(q)
+            s1 = SpanMorphism(QFinMap.identity(f.source), f)
+            s2 = SpanMorphism(g, QFinMap.identity(g.source))
+            composite = compose_spans(s2, s1)
+            assert composite == SpanMorphism(_checked(composite.left), _checked(composite.right))
+        if a % b == 0:
+            for s, t in itertools.product(range(b), range(u)):
+                h = QFinMap(QFinSet.orbit(b), U, ((0, t),)).after(QFinMap(QFinSet.orbit(a), QFinSet.orbit(b), ((0, s),)))
+                assert h == _checked(h)
+    # single checks its sizes once, in the constructors' order and with their
+    # messages, and reduces its shifts as they do
+    for a, l, b in itertools.product(range(-1, 13), repeat=3):
+        shifts = itertools.product(range(-a, 2 * a + 1), range(-b, 2 * b + 1)) if a > 0 and b > 0 else [(0, 0)]
+        for s, t in shifts:
+            try:
+                expected = _single_checked(a, l, b, s, t)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    SpanMorphism.single(a, l, b, s, t)
+                break
+            assert SpanMorphism.single(a, l, b, s, t) == expected, (a, l, b, s, t)

@@ -70,6 +70,11 @@ def test_divide_composition_exhaustive():
     ]
     for T in small + big:
         for n in range(1, 25):
+            # divide builds its result unchecked; the checking constructor
+            # accepts the same elements and gives an equal set
+            D = T.divide(n)
+            assert D == TruncationSet(D.elements)
+            assert [t for t in range(1, 25) if t in D] == list(D.elements)
             for m in range(1, 25):
                 if n * m > 24:
                     continue
